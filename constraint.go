@@ -82,14 +82,19 @@ func NodeClasses(classes []int) Constraint {
 // target with n nodes into the internal spec, validating edge bounds,
 // class-array shape, and the target's edge content (forbidden edges
 // absent, protected edges present, Connected() over a connected
-// start state). directed selects the arc encoding; has answers edge
-// membership over the target's current edges and connected reports its
+// start state). directed selects the arc encoding; edges are the
+// target's current (packed) edges and connected reports its
 // connectivity.
-func compileConstraints(cs []Constraint, n int, directed bool,
-	has func(uint64) bool, connected func() bool) (*constraint.Spec, error) {
+func compileConstraints[E ~uint64](cs []Constraint, n int, directed bool,
+	edges []E, connected func() bool) (*constraint.Spec, error) {
 	if len(cs) == 0 {
 		return nil, nil
 	}
+	present := make(map[uint64]struct{}, len(edges))
+	for _, e := range edges {
+		present[uint64(e)] = struct{}{}
+	}
+	has := func(e uint64) bool { _, ok := present[e]; return ok }
 	spec := &constraint.Spec{}
 	for _, c := range cs {
 		switch c.kind {
@@ -158,4 +163,3 @@ func packConstraintEdges(edges [][2]uint32, n int, directed bool) ([]uint64, err
 	}
 	return packed, nil
 }
-

@@ -1,8 +1,6 @@
 package gesmc
 
 import (
-	"time"
-
 	"gesmc/internal/digraph"
 	"gesmc/internal/graph"
 )
@@ -128,17 +126,4 @@ func (g *DiGraph) CheckSimple() error { return g.g.CheckSimple() }
 // RandomizeDirected is the one-shot form of NewSampler(g, ...) followed
 // by one Step call; directed and bipartite targets sample through the
 // same Sampler API as undirected graphs.
-func RandomizeDirected(g *DiGraph, opt Options) (Stats, error) {
-	start := time.Now()
-	s, err := NewSampler(g, opt.samplerOptions()...)
-	if err != nil {
-		return Stats{}, err
-	}
-	st, err := s.Step(opt.supersteps())
-	// One-shot semantics: release the worker gang immediately (no
-	// sampler survives to Close it) and report a duration that includes
-	// the engine construction the caller paid for, as it always did.
-	s.Close()
-	st.Duration = time.Since(start)
-	return st, err
-}
+func RandomizeDirected(g *DiGraph, opt Options) (Stats, error) { return randomizeOnce(g, opt) }

@@ -13,10 +13,13 @@
 // (*DiGraph), and bipartite graphs (FromBipartiteDegrees, represented
 // as digraphs).
 //
-// Every parallel chain executes through one generic superstep kernel
+// Every algorithm advances through one resumable engine loop, and
+// every parallel chain executes through one generic superstep kernel
 // (dependency tuples, round-based decisions, pessimistic worst-case
 // scheduling, identical rounds instrumentation — see DESIGN.md), so
-// WithWorkers applies uniformly. The kernel runs on a persistent
+// WithWorkers applies uniformly. All tiers share one counter type:
+// the Stats of consecutive Step calls add up to Sampler.Stats, and
+// each increment's MaxRounds is the maximum over its own supersteps. The kernel runs on a persistent
 // gang of worker goroutines owned by the sampler's engine: supersteps
 // reuse the parked gang instead of spawning goroutines, and the kernel
 // itself performs no steady-state heap allocations (chains still
@@ -30,7 +33,7 @@
 //	Algorithm        chain     targets              parallel  notes
 //	SeqES            ES-MC     undirected+directed  no        §5 hash set + edge array
 //	SeqGlobalES      G-ES-MC   undirected+directed  no        Definition 3
-//	NaiveParES       ES-MC     undirected           inexact   §5.1 baseline, perf studies only
+//	NaiveParES       ES-MC     undirected           inexact   §5.1 baseline, perf studies only (not served)
 //	ParES            ES-MC     undirected           exact     Algorithm 2
 //	ParGlobalES      G-ES-MC   all                  exact     Algorithm 3 — headline, default
 //	AdjListES        ES-MC     undirected           no        NetworKit-style ablation
@@ -129,7 +132,8 @@
 // requests with the same (target, algorithm, workers, seed,
 // constraints) identity. Requests opt into constrained ensembles with
 // "connected": true and "forbidden_edges"; the CLI mirrors the former
-// as gesmc -connected.
+// as gesmc -connected. The service refuses NaiveParES: its racy output
+// cannot honour the resume and failover bit-identity contracts.
 // Sampler.Close is idempotent, and a closed sampler's methods return
 // ErrClosed, so pooled engines evict safely. See DESIGN.md §9.
 //

@@ -3,6 +3,7 @@ package constraint
 import (
 	"errors"
 
+	"gesmc/internal/graph"
 	"gesmc/internal/rng"
 	"gesmc/internal/switching"
 )
@@ -17,15 +18,6 @@ var ErrDisconnected = errors.New("constraint: connectivity requires a connected 
 // chains: this many consecutive supersteps whose accepted switches
 // were all rolled back by recertification mark the chain as stalled.
 const ParStallSupersteps = 2
-
-// Counters accumulates what one constrained execution did; chains fold
-// them into their own stats types.
-type Counters struct {
-	Legal          int64
-	Vetoed         int64
-	EscapeAttempts int64
-	EscapeMoves    int64
-}
 
 // Runtime is the compiled form of a Spec for one chain, generic over
 // the edge encoding so the undirected (graph.Edge + hashset/EdgeSet)
@@ -71,7 +63,7 @@ func NewRuntime[E switching.EdgeKind[E]](spec *Spec, n int, edges []E) (*Runtime
 // exact union-find recheck when a certificate tree edge is deleted.
 // Connectivity rejections accumulate the stall counter; at the stall
 // limit the chain attempts compound k-switch escapes.
-func (c *Runtime[E]) ExecuteSequential(edges []E, switches []switching.Switch, src rng.Source, cnt *Counters) {
+func (c *Runtime[E]) ExecuteSequential(edges []E, switches []switching.Switch, src rng.Source, st *switching.Stats) {
 	for _, sw := range switches {
 		e1 := edges[sw.I]
 		e2 := edges[sw.J]
@@ -80,7 +72,7 @@ func (c *Runtime[E]) ExecuteSequential(edges []E, switches []switching.Switch, s
 			continue
 		}
 		if c.Veto != nil && c.Veto(e1, e2, t3, t4) {
-			cnt.Vetoed++
+			st.Vetoed++
 			continue
 		}
 		if c.Ops.Contains(t3) || c.Ops.Contains(t4) {
@@ -89,10 +81,10 @@ func (c *Runtime[E]) ExecuteSequential(edges []E, switches []switching.Switch, s
 		slow := false
 		if c.Tracker != nil && !c.Tracker.FastErasable(uint64(e1), uint64(e2)) {
 			if !CheckSwitch(c.Tracker, edges, int(sw.I), int(sw.J), t3, t4) {
-				cnt.Vetoed++
+				st.Vetoed++
 				c.stall++
 				if c.stall >= c.stallLimit {
-					c.escape(edges, src, cnt)
+					c.escape(edges, src, st)
 				}
 				continue
 			}
@@ -104,7 +96,7 @@ func (c *Runtime[E]) ExecuteSequential(edges []E, switches []switching.Switch, s
 		c.Ops.Insert(t4)
 		edges[sw.I] = t3
 		edges[sw.J] = t4
-		cnt.Legal++
+		st.Legal++
 		if c.Tracker != nil {
 			c.stall = 0
 			if slow {
@@ -119,13 +111,36 @@ func (c *Runtime[E]) ExecuteSequential(edges []E, switches []switching.Switch, s
 // escape runs up to EscapeTries compound double-switch proposals
 // through the bound graph ops, resetting the stall counter on success.
 // The tracker is re-certified by the escape itself.
-func (c *Runtime[E]) escape(edges []E, src rng.Source, cnt *Counters) {
+func (c *Runtime[E]) escape(edges []E, src rng.Source, st *switching.Stats) {
 	attempts, moves := Escape(edges, c.Ops, c.Veto, c.Tracker, src, EscapeTries)
-	cnt.EscapeAttempts += attempts
-	cnt.EscapeMoves += moves
+	st.EscapeAttempts += attempts
+	st.EscapeMoves += moves
 	if moves > 0 {
 		c.stall = 0
 	}
+}
+
+// BindRunner installs the local veto on a parallel chain's runner and
+// points the graph ops at its concurrent edge set, which stores every
+// edge kind bit-cast to graph.Edge exactly as the runner's own phases
+// do.
+func (c *Runtime[E]) BindRunner(r *switching.Runner[E]) {
+	r.Veto = c.Veto
+	c.Ops = GraphOps[E]{
+		Contains: func(e E) bool { return r.Set.Contains(graph.Edge(e)) },
+		Insert:   func(e E) { r.Set.InsertUnique(graph.Edge(e)) },
+		Erase:    func(e E) { r.Set.EraseUnique(graph.Edge(e)) },
+	}
+}
+
+// After returns AfterSuperstep as a parallel stepper's hook, or nil
+// when there is nothing to recertify (no runtime, or no connectivity
+// requirement).
+func (c *Runtime[E]) After() switching.AfterFunc[E] {
+	if c == nil || c.Tracker == nil {
+		return nil
+	}
+	return c.AfterSuperstep
 }
 
 // AfterSuperstep is the speculate-then-recertify step of the parallel
@@ -133,7 +148,7 @@ func (c *Runtime[E]) escape(edges []E, src rng.Source, cnt *Counters) {
 // roll back in reverse commit order if the certificate broke, and run
 // escape moves when recertification has zeroed out ParStallSupersteps
 // whole supersteps in a row.
-func (c *Runtime[E]) AfterSuperstep(r *switching.Runner[E], switches []switching.Switch, src rng.Source, cnt *Counters) {
+func (c *Runtime[E]) AfterSuperstep(r *switching.Runner[E], switches []switching.Switch, src rng.Source, st *switching.Stats) {
 	if c.Tracker == nil {
 		return
 	}
@@ -142,7 +157,7 @@ func (c *Runtime[E]) AfterSuperstep(r *switching.Runner[E], switches []switching
 		// Everything the superstep accepted was rolled back.
 		c.stall++
 		if c.stall >= ParStallSupersteps {
-			c.escape(r.E, src, cnt)
+			c.escape(r.E, src, st)
 		}
 	} else if r.Stats.Legal > c.lastLegal {
 		c.stall = 0

@@ -5,6 +5,7 @@ import (
 
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // adjListStepper is the sequential adjacency-list ES-MC baseline
@@ -22,7 +23,7 @@ type adjListStepper struct {
 	sorted bool
 }
 
-func newAdjListStepper(g *graph.Graph, cfg Config, sorted bool) stepper {
+func newAdjListStepper(g *graph.Graph, cfg Config, sorted bool) *adjListStepper {
 	E := g.Edges()
 	n := g.N()
 	adj := make([][]graph.Node, n)
@@ -47,7 +48,7 @@ func newAdjListStepper(g *graph.Graph, cfg Config, sorted bool) stepper {
 	}
 }
 
-func (s *adjListStepper) step(stats *RunStats) {
+func (s *adjListStepper) Step(st *switching.Stats) error {
 	perStep := int64(s.m / 2)
 	for a := int64(0); a < perStep; a++ {
 		i, j := rng.TwoDistinct(s.src, s.m)
@@ -65,12 +66,11 @@ func (s *adjListStepper) step(stats *RunStats) {
 		s.insert(t4.U(), t4.V())
 		s.insert(t4.V(), t4.U())
 		s.E[i], s.E[j] = t3, t4
-		stats.Legal++
+		st.Legal++
 	}
-	stats.Attempted += perStep
+	st.Attempted += perStep
+	return nil
 }
-
-func (s *adjListStepper) finish() {}
 
 func (s *adjListStepper) has(u, v graph.Node) bool {
 	// Query the smaller neighborhood.

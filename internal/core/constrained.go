@@ -49,23 +49,3 @@ func bindHashSet(c *constrainedRuntime, S *hashset.Set) {
 		Erase:    func(e graph.Edge) { S.Erase(e) },
 	}
 }
-
-// bindRunner installs the local veto on a parallel chain's runner and
-// points the graph ops at its concurrent edge set.
-func bindRunner(c *constrainedRuntime, r *SuperstepRunner) {
-	r.Veto = c.Veto
-	c.Ops = constraint.GraphOps[graph.Edge]{
-		Contains: r.Set.Contains,
-		Insert:   r.Set.InsertUnique,
-		Erase:    r.Set.EraseUnique,
-	}
-}
-
-// addCounters folds one constrained execution's counters into the run
-// statistics.
-func addCounters(stats *RunStats, c *constraint.Counters) {
-	stats.Legal += c.Legal
-	stats.Vetoed += c.Vetoed
-	stats.EscapeAttempts += c.EscapeAttempts
-	stats.EscapeMoves += c.EscapeMoves
-}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"errors"
-	"time"
 
 	"gesmc/internal/graph"
 	"gesmc/internal/switching"
@@ -13,32 +11,22 @@ import (
 // outside the defined enum.
 var ErrUnknownAlgorithm = errors.New("core: unknown algorithm")
 
-// stepper is the per-algorithm resumable state behind an Engine. step
-// advances exactly one superstep (⌊m/2⌋ switch attempts for ES-MC
-// chains, one global switch for G-ES-MC chains), accumulating counters
-// into stats; finish publishes any privately buffered edge state back to
-// the graph's edge list (a no-op for algorithms that mutate it in
-// place).
-type stepper interface {
-	step(stats *RunStats)
-	finish()
-}
+// Engine is the resumable run every chain shares (switching.Engine):
+// NewEngine compiles the graph once into the algorithm's stepper
+// (hash set, dependency table, adjacency lists, RNG streams), after
+// which Steps advances the chain in arbitrarily many increments
+// without rebuilding anything. A single Steps(ctx, k) call is
+// bit-identical to the one-shot Run(g, alg, k, cfg); splitting the
+// same k across several calls yields the same final edge list for
+// every algorithm, because every implementation realizes sequential
+// Definition-1 semantics over the same seeded switch sequence.
+type Engine = switching.Engine
 
-// Engine is a resumable Markov-chain run: the graph is compiled once
-// into the algorithm's working state (hash set, dependency table,
-// adjacency lists, RNG streams) by NewEngine, after which Steps advances
-// the chain in arbitrarily many increments without rebuilding anything.
-// A single Steps(ctx, k) call is bit-identical to the one-shot
-// Run(g, alg, k, cfg); splitting the same k across several calls yields
-// the same final edge list for every algorithm, because the switch
-// sequence drawn from the seed does not depend on the partitioning and
-// every implementation realizes sequential Definition-1 semantics over
-// that sequence.
-type Engine struct {
-	alg   Algorithm
-	st    stepper
-	stats RunStats
-}
+// RunStats is the counter type of a run (switching.Stats).
+type RunStats = switching.Stats
+
+// parGlobalSalt seeds ParGlobalES's permutation stream (seed XOR salt).
+const parGlobalSalt = 0xA5A5A5A5A5A5A5A5
 
 // NewEngine compiles the graph into the working state of the selected
 // algorithm. The graph is retained and mutated in place by Steps.
@@ -57,7 +45,7 @@ func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	var st stepper
+	var st switching.Stepper
 	switch alg {
 	case AlgSeqES:
 		st = newSeqESStepper(g, cfg, cons)
@@ -68,7 +56,8 @@ func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
 	case AlgParES:
 		st = newParESStepper(g, cfg, cons)
 	case AlgParGlobalES:
-		st = newParGlobalStepper(g, cfg, cons)
+		r := newRunner(g.Edges(), g.M()/2, cfg, cons)
+		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), GlobalSwitches, cons.After())
 	case AlgAdjListES:
 		st = newAdjListStepper(g, cfg, false)
 	case AlgAdjSortES:
@@ -76,87 +65,20 @@ func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
 	default:
 		return nil, ErrUnknownAlgorithm
 	}
-	e := &Engine{alg: alg, st: st}
-	e.stats.Algorithm = alg
-	return e, nil
+	return switching.NewEngine(st), nil
 }
 
-// releaser is implemented by steppers that own a persistent worker
-// gang (parallel chains); Close parks the gang deterministically.
-type releaser interface{ release() }
-
-// Close releases the engine's persistent worker gang, if the selected
-// algorithm owns one. The engine must not be used afterwards. Closing
-// is optional — leaked gangs are reclaimed by a finalizer — but
-// deterministic for callers that create many engines.
-func (e *Engine) Close() {
-	if r, ok := e.st.(releaser); ok {
-		r.release()
+// newRunner builds the parallel kernel for a switching chain with the
+// config's scheduling knobs, bound to the constraint runtime if any.
+func newRunner(edges []graph.Edge, maxSwitches int, cfg Config, cons *constrainedRuntime) *SuperstepRunner {
+	r := NewSuperstepRunner(edges, maxSwitches, cfg.workers())
+	r.Pessimistic = cfg.PessimisticRounds
+	r.Prefetch = cfg.Prefetch
+	if cfg.ChunkBytes > 0 {
+		r.Pool().SetChunkBytes(cfg.ChunkBytes)
 	}
-}
-
-// Algorithm returns the algorithm the engine runs.
-func (e *Engine) Algorithm() Algorithm { return e.alg }
-
-// Stats returns the counters accumulated over the engine's lifetime.
-func (e *Engine) Stats() RunStats { return e.stats }
-
-// Steps advances the chain by k supersteps and returns the statistics of
-// exactly this increment. Cancellation is honored at superstep
-// boundaries: on ctx expiry the graph is left in the valid state after
-// the last completed superstep and ctx.Err() is returned alongside the
-// partial statistics.
-func (e *Engine) Steps(ctx context.Context, k int) (RunStats, error) {
-	start := time.Now()
-	delta := RunStats{Algorithm: e.alg}
-	var err error
-	for i := 0; i < k; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		e.st.step(&delta)
-		delta.Supersteps++
+	if cons != nil {
+		cons.BindRunner(r)
 	}
-	e.st.finish()
-	delta.Duration = time.Since(start)
-	e.stats.Supersteps += delta.Supersteps
-	e.stats.Attempted += delta.Attempted
-	e.stats.Legal += delta.Legal
-	e.stats.InternalSupersteps += delta.InternalSupersteps
-	e.stats.TotalRounds += delta.TotalRounds
-	if delta.MaxRounds > e.stats.MaxRounds {
-		e.stats.MaxRounds = delta.MaxRounds
-	}
-	e.stats.FirstRoundTime += delta.FirstRoundTime
-	e.stats.LaterRoundsTime += delta.LaterRoundsTime
-	e.stats.Vetoed += delta.Vetoed
-	e.stats.EscapeAttempts += delta.EscapeAttempts
-	e.stats.EscapeMoves += delta.EscapeMoves
-	e.stats.Duration += delta.Duration
-	return delta, err
-}
-
-// runnerSnap tracks the last-seen kernel counters of a SuperstepRunner
-// so that per-increment deltas can be carved out of its cumulative
-// totals. MaxRounds stays cumulative (a maximum does not decompose into
-// deltas).
-type runnerSnap struct {
-	prev switching.Stats
-}
-
-func (s *runnerSnap) flushDelta(r *SuperstepRunner, stats *RunStats) {
-	d := r.Stats.Sub(s.prev)
-	s.prev = r.Stats
-	stats.Legal += d.Legal
-	stats.InternalSupersteps += d.InternalSupersteps
-	stats.TotalRounds += d.TotalRounds
-	if d.MaxRounds > stats.MaxRounds {
-		stats.MaxRounds = d.MaxRounds
-	}
-	stats.FirstRoundTime += d.FirstRoundTime
-	stats.LaterRoundsTime += d.LaterRoundsTime
-	// A rolled-back switch was ultimately rejected by the constraint
-	// layer, same as a decide-phase veto.
-	stats.Vetoed += d.Vetoed + d.RolledBack
+	return r
 }

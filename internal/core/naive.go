@@ -6,6 +6,7 @@ import (
 	"gesmc/internal/conc"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // naiveStepper is the simplistic parallel ES-MC baseline of §5.1: every
@@ -26,7 +27,7 @@ type naiveStepper struct {
 	legals []int64
 }
 
-func newNaiveStepper(g *graph.Graph, cfg Config) stepper {
+func newNaiveStepper(g *graph.Graph, cfg Config) *naiveStepper {
 	w := cfg.workers()
 	if w > 254 {
 		w = 254 // owner ids must fit the 8-bit lock byte
@@ -46,7 +47,7 @@ func newNaiveStepper(g *graph.Graph, cfg Config) stepper {
 	}
 }
 
-func (s *naiveStepper) step(stats *RunStats) {
+func (s *naiveStepper) Step(st *switching.Stats) error {
 	perStep := int64(s.m / 2)
 	legals := s.legals
 	step := s.idx
@@ -68,10 +69,10 @@ func (s *naiveStepper) step(stats *RunStats) {
 		legals[worker] = legal
 	})
 	for i, l := range legals {
-		stats.Legal += l
+		st.Legal += l
 		legals[i] = 0
 	}
-	stats.Attempted += perStep
+	st.Attempted += perStep
 	s.idx++
 	// Quiescent point: drop accumulated tombstones if needed.
 	if s.set.NeedsCompact() {
@@ -81,13 +82,14 @@ func (s *naiveStepper) step(stats *RunStats) {
 		}
 		s.set.Compact(edges, s.w)
 	}
+	return nil
 }
 
-func (s *naiveStepper) release() { s.pool.Close() }
+func (s *naiveStepper) Release() { s.pool.Close() }
 
-// finish writes the edge array back to the graph's edge list; the array
+// Finish writes the edge array back to the graph's edge list; the array
 // remains the source of truth between increments.
-func (s *naiveStepper) finish() {
+func (s *naiveStepper) Finish() {
 	edges := s.g.Edges()
 	for i := range edges {
 		edges[i] = graph.Edge(s.E[i])

@@ -4,9 +4,9 @@ import (
 	"sync/atomic"
 
 	"gesmc/internal/conc"
-	"gesmc/internal/constraint"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // prefixFinder locates the longest collision-free prefix of a switch
@@ -132,19 +132,17 @@ func FindCollisionFreePrefix(switches []Switch, workers int, minIdx []int32) int
 // same switch sequence. The prefix search shares the runner's worker
 // gang, so the whole chain runs on one set of long-lived goroutines.
 type parESStepper struct {
-	m, w    int
+	m       int
 	src     rng.Source
 	runner  *SuperstepRunner
 	finder  *prefixFinder
 	pending []Switch
 	window  int
-	snap    runnerSnap
-	cons    *constrainedRuntime
+	after   switching.AfterFunc[graph.Edge]
 }
 
-func newParESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) stepper {
+func newParESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) *parESStepper {
 	m := g.M()
-	w := cfg.workers()
 	// Window of pre-sampled switches; refilled as prefixes are consumed.
 	// Supersteps are bounded by the window, so the dependency table is
 	// sized to it (expected prefix length is Θ(√m), far below m/2).
@@ -155,27 +153,19 @@ func newParESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) stepp
 	if window > m/2 {
 		window = m / 2
 	}
-	runner := NewSuperstepRunner(g.Edges(), window, w)
-	runner.Pessimistic = cfg.PessimisticRounds
-	runner.Prefetch = cfg.Prefetch
-	if cfg.ChunkBytes > 0 {
-		runner.Pool().SetChunkBytes(cfg.ChunkBytes)
-	}
-	if cons != nil {
-		bindRunner(cons, runner)
-	}
+	runner := newRunner(g.Edges(), window, cfg, cons)
 	return &parESStepper{
-		m: m, w: w,
+		m:       m,
 		src:     rng.NewMT19937(cfg.Seed),
 		runner:  runner,
 		finder:  newPrefixFinder(runner.Pool(), m),
 		pending: make([]Switch, 0, window),
 		window:  window,
-		cons:    cons,
+		after:   cons.After(),
 	}
 }
 
-func (s *parESStepper) step(stats *RunStats) {
+func (s *parESStepper) Step(st *switching.Stats) error {
 	toSample := s.m / 2
 	for toSample > 0 || len(s.pending) > 0 {
 		// Refill the window.
@@ -186,20 +176,17 @@ func (s *parESStepper) step(stats *RunStats) {
 		}
 		t := s.finder.find(s.pending)
 		s.runner.Run(s.pending[:t])
-		stats.Attempted += int64(t)
-		if s.cons != nil {
-			var cc constraint.Counters
-			s.cons.AfterSuperstep(s.runner, s.pending[:t], s.src, &cc)
-			addCounters(stats, &cc)
+		st.Attempted += int64(t)
+		if s.after != nil {
+			s.after(s.runner, s.pending[:t], s.src, st)
 		}
 		s.pending = s.pending[:copy(s.pending, s.pending[t:])]
 	}
-	s.snap.flushDelta(s.runner, stats)
+	s.runner.Flush(st)
+	return nil
 }
 
-func (s *parESStepper) finish() {}
-
-func (s *parESStepper) release() { s.runner.Release() }
+func (s *parESStepper) Release() { s.runner.Release() }
 
 func isqrt(n int) int {
 	if n <= 0 {

@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 
-	"gesmc/internal/constraint"
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // ErrTooSmall is returned for graphs with fewer than two edges, on which
@@ -90,7 +90,7 @@ type seqESStepper struct {
 
 const seqChunk = 1 << 12
 
-func newSeqESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) stepper {
+func newSeqESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) switching.Stepper {
 	E := g.Edges()
 	S := hashset.FromEdges(E, 0.5)
 	src := rng.NewMT19937(cfg.Seed)
@@ -113,7 +113,7 @@ func newSeqESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) stepp
 	}
 }
 
-func (s *seqESStepper) step(stats *RunStats) {
+func (s *seqESStepper) Step(st *switching.Stats) error {
 	perStep := int64(s.m / 2)
 	for done := int64(0); done < perStep; {
 		take := perStep - done
@@ -127,20 +127,17 @@ func (s *seqESStepper) step(stats *RunStats) {
 		}
 		switch {
 		case s.cons != nil:
-			var cc constraint.Counters
-			s.cons.ExecuteSequential(s.E, buf, s.src, &cc)
-			addCounters(stats, &cc)
+			s.cons.ExecuteSequential(s.E, buf, s.src, st)
 		case s.prefetch:
-			stats.Legal += executeSequentialPrefetch(s.E, s.S, buf)
+			st.Legal += executeSequentialPrefetch(s.E, s.S, buf)
 		default:
-			stats.Legal += ExecuteSequential(s.E, s.S, buf)
+			st.Legal += ExecuteSequential(s.E, s.S, buf)
 		}
 		done += take
 	}
-	stats.Attempted += perStep
+	st.Attempted += perStep
+	return nil
 }
-
-func (s *seqESStepper) finish() {}
 
 // seqBucketsStepper runs ES-MC sampling the two edges directly from the
 // hash set by random-bucket probing (§5.3 second option). The chain is
@@ -155,7 +152,7 @@ type seqBucketsStepper struct {
 	pos map[graph.Edge]int
 }
 
-func (s *seqBucketsStepper) step(stats *RunStats) {
+func (s *seqBucketsStepper) Step(st *switching.Stats) error {
 	perStep := int64(s.m / 2)
 	for k := int64(0); k < perStep; k++ {
 		e1 := s.S.SampleBucket(s.src)
@@ -176,9 +173,8 @@ func (s *seqBucketsStepper) step(stats *RunStats) {
 		delete(s.pos, e2)
 		s.E[i], s.E[j] = t3, t4
 		s.pos[t3], s.pos[t4] = i, j
-		stats.Legal++
+		st.Legal++
 	}
-	stats.Attempted += perStep
+	st.Attempted += perStep
+	return nil
 }
-
-func (s *seqBucketsStepper) finish() {}

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"gesmc/internal/constraint"
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // ExecuteGlobalSequential performs one global switch Γ = (π, ℓ) on the
@@ -29,7 +29,7 @@ type seqGlobalStepper struct {
 	cons     *constrainedRuntime
 }
 
-func newSeqGlobalStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) stepper {
+func newSeqGlobalStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) *seqGlobalStepper {
 	E := g.Edges()
 	S := hashset.FromEdges(E, 0.5)
 	if cons != nil {
@@ -45,20 +45,17 @@ func newSeqGlobalStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) s
 	}
 }
 
-func (s *seqGlobalStepper) step(stats *RunStats) {
+func (s *seqGlobalStepper) Step(st *switching.Stats) error {
 	perm, l := SampleGlobalSwitch(s.m, s.pl, s.src)
 	s.buf = GlobalSwitches(perm, l, s.buf)
 	switch {
 	case s.cons != nil:
-		var cc constraint.Counters
-		s.cons.ExecuteSequential(s.E, s.buf, s.src, &cc)
-		addCounters(stats, &cc)
+		s.cons.ExecuteSequential(s.E, s.buf, s.src, st)
 	case s.prefetch:
-		stats.Legal += executeSequentialPrefetch(s.E, s.S, s.buf)
+		st.Legal += executeSequentialPrefetch(s.E, s.S, s.buf)
 	default:
-		stats.Legal += ExecuteSequential(s.E, s.S, s.buf)
+		st.Legal += ExecuteSequential(s.E, s.S, s.buf)
 	}
-	stats.Attempted += int64(l)
+	st.Attempted += int64(l)
+	return nil
 }
-
-func (s *seqGlobalStepper) finish() {}

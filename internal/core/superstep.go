@@ -18,3 +18,14 @@ type SuperstepRunner = switching.Runner[graph.Edge]
 func NewSuperstepRunner(E []graph.Edge, maxSwitches, workers int) *SuperstepRunner {
 	return switching.NewRunner(E, maxSwitches, workers)
 }
+
+// ExecuteGlobalParallel performs one global switch Γ = (π, ℓ) using the
+// given runner. A global switch has no source dependencies by definition
+// (each edge index occurs at most once in π), so it is exactly one
+// ParallelSuperstep (Algorithm 3). The production chain is
+// switching.GlobalStepper; this form serves the differential tests.
+func ExecuteGlobalParallel(r *SuperstepRunner, perm []uint32, l int, buf []Switch) []Switch {
+	buf = GlobalSwitches(perm, l, buf)
+	r.Run(buf)
+	return buf
+}

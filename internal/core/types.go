@@ -140,44 +140,6 @@ func (c Config) loopProb() float64 {
 	return c.LoopProb
 }
 
-// RunStats aggregates what happened during a run.
-type RunStats struct {
-	Algorithm  Algorithm
-	Supersteps int   // supersteps performed (per paper's definition)
-	Attempted  int64 // switches attempted
-	Legal      int64 // switches accepted (graph modified)
-
-	// Parallel superstep instrumentation (Fig. 9):
-	InternalSupersteps int           // ParallelSuperstep invocations
-	TotalRounds        int64         // rounds across all supersteps
-	MaxRounds          int           // largest round count of any superstep
-	FirstRoundTime     time.Duration // time spent in first rounds
-	LaterRoundsTime    time.Duration // time spent in rounds 2+
-
-	// Constraint instrumentation (zero without an active constraint):
-	Vetoed         int64 // switches rejected by the constraint layer (vetoes + rollbacks)
-	EscapeAttempts int64 // compound k-switch escape proposals
-	EscapeMoves    int64 // accepted escape moves
-
-	Duration time.Duration
-}
-
-// RejectionRate returns the fraction of attempted switches rejected.
-func (s *RunStats) RejectionRate() float64 {
-	if s.Attempted == 0 {
-		return 0
-	}
-	return 1 - float64(s.Legal)/float64(s.Attempted)
-}
-
-// AvgRounds returns the mean rounds per ParallelSuperstep invocation.
-func (s *RunStats) AvgRounds() float64 {
-	if s.InternalSupersteps == 0 {
-		return 0
-	}
-	return float64(s.TotalRounds) / float64(s.InternalSupersteps)
-}
-
 // SampleSwitches draws r uniform ES-MC switches for a graph with m
 // edges: i != j uniform indices plus an unbiased direction bit.
 func SampleSwitches(m int, r int, src rng.Source) []Switch {

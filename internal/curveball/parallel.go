@@ -239,6 +239,37 @@ func (e *Engine) LocalStep() {
 	}
 }
 
+// Stepper returns the trade chain as a switching.Engine plug-in: one
+// superstep is one global trade (global) or ⌊n/2⌋ uniform trades
+// (Curveball's superstep normalization). Trades are never rejected, so
+// Attempted equals Legal. Finish writes the edges back into dst, the
+// target's edge list (length m); Release closes the worker gang.
+func (e *Engine) Stepper(global bool, dst []graph.Edge) switching.Stepper {
+	return &chainStepper{e: e, global: global, dst: dst}
+}
+
+type chainStepper struct {
+	e      *Engine
+	global bool
+	dst    []graph.Edge
+}
+
+func (s *chainStepper) Step(st *switching.Stats) error {
+	if s.global {
+		s.e.GlobalStep()
+	} else {
+		s.e.LocalStep()
+	}
+	legal := st.Legal
+	s.e.drv.Flush(st)
+	st.Attempted += st.Legal - legal
+	return nil
+}
+
+func (s *chainStepper) Finish() { s.e.WriteEdges(s.dst) }
+
+func (s *chainStepper) Release() { s.e.Close() }
+
 // tradeSeed derives the private shuffle seed of trade k within a batch.
 // The full mixer decorrelates the per-trade SplitMix64 streams (a plain
 // additive offset would make consecutive trades replay shifted copies

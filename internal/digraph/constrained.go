@@ -1,9 +1,6 @@
 package digraph
 
-import (
-	"gesmc/internal/constraint"
-	"gesmc/internal/graph"
-)
+import "gesmc/internal/constraint"
 
 // ErrDisconnected is returned by NewEngine when the connectivity
 // constraint is configured over a digraph that is not weakly connected
@@ -36,27 +33,4 @@ func bindMap(c *constrainedRuntime, S map[Arc]struct{}) {
 		Insert:   func(a Arc) { S[a] = struct{}{} },
 		Erase:    func(a Arc) { delete(S, a) },
 	}
-}
-
-// bindRunner installs the local veto on the parallel runner and points
-// the graph ops at its concurrent edge set. The set stores arcs
-// bit-cast to graph.Edge, exactly as the runner's own phases do (arcs
-// pack (tail, head) like edges pack (min, max); the set never
-// canonicalizes).
-func bindRunner(c *constrainedRuntime, r *SuperstepRunner) {
-	r.Veto = c.Veto
-	c.Ops = constraint.GraphOps[Arc]{
-		Contains: func(a Arc) bool { return r.Set.Contains(graph.Edge(a)) },
-		Insert:   func(a Arc) { r.Set.InsertUnique(graph.Edge(a)) },
-		Erase:    func(a Arc) { r.Set.EraseUnique(graph.Edge(a)) },
-	}
-}
-
-// addCounters folds one constrained execution's counters into the run
-// statistics.
-func addCounters(stats *RunStats, c *constraint.Counters) {
-	stats.Legal += c.Legal
-	stats.Vetoed += c.Vetoed
-	stats.EscapeAttempts += c.EscapeAttempts
-	stats.EscapeMoves += c.EscapeMoves
 }

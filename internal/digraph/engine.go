@@ -1,9 +1,7 @@
 package digraph
 
 import (
-	"context"
 	"errors"
-	"time"
 
 	"gesmc/internal/constraint"
 	"gesmc/internal/rng"
@@ -65,27 +63,15 @@ func (c Config) loopProb() float64 {
 	return c.LoopProb
 }
 
-// stepper is the per-algorithm resumable state behind an Engine, the
-// directed mirror of core's stepper.
-type stepper interface {
-	step(stats *RunStats)
-}
-
-// Engine is a resumable directed randomization run: NewEngine compiles
-// the digraph once into the chain's working state (arc set, dependency
-// table, RNG streams); Steps advances the chain in arbitrarily many
-// increments without rebuilding it. A single Steps(ctx, k) call is
-// bit-identical to the one-shot SeqES/SeqGlobalES/ParGlobalES with the
-// same parameters.
-type Engine struct {
-	alg   Algorithm
-	st    stepper
-	stats RunStats
-}
+// parGlobalSalt seeds ParGlobalES's permutation stream (seed XOR salt).
+const parGlobalSalt = 0x5DEECE66D
 
 // NewEngine compiles the digraph into the working state of the selected
-// algorithm. The digraph is retained and mutated in place by Steps.
-func NewEngine(g *DiGraph, alg Algorithm, cfg Config) (*Engine, error) {
+// algorithm, behind the resumable engine every chain shares
+// (switching.Engine). The digraph is retained and mutated in place by
+// Steps; a single Steps(ctx, k) call is bit-identical to the one-shot
+// SeqES/SeqGlobalES/ParGlobalES with the same parameters.
+func NewEngine(g *DiGraph, alg Algorithm, cfg Config) (*switching.Engine, error) {
 	if g.M() < 2 {
 		return nil, ErrTooSmall
 	}
@@ -97,206 +83,74 @@ func NewEngine(g *DiGraph, alg Algorithm, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	var st stepper
+	var st switching.Stepper
 	switch alg {
-	case AlgSeqES:
+	case AlgSeqES, AlgSeqGlobalES:
 		S := g.ArcSet()
 		if cons != nil {
 			bindMap(cons, S)
 		}
-		st = &dirSeqESStepper{
+		st = &dirSeqStepper{
 			m: g.M(), A: g.Arcs(), S: S,
-			src:  rng.NewMT19937(cfg.Seed),
-			cons: cons,
-		}
-	case AlgSeqGlobalES:
-		S := g.ArcSet()
-		if cons != nil {
-			bindMap(cons, S)
-		}
-		st = &dirSeqGlobalStepper{
-			m: g.M(), A: g.Arcs(), S: S,
-			src:  rng.NewMT19937(cfg.Seed),
-			pl:   cfg.loopProb(),
-			cons: cons,
+			src:    rng.NewMT19937(cfg.Seed),
+			global: alg == AlgSeqGlobalES,
+			pl:     cfg.loopProb(),
+			cons:   cons,
 		}
 	case AlgParGlobalES:
-		w := cfg.Workers
-		if w < 1 {
-			w = 1
-		}
-		runner := NewSuperstepRunner(g.Arcs(), g.M()/2, w)
-		runner.Pessimistic = cfg.PessimisticRounds
-		runner.Prefetch = cfg.Prefetch
+		r := NewSuperstepRunner(g.Arcs(), g.M()/2, max(cfg.Workers, 1))
+		r.Pessimistic = cfg.PessimisticRounds
+		r.Prefetch = cfg.Prefetch
 		if cfg.ChunkBytes > 0 {
-			runner.Pool().SetChunkBytes(cfg.ChunkBytes)
+			r.Pool().SetChunkBytes(cfg.ChunkBytes)
 		}
 		if cons != nil {
-			bindRunner(cons, runner)
+			cons.BindRunner(r)
 		}
-		st = &dirParGlobalStepper{
-			m: g.M(), w: w,
-			src:      rng.NewMT19937(cfg.Seed),
-			seedSrc:  rng.NewSplitMix64(cfg.Seed ^ 0x5DEECE66D),
-			runner:   runner,
-			perm:     rng.NewPermGen(g.M()),
-			dispatch: runner.Pool().Blocks,
-			pl:       cfg.loopProb(),
-			cons:     cons,
-		}
+		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), GlobalSwitches, cons.After())
 	default:
 		return nil, ErrUnknownAlgorithm
 	}
-	return &Engine{alg: alg, st: st}, nil
+	return switching.NewEngine(st), nil
 }
 
-// releaser is implemented by steppers that own a persistent worker
-// gang (the parallel chain).
-type releaser interface{ release() }
-
-// Close releases the engine's persistent worker gang, if the selected
-// algorithm owns one. The engine must not be used afterwards.
-func (e *Engine) Close() {
-	if r, ok := e.st.(releaser); ok {
-		r.release()
-	}
+// dirSeqStepper is the sequential directed chain on the map-backed
+// arc set: one superstep is ⌊m/2⌋ uniform switches (ES-MC) or one
+// global switch executed in order (G-ES-MC).
+type dirSeqStepper struct {
+	m      int
+	A      []Arc
+	S      map[Arc]struct{}
+	src    rng.Source
+	global bool
+	pl     float64
+	buf    []Switch
+	cons   *constrainedRuntime
 }
 
-// Algorithm returns the algorithm the engine runs.
-func (e *Engine) Algorithm() Algorithm { return e.alg }
-
-// Stats returns the counters accumulated over the engine's lifetime.
-func (e *Engine) Stats() RunStats { return e.stats }
-
-// Steps advances the chain by k supersteps and returns the statistics
-// of exactly this increment. Cancellation is honored at superstep
-// boundaries, leaving the digraph in the valid state after the last
-// completed superstep.
-func (e *Engine) Steps(ctx context.Context, k int) (RunStats, error) {
-	start := time.Now()
-	var delta RunStats
-	var err error
-	for i := 0; i < k; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		e.st.step(&delta)
-		delta.Supersteps++
+func (s *dirSeqStepper) Step(st *switching.Stats) error {
+	if s.global {
+		perm := rng.Perm(s.src, s.m)
+		l := int(rng.BinomialComplementSmall(s.src, int64(s.m/2), s.pl))
+		s.buf = GlobalSwitches(perm, l, s.buf)
+		s.execute(st)
+		st.Attempted += int64(l)
+		return nil
 	}
-	if delta.InternalSupersteps > 0 {
-		delta.AvgRounds = float64(delta.TotalRounds) / float64(delta.InternalSupersteps)
-	}
-	delta.Duration = time.Since(start)
-	e.stats.Supersteps += delta.Supersteps
-	e.stats.Attempted += delta.Attempted
-	e.stats.Legal += delta.Legal
-	e.stats.InternalSupersteps += delta.InternalSupersteps
-	e.stats.TotalRounds += delta.TotalRounds
-	if delta.MaxRounds > e.stats.MaxRounds {
-		e.stats.MaxRounds = delta.MaxRounds
-	}
-	if e.stats.InternalSupersteps > 0 {
-		e.stats.AvgRounds = float64(e.stats.TotalRounds) / float64(e.stats.InternalSupersteps)
-	}
-	e.stats.FirstRoundTime += delta.FirstRoundTime
-	e.stats.LaterRoundsTime += delta.LaterRoundsTime
-	e.stats.Vetoed += delta.Vetoed
-	e.stats.EscapeAttempts += delta.EscapeAttempts
-	e.stats.EscapeMoves += delta.EscapeMoves
-	e.stats.Duration += delta.Duration
-	return delta, err
-}
-
-// dirSeqESStepper: one superstep = ⌊m/2⌋ uniform directed switches.
-type dirSeqESStepper struct {
-	m    int
-	A    []Arc
-	S    map[Arc]struct{}
-	src  rng.Source
-	one  [1]Switch
-	cons *constrainedRuntime
-}
-
-func (s *dirSeqESStepper) step(stats *RunStats) {
 	perStep := int64(s.m / 2)
 	for a := int64(0); a < perStep; a++ {
 		i, j := rng.TwoDistinct(s.src, s.m)
-		s.one[0] = Switch{I: uint32(i), J: uint32(j)}
-		if s.cons != nil {
-			var cc constraint.Counters
-			s.cons.ExecuteSequential(s.A, s.one[:], s.src, &cc)
-			addCounters(stats, &cc)
-		} else {
-			stats.Legal += ExecuteSequential(s.A, s.S, s.one[:])
-		}
+		s.buf = append(s.buf[:0], Switch{I: uint32(i), J: uint32(j)})
+		s.execute(st)
 	}
-	stats.Attempted += perStep
+	st.Attempted += perStep
+	return nil
 }
 
-// dirSeqGlobalStepper: one superstep = one global switch, sequentially.
-type dirSeqGlobalStepper struct {
-	m    int
-	A    []Arc
-	S    map[Arc]struct{}
-	src  rng.Source
-	pl   float64
-	buf  []Switch
-	cons *constrainedRuntime
-}
-
-func (s *dirSeqGlobalStepper) step(stats *RunStats) {
-	perm := rng.Perm(s.src, s.m)
-	l := int(rng.BinomialComplementSmall(s.src, int64(s.m/2), s.pl))
-	s.buf = GlobalSwitches(perm, l, s.buf)
+func (s *dirSeqStepper) execute(st *switching.Stats) {
 	if s.cons != nil {
-		var cc constraint.Counters
-		s.cons.ExecuteSequential(s.A, s.buf, s.src, &cc)
-		addCounters(stats, &cc)
+		s.cons.ExecuteSequential(s.A, s.buf, s.src, st)
 	} else {
-		stats.Legal += ExecuteSequential(s.A, s.S, s.buf)
+		st.Legal += ExecuteSequential(s.A, s.S, s.buf)
 	}
-	stats.Attempted += int64(l)
-}
-
-// dirParGlobalStepper: one superstep = one global switch decided by the
-// parallel superstep runner. Permutation seeds are drawn lazily from
-// the same SplitMix64 stream ParGlobalES pre-computed.
-type dirParGlobalStepper struct {
-	m, w     int
-	src      rng.Source
-	seedSrc  *rng.SplitMix64
-	runner   *SuperstepRunner
-	perm     *rng.PermGen
-	dispatch rng.Dispatch
-	buf      []Switch
-	pl       float64
-	prev     switching.Stats
-	cons     *constrainedRuntime
-}
-
-func (s *dirParGlobalStepper) release() { s.runner.Release() }
-
-func (s *dirParGlobalStepper) step(stats *RunStats) {
-	perm := s.perm.Generate(s.seedSrc.Uint64(), s.dispatch)
-	l := int(rng.BinomialComplementSmall(s.src, int64(s.m/2), s.pl))
-	s.buf = GlobalSwitches(perm, l, s.buf)
-	s.runner.Run(s.buf)
-	stats.Attempted += int64(l)
-	if s.cons != nil {
-		var cc constraint.Counters
-		s.cons.AfterSuperstep(s.runner, s.buf, s.src, &cc)
-		addCounters(stats, &cc)
-	}
-	d := s.runner.Stats.Sub(s.prev)
-	s.prev = s.runner.Stats
-	stats.Legal += d.Legal
-	stats.InternalSupersteps += d.InternalSupersteps
-	stats.TotalRounds += d.TotalRounds
-	if d.MaxRounds > stats.MaxRounds {
-		stats.MaxRounds = d.MaxRounds
-	}
-	stats.FirstRoundTime += d.FirstRoundTime
-	stats.LaterRoundsTime += d.LaterRoundsTime
-	stats.Vetoed += d.Vetoed + d.RolledBack
 }

@@ -71,27 +71,8 @@ func GlobalSwitches(perm []uint32, l int, buf []Switch) []Switch {
 	return buf
 }
 
-// RunStats reports a directed randomization run.
-type RunStats struct {
-	Supersteps int
-	Attempted  int64
-	Legal      int64
-	// Parallel superstep instrumentation (zero for sequential chains).
-	InternalSupersteps int
-	TotalRounds        int64
-	AvgRounds          float64
-	MaxRounds          int
-	FirstRoundTime     time.Duration
-	LaterRoundsTime    time.Duration
-	// Constraint instrumentation (zero without an active constraint).
-	Vetoed         int64
-	EscapeAttempts int64
-	EscapeMoves    int64
-	Duration       time.Duration
-}
-
 // run is the shared one-shot wrapper over NewEngine + Steps.
-func run(g *DiGraph, alg Algorithm, supersteps int, cfg Config) (*RunStats, error) {
+func run(g *DiGraph, alg Algorithm, supersteps int, cfg Config) (*switching.Stats, error) {
 	start := time.Now()
 	e, err := NewEngine(g, alg, cfg)
 	if err != nil {
@@ -109,17 +90,17 @@ func run(g *DiGraph, alg Algorithm, supersteps int, cfg Config) (*RunStats, erro
 // parallel random permutation pairs all arcs, ℓ ~ Binom(⌊m/2⌋, 1−P_L)
 // switches execute as one parallel superstep. One-shot form of
 // NewEngine(g, AlgParGlobalES, ...) + Steps.
-func ParGlobalES(g *DiGraph, supersteps, workers int, loopProb float64, seed uint64) (*RunStats, error) {
+func ParGlobalES(g *DiGraph, supersteps, workers int, loopProb float64, seed uint64) (*switching.Stats, error) {
 	return run(g, AlgParGlobalES, supersteps, Config{Workers: workers, LoopProb: loopProb, Seed: seed})
 }
 
 // SeqGlobalES is the sequential directed G-ES-MC reference.
-func SeqGlobalES(g *DiGraph, supersteps int, loopProb float64, seed uint64) (*RunStats, error) {
+func SeqGlobalES(g *DiGraph, supersteps int, loopProb float64, seed uint64) (*switching.Stats, error) {
 	return run(g, AlgSeqGlobalES, supersteps, Config{LoopProb: loopProb, Seed: seed})
 }
 
 // SeqES is the sequential directed ES-MC: supersteps × ⌊m/2⌋ uniform
 // switches.
-func SeqES(g *DiGraph, supersteps int, seed uint64) (*RunStats, error) {
+func SeqES(g *DiGraph, supersteps int, seed uint64) (*switching.Stats, error) {
 	return run(g, AlgSeqES, supersteps, Config{Seed: seed})
 }

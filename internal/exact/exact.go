@@ -32,6 +32,7 @@ import (
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // Sampler draws i.i.d. exactly uniform simple graphs with a fixed
@@ -51,8 +52,16 @@ type Sampler struct {
 	mark    map[graph.Edge]struct{}
 	scratch []graph.Edge
 
-	rng   *rng.SplitMix64
-	stats Stats
+	rng *rng.SplitMix64
+	// stats counts the work behind the draws. Where the MCMC tiers
+	// count switch attempts, the exact tier's unit of work is the
+	// configuration (pairing): Attempted counts configurations
+	// generated, Legal the accepted draws (Legal/Attempted converges to
+	// exp(-λ-λ²)), Restarts = Attempted - Legal the configurations
+	// rejected for a defect, split into LoopDefects and MultiDefects by
+	// the first defect found — the observable the regime gate's λ
+	// (loops) + λ² (multi-edges) prediction speaks about.
+	stats switching.Stats
 }
 
 // New builds a sampler for the degree sequence, validating that the
@@ -101,7 +110,7 @@ func (s *Sampler) M() int { return s.m }
 func (s *Sampler) Degrees() []int { return s.degrees }
 
 // Stats returns the rejection counters accumulated so far.
-func (s *Sampler) Stats() Stats { return s.stats }
+func (s *Sampler) Stats() switching.Stats { return s.stats }
 
 // Draw returns one exactly uniform realization as a sorted edge list
 // (a fresh slice, canonical (min,max) endpoint order). Draws are
@@ -110,13 +119,21 @@ func (s *Sampler) Stats() Stats { return s.stats }
 // vanishing probability; it is reported as an error rather than a
 // panic so a corrupted state never masquerades as a sample.
 func (s *Sampler) Draw() ([]graph.Edge, error) {
+	edges, err := s.draw()
+	if err != nil {
+		return nil, err
+	}
+	return append([]graph.Edge(nil), edges...), nil
+}
+
+// draw is Draw returning the sampler's scratch edge list, valid until
+// the next draw.
+func (s *Sampler) draw() ([]graph.Edge, error) {
 	for attempt := 0; attempt < maxAttemptsPerDraw; attempt++ {
-		s.stats.Attempts++
+		s.stats.Attempted++
 		if edges, ok := s.pairing(); ok {
-			s.stats.Samples++
-			out := make([]graph.Edge, len(edges))
-			copy(out, edges)
-			return out, nil
+			s.stats.Legal++
+			return edges, nil
 		}
 		s.stats.Restarts++
 	}
@@ -132,4 +149,29 @@ func (s *Sampler) DrawGraph() (*graph.Graph, error) {
 		return nil, err
 	}
 	return graph.NewUnchecked(s.n, edges), nil
+}
+
+// Stepper returns the sampler as a switching.Engine plug-in: one
+// superstep is one fresh draw written over dst, the target's edge list
+// (length M()), in place like the chains write their switched state.
+// The sampler holds no chain state beyond its RNG stream position and
+// no worker gang.
+func (s *Sampler) Stepper(dst []graph.Edge) switching.Stepper {
+	return &drawStepper{s: s, dst: dst}
+}
+
+type drawStepper struct {
+	s   *Sampler
+	dst []graph.Edge
+}
+
+func (p *drawStepper) Step(st *switching.Stats) error {
+	before := p.s.stats
+	edges, err := p.s.draw()
+	st.Add(p.s.stats.Sub(before))
+	if err != nil {
+		return err
+	}
+	copy(p.dst, edges)
+	return nil
 }

@@ -113,7 +113,7 @@ func TestUniformHexagon(t *testing.T) {
 		t.Fatalf("chi-square %.1f over %d cells exceeds threshold 135", chi2, cells)
 	}
 	st := s.Stats()
-	if st.Samples != 14000 || st.Attempts != st.Samples+st.Restarts {
+	if st.Legal != 14000 || st.Attempted != st.Legal+st.Restarts {
 		t.Fatalf("inconsistent stats: %+v", st)
 	}
 	if st.Restarts == 0 {

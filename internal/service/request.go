@@ -223,6 +223,13 @@ func (r *Request) Validate() error {
 	if r.Samples < 1 {
 		return &RequestError{Field: "samples", Reason: "must be at least 1"}
 	}
+	if r.Algorithm == gesmc.NaiveParES {
+		// The §5.1 baseline is racy by design: at workers > 1 its
+		// output depends on thread interleaving, so a served stream
+		// could not resume or fail over bit-identically.
+		return &RequestError{Field: "algorithm",
+			Reason: "NaiveParES is the inexact §5.1 baseline and not served: its output depends on thread interleaving, so streams cannot resume or fail over bit-identically; use ParES or ParGlobalES"}
+	}
 	if r.BurnIn < 0 {
 		return &RequestError{Field: "burn_in", Reason: "must be non-negative"}
 	}

@@ -6,45 +6,6 @@ import (
 	"gesmc/internal/conc"
 )
 
-// Stats aggregates the kernel's observable behaviour across supersteps.
-// The field names follow Figure 9 of the paper: InternalSupersteps
-// counts kernel invocations, TotalRounds/MaxRounds the decision rounds
-// they needed, Legal the accepted items, and the two durations split
-// round time into the first round (where almost all work happens under
-// the natural scheduler) and the re-examination tail.
-type Stats struct {
-	InternalSupersteps int
-	TotalRounds        int64
-	MaxRounds          int
-	Legal              int64
-	FirstRoundTime     time.Duration
-	LaterRoundsTime    time.Duration
-
-	// Constraint instrumentation (zero without an active constraint):
-	// Vetoed counts switches rejected by the runner's local veto hook,
-	// RolledBack counts accepted switches undone by a post-superstep
-	// Rollback (the speculate-then-recertify mode of global
-	// constraints). Legal is net of rollbacks.
-	Vetoed     int64
-	RolledBack int64
-}
-
-// Sub returns the field-wise increment from prev to s, so callers can
-// carve per-Steps deltas out of a runner's cumulative totals. MaxRounds
-// does not decompose into increments and is carried over cumulatively.
-func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		InternalSupersteps: s.InternalSupersteps - prev.InternalSupersteps,
-		TotalRounds:        s.TotalRounds - prev.TotalRounds,
-		MaxRounds:          s.MaxRounds,
-		Legal:              s.Legal - prev.Legal,
-		FirstRoundTime:     s.FirstRoundTime - prev.FirstRoundTime,
-		LaterRoundsTime:    s.LaterRoundsTime - prev.LaterRoundsTime,
-		Vetoed:             s.Vetoed - prev.Vetoed,
-		RolledBack:         s.RolledBack - prev.RolledBack,
-	}
-}
-
 // paddedCounter is a per-worker counter padded to its own cache line.
 type paddedCounter struct {
 	v int64
@@ -138,8 +99,11 @@ type RoundDriver struct {
 	undecided []int32
 	scratch   []driverScratch
 
-	// Stats accumulated across supersteps.
+	// Stats accumulated across supersteps. flushed and peak mark the
+	// totals and the largest round count since the last Flush.
 	Stats
+	flushed Stats
+	peak    int
 }
 
 // Init prepares the driver for the given parallelism degree, creating
@@ -292,7 +256,17 @@ func (d *RoundDriver) run(proN int, proFn func(worker, lo, hi int), n int, decid
 	}
 	d.InternalSupersteps++
 	d.TotalRounds += int64(rounds)
-	if rounds > d.MaxRounds {
-		d.MaxRounds = rounds
-	}
+	d.MaxRounds = max(d.MaxRounds, rounds)
+	d.peak = max(d.peak, rounds)
+}
+
+// Flush adds the counters accumulated since the previous Flush to st,
+// with MaxRounds the maximum over exactly those supersteps (Sub alone
+// would carry the lifetime maximum into every increment). The
+// cumulative Stats are left untouched.
+func (d *RoundDriver) Flush(st *Stats) {
+	inc := d.Stats.Sub(d.flushed)
+	inc.MaxRounds = d.peak
+	d.flushed, d.peak = d.Stats, 0
+	st.Add(inc)
 }

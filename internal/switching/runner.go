@@ -417,5 +417,6 @@ func (r *Runner[E]) Rollback(k int, sw Switch) {
 	r.E[sw.J] = e2
 	t.SetStatus(k, conc.StatusIllegal)
 	r.Stats.Legal--
+	r.Stats.Vetoed++
 	r.Stats.RolledBack++
 }

@@ -28,6 +28,12 @@
 // RoundDriver: disjoint-neighborhood trades whose per-superstep edge
 // ownership discipline makes every trade decidable in the first round
 // (see DESIGN.md §4).
+//
+// Above the kernel, Engine (engine.go) is the one resumable superstep
+// loop every chain runs through: each chain is a Stepper plug-in, and
+// Stats is the one counter type from the round driver to the public
+// Sampler. GlobalStepper is the parallel G-ES-MC stepper shared by the
+// undirected and directed chains.
 package switching
 
 // Switch is one edge switch σ = (i, j, g): two edge-list indices plus a

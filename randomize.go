@@ -248,9 +248,12 @@ type Stats struct {
 // Step call: every invocation rebuilds the engine's edge-set state from
 // scratch. Callers drawing many samples from the same graph should hold
 // a Sampler (see Ensemble) to amortize that setup.
-func Randomize(g *Graph, opt Options) (Stats, error) {
+func Randomize(g *Graph, opt Options) (Stats, error) { return randomizeOnce(g, opt) }
+
+// randomizeOnce is the one-shot body of Randomize and RandomizeDirected.
+func randomizeOnce(t Target, opt Options) (Stats, error) {
 	start := time.Now()
-	s, err := NewSampler(g, opt.samplerOptions()...)
+	s, err := NewSampler(t, opt.samplerOptions()...)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"gesmc/internal/constraint"
 	"gesmc/internal/core"
 	"gesmc/internal/curveball"
 	"gesmc/internal/digraph"
 	"gesmc/internal/exact"
-	"gesmc/internal/graph"
 	"gesmc/internal/switching"
 )
 
@@ -21,83 +19,39 @@ import (
 // sealed; the two implementations in this package are the supported
 // target classes.
 type Target interface {
-	newSamplerEngine(cfg *samplerConfig) (samplerEngine, error)
-}
-
-// samplerEngine is the compiled, resumable chain state behind a Sampler.
-type samplerEngine interface {
-	// steps advances k supersteps, honoring ctx at superstep boundaries.
-	steps(ctx context.Context, k int) (engineStats, error)
+	// compile builds the chain's engine over the target, which the
+	// engine then mutates in place.
+	compile(cfg *samplerConfig) (*switching.Engine, error)
 	// snapshot clones the target's current state.
 	snapshot() (*Graph, *DiGraph)
-	// close releases the chain's persistent worker gang, if any.
-	close()
+	// invalidate drops caches derived from the target's edges.
+	invalidate()
 }
 
-// engineStats carries raw counters between the internal engines and the
-// public Stats, so increments merge exactly.
-type engineStats struct {
-	supersteps   int
-	attempted    int64
-	legal        int64
-	internal     int
-	totalRounds  int64
-	maxRounds    int
-	firstRound   time.Duration
-	laterRounds  time.Duration
-	vetoed       int64
-	escAttempts  int64
-	escMoves     int64
-	restarts     int64
-	loopDefects  int64
-	multiDefects int64
-	duration     time.Duration
-}
-
-func (a *engineStats) add(b engineStats) {
-	a.supersteps += b.supersteps
-	a.attempted += b.attempted
-	a.legal += b.legal
-	a.internal += b.internal
-	a.totalRounds += b.totalRounds
-	if b.maxRounds > a.maxRounds {
-		a.maxRounds = b.maxRounds
-	}
-	a.firstRound += b.firstRound
-	a.laterRounds += b.laterRounds
-	a.vetoed += b.vetoed
-	a.escAttempts += b.escAttempts
-	a.escMoves += b.escMoves
-	a.restarts += b.restarts
-	a.loopDefects += b.loopDefects
-	a.multiDefects += b.multiDefects
-	a.duration += b.duration
-}
-
-func (a engineStats) toStats(algorithm string) Stats {
-	st := Stats{
+// publicStats is the boundary conversion from the engine's counters to
+// the public Stats.
+func publicStats(algorithm string, st switching.Stats) Stats {
+	out := Stats{
 		Algorithm:        algorithm,
-		Supersteps:       a.supersteps,
-		Attempted:        a.attempted,
-		Accepted:         a.legal,
-		MaxRounds:        a.maxRounds,
-		ConstraintVetoes: a.vetoed,
-		EscapeAttempts:   a.escAttempts,
-		EscapeMoves:      a.escMoves,
-		Restarts:         a.restarts,
-		LoopDefects:      a.loopDefects,
-		MultiDefects:     a.multiDefects,
-		Duration:         a.duration,
+		Supersteps:       st.Supersteps,
+		Attempted:        st.Attempted,
+		Accepted:         st.Legal,
+		AvgRounds:        st.AvgRounds(),
+		MaxRounds:        st.MaxRounds,
+		FirstRoundTime:   st.FirstRoundTime,
+		LaterRoundsTime:  st.LaterRoundsTime,
+		ConstraintVetoes: st.Vetoed,
+		EscapeAttempts:   st.EscapeAttempts,
+		EscapeMoves:      st.EscapeMoves,
+		Restarts:         st.Restarts,
+		LoopDefects:      st.LoopDefects,
+		MultiDefects:     st.MultiDefects,
+		Duration:         st.Duration,
 	}
-	if a.internal > 0 {
-		st.AvgRounds = float64(a.totalRounds) / float64(a.internal)
+	if total := st.FirstRoundTime + st.LaterRoundsTime; total > 0 {
+		out.LateRoundsFraction = float64(st.LaterRoundsTime) / float64(total)
 	}
-	if total := a.firstRound + a.laterRounds; total > 0 {
-		st.LateRoundsFraction = float64(a.laterRounds) / float64(total)
-	}
-	st.FirstRoundTime = a.firstRound
-	st.LaterRoundsTime = a.laterRounds
-	return st
+	return out
 }
 
 // Progress reports sampler advancement to a WithProgress callback.
@@ -140,17 +94,15 @@ type Sample struct {
 // out deep copies. A Sampler is not safe for concurrent use.
 type Sampler struct {
 	target  Target
-	eng     samplerEngine
+	eng     *switching.Engine
 	algName string
 	burnIn  int
 	thin    int
 
 	progress func(Progress)
-	steps    int
 	samples  int
 	burned   bool
 	closed   bool
-	total    engineStats
 }
 
 // NewSampler compiles the target into a reusable sampling engine.
@@ -169,7 +121,7 @@ func NewSampler(t Target, opts ...Option) (*Sampler, error) {
 			return nil, err
 		}
 	}
-	eng, err := t.newSamplerEngine(&cfg)
+	eng, err := t.compile(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +156,7 @@ func (s *Sampler) Close() {
 		return
 	}
 	s.closed = true
-	s.eng.close()
+	s.eng.Close()
 }
 
 // Closed reports whether Close has been called.
@@ -221,13 +173,13 @@ func (s *Sampler) Thinning() int { return s.thin }
 
 // Supersteps returns the total supersteps advanced over the sampler's
 // lifetime.
-func (s *Sampler) Supersteps() int { return s.steps }
+func (s *Sampler) Supersteps() int { return s.eng.Stats().Supersteps }
 
 // Samples returns the number of samples drawn so far.
 func (s *Sampler) Samples() int { return s.samples }
 
 // Stats returns the statistics accumulated over the sampler's lifetime.
-func (s *Sampler) Stats() Stats { return s.total.toStats(s.algName) }
+func (s *Sampler) Stats() Stats { return publicStats(s.algName, s.eng.Stats()) }
 
 // advance moves the chain k supersteps, merging counters exactly and
 // firing the progress callback per superstep when registered.
@@ -238,24 +190,27 @@ func (s *Sampler) advance(ctx context.Context, k int) (Stats, error) {
 	if k < 0 {
 		return Stats{}, fmt.Errorf("%w: got %d", ErrInvalidSupersteps, k)
 	}
-	var agg engineStats
 	if s.progress == nil {
-		es, err := s.eng.steps(ctx, k)
-		s.steps += es.supersteps
-		s.total.add(es)
-		return es.toStats(s.algName), err
+		d, err := s.steps(ctx, k)
+		return publicStats(s.algName, d), err
 	}
+	var agg switching.Stats
 	for i := 0; i < k; i++ {
-		es, err := s.eng.steps(ctx, 1)
-		s.steps += es.supersteps
-		s.total.add(es)
-		agg.add(es)
+		d, err := s.steps(ctx, 1)
+		agg.Add(d)
 		if err != nil {
-			return agg.toStats(s.algName), err
+			return publicStats(s.algName, agg), err
 		}
-		s.progress(Progress{Supersteps: s.steps, Samples: s.samples})
+		s.progress(Progress{Supersteps: s.Supersteps(), Samples: s.samples})
 	}
-	return agg.toStats(s.algName), nil
+	return publicStats(s.algName, agg), nil
+}
+
+// steps advances the engine and drops the target's derived caches.
+func (s *Sampler) steps(ctx context.Context, k int) (switching.Stats, error) {
+	d, err := s.eng.Steps(ctx, k)
+	s.target.invalidate()
+	return d, err
 }
 
 // Step advances the chain by k supersteps (one superstep = ⌊m/2⌋ switch
@@ -332,11 +287,12 @@ func (s *Sampler) FastForwardTo(ctx context.Context, index int) (Stats, error) {
 	if s.burned {
 		pos += s.burnIn - s.thin
 	}
-	if pos < s.steps {
+	at := s.Supersteps()
+	if pos < at {
 		return Stats{}, fmt.Errorf("%w: chain at superstep %d, resume point needs %d",
-			ErrResumeBehind, s.steps, pos)
+			ErrResumeBehind, at, pos)
 	}
-	return s.advance(ctx, pos-s.steps)
+	return s.advance(ctx, pos-at)
 }
 
 // Ensemble streams count thinned samples as deep copies over a channel,
@@ -365,7 +321,7 @@ func (s *Sampler) Ensemble(ctx context.Context, count int) <-chan Sample {
 				}
 				return
 			}
-			g, dg := s.eng.snapshot()
+			g, dg := s.target.snapshot()
 			smp := Sample{Index: i, Graph: g, DiGraph: dg, Stats: st}
 			select {
 			case ch <- smp:
@@ -393,146 +349,18 @@ func (s *Sampler) Collect(ctx context.Context, count int) ([]Sample, error) {
 		if err != nil {
 			return out, err
 		}
-		g, dg := s.eng.snapshot()
+		g, dg := s.target.snapshot()
 		out = append(out, Sample{Index: i, Graph: g, DiGraph: dg, Stats: st})
 	}
 	return out, nil
 }
 
-// ---- engine adapters ----
-
-// graphEngine adapts core.Engine (the seven switching implementations)
-// to the sampler.
-type graphEngine struct {
-	g   *Graph
-	eng *core.Engine
-}
-
-func (e *graphEngine) steps(ctx context.Context, k int) (engineStats, error) {
-	rs, err := e.eng.Steps(ctx, k)
-	e.g.invalidate()
-	return engineStats{
-		supersteps:  rs.Supersteps,
-		attempted:   rs.Attempted,
-		legal:       rs.Legal,
-		internal:    rs.InternalSupersteps,
-		totalRounds: rs.TotalRounds,
-		maxRounds:   rs.MaxRounds,
-		firstRound:  rs.FirstRoundTime,
-		laterRounds: rs.LaterRoundsTime,
-		vetoed:      rs.Vetoed,
-		escAttempts: rs.EscapeAttempts,
-		escMoves:    rs.EscapeMoves,
-		duration:    rs.Duration,
-	}, err
-}
-
-func (e *graphEngine) snapshot() (*Graph, *DiGraph) { return e.g.Clone(), nil }
-
-func (e *graphEngine) close() { e.eng.Close() }
-
-// curveballEngine adapts the parallel trade kernel to the sampler. One
-// superstep is one global trade (GlobalCurveball) or ⌊n/2⌋ uniformly
-// random trades (Curveball), mirroring the switch-chains' superstep
-// normalization; both execute in superstep batches through the shared
-// round driver, so WithWorkers applies and the rounds instrumentation
-// is populated exactly like the parallel switching chains'. Trades have
-// no rejection, so Accepted == Attempted == the number of trades
-// performed, and results are bit-identical for every worker count.
-type curveballEngine struct {
-	g      *Graph
-	eng    *curveball.Engine
-	global bool
-	prev   switching.Stats
-	prevAt int64
-}
-
-func (e *curveballEngine) steps(ctx context.Context, k int) (engineStats, error) {
-	start := time.Now()
-	var es engineStats
-	var err error
-	for i := 0; i < k; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		if e.global {
-			e.eng.GlobalStep()
-		} else {
-			e.eng.LocalStep()
-		}
-		es.supersteps++
-	}
-	d := e.eng.Stats().Sub(e.prev)
-	e.prev = e.eng.Stats()
-	es.attempted = e.eng.Attempted - e.prevAt
-	e.prevAt = e.eng.Attempted
-	es.legal = d.Legal
-	es.internal = d.InternalSupersteps
-	es.totalRounds = d.TotalRounds
-	es.maxRounds = d.MaxRounds
-	es.firstRound = d.FirstRoundTime
-	es.laterRounds = d.LaterRoundsTime
-	e.eng.WriteEdges(e.g.raw().Edges())
-	e.g.invalidate()
-	es.duration = time.Since(start)
-	return es, err
-}
-
-func (e *curveballEngine) snapshot() (*Graph, *DiGraph) { return e.g.Clone(), nil }
-
-func (e *curveballEngine) close() { e.eng.Close() }
-
-// exactEngine adapts the exact rejection sampler (internal/exact) to
-// the sampler. One superstep is one fresh exactly uniform draw,
-// written into the target in place like the chain engines write their
-// switched state; the engine holds no chain state beyond the RNG
-// stream position, which is what makes pooled exact engines freely
-// resumable (DESIGN.md §14). There is no worker gang to release:
-// close is a no-op and WithWorkers is accepted but ignored.
-type exactEngine struct {
-	g   *Graph
-	eng *exact.Sampler
-}
-
-func (e *exactEngine) steps(ctx context.Context, k int) (engineStats, error) {
-	start := time.Now()
-	var es engineStats
-	before := e.eng.Stats()
-	var err error
-	for i := 0; i < k; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		var rg *graph.Graph
-		rg, err = e.eng.DrawGraph()
-		if err != nil {
-			break
-		}
-		e.g.g = rg
-		e.g.invalidate()
-		es.supersteps++
-	}
-	d := e.eng.Stats()
-	es.attempted = d.Attempts - before.Attempts
-	es.legal = d.Samples - before.Samples
-	es.restarts = d.Restarts - before.Restarts
-	es.loopDefects = d.LoopDefects - before.LoopDefects
-	es.multiDefects = d.MultiDefects - before.MultiDefects
-	es.duration = time.Since(start)
-	return es, err
-}
-
-func (e *exactEngine) snapshot() (*Graph, *DiGraph) { return e.g.Clone(), nil }
-
-func (e *exactEngine) close() {}
-
 // newExactEngine compiles an undirected target for the Exact
 // algorithm, mapping the internal typed errors to the public
 // sentinels and rejecting the options that have no meaning for i.i.d.
-// draws.
-func newExactEngine(g *Graph, cfg *samplerConfig) (samplerEngine, error) {
+// draws. The engine has no worker gang; WithWorkers is accepted but
+// ignored.
+func newExactEngine(g *Graph, cfg *samplerConfig) (*switching.Engine, error) {
 	if len(cfg.constraints) > 0 {
 		return nil, fmt.Errorf("%w: %s", ErrUnsupportedConstraint, exactName)
 	}
@@ -550,41 +378,14 @@ func newExactEngine(g *Graph, cfg *samplerConfig) (samplerEngine, error) {
 		// construction; anything else is an internal invariant break.
 		return nil, err
 	}
-	return &exactEngine{g: g, eng: eng}, nil
+	return switching.NewEngine(eng.Stepper(g.g.Edges())), nil
 }
 
-// digraphEngine adapts digraph.Engine (directed and bipartite targets)
-// to the sampler.
-type digraphEngine struct {
-	g   *DiGraph
-	eng *digraph.Engine
-}
+func (g *Graph) snapshot() (*Graph, *DiGraph) { return g.Clone(), nil }
 
-func (e *digraphEngine) steps(ctx context.Context, k int) (engineStats, error) {
-	rs, err := e.eng.Steps(ctx, k)
-	return engineStats{
-		supersteps:  rs.Supersteps,
-		attempted:   rs.Attempted,
-		legal:       rs.Legal,
-		internal:    rs.InternalSupersteps,
-		totalRounds: rs.TotalRounds,
-		maxRounds:   rs.MaxRounds,
-		firstRound:  rs.FirstRoundTime,
-		laterRounds: rs.LaterRoundsTime,
-		vetoed:      rs.Vetoed,
-		escAttempts: rs.EscapeAttempts,
-		escMoves:    rs.EscapeMoves,
-		duration:    rs.Duration,
-	}, err
-}
-
-func (e *digraphEngine) snapshot() (*Graph, *DiGraph) { return nil, e.g.Clone() }
-
-func (e *digraphEngine) close() { e.eng.Close() }
-
-// newSamplerEngine compiles an undirected target: the seven switching
-// implementations plus the two Curveball chains.
-func (g *Graph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
+// compile builds an undirected target's engine: the seven switching
+// implementations, the two Curveball chains, and the exact tier.
+func (g *Graph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 	if g == nil || g.g == nil {
 		return nil, ErrNilTarget
 	}
@@ -603,11 +404,7 @@ func (g *Graph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
 		if cfg.chunkBytes > 0 {
 			eng.SetChunkBytes(cfg.chunkBytes)
 		}
-		return &curveballEngine{
-			g:      g,
-			eng:    eng,
-			global: cfg.algorithm == GlobalCurveball,
-		}, nil
+		return switching.NewEngine(eng.Stepper(cfg.algorithm == GlobalCurveball, g.g.Edges())), nil
 	}
 	ca, ok := algNames[cfg.algorithm]
 	if !ok {
@@ -623,13 +420,8 @@ func (g *Graph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
 		if cfg.sampleViaBuckets {
 			return nil, fmt.Errorf("%w: WithSampleViaBuckets", ErrUnsupportedConstraint)
 		}
-		edgeSet := make(map[uint64]struct{}, g.g.M())
-		for _, e := range g.g.Edges() {
-			edgeSet[uint64(e)] = struct{}{}
-		}
-		has := func(e uint64) bool { _, ok := edgeSet[e]; return ok }
 		var err error
-		spec, err = compileConstraints(cfg.constraints, g.g.N(), false, has, g.IsConnected)
+		spec, err = compileConstraints(cfg.constraints, g.g.N(), false, g.g.Edges(), g.IsConnected)
 		if err != nil {
 			return nil, err
 		}
@@ -649,7 +441,7 @@ func (g *Graph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
 		}
 		return nil, err
 	}
-	return &graphEngine{g: g, eng: eng}, nil
+	return eng, nil
 }
 
 // dirAlgs maps the public enum to the directed implementations.
@@ -661,8 +453,13 @@ var dirAlgs = map[Algorithm]digraph.Algorithm{
 	ParGlobalES: digraph.AlgParGlobalES,
 }
 
-// newSamplerEngine compiles a directed (or bipartite) target.
-func (g *DiGraph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
+func (g *DiGraph) snapshot() (*Graph, *DiGraph) { return nil, g.Clone() }
+
+// invalidate is a no-op: a DiGraph keeps no index over its arcs.
+func (g *DiGraph) invalidate() {}
+
+// compile builds a directed (or bipartite) target's engine.
+func (g *DiGraph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 	if g == nil || g.g == nil {
 		return nil, ErrNilTarget
 	}
@@ -671,18 +468,9 @@ func (g *DiGraph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
 		return nil, fmt.Errorf("%w: directed randomization supports SeqES, SeqGlobalES, ParGlobalES; got %s",
 			ErrUnsupportedAlgorithm, cfg.algorithm)
 	}
-	var spec *constraint.Spec
-	if len(cfg.constraints) > 0 {
-		arcSet := make(map[uint64]struct{}, g.g.M())
-		for _, a := range g.g.Arcs() {
-			arcSet[uint64(a)] = struct{}{}
-		}
-		has := func(e uint64) bool { _, ok := arcSet[e]; return ok }
-		var err error
-		spec, err = compileConstraints(cfg.constraints, g.g.N(), true, has, g.IsConnected)
-		if err != nil {
-			return nil, err
-		}
+	spec, err := compileConstraints(cfg.constraints, g.g.N(), true, g.g.Arcs(), g.IsConnected)
+	if err != nil {
+		return nil, err
 	}
 	eng, err := digraph.NewEngine(g.g, da, digraph.Config{
 		Workers:    cfg.workers,
@@ -698,5 +486,5 @@ func (g *DiGraph) newSamplerEngine(cfg *samplerConfig) (samplerEngine, error) {
 		}
 		return nil, err
 	}
-	return &digraphEngine{g: g, eng: eng}, nil
+	return eng, nil
 }
