@@ -1,6 +1,7 @@
 package conc
 
 import (
+	"runtime"
 	"testing"
 
 	"gesmc/internal/graph"
@@ -8,9 +9,9 @@ import (
 )
 
 func BenchmarkEdgeSetContains(b *testing.B) {
-	s := NewEdgeSet(1 << 16)
+	s := NewEdgeSet(1<<16, 2)
 	for i := uint32(0); i < 1<<15; i++ {
-		s.InsertUnique(edge(i, i+1<<16))
+		s.InsertUnique(edge(i, i+1<<16), 0)
 	}
 	src := rng.NewSplitMix64(1)
 	b.ResetTimer()
@@ -25,22 +26,22 @@ func BenchmarkEdgeSetContains(b *testing.B) {
 }
 
 func BenchmarkEdgeSetInsertEraseUnique(b *testing.B) {
-	s := NewEdgeSet(1 << 16)
+	s := NewEdgeSet(1<<16, 2)
 	src := rng.NewSplitMix64(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := uint32(src.Uint64()&0xFFFF) + 1<<18
 		e := edge(u, u+1<<19)
-		s.InsertUnique(e)
-		s.EraseUnique(e)
+		s.InsertUnique(e, 0)
+		s.EraseUnique(e, 0)
 	}
 }
 
 func BenchmarkEdgeSetTicketCycle(b *testing.B) {
 	// The NaiveParES hot path: lock two, insert-lock two, commit.
-	s := NewEdgeSet(1 << 16)
+	s := NewEdgeSet(1<<16, 2)
 	for i := uint32(0); i < 1<<14; i++ {
-		s.InsertUnique(edge(i, i+1<<16))
+		s.InsertUnique(edge(i, i+1<<16), 0)
 	}
 	src := rng.NewSplitMix64(3)
 	b.ResetTimer()
@@ -80,8 +81,63 @@ func BenchmarkBuildFrom(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := NewEdgeSet(len(edges))
-		s.BuildFrom(edges, 4)
+		s := NewEdgeSet(len(edges), 4)
+		s.BuildFrom(edges)
 	}
 	b.SetBytes(int64(len(edges)) * 8)
+}
+
+// BenchmarkEdgeSetApply is the kernel's apply phase in isolation, shaped
+// like switching.Runner's phase3Erase/phase3Insert: one fused dispatch on
+// a Pool gang of GOMAXPROCS workers (set with -cpu) erases two edges per
+// item, sub-barriers, then inserts two disjoint edges per item. Odd
+// iterations move the edges back, so the set stays at 2^16 live edges in
+// a table beyond L2; compaction runs off the clock. One op is one apply
+// of 2^14 items; ns/item divides it by the items.
+func BenchmarkEdgeSetApply(b *testing.B) {
+	const live = 1 << 16
+	const items = live / 4
+	w := runtime.GOMAXPROCS(0)
+	p := NewPool(w)
+	defer p.Close()
+	s := NewEdgeSet(2*live, w)
+	s.SetSequential(w == 1)
+	edges := make([]graph.Edge, live)
+	moved := make([]graph.Edge, 2*items)
+	for i := range edges {
+		edges[i] = edge(uint32(i), uint32(i+1<<20))
+	}
+	for i := range moved {
+		moved[i] = edge(uint32(i), uint32(i+1<<21))
+	}
+	s.BuildFrom(edges)
+	from, to := edges[:2*items], moved
+	plan := FusedPlan{Passes: []FusedPass{
+		{N: items, Fn: func(w, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				s.EraseUnique(from[2*k], w)
+				s.EraseUnique(from[2*k+1], w)
+			}
+		}},
+		{N: items, Fn: func(w, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				s.InsertUnique(to[2*k], w)
+				s.InsertUnique(to[2*k+1], w)
+			}
+		}},
+	}}
+	current := make([]graph.Edge, live)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Fused(&plan)
+		from, to = to, from
+		if s.NeedsCompact() {
+			b.StopTimer()
+			copy(current, edges)
+			copy(current, from)
+			s.Compact(current)
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/items, "ns/item")
 }

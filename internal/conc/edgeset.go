@@ -47,60 +47,97 @@ func unpackEdge(b uint64) graph.Edge {
 //
 // Concurrency contract, by method:
 //
-//   - Contains is safe concurrently with everything except Compact.
+//   - Contains and Touch are safe concurrently with everything except
+//     Compact/ClearRange.
 //   - InsertUnique/EraseUnique require that no two goroutines operate on
 //     the same edge concurrently (guaranteed inside a superstep: at most
-//     one legal inserter and one eraser per edge, Observation 2).
+//     one legal inserter and one eraser per edge, Observation 2), and
+//     that no two goroutines pass the same worker index concurrently.
 //   - TryLock/TryInsertLock/Unlock/EraseLocked implement the ticket
-//     semantics of NaiveParES and are safe for arbitrary concurrency.
-//   - Compact requires external quiescence (superstep boundary).
+//     semantics of NaiveParES and are safe for arbitrary concurrency
+//     between distinct owners; the owner id doubles as the worker index.
+//   - Len, Tombstones, NeedsCompact, ResetCounts, Compact and ForEach
+//     require external quiescence (superstep boundary, after the gang
+//     barrier that orders every worker's writes before the read).
 //
-// Sequential mode (SetSequential) replaces the CAS and the counter
-// read-modify-writes of the unique insert/erase path with plain
-// operations: a 1-worker gang has no concurrency to synchronize, and
-// the locked instructions are pure overhead on the apply phase of the
-// kernel. The ticket path (TryLock etc.) stays atomic regardless.
+// Counting: the live and tombstone counts are split into one padded
+// shard per worker, bumped with plain increments by the worker that
+// owns it and summed at quiescent points, so the apply phase performs
+// no read-modify-write on a cache line shared between workers. A shard
+// may go negative (a worker erasing more than it inserts); only the
+// sums mean anything.
+//
+// Sequential mode (SetSequential) replaces the bucket compare-and-swaps
+// of the unique insert/erase path with plain stores: a 1-worker gang has
+// no concurrency to synchronize, and the locked instructions are pure
+// overhead on the apply phase of the kernel. The ticket path (TryLock
+// etc.) stays atomic regardless.
 type EdgeSet struct {
-	buckets    []uint64
-	mask       uint64
-	seq        bool
+	buckets []uint64
+	mask    uint64
+	seq     bool
+	counts  []countShard
+}
+
+// countShard is one worker's share of the set's counters, padded to two
+// cache lines so no two workers' shards share a line (or an adjacent-line
+// prefetch pair), whatever the slice's alignment.
+type countShard struct {
 	size       int64
 	tombstones int64
+	_          [14]int64
 }
 
 // NewEdgeSet returns a set with room for capacity edges at load factor
-// <= 1/2 (the paper's configuration).
-func NewEdgeSet(capacity int) *EdgeSet {
+// <= 1/2 (the paper's configuration), counting for worker indices
+// 0..workers-1 (workers < 1 is treated as 1).
+func NewEdgeSet(capacity, workers int) *EdgeSet {
 	nb := 1 << uint(bits.Len(uint(capacity*2)))
 	if nb < 16 {
 		nb = 16
 	}
+	if workers < 1 {
+		workers = 1
+	}
 	return &EdgeSet{
 		buckets: make([]uint64, nb),
 		mask:    uint64(nb - 1),
+		counts:  make([]countShard, workers),
 	}
 }
 
-// BuildFrom fills the set with the given distinct edges using workers
-// goroutines. It must not run concurrently with other operations.
-func (s *EdgeSet) BuildFrom(edges []graph.Edge, workers int) {
-	Blocks(len(edges), workers, func(_, lo, hi int) {
+// BuildFrom fills the set with the given distinct edges, one goroutine
+// per counter shard. It must not run concurrently with other operations.
+func (s *EdgeSet) BuildFrom(edges []graph.Edge) {
+	Blocks(len(edges), len(s.counts), func(w, lo, hi int) {
 		for _, e := range edges[lo:hi] {
-			s.InsertUnique(e)
+			s.InsertUnique(e, w)
 		}
 	})
 }
 
-// SetSequential switches the unique-path write side between the
-// concurrent (CAS/atomic-add) and the plain single-goroutine paths.
-// Callers set it once, when they know the gang size driving the set.
+// SetSequential switches the unique-path bucket writes between
+// compare-and-swap and plain stores. Callers set it once, when they
+// know the gang size driving the set.
 func (s *EdgeSet) SetSequential(on bool) { s.seq = on }
 
-// Len returns the number of live edges.
-func (s *EdgeSet) Len() int { return int(atomic.LoadInt64(&s.size)) }
+// Len returns the number of live edges. Quiescent points only.
+func (s *EdgeSet) Len() int {
+	n := int64(0)
+	for i := range s.counts {
+		n += s.counts[i].size
+	}
+	return int(n)
+}
 
-// Tombstones returns the current tombstone count.
-func (s *EdgeSet) Tombstones() int { return int(atomic.LoadInt64(&s.tombstones)) }
+// Tombstones returns the current tombstone count. Quiescent points only.
+func (s *EdgeSet) Tombstones() int {
+	n := int64(0)
+	for i := range s.counts {
+		n += s.counts[i].tombstones
+	}
+	return int(n)
+}
 
 // Buckets returns the bucket count.
 func (s *EdgeSet) Buckets() int { return len(s.buckets) }
@@ -135,86 +172,65 @@ func (s *EdgeSet) Contains(e graph.Edge) bool {
 }
 
 // InsertUnique inserts e, which must be absent, with no other goroutine
-// concurrently inserting or erasing the same edge. Tombstone slots are
-// reused. Panics if the table is full (capacity misuse).
-func (s *EdgeSet) InsertUnique(e graph.Edge) {
+// concurrently inserting or erasing the same edge, counting into
+// worker's shard. Tombstone slots are reused. Panics if the table is
+// full (capacity misuse).
+func (s *EdgeSet) InsertUnique(e graph.Edge, worker int) {
 	p := packEdge(e)
 	i := s.home(p)
-	if s.seq {
-		for probes := uint64(0); probes <= s.mask; probes++ {
-			b := s.buckets[i]
-			if b == bucketEmpty {
-				s.buckets[i] = p
-				s.size++
-				return
-			}
-			if b == bucketTombstone {
-				s.buckets[i] = p
-				s.size++
-				s.tombstones--
-				return
-			}
-			i = (i + 1) & s.mask
-		}
-		panic("conc: EdgeSet full")
-	}
 	for probes := uint64(0); probes <= s.mask; probes++ {
-		b := atomic.LoadUint64(&s.buckets[i])
-		if b == bucketEmpty {
-			if atomic.CompareAndSwapUint64(&s.buckets[i], bucketEmpty, p) {
-				atomic.AddInt64(&s.size, 1)
-				return
+		var b uint64
+		if s.seq {
+			b = s.buckets[i]
+			if b == bucketEmpty || b == bucketTombstone {
+				s.buckets[i] = p
+			} else {
+				i = (i + 1) & s.mask
+				continue
 			}
-			continue // slot raced away; re-examine it
+		} else {
+			b = atomic.LoadUint64(&s.buckets[i])
+			if b != bucketEmpty && b != bucketTombstone {
+				i = (i + 1) & s.mask
+				continue
+			}
+			if !atomic.CompareAndSwapUint64(&s.buckets[i], b, p) {
+				continue // slot raced away; re-examine it
+			}
 		}
+		c := &s.counts[worker]
+		c.size++
 		if b == bucketTombstone {
-			if atomic.CompareAndSwapUint64(&s.buckets[i], bucketTombstone, p) {
-				atomic.AddInt64(&s.size, 1)
-				atomic.AddInt64(&s.tombstones, -1)
-				return
-			}
-			continue
+			c.tombstones--
 		}
-		i = (i + 1) & s.mask
+		return
 	}
 	panic("conc: EdgeSet full")
 }
 
 // EraseUnique removes e, which must be live and unlocked, with no other
-// goroutine concurrently operating on the same edge.
-func (s *EdgeSet) EraseUnique(e graph.Edge) {
+// goroutine concurrently operating on the same edge, counting into
+// worker's shard.
+func (s *EdgeSet) EraseUnique(e graph.Edge, worker int) {
 	p := packEdge(e)
 	i := s.home(p)
-	if s.seq {
-		for probes := uint64(0); probes <= s.mask; probes++ {
-			b := s.buckets[i]
-			if b == bucketEmpty {
-				panic("conc: EraseUnique of absent edge")
-			}
-			if b&edgeMask == p {
-				if b != p {
-					panic("conc: EraseUnique of locked edge")
-				}
-				s.buckets[i] = bucketTombstone
-				s.size--
-				s.tombstones++
-				return
-			}
-			i = (i + 1) & s.mask
-		}
-		panic("conc: EdgeSet probe loop exhausted (tombstone-saturated or misused table)")
-	}
 	for probes := uint64(0); probes <= s.mask; probes++ {
 		b := atomic.LoadUint64(&s.buckets[i])
 		if b == bucketEmpty {
 			panic("conc: EraseUnique of absent edge")
 		}
 		if b&edgeMask == p {
-			if !atomic.CompareAndSwapUint64(&s.buckets[i], p, bucketTombstone) {
+			if b != p {
+				panic("conc: EraseUnique of locked edge")
+			}
+			if s.seq {
+				s.buckets[i] = bucketTombstone
+			} else if !atomic.CompareAndSwapUint64(&s.buckets[i], p, bucketTombstone) {
 				panic("conc: EraseUnique raced (edge locked or contended)")
 			}
-			atomic.AddInt64(&s.size, -1)
-			atomic.AddInt64(&s.tombstones, 1)
+			c := &s.counts[worker]
+			c.size--
+			c.tombstones++
 			return
 		}
 		i = (i + 1) & s.mask
@@ -245,8 +261,8 @@ func (s *EdgeSet) TryLock(e graph.Edge, owner uint8) bool {
 	panic("conc: EdgeSet probe loop exhausted (tombstone-saturated or misused table)")
 }
 
-// TryInsertLock inserts e in locked state if it is absent. It fails if e
-// is present (locked or not). Unlike InsertUnique it never reuses
+// TryInsertLock inserts e in locked state if it is absent, counting
+// into owner's shard. It fails if e is present (locked or not). Unlike InsertUnique it never reuses
 // tombstones: concurrent inserters of the same edge may race, and
 // claiming only empty chain tails guarantees at most one wins.
 func (s *EdgeSet) TryInsertLock(e graph.Edge, owner uint8) bool {
@@ -260,7 +276,7 @@ func (s *EdgeSet) TryInsertLock(e graph.Edge, owner uint8) bool {
 		}
 		if b == bucketEmpty {
 			if atomic.CompareAndSwapUint64(&s.buckets[i], bucketEmpty, locked) {
-				atomic.AddInt64(&s.size, 1)
+				s.counts[owner].size++
 				return true
 			}
 			continue // re-examine raced slot: may now hold p
@@ -291,7 +307,8 @@ func (s *EdgeSet) Unlock(e graph.Edge, owner uint8) {
 	panic("conc: EdgeSet probe loop exhausted (tombstone-saturated or misused table)")
 }
 
-// EraseLocked removes edge e whose lock is held by owner.
+// EraseLocked removes edge e whose lock is held by owner, counting into
+// owner's shard.
 func (s *EdgeSet) EraseLocked(e graph.Edge, owner uint8) {
 	p := packEdge(e)
 	locked := p | uint64(owner+1)<<lockShift
@@ -302,8 +319,9 @@ func (s *EdgeSet) EraseLocked(e graph.Edge, owner uint8) {
 			if !atomic.CompareAndSwapUint64(&s.buckets[i], locked, bucketTombstone) {
 				panic("conc: EraseLocked raced")
 			}
-			atomic.AddInt64(&s.size, -1)
-			atomic.AddInt64(&s.tombstones, 1)
+			c := &s.counts[owner]
+			c.size--
+			c.tombstones++
 			return
 		}
 		if b == bucketEmpty {
@@ -315,9 +333,9 @@ func (s *EdgeSet) EraseLocked(e graph.Edge, owner uint8) {
 }
 
 // NeedsCompact reports whether tombstones occupy more than a quarter of
-// the table.
+// the table. Quiescent points only.
 func (s *EdgeSet) NeedsCompact() bool {
-	return atomic.LoadInt64(&s.tombstones)*4 > int64(len(s.buckets))
+	return s.Tombstones()*4 > len(s.buckets)
 }
 
 // ClearRange empties buckets [lo, hi). The caller must guarantee
@@ -330,23 +348,18 @@ func (s *EdgeSet) ClearRange(lo, hi int) {
 	}
 }
 
-// ResetCounts zeroes the live and tombstone counters after ClearRange.
+// ResetCounts zeroes every counter shard after ClearRange.
 func (s *EdgeSet) ResetCounts() {
-	atomic.StoreInt64(&s.size, 0)
-	atomic.StoreInt64(&s.tombstones, 0)
+	clear(s.counts)
 }
 
 // Compact rebuilds the table from the authoritative edge list, dropping
-// all tombstones. The caller must guarantee quiescence.
-func (s *EdgeSet) Compact(edges []graph.Edge, workers int) {
-	Blocks(len(s.buckets), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.buckets[i] = bucketEmpty
-		}
-	})
-	atomic.StoreInt64(&s.size, 0)
-	atomic.StoreInt64(&s.tombstones, 0)
-	s.BuildFrom(edges, workers)
+// all tombstones, one goroutine per counter shard. The caller must
+// guarantee quiescence.
+func (s *EdgeSet) Compact(edges []graph.Edge) {
+	Blocks(len(s.buckets), len(s.counts), func(_, lo, hi int) { s.ClearRange(lo, hi) })
+	s.ResetCounts()
+	s.BuildFrom(edges)
 }
 
 // ForEach calls fn for every live edge. The caller must guarantee

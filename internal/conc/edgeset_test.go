@@ -1,6 +1,7 @@
 package conc
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,21 +33,21 @@ func TestSentinelsAreNotEdges(t *testing.T) {
 }
 
 func TestInsertContainsEraseUnique(t *testing.T) {
-	s := NewEdgeSet(16)
+	s := NewEdgeSet(16, 1)
 	e := edge(3, 4)
 	if s.Contains(e) {
 		t.Fatal("empty set contains edge")
 	}
-	s.InsertUnique(e)
+	s.InsertUnique(e, 0)
 	if !s.Contains(e) || s.Len() != 1 {
 		t.Fatal("insert failed")
 	}
-	s.EraseUnique(e)
+	s.EraseUnique(e, 0)
 	if s.Contains(e) || s.Len() != 0 || s.Tombstones() != 1 {
 		t.Fatal("erase failed")
 	}
 	// Reinsert reuses the tombstone.
-	s.InsertUnique(e)
+	s.InsertUnique(e, 0)
 	if !s.Contains(e) || s.Tombstones() != 0 {
 		t.Fatal("tombstone not reused")
 	}
@@ -57,8 +58,8 @@ func TestBuildFromParallel(t *testing.T) {
 	for i := uint32(0); i < 5000; i++ {
 		edges = append(edges, edge(i, i+10000))
 	}
-	s := NewEdgeSet(len(edges))
-	s.BuildFrom(edges, 4)
+	s := NewEdgeSet(len(edges), 4)
+	s.BuildFrom(edges)
 	if s.Len() != len(edges) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(edges))
 	}
@@ -73,11 +74,11 @@ func TestConcurrentDisjointInsertErase(t *testing.T) {
 	// Workers operate on disjoint edges: the unique-path contract.
 	const perWorker = 2000
 	const workers = 8
-	s := NewEdgeSet(perWorker * workers)
+	s := NewEdgeSet(perWorker*workers, workers)
 	Run(workers, func(w int) {
 		base := uint32(w * perWorker)
 		for i := uint32(0); i < perWorker; i++ {
-			s.InsertUnique(edge(base+i, base+i+1<<20))
+			s.InsertUnique(edge(base+i, base+i+1<<20), w)
 		}
 	})
 	if s.Len() != perWorker*workers {
@@ -86,7 +87,7 @@ func TestConcurrentDisjointInsertErase(t *testing.T) {
 	Run(workers, func(w int) {
 		base := uint32(w * perWorker)
 		for i := uint32(0); i < perWorker; i += 2 {
-			s.EraseUnique(edge(base+i, base+i+1<<20))
+			s.EraseUnique(edge(base+i, base+i+1<<20), w)
 		}
 	})
 	if s.Len() != perWorker*workers/2 {
@@ -100,12 +101,12 @@ func TestConcurrentDisjointInsertErase(t *testing.T) {
 }
 
 func TestTryLockSemantics(t *testing.T) {
-	s := NewEdgeSet(16)
+	s := NewEdgeSet(16, 2)
 	e := edge(1, 2)
 	if s.TryLock(e, 0) {
 		t.Fatal("locked an absent edge")
 	}
-	s.InsertUnique(e)
+	s.InsertUnique(e, 0)
 	if !s.TryLock(e, 0) {
 		t.Fatal("failed to lock unlocked edge")
 	}
@@ -126,7 +127,7 @@ func TestTryLockSemantics(t *testing.T) {
 }
 
 func TestTryInsertLock(t *testing.T) {
-	s := NewEdgeSet(16)
+	s := NewEdgeSet(16, 5)
 	e := edge(7, 9)
 	if !s.TryInsertLock(e, 3) {
 		t.Fatal("insert-lock of fresh edge failed")
@@ -149,9 +150,9 @@ func TestConcurrentLockMutualExclusion(t *testing.T) {
 	const nEdges = 8
 	const workers = 8
 	const iters = 5000
-	s := NewEdgeSet(64)
+	s := NewEdgeSet(64, workers)
 	for i := uint32(0); i < nEdges; i++ {
-		s.InsertUnique(edge(i, i+100))
+		s.InsertUnique(edge(i, i+100), 0)
 	}
 	var holders [nEdges]atomic.Int32
 	var violations atomic.Int32
@@ -181,7 +182,7 @@ func TestConcurrentTryInsertLockUniqueWinner(t *testing.T) {
 	// Racing inserters of the same edge: exactly one must win per round.
 	const workers = 8
 	const rounds = 2000
-	s := NewEdgeSet(1 << 12)
+	s := NewEdgeSet(1<<12, workers)
 	for r := 0; r < rounds; r++ {
 		e := edge(uint32(r), uint32(r)+1<<20)
 		var winners atomic.Int32
@@ -204,19 +205,19 @@ func TestConcurrentTryInsertLockUniqueWinner(t *testing.T) {
 		}
 		s.EraseLocked(e, uint8(winner.Load()))
 		if s.NeedsCompact() {
-			s.Compact(nil, 2)
+			s.Compact(nil)
 		}
 	}
 }
 
 func TestCompact(t *testing.T) {
-	s := NewEdgeSet(256)
+	s := NewEdgeSet(256, 4)
 	var live []graph.Edge
 	for i := uint32(0); i < 200; i++ {
 		e := edge(i, i+1000)
-		s.InsertUnique(e)
+		s.InsertUnique(e, 0)
 		if i%2 == 0 {
-			s.EraseUnique(e)
+			s.EraseUnique(e, 0)
 		} else {
 			live = append(live, e)
 		}
@@ -224,7 +225,7 @@ func TestCompact(t *testing.T) {
 	if s.Tombstones() == 0 {
 		t.Fatal("expected tombstones before compaction")
 	}
-	s.Compact(live, 4)
+	s.Compact(live)
 	if s.Tombstones() != 0 || s.Len() != len(live) {
 		t.Fatalf("after compact: %d tombstones, %d live", s.Tombstones(), s.Len())
 	}
@@ -236,7 +237,7 @@ func TestCompact(t *testing.T) {
 }
 
 func TestNeedsCompactThreshold(t *testing.T) {
-	s := NewEdgeSet(16)
+	s := NewEdgeSet(16, 1)
 	if s.NeedsCompact() {
 		t.Fatal("fresh set wants compaction")
 	}
@@ -244,12 +245,161 @@ func TestNeedsCompactThreshold(t *testing.T) {
 	// reuse); the threshold must trigger well before the table fills.
 	for i := uint32(0); i < uint32(s.Buckets()); i++ {
 		e := edge(i, i+1<<20)
-		s.InsertUnique(e)
-		s.EraseUnique(e)
+		s.InsertUnique(e, 0)
+		s.EraseUnique(e, 0)
 		if s.NeedsCompact() {
 			return
 		}
 	}
 	t.Fatalf("threshold never triggered: tombstones=%d of %d buckets",
 		s.Tombstones(), s.Buckets())
+}
+
+// scanCounts counts live and tombstone buckets directly: the ground
+// truth the sharded counters must sum to.
+func scanCounts(s *EdgeSet) (live, tombstones int) {
+	for _, b := range s.buckets {
+		switch b {
+		case bucketEmpty:
+		case bucketTombstone:
+			tombstones++
+		default:
+			live++
+		}
+	}
+	return live, tombstones
+}
+
+// TestShardedCountsMatchBucketScan drives the unique path (erase before
+// insert, as in the kernel's apply phase, with tombstone reuse) and the
+// ticket path from a Pool gang, and checks at every quiescent point
+// that the summed shards equal a bucket scan and that NeedsCompact
+// answers exactly the scanned tombstones*4 > buckets threshold. A
+// drifting tombstone count would compact too late and end in the
+// probe-loop-exhausted panic.
+func TestShardedCountsMatchBucketScan(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const n = 1 << 12
+			p := NewPool(workers)
+			defer p.Close()
+			s := NewEdgeSet(2*n, workers)
+			s.SetSequential(workers == 1)
+			sawBelow, compactions := false, 0
+			check := func(stage string) {
+				t.Helper()
+				live, tomb := scanCounts(s)
+				if s.Len() != live || s.Tombstones() != tomb {
+					t.Fatalf("%s: Len %d / Tombstones %d, scan %d / %d",
+						stage, s.Len(), s.Tombstones(), live, tomb)
+				}
+				want := tomb*4 > s.Buckets()
+				if s.NeedsCompact() != want {
+					t.Fatalf("%s: NeedsCompact %v with %d tombstones of %d buckets",
+						stage, s.NeedsCompact(), tomb, s.Buckets())
+				}
+				sawBelow = sawBelow || (!want && tomb > 0)
+			}
+			// Item i of generation r; generations are disjoint.
+			edgeOf := func(r, i int) graph.Edge { return edge(uint32(i), uint32(n+r*n+i)) }
+			p.Blocks(n, func(w, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					s.InsertUnique(edgeOf(0, i), w)
+				}
+			})
+			check("build")
+
+			// Round r starts with generation r live and ends with
+			// generation r+1 live. The fused apply erases three
+			// quarters of generation r, then inserts the first half
+			// of r+1 and re-inserts a quarter of r (reusing
+			// tombstones); the refill swaps in the rest.
+			var round int
+			plan := FusedPlan{Passes: []FusedPass{
+				{N: n, Fn: func(w, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						if i%4 != 0 {
+							s.EraseUnique(edgeOf(round, i), w)
+						}
+					}
+				}},
+				{N: n / 2, Fn: func(w, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						s.InsertUnique(edgeOf(round+1, i), w)
+						if i%2 == 0 {
+							s.InsertUnique(edgeOf(round, 2*i+1), w)
+						}
+					}
+				}},
+			}}
+			ticket := func(i int) graph.Edge { return edge(uint32(i), uint32(1<<27+round*n+i)) }
+			var live []graph.Edge
+			for round = 0; round < 12; round++ {
+				p.Fused(&plan)
+				check(fmt.Sprintf("round %d apply", round))
+
+				// Ticket path: every worker insert-locks its own
+				// disjoint edges with its owner id, erases half at
+				// once and, after a barrier, relocks and erases the
+				// rest.
+				p.Run(func(w int) {
+					for i := w; i < n/4; i += workers {
+						if !s.TryInsertLock(ticket(i), uint8(w)) {
+							t.Errorf("TryInsertLock %v failed", ticket(i))
+							return
+						}
+						if i%2 == 0 {
+							s.EraseLocked(ticket(i), uint8(w))
+						} else {
+							s.Unlock(ticket(i), uint8(w))
+						}
+					}
+				})
+				check(fmt.Sprintf("round %d tickets", round))
+				p.Run(func(w int) {
+					// Relock under a different owner than the inserter.
+					o := (w + 1) % workers
+					for i := o; i < n/4; i += workers {
+						if i%2 == 1 {
+							if !s.TryLock(ticket(i), uint8(w)) {
+								t.Errorf("TryLock %v failed", ticket(i))
+								return
+							}
+							s.EraseLocked(ticket(i), uint8(w))
+						}
+					}
+				})
+				check(fmt.Sprintf("round %d ticket erase", round))
+
+				p.Blocks(n, func(w, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						if i%4 == 0 || i%4 == 1 {
+							s.EraseUnique(edgeOf(round, i), w)
+						}
+						if i >= n/2 {
+							s.InsertUnique(edgeOf(round+1, i), w)
+						}
+					}
+				})
+				check(fmt.Sprintf("round %d refill", round))
+				if s.Len() != n {
+					t.Fatalf("round %d: %d live, want %d", round, s.Len(), n)
+				}
+				if s.NeedsCompact() {
+					live = live[:0]
+					s.ForEach(func(e graph.Edge) { live = append(live, e) })
+					s.Compact(live)
+					compactions++
+					check(fmt.Sprintf("round %d compact", round))
+					if s.Tombstones() != 0 || s.Len() != n {
+						t.Fatalf("compaction left %d tombstones, %d live", s.Tombstones(), s.Len())
+					}
+				}
+			}
+			if !sawBelow || compactions < 2 {
+				t.Fatalf("tombstones below threshold seen %v, %d compactions; the run must cross the threshold repeatedly",
+					sawBelow, compactions)
+			}
+		})
+	}
 }

@@ -17,31 +17,31 @@ func expectPanic(t *testing.T, what string, fn func()) {
 }
 
 func TestEraseUniqueAbsentPanics(t *testing.T) {
-	s := NewEdgeSet(8)
+	s := NewEdgeSet(8, 2)
 	expectPanic(t, "EraseUnique of absent edge", func() {
-		s.EraseUnique(edge(1, 2))
+		s.EraseUnique(edge(1, 2), 0)
 	})
 }
 
 func TestUnlockAbsentPanics(t *testing.T) {
-	s := NewEdgeSet(8)
+	s := NewEdgeSet(8, 2)
 	expectPanic(t, "Unlock of absent edge", func() {
 		s.Unlock(edge(1, 2), 0)
 	})
 }
 
 func TestEraseLockedAbsentPanics(t *testing.T) {
-	s := NewEdgeSet(8)
+	s := NewEdgeSet(8, 2)
 	expectPanic(t, "EraseLocked of absent edge", func() {
 		s.EraseLocked(edge(1, 2), 0)
 	})
 }
 
 func TestEdgeSetFullPanics(t *testing.T) {
-	s := NewEdgeSet(4) // 16 buckets
+	s := NewEdgeSet(4, 1) // 16 buckets
 	expectPanic(t, "insert beyond capacity", func() {
 		for i := uint32(0); i < 64; i++ {
-			s.InsertUnique(edge(i, i+100))
+			s.InsertUnique(edge(i, i+100), 0)
 		}
 	})
 }
@@ -49,13 +49,13 @@ func TestEdgeSetFullPanics(t *testing.T) {
 func TestEraseUniqueLockedPanics(t *testing.T) {
 	// EraseUnique requires the edge to be unlocked; a locked edge
 	// indicates interleaving unique-path and ticket-path operations.
-	s := NewEdgeSet(8)
+	s := NewEdgeSet(8, 2)
 	e := edge(3, 4)
-	s.InsertUnique(e)
+	s.InsertUnique(e, 0)
 	if !s.TryLock(e, 1) {
 		t.Fatal("lock failed")
 	}
 	expectPanic(t, "EraseUnique of locked edge", func() {
-		s.EraseUnique(e)
+		s.EraseUnique(e, 0)
 	})
 }

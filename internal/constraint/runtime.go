@@ -123,13 +123,14 @@ func (c *Runtime[E]) escape(edges []E, src rng.Source, st *switching.Stats) {
 // BindRunner installs the local veto on a parallel chain's runner and
 // points the graph ops at its concurrent edge set, which stores every
 // edge kind bit-cast to graph.Edge exactly as the runner's own phases
-// do.
+// do. The ops run single-goroutine between supersteps, so they count
+// as worker 0.
 func (c *Runtime[E]) BindRunner(r *switching.Runner[E]) {
 	r.Veto = c.Veto
 	c.Ops = GraphOps[E]{
 		Contains: func(e E) bool { return r.Set.Contains(graph.Edge(e)) },
-		Insert:   func(e E) { r.Set.InsertUnique(graph.Edge(e)) },
-		Erase:    func(e E) { r.Set.EraseUnique(graph.Edge(e)) },
+		Insert:   func(e E) { r.Set.InsertUnique(graph.Edge(e), 0) },
+		Erase:    func(e E) { r.Set.EraseUnique(graph.Edge(e), 0) },
 	}
 }
 

@@ -37,8 +37,9 @@ func newNaiveStepper(g *graph.Graph, cfg Config) *naiveStepper {
 	for i, e := range g.Edges() {
 		E[i] = uint64(e)
 	}
-	set := conc.NewEdgeSet(2 * m)
-	set.BuildFrom(g.Edges(), w)
+	// Owner ids double as counter-shard indices.
+	set := conc.NewEdgeSet(2*m, w)
+	set.BuildFrom(g.Edges())
 	return &naiveStepper{
 		g: g, m: m, w: w, E: E, set: set,
 		seeds:  rng.PerWorkerSeeds(cfg.Seed, w),
@@ -80,7 +81,7 @@ func (s *naiveStepper) Step(st *switching.Stats) error {
 		for i := range edges {
 			edges[i] = graph.Edge(atomic.LoadUint64(&s.E[i]))
 		}
-		s.set.Compact(edges, s.w)
+		s.set.Compact(edges)
 	}
 	return nil
 }

@@ -131,13 +131,10 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 		slot[su] = uint64(v)<<32 | uint64(uint32(sv))
 		slot[sv] = uint64(u)<<32 | uint64(uint32(su))
 	}
-	set := conc.NewEdgeSet(m)
-	set.BuildFrom(g.Edges(), workers)
 	e := &Engine{
 		n:       n,
 		offs:    offs,
 		slot:    slot,
-		set:     set,
 		rank:    make([]int32, n),
 		src:     rng.NewMT19937(seed),
 		seedSrc: rng.NewSplitMix64(seed ^ 0xC3B5507A6F7C8E21),
@@ -147,8 +144,10 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 		e.rank[i] = unranked
 	}
 	e.drv.Init(workers)
+	e.set = conc.NewEdgeSet(m, e.drv.Workers())
+	e.set.BuildFrom(g.Edges())
 	// A 1-worker gang drives the disjointness set from one goroutine:
-	// drop the CAS/counter read-modify-writes for plain stores.
+	// drop the bucket compare-and-swaps for plain stores.
 	e.set.SetSequential(e.drv.Workers() == 1)
 	e.sc = make([]tradeScratch, e.drv.Workers())
 	e.rankSetFn = func(_, lo, hi int) {
@@ -164,9 +163,9 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 		}
 	}
 	e.clearFn = func(_, lo, hi int) { e.set.ClearRange(lo, hi) }
-	e.rebuildFn = func(_, lo, hi int) {
+	e.rebuildFn = func(w, lo, hi int) {
 		for _, ed := range e.scratch[lo:hi] {
-			e.set.InsertUnique(ed)
+			e.set.InsertUnique(ed, w)
 		}
 	}
 	e.tradeFn = func(worker int, k int32) uint32 {
@@ -381,8 +380,8 @@ func (e *Engine) trade(worker int, u, v uint32, k int32, stepSeed uint64) {
 		atomic.StoreUint64(&e.slot[tgt[i]], uint64(w)<<32|uint64(back))
 		atomic.StoreUint64(&e.slot[back], uint64(newOwner)<<32|uint64(uint32(tgt[i])))
 		if oldOwner != newOwner {
-			e.set.EraseUnique(graph.MakeEdge(oldOwner, w))
-			e.set.InsertUnique(graph.MakeEdge(newOwner, w))
+			e.set.EraseUnique(graph.MakeEdge(oldOwner, w), worker)
+			e.set.InsertUnique(graph.MakeEdge(newOwner, w), worker)
 		}
 	}
 }

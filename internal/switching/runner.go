@@ -86,19 +86,19 @@ type Runner[E EdgeKind[E]] struct {
 func NewRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
 	r := &Runner[E]{
 		E:     edges,
-		Set:   conc.NewEdgeSet(len(edges) * 2),
 		table: conc.NewDepTable(maxSwitches),
 	}
 	r.RoundDriver.Init(workers)
+	r.Set = conc.NewEdgeSet(len(edges)*2, r.Workers())
 	r.vetoTot = make([]paddedCounter, r.Workers())
 	// A 1-worker gang drives the table and set from a single goroutine:
 	// drop the CAS/XCHG write paths for plain stores.
 	seq := r.Workers() == 1
 	r.table.SetSequential(seq)
 	r.Set.SetSequential(seq)
-	r.pool.Blocks(len(edges), func(_, lo, hi int) {
+	r.pool.Blocks(len(edges), func(w, lo, hi int) {
 		for _, e := range edges[lo:hi] {
-			r.Set.InsertUnique(graph.Edge(e))
+			r.Set.InsertUnique(graph.Edge(e), w)
 		}
 	})
 	r.phase1Fn = r.phase1
@@ -240,7 +240,7 @@ func (r *Runner[E]) preTouchItem(_ int, k int32) {
 }
 
 // phase3Erase applies the accepted erasures of switches [lo, hi).
-func (r *Runner[E]) phase3Erase(_, lo, hi int) {
+func (r *Runner[E]) phase3Erase(w, lo, hi int) {
 	t := r.table
 	pf := r.Prefetch
 	for k := lo; k < hi; k++ {
@@ -253,13 +253,13 @@ func (r *Runner[E]) phase3Erase(_, lo, hi int) {
 			continue
 		}
 		base := 4 * k
-		r.Set.EraseUnique(graph.Edge(t.Key(base)))
-		r.Set.EraseUnique(graph.Edge(t.Key(base + 1)))
+		r.Set.EraseUnique(graph.Edge(t.Key(base)), w)
+		r.Set.EraseUnique(graph.Edge(t.Key(base+1)), w)
 	}
 }
 
 // phase3Insert applies the accepted insertions of switches [lo, hi).
-func (r *Runner[E]) phase3Insert(_, lo, hi int) {
+func (r *Runner[E]) phase3Insert(w, lo, hi int) {
 	t := r.table
 	pf := r.Prefetch
 	for k := lo; k < hi; k++ {
@@ -272,8 +272,8 @@ func (r *Runner[E]) phase3Insert(_, lo, hi int) {
 			continue
 		}
 		base := 4 * k
-		r.Set.InsertUnique(graph.Edge(t.Key(base + 2)))
-		r.Set.InsertUnique(graph.Edge(t.Key(base + 3)))
+		r.Set.InsertUnique(graph.Edge(t.Key(base+2)), w)
+		r.Set.InsertUnique(graph.Edge(t.Key(base+3)), w)
 	}
 }
 
@@ -291,10 +291,10 @@ func (r *Runner[E]) compactClear(_, lo, hi int) {
 	r.Set.ClearRange(lo, hi)
 }
 
-func (r *Runner[E]) compactRebuild(_, lo, hi int) {
+func (r *Runner[E]) compactRebuild(w, lo, hi int) {
 	s := r.scratch[:len(r.E)]
 	for i := lo; i < hi; i++ {
-		r.Set.InsertUnique(s[i])
+		r.Set.InsertUnique(s[i], w)
 	}
 }
 
@@ -401,7 +401,8 @@ func (r *Runner[E]) Accepted(k int) bool {
 // for global constraints (constraint.Recertify) and must be applied in
 // reverse commit order — undoing the highest accepted k first — so
 // that each undo reverts exactly the last step of the equivalent
-// sequential application. Single-goroutine, between supersteps only.
+// sequential application. Single-goroutine, between supersteps only;
+// the set updates count as worker 0.
 func (r *Runner[E]) Rollback(k int, sw Switch) {
 	t := r.table
 	base := 4 * k
@@ -409,10 +410,10 @@ func (r *Runner[E]) Rollback(k int, sw Switch) {
 	e2 := E(t.Key(base + 1))
 	t3 := E(t.Key(base + 2))
 	t4 := E(t.Key(base + 3))
-	r.Set.EraseUnique(graph.Edge(t3))
-	r.Set.EraseUnique(graph.Edge(t4))
-	r.Set.InsertUnique(graph.Edge(e1))
-	r.Set.InsertUnique(graph.Edge(e2))
+	r.Set.EraseUnique(graph.Edge(t3), 0)
+	r.Set.EraseUnique(graph.Edge(t4), 0)
+	r.Set.InsertUnique(graph.Edge(e1), 0)
+	r.Set.InsertUnique(graph.Edge(e2), 0)
 	r.E[sw.I] = e1
 	r.E[sw.J] = e2
 	t.SetStatus(k, conc.StatusIllegal)

@@ -149,6 +149,54 @@ func TestRunnerDirectedMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunnerSetCountsAcrossCompactions runs 50 ParGlobalES supersteps
+// at several worker counts, long enough to cross the compaction
+// threshold repeatedly, and checks after each one that the edge set's
+// summed per-worker counters still say m live edges, that a full scan
+// agrees, and that every edge of the list is in the set.
+func TestRunnerSetCountsAcrossCompactions(t *testing.T) {
+	src := rng.NewMT19937(9004)
+	g, err := gen.SynPldGraph(1<<11, 2.2, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := g.M()
+	steps := make([][]switching.Switch, 50)
+	for i := range steps {
+		steps[i] = globalSwitchStep(m, src)
+	}
+	for _, w := range []int{1, 2, 4} {
+		E := append([]graph.Edge(nil), g.Edges()...)
+		r := switching.NewRunner(E, m/2, w)
+		compactions := 0
+		for i, sw := range steps {
+			before := r.Set.Tombstones()
+			r.Run(sw)
+			if r.Set.Tombstones() < before {
+				compactions++
+			}
+			if r.Set.Len() != m {
+				t.Fatalf("workers=%d superstep %d: Set.Len() = %d, want %d", w, i, r.Set.Len(), m)
+			}
+			live := 0
+			r.Set.ForEach(func(graph.Edge) { live++ })
+			if live != m {
+				t.Fatalf("workers=%d superstep %d: scan finds %d live edges, want %d", w, i, live, m)
+			}
+			for _, e := range E {
+				if !r.Set.Contains(e) {
+					t.Fatalf("workers=%d superstep %d: edge %v missing from the set", w, i, e)
+				}
+			}
+		}
+		r.Release()
+		t.Logf("workers=%d: %d compactions", w, compactions)
+		if compactions < 3 {
+			t.Fatalf("workers=%d: %d compactions in %d supersteps, want several", w, compactions, len(steps))
+		}
+	}
+}
+
 func TestRunnerPessimisticParity(t *testing.T) {
 	// The worst-case scheduler may only change round counts, never the
 	// decided lists — for both instantiations.
