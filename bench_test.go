@@ -211,7 +211,7 @@ func BenchmarkAblationPermutation(b *testing.B) {
 
 // BenchmarkEnsemble compares the two ways of drawing an ensemble of k
 // degree-preserving samples from one graph: k independent one-shot
-// Randomize calls (each paying engine construction plus a full burn-in)
+// Samplers (each paying engine construction plus a full burn-in)
 // against one reused Sampler (one construction, one burn-in, then a
 // sample every thinning interval). The "reused" variant matches the
 // one-shot superstep count per sample to isolate the engine-state
@@ -234,9 +234,8 @@ func BenchmarkEnsemble(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for s := 0; s < samples; s++ {
 				c := base.Clone()
-				if _, err := Randomize(c, Options{
-					Algorithm: ParGlobalES, Workers: 2, Seed: uint64(s), Supersteps: burnIn,
-				}); err != nil {
+				if _, err := stepOnce(c, burnIn,
+					WithAlgorithm(ParGlobalES), WithWorkers(2), WithSeed(uint64(s))); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -284,7 +283,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := g.Clone()
-		if _, err := Randomize(c, Options{Algorithm: ParGlobalES, Workers: 2, Seed: uint64(i)}); err != nil {
+		if _, err := stepOnce(c, 20, WithAlgorithm(ParGlobalES), WithWorkers(2), WithSeed(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,7 +101,7 @@ func TestRemoteRequestShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req = remoteRequest(dg, "AdjListES", "mcmc", 1, 1, 1, 0, 0, 10, false)
+	req = remoteRequest(dg, "SeqES", "mcmc", 1, 1, 1, 0, 0, 10, false)
 	if !req.Directed || req.Nodes != 3 || len(req.Edges) != 3 {
 		t.Fatalf("directed request: %+v", req)
 	}

@@ -56,8 +56,8 @@ func FromInOutDegrees(out, in []int) (*DiGraph, error) {
 // FromBipartiteDegrees realizes a bipartite graph with the prescribed
 // degree sequences on the two sides, represented as a digraph with arcs
 // from left nodes (0..len(left)-1) to right nodes (offset by the left
-// side size). Directed switching preserves the bipartition, so
-// RandomizeDirected samples bipartite graphs with fixed degrees.
+// side size). Directed switching preserves the bipartition, so a
+// Sampler over the result samples bipartite graphs with fixed degrees.
 func FromBipartiteDegrees(left, right []int) (*DiGraph, error) {
 	g, err := digraph.BipartiteFromDegrees(left, right)
 	if err != nil {
@@ -117,13 +117,3 @@ func (g *DiGraph) Clone() *DiGraph { return &DiGraph{g: g.g.Clone()} }
 
 // CheckSimple verifies the no-loops/no-parallel-arcs invariant.
 func (g *DiGraph) CheckSimple() error { return g.g.CheckSimple() }
-
-// RandomizeDirected runs a directed switching Markov chain on g in
-// place. Supported algorithms: SeqES, SeqGlobalES and ParGlobalES
-// (directed switches need no direction bit, and ES-MC's other variants
-// add nothing in the directed setting).
-//
-// RandomizeDirected is the one-shot form of NewSampler(g, ...) followed
-// by one Step call; directed and bipartite targets sample through the
-// same Sampler API as undirected graphs.
-func RandomizeDirected(g *DiGraph, opt Options) (Stats, error) { return randomizeOnce(g, opt) }

@@ -48,7 +48,7 @@ func TestRandomizeDirectedAlgorithms(t *testing.T) {
 	wantOut, wantIn := base.OutDegrees(), base.InDegrees()
 	for _, alg := range []Algorithm{SeqES, SeqGlobalES, ParGlobalES} {
 		g := base.Clone()
-		stats, err := RandomizeDirected(g, Options{Algorithm: alg, Workers: 2, Seed: 3, SwapsPerEdge: 3})
+		stats, err := stepOnce(g, 6, WithAlgorithm(alg), WithWorkers(2), WithSeed(3))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -65,7 +65,7 @@ func TestRandomizeDirectedAlgorithms(t *testing.T) {
 			t.Fatalf("%v accepted nothing", alg)
 		}
 	}
-	if _, err := RandomizeDirected(base.Clone(), Options{Algorithm: NaiveParES}); err == nil {
+	if _, err := stepOnce(base.Clone(), 20, WithAlgorithm(ParES)); err == nil {
 		t.Fatal("unsupported directed algorithm accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestFromBipartiteDegrees(t *testing.T) {
 	if g.N() != 6 || g.M() != 5 {
 		t.Fatalf("n=%d m=%d", g.N(), g.M())
 	}
-	if _, err := RandomizeDirected(g, Options{Algorithm: ParGlobalES, Workers: 2, Seed: 1, SwapsPerEdge: 5}); err != nil {
+	if _, err := stepOnce(g, 10, WithAlgorithm(ParGlobalES), WithWorkers(2), WithSeed(1)); err != nil {
 		t.Fatal(err)
 	}
 	// Every arc must still cross left -> right.

@@ -33,11 +33,8 @@
 //	Algorithm        chain     targets              parallel  notes
 //	SeqES            ES-MC     undirected+directed  no        §5 hash set + edge array
 //	SeqGlobalES      G-ES-MC   undirected+directed  no        Definition 3
-//	NaiveParES       ES-MC     undirected           inexact   §5.1 baseline, perf studies only (not served)
 //	ParES            ES-MC     undirected           exact     Algorithm 2
 //	ParGlobalES      G-ES-MC   all                  exact     Algorithm 3 — headline, default
-//	AdjListES        ES-MC     undirected           no        NetworKit-style ablation
-//	AdjSortES        ES-MC     undirected           no        Gengraph-style ablation
 //	Curveball        trades    undirected           exact     batched disjoint trades
 //	GlobalCurveball  trades    undirected           exact     superstep global trades
 //	Exact            i.i.d.    undirected           no        provably uniform rejection sampler
@@ -132,15 +129,9 @@
 // requests with the same (target, algorithm, workers, seed,
 // constraints) identity. Requests opt into constrained ensembles with
 // "connected": true and "forbidden_edges"; the CLI mirrors the former
-// as gesmc -connected. The service refuses NaiveParES: its racy output
-// cannot honour the resume and failover bit-identity contracts.
+// as gesmc -connected. Every Algorithms() entry is served.
 // Sampler.Close is idempotent, and a closed sampler's methods return
 // ErrClosed, so pooled engines evict safely. See DESIGN.md §9.
-//
-// Deprecated one-shot entry points: Randomize, RandomizeDirected, and
-// SampleFromDegrees remain supported as thin wrappers that build a
-// Sampler, run one Step, and throw the engine away — convenient for a
-// single draw, wasteful for ensembles.
 //
 // All operations are deterministic for a fixed seed, algorithm, and
 // worker count; the sequential chains and both Curveball chains are

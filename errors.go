@@ -28,9 +28,6 @@ var (
 	ErrInvalidBurnIn = errors.New("gesmc: burn-in must be at least 1 superstep")
 	// ErrInvalidThinning is returned for a thinning below one superstep.
 	ErrInvalidThinning = errors.New("gesmc: thinning must be at least 1 superstep")
-	// ErrInvalidChunkBytes is returned for a negative WithChunkBytes
-	// value.
-	ErrInvalidChunkBytes = errors.New("gesmc: chunk bytes must be non-negative")
 	// ErrInvalidSupersteps is returned when a negative superstep count is
 	// requested from Step.
 	ErrInvalidSupersteps = errors.New("gesmc: superstep count must be non-negative")
@@ -57,8 +54,7 @@ var (
 	ErrInvalidConstraint = errors.New("gesmc: invalid constraint")
 	// ErrUnsupportedConstraint is returned when WithConstraint is
 	// combined with an algorithm outside the constrained set (SeqES,
-	// SeqGlobalES, ParES, ParGlobalES, and the directed chains) or with
-	// WithSampleViaBuckets.
+	// SeqGlobalES, ParES, ParGlobalES, and the directed chains).
 	ErrUnsupportedConstraint = errors.New("gesmc: constraint not supported for this algorithm")
 	// ErrConstraintViolated is returned when the target graph itself
 	// lies outside the constrained state space: it contains a forbidden

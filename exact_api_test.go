@@ -249,7 +249,11 @@ func TestExactRegimeBoundary(t *testing.T) {
 	for i := range k20 {
 		k20[i] = 19
 	}
-	if _, _, err := SampleFromDegrees(k20, Options{Algorithm: Exact}); !errors.Is(err, ErrExactUnsupported) {
+	complete, err := FromDegrees(k20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSampler(complete, WithAlgorithm(Exact)); !errors.Is(err, ErrExactUnsupported) {
 		t.Fatalf("K20 degrees: got %v, want ErrExactUnsupported", err)
 	}
 }

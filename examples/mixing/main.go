@@ -62,7 +62,7 @@ func main() {
 	burnIn := sampler.BurnIn()
 	fmt.Printf("\ndrew %d samples in %d supersteps (burn-in %d + %d x thinning %d)\n",
 		len(samples), sampler.Supersteps(), burnIn, count-1, thinGES)
-	fmt.Printf("vs %d supersteps for %d one-shot Randomize calls — %.1fx fewer\n",
+	fmt.Printf("vs %d supersteps for %d one-shot samplers — %.1fx fewer\n",
 		count*burnIn, count,
 		float64(count*burnIn)/float64(sampler.Supersteps()))
 }

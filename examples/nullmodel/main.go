@@ -8,7 +8,7 @@
 // Sampler (engine compiled once, burn-in once, a sample every thinning
 // interval) and report the empirical z-score of the observed triangle
 // count. This is the ensemble workload the Sampler API is shaped for:
-// with the legacy one-shot Randomize every sample would pay engine
+// with a fresh one-shot Sampler per draw every sample would pay engine
 // construction plus a full burn-in.
 package main
 

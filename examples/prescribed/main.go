@@ -15,16 +15,26 @@ import (
 )
 
 func main() {
-	// Part 1: a realistic sequence, via the one-call path.
+	// Part 1: a realistic sequence, realized once and burned in by a
+	// one-shot sampler.
 	degrees := []int{7, 6, 5, 4, 4, 3, 3, 3, 2, 2, 2, 2, 2, 1, 1, 1}
 	if !gesmc.IsGraphical(degrees) {
 		log.Fatal("sequence is not graphical")
 	}
-	g, stats, err := gesmc.SampleFromDegrees(degrees, gesmc.Options{
-		Algorithm: gesmc.ParGlobalES,
-		Workers:   2,
-		Seed:      3,
-	})
+	g, err := gesmc.FromDegrees(degrees)
+	if err != nil {
+		log.Fatal(err)
+	}
+	once, err := gesmc.NewSampler(g,
+		gesmc.WithAlgorithm(gesmc.ParGlobalES),
+		gesmc.WithWorkers(2),
+		gesmc.WithSeed(3),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stats, err := once.Sample()
+	once.Close()
 	if err != nil {
 		log.Fatal(err)
 	}

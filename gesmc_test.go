@@ -65,6 +65,17 @@ func TestGenerators(t *testing.T) {
 	}
 }
 
+// stepOnce is the one-shot pattern: compile a Sampler over target,
+// advance it k supersteps, and release it.
+func stepOnce(target Target, k int, opts ...Option) (Stats, error) {
+	s, err := NewSampler(target, opts...)
+	if err != nil {
+		return Stats{}, err
+	}
+	defer s.Close()
+	return s.Step(k)
+}
+
 func TestRandomizeAllAlgorithms(t *testing.T) {
 	base := GenerateGNP(128, 0.08, 3)
 	// The GNP target's degree tail lies outside the exact tier's
@@ -80,7 +91,7 @@ func TestRandomizeAllAlgorithms(t *testing.T) {
 			g = regular.Clone()
 		}
 		wantDeg := g.Degrees()
-		stats, err := Randomize(g, Options{Algorithm: alg, Workers: 2, Seed: 11, SwapsPerEdge: 2})
+		stats, err := stepOnce(g, 4, WithAlgorithm(alg), WithWorkers(2), WithSeed(11))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -102,14 +113,23 @@ func TestRandomizeAllAlgorithms(t *testing.T) {
 }
 
 func TestOptionsSuperstepDefaults(t *testing.T) {
-	if s := (Options{}).supersteps(); s != 20 {
-		t.Fatalf("default supersteps = %d, want 20 (10 swaps/edge)", s)
+	g := GenerateGNP(64, 0.1, 1)
+	burnIn := func(opts ...Option) int {
+		s, err := NewSampler(g.Clone(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		return s.BurnIn()
 	}
-	if s := (Options{SwapsPerEdge: 15}).supersteps(); s != 30 {
+	if s := burnIn(); s != 20 {
+		t.Fatalf("default burn-in = %d, want 20 (10 swaps/edge)", s)
+	}
+	if s := burnIn(WithSwapsPerEdge(15)); s != 30 {
 		t.Fatalf("15 swaps/edge -> %d supersteps, want 30", s)
 	}
-	if s := (Options{Supersteps: 7, SwapsPerEdge: 15}).supersteps(); s != 7 {
-		t.Fatalf("explicit supersteps ignored: %d", s)
+	if s := burnIn(WithBurnIn(7)); s != 7 {
+		t.Fatalf("explicit burn-in ignored: %d", s)
 	}
 }
 
@@ -127,7 +147,11 @@ func TestParseAlgorithmRoundTrip(t *testing.T) {
 
 func TestSampleFromDegrees(t *testing.T) {
 	deg := []int{4, 3, 3, 2, 2, 2, 2, 2, 2, 2}
-	g, stats, err := SampleFromDegrees(deg, Options{Algorithm: SeqGlobalES, Seed: 5})
+	g, err := FromDegrees(deg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := stepOnce(g, 20, WithAlgorithm(SeqGlobalES), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,17 +228,17 @@ func TestAnalyzeMixingShape(t *testing.T) {
 func TestRandomizeDeterministic(t *testing.T) {
 	base := GenerateGNP(64, 0.15, 13)
 	a, b := base.Clone(), base.Clone()
-	opt := Options{Algorithm: ParGlobalES, Workers: 4, Seed: 21, SwapsPerEdge: 3}
-	if _, err := Randomize(a, opt); err != nil {
+	opts := []Option{WithAlgorithm(ParGlobalES), WithWorkers(4), WithSeed(21)}
+	if _, err := stepOnce(a, 6, opts...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Randomize(b, opt); err != nil {
+	if _, err := stepOnce(b, 6, opts...); err != nil {
 		t.Fatal(err)
 	}
 	ae, be := a.Edges(), b.Edges()
 	for i := range ae {
 		if ae[i] != be[i] {
-			t.Fatal("Randomize not deterministic for fixed options")
+			t.Fatal("one-shot sampling not deterministic for fixed options")
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 type Graph struct {
 	g *graph.Graph
 	// idx is the lazily built hash-set index behind HasEdge, dropped
-	// whenever the edge list is mutated through this package (Randomize,
-	// Sampler advances).
+	// whenever the edge list is mutated through this package (Sampler
+	// advances).
 	idx *hashset.Set
 }
 
@@ -35,8 +35,8 @@ func NewGraph(n int, edges [][2]uint32) (*Graph, error) {
 
 // FromDegrees materializes a graph with exactly the given degree
 // sequence using Havel-Hakimi, or fails if the sequence is not
-// graphical. The result is deterministic; follow with Randomize to
-// obtain an approximately uniform sample.
+// graphical. The result is deterministic; draw from a Sampler over it
+// to obtain an approximately uniform sample.
 func FromDegrees(degrees []int) (*Graph, error) {
 	g, err := gen.GraphFromSequence(degrees)
 	if err != nil {

@@ -25,10 +25,10 @@ import (
 // Grain sizing is topology-aware: at construction the pool derives a
 // default chunk grain from the per-core L2 share (capped by the LLC
 // share per worker), so cursor-claimed chunks keep their working set
-// cache-resident instead of using naive n/P-derived sizes. Override
-// with WithChunkBytes or SetChunkBytes. Static block boundaries are
-// aligned to 16-item multiples so adjacent workers writing item-indexed
-// arrays do not false-share the boundary cache lines.
+// cache-resident instead of using naive n/P-derived sizes. Static
+// block boundaries are aligned to 16-item multiples so adjacent
+// workers writing item-indexed arrays do not false-share the boundary
+// cache lines.
 //
 // Concurrency contract: a Pool serializes its dispatches. Calling Run,
 // Blocks, Chunked, or Fused from inside a body (nested use), or from
@@ -89,32 +89,11 @@ const (
 	modeFused
 )
 
-// PoolOption configures a Pool at construction.
-type PoolOption func(*poolShared)
-
-// WithChunkBytes overrides the topology-derived target working-set size
-// of one cursor-claimed chunk. bytes <= 0 keeps the derived default.
-func WithChunkBytes(bytes int) PoolOption {
-	return func(sh *poolShared) {
-		if bytes > 0 {
-			sh.grain = grainFromBytes(bytes)
-		}
-	}
-}
-
 // chunkItemBytes is the assumed per-item cache footprint used to convert
 // a byte budget into a chunk length: the kernel's decide items touch a
 // handful of scattered lines (dependency-table entries plus hash-set
 // buckets), of which roughly one line per item is unique to the chunk.
 const chunkItemBytes = 64
-
-func grainFromBytes(bytes int) int {
-	g := bytes / chunkItemBytes
-	if g < serialCutoff {
-		g = serialCutoff
-	}
-	return g
-}
 
 // defaultGrain derives the chunk grain from the cache topology: a chunk
 // should fill a fraction of the per-core private L2 (staying resident
@@ -129,13 +108,13 @@ func defaultGrain(workers int) int {
 	if llcShare := t.LLCBytes / (2 * workers); budget > llcShare && llcShare > 0 {
 		budget = llcShare
 	}
-	return grainFromBytes(budget)
+	return max(budget/chunkItemBytes, serialCutoff)
 }
 
 // NewPool starts a gang of workers goroutines (worker ids 0..workers-1,
 // id 0 being the caller of each dispatch). workers < 1 is treated as 1;
 // a 1-worker pool spawns no goroutines and dispatches inline.
-func NewPool(workers int, opts ...PoolOption) *Pool {
+func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
@@ -143,9 +122,6 @@ func NewPool(workers int, opts ...PoolOption) *Pool {
 		workers: workers,
 		grain:   defaultGrain(workers),
 		done:    make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(sh)
 	}
 	sh.start = make([]chan struct{}, workers-1)
 	for i := range sh.start {
@@ -162,22 +138,8 @@ func NewPool(workers int, opts ...PoolOption) *Pool {
 // Workers returns the gang size P.
 func (p *Pool) Workers() int { return p.sh.workers }
 
-// Grain returns the current default chunk size in items.
+// Grain returns the default chunk size in items.
 func (p *Pool) Grain() int { return p.sh.grain }
-
-// SetChunkBytes re-derives the default chunk grain from a target
-// working-set byte budget; bytes <= 0 restores the topology-derived
-// default. Must not be called during a dispatch.
-func (p *Pool) SetChunkBytes(bytes int) {
-	if p.sh.running.Load() {
-		panic("conc: Pool.SetChunkBytes during dispatch")
-	}
-	if bytes > 0 {
-		p.sh.grain = grainFromBytes(bytes)
-	} else {
-		p.sh.grain = defaultGrain(p.sh.workers)
-	}
-}
 
 // Close releases the worker goroutines. Idempotent; dispatching after
 // Close panics. Closing is optional (a finalizer releases leaked
@@ -397,8 +359,8 @@ func (p *Pool) Blocks(n int, fn func(worker, lo, hi int)) {
 // workers grab the next chunk-sized range until the space is exhausted.
 // Use it when per-item cost is skewed (the decide rounds, where delayed
 // switches cluster) and static blocks would imbalance the gang.
-// chunk <= 0 selects the pool's topology-derived grain (see
-// WithChunkBytes), shrunk if needed so each worker gets several claims.
+// chunk <= 0 selects the pool's topology-derived grain, shrunk if
+// needed so each worker gets several claims.
 func (p *Pool) Chunked(n, chunk int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return

@@ -74,9 +74,6 @@ func newRunner(edges []graph.Edge, maxSwitches int, cfg Config, cons *constraine
 	r := NewSuperstepRunner(edges, maxSwitches, cfg.workers())
 	r.Pessimistic = cfg.PessimisticRounds
 	r.Prefetch = cfg.Prefetch
-	if cfg.ChunkBytes > 0 {
-		r.Pool().SetChunkBytes(cfg.ChunkBytes)
-	}
 	if cons != nil {
 		cons.BindRunner(r)
 	}

@@ -106,11 +106,6 @@ type Config struct {
 	// edge array to random-bucket probing of the hash set (§5.3's
 	// memory/time trade-off).
 	SampleViaBuckets bool
-	// ChunkBytes overrides the topology-derived dynamic-chunk grain of
-	// the parallel phases: each work-stealing claim covers about
-	// ChunkBytes of edge data. Zero keeps the cache-aware default
-	// (conc.Topology-derived). Results are bit-identical for any value.
-	ChunkBytes int
 	// PessimisticRounds makes ParallelSuperstep publish decisions only
 	// at round barriers, simulating the worst-case scheduler analyzed
 	// in Theorems 2-3. Results are identical; only round counts change.

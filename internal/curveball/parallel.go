@@ -181,11 +181,6 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 	return e
 }
 
-// SetChunkBytes overrides the topology-derived dynamic-chunk grain of
-// the trade rounds (zero or negative restores the default). Results
-// are bit-identical for any grain.
-func (e *Engine) SetChunkBytes(bytes int) { e.drv.Pool().SetChunkBytes(bytes) }
-
 // Close releases the engine's persistent worker gang. The engine must
 // not be used afterwards.
 func (e *Engine) Close() { e.drv.Release() }

@@ -39,10 +39,6 @@ type Config struct {
 	// map-backed sets with no probe chains to pre-touch). Results are
 	// bit-identical with the pipeline on or off.
 	Prefetch bool
-	// ChunkBytes overrides the topology-derived dynamic-chunk grain of
-	// the parallel kernel's phases (AlgParGlobalES only); zero keeps
-	// the cache-aware default. Results are bit-identical for any value.
-	ChunkBytes int
 	// PessimisticRounds makes the parallel superstep publish decisions
 	// only at round barriers, simulating the worst-case scheduler
 	// analyzed in Theorems 2-3 (the directed mirror of core's flag,
@@ -101,9 +97,6 @@ func NewEngine(g *DiGraph, alg Algorithm, cfg Config) (*switching.Engine, error)
 		r := NewSuperstepRunner(g.Arcs(), g.M()/2, max(cfg.Workers, 1))
 		r.Pessimistic = cfg.PessimisticRounds
 		r.Prefetch = cfg.Prefetch
-		if cfg.ChunkBytes > 0 {
-			r.Pool().SetChunkBytes(cfg.ChunkBytes)
-		}
 		if cons != nil {
 			cons.BindRunner(r)
 		}

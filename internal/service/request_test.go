@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -9,27 +10,58 @@ import (
 	"gesmc/wire"
 )
 
-// TestNaiveParESRefused: the inexact §5.1 baseline is not served. It
-// parses as an algorithm name but fails validation with a field-level
-// error naming the reason, both from the wire and for a
-// directly-constructed Request.
-func TestNaiveParESRefused(t *testing.T) {
-	check := func(name string, err error) {
-		t.Helper()
+// TestServedAlgorithmSet: the wire serves exactly gesmc.Algorithms().
+// The evaluation baselines (the inexact §5.1 NaiveParES and the
+// adjacency-list stand-ins of Table 4) are not on the public enum, so
+// FromWire refuses their names with a field-level error that lists the
+// served set.
+func TestServedAlgorithmSet(t *testing.T) {
+	for _, name := range []string{"NaiveParES", "AdjListES", "AdjSortES"} {
+		_, err := FromWire(&wire.SampleRequest{Degrees: []int{2, 2, 2, 2}, Algorithm: name, Workers: 2})
 		var re *RequestError
-		if !errors.As(err, &re) || !errors.Is(err, ErrBadRequest) {
-			t.Fatalf("%s: err=%v, want a *RequestError", name, err)
+		if !errors.As(err, &re) || !errors.Is(err, ErrBadRequest) || re.Field != "algorithm" {
+			t.Fatalf("%s: err = %v, want a *RequestError on algorithm", name, err)
 		}
-		if re.Field != "algorithm" || !strings.Contains(re.Reason, "inexact") {
-			t.Fatalf("%s: error %v does not name field algorithm and the reason", name, err)
+		for _, a := range gesmc.Algorithms() {
+			if !strings.Contains(re.Reason, a.String()) {
+				t.Fatalf("%s: reason %q does not list served algorithm %s", name, re.Reason, a)
+			}
 		}
 	}
-	_, err := FromWire(&wire.SampleRequest{Degrees: []int{2, 2, 2, 2}, Algorithm: "NaiveParES", Workers: 2})
-	check("wire", err)
-	r, err := FromWire(&wire.SampleRequest{Degrees: []int{2, 2, 2, 2}, Algorithm: "ParES"})
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range gesmc.Algorithms() {
+		wr := &wire.SampleRequest{Degrees: []int{2, 2, 2, 2}, Algorithm: a.String(), Workers: 2}
+		if _, err := FromWire(wr); err != nil {
+			t.Fatalf("%s: FromWire: %v", a, err)
+		}
+		if _, err := PoolKey(wr); err != nil {
+			t.Fatalf("%s: PoolKey: %v", a, err)
+		}
 	}
-	r.Algorithm = gesmc.NaiveParES
-	check("direct", r.Validate())
+}
+
+// FuzzFromWire explores the request contract on arbitrary JSON bodies:
+// FromWire never panics, every refusal is a *RequestError wrapping
+// ErrBadRequest, and every accepted request re-validates and has a
+// pool key. Seeds live in testdata/fuzz/FuzzFromWire.
+func FuzzFromWire(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var wr wire.SampleRequest
+		if json.Unmarshal(body, &wr) != nil {
+			return
+		}
+		r, err := FromWire(&wr)
+		if err != nil {
+			var re *RequestError
+			if !errors.As(err, &re) || !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("refusal %v (%T) is not a *RequestError wrapping ErrBadRequest", err, err)
+			}
+			return
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("accepted request fails re-validation: %v", err)
+		}
+		if _, err := PoolKey(&wr); err != nil {
+			t.Fatalf("accepted request has no pool key: %v", err)
+		}
+	})
 }

@@ -7,19 +7,17 @@ import (
 
 // samplerConfig is the resolved configuration of a Sampler.
 type samplerConfig struct {
-	algorithm        Algorithm
-	workers          int
-	seed             uint64
-	swapsPerEdge     float64
-	swapsSet         bool // WithSwapsPerEdge called explicitly (default is 10 either way)
-	burnIn           int // supersteps before the first sample; 0 derives from swapsPerEdge
-	thinning         int // supersteps between samples; 0 derives from burn-in
-	loopProb         float64
-	chunkBytes       int
-	prefetch         bool
-	sampleViaBuckets bool
-	progress         func(Progress)
-	constraints      []Constraint
+	algorithm    Algorithm
+	workers      int
+	seed         uint64
+	swapsPerEdge float64
+	swapsSet     bool // WithSwapsPerEdge called explicitly (default is 10 either way)
+	burnIn       int  // supersteps before the first sample; 0 derives from swapsPerEdge
+	thinning     int  // supersteps between samples; 0 derives from burn-in
+	loopProb     float64
+	prefetch     bool
+	progress     func(Progress)
+	constraints  []Constraint
 }
 
 func defaultSamplerConfig() samplerConfig {
@@ -31,9 +29,9 @@ func defaultSamplerConfig() samplerConfig {
 }
 
 // burnInSteps resolves the burn-in in supersteps: an explicit WithBurnIn
-// wins, otherwise the swaps-per-edge target is converted exactly like
-// the legacy Options (ceil(2*swapsPerEdge) supersteps, since one
-// superstep attempts ⌊m/2⌋ switches).
+// wins, otherwise the swaps-per-edge target is converted to
+// ceil(2*swapsPerEdge) supersteps, since one superstep attempts ⌊m/2⌋
+// switches.
 func (c *samplerConfig) burnInSteps() int {
 	if c.burnIn > 0 {
 		return c.burnIn
@@ -71,8 +69,8 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // WithWorkers sets the parallelism degree P of the parallel algorithms
-// — NaiveParES, ParES, ParGlobalES (undirected, directed, and
-// bipartite targets), and the Curveball/GlobalCurveball trade chains —
+// — ParES, ParGlobalES (undirected, directed, and bipartite targets),
+// and the Curveball/GlobalCurveball trade chains —
 // and is ignored by the sequential ones. The trade chains produce
 // bit-identical results for every worker count. Default: 1.
 func WithWorkers(p int) Option {
@@ -157,32 +155,6 @@ func WithLoopProb(p float64) Option {
 func WithPrefetch(on bool) Option {
 	return func(c *samplerConfig) error {
 		c.prefetch = on
-		return nil
-	}
-}
-
-// WithChunkBytes overrides the dynamic-chunk grain of the parallel
-// kernels: each work-stealing claim made by a worker covers roughly
-// this many bytes of edge data. The default derives the grain from the
-// detected cache topology (a quarter of the per-core L2, capped by the
-// workers' LLC share) and is right for almost every machine; the knob
-// exists for experiments and unusual hardware. Results are
-// bit-identical for any grain. Zero keeps the default.
-func WithChunkBytes(bytes int) Option {
-	return func(c *samplerConfig) error {
-		if bytes < 0 {
-			return fmt.Errorf("%w: got %d", ErrInvalidChunkBytes, bytes)
-		}
-		c.chunkBytes = bytes
-		return nil
-	}
-}
-
-// WithSampleViaBuckets makes SeqES sample edges by probing random hash
-// buckets instead of the auxiliary edge array (§5.3).
-func WithSampleViaBuckets(on bool) Option {
-	return func(c *samplerConfig) error {
-		c.sampleViaBuckets = on
 		return nil
 	}
 }

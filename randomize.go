@@ -1,7 +1,6 @@
 package gesmc
 
 import (
-	"math"
 	"time"
 
 	"gesmc/internal/autocorr"
@@ -17,20 +16,11 @@ const (
 	SeqES Algorithm = iota
 	// SeqGlobalES is the sequential G-ES-MC (Definition 3).
 	SeqGlobalES
-	// NaiveParES is the inexact parallel baseline (§5.1). It does not
-	// faithfully implement ES-MC; use it only for performance studies.
-	NaiveParES
 	// ParES is the exact parallel ES-MC (Algorithm 2).
 	ParES
 	// ParGlobalES is the exact parallel G-ES-MC (Algorithm 3) — the
 	// paper's headline algorithm and the recommended default.
 	ParGlobalES
-	// AdjListES is the unsorted adjacency-list sequential baseline
-	// (NetworKit-style data structure).
-	AdjListES
-	// AdjSortES is the sorted adjacency-list sequential baseline
-	// (Gengraph-style data structure).
-	AdjSortES
 	// Curveball is the Curveball trade chain (Carstens, Berger & Strona
 	// 2016): one superstep performs ⌊n/2⌋ uniformly random trades, each
 	// shuffling the disjoint neighborhoods of two nodes. Trades execute
@@ -62,11 +52,8 @@ const (
 var algNames = map[Algorithm]core.Algorithm{
 	SeqES:       core.AlgSeqES,
 	SeqGlobalES: core.AlgSeqGlobalES,
-	NaiveParES:  core.AlgNaiveParES,
 	ParES:       core.AlgParES,
 	ParGlobalES: core.AlgParGlobalES,
-	AdjListES:   core.AlgAdjListES,
-	AdjSortES:   core.AlgAdjSortES,
 }
 
 // curveballNames names the trade chains, which have no core counterpart.
@@ -123,75 +110,9 @@ func (e *ParseError) Unwrap() error { return ErrUnknownAlgorithm }
 // Algorithms lists all implementations in a stable order.
 func Algorithms() []Algorithm {
 	return []Algorithm{
-		SeqES, SeqGlobalES, NaiveParES, ParES, ParGlobalES,
-		AdjListES, AdjSortES, Curveball, GlobalCurveball, Exact,
+		SeqES, SeqGlobalES, ParES, ParGlobalES,
+		Curveball, GlobalCurveball, Exact,
 	}
-}
-
-// Options configures the legacy one-shot entry points Randomize,
-// RandomizeDirected, and SampleFromDegrees.
-//
-// Deprecated: new code should use NewSampler with functional options
-// (WithAlgorithm, WithWorkers, WithSeed, WithThinning, ...), which
-// validates its inputs and amortizes engine setup across samples.
-// Options remains supported as a thin conversion layer.
-type Options struct {
-	// Algorithm selects the implementation; default ParGlobalES.
-	Algorithm Algorithm
-	// Workers is the parallelism degree P; default 1. Negative values
-	// are rejected with ErrInvalidWorkers.
-	Workers int
-	// SwapsPerEdge requests enough supersteps that the expected number
-	// of switch attempts is SwapsPerEdge per edge. The paper (and the
-	// empirical literature it cites) recommends 10-30; default 10,
-	// i.e. 20 supersteps.
-	SwapsPerEdge float64
-	// Supersteps overrides SwapsPerEdge with an explicit superstep
-	// count when > 0 (one superstep = ⌊m/2⌋ switch attempts for ES-MC
-	// chains, one global switch for G-ES-MC chains).
-	Supersteps int
-	// Seed makes runs reproducible; runs with the same (graph, options)
-	// are deterministic.
-	Seed uint64
-	// LoopProb is the P_L of G-ES-MC (Definition 3); default 1e-6.
-	// Values outside [0, 1] are rejected with ErrInvalidLoopProb.
-	LoopProb float64
-	// Prefetch enables the hash-bucket pre-touch pipeline (§5.4).
-	Prefetch bool
-	// SampleViaBuckets makes SeqES sample edges by probing random hash
-	// buckets instead of the auxiliary edge array (§5.3).
-	SampleViaBuckets bool
-}
-
-func (o Options) supersteps() int {
-	if o.Supersteps > 0 {
-		return o.Supersteps
-	}
-	spe := o.SwapsPerEdge
-	if spe <= 0 {
-		spe = 10
-	}
-	return int(math.Ceil(2 * spe))
-}
-
-// samplerOptions converts the legacy struct to functional options.
-// Zero values keep their legacy "use the default" meaning; out-of-range
-// values surface the typed validation errors.
-func (o Options) samplerOptions() []Option {
-	opts := []Option{WithAlgorithm(o.Algorithm), WithSeed(o.Seed)}
-	if o.Workers != 0 {
-		opts = append(opts, WithWorkers(o.Workers))
-	}
-	if o.LoopProb != 0 {
-		opts = append(opts, WithLoopProb(o.LoopProb))
-	}
-	if o.Prefetch {
-		opts = append(opts, WithPrefetch(true))
-	}
-	if o.SampleViaBuckets {
-		opts = append(opts, WithSampleViaBuckets(true))
-	}
-	return opts
 }
 
 // Stats reports what a randomization run did.
@@ -236,51 +157,6 @@ type Stats struct {
 	LoopDefects  int64
 	MultiDefects int64
 	Duration     time.Duration
-}
-
-// Randomize runs the selected switching Markov chain on g in place and
-// returns run statistics. The degree sequence and simplicity of g are
-// preserved; after enough supersteps (default 20) the result is an
-// approximately uniform sample from the set of simple graphs with g's
-// degrees.
-//
-// Randomize is the one-shot form of NewSampler(g, ...) followed by one
-// Step call: every invocation rebuilds the engine's edge-set state from
-// scratch. Callers drawing many samples from the same graph should hold
-// a Sampler (see Ensemble) to amortize that setup.
-func Randomize(g *Graph, opt Options) (Stats, error) { return randomizeOnce(g, opt) }
-
-// randomizeOnce is the one-shot body of Randomize and RandomizeDirected.
-func randomizeOnce(t Target, opt Options) (Stats, error) {
-	start := time.Now()
-	s, err := NewSampler(t, opt.samplerOptions()...)
-	if err != nil {
-		return Stats{}, err
-	}
-	st, err := s.Step(opt.supersteps())
-	// One-shot semantics: release the worker gang immediately (no
-	// sampler survives to Close it) and report a duration that includes
-	// the engine construction the caller paid for, as it always did.
-	s.Close()
-	st.Duration = time.Since(start)
-	return st, err
-}
-
-// SampleFromDegrees materializes the degree sequence with Havel-Hakimi
-// and randomizes it: the one-call path to an approximately uniform
-// sample of a simple graph with the prescribed degrees. For many
-// samples of one sequence, build the graph once with FromDegrees and
-// draw through a Sampler instead.
-func SampleFromDegrees(degrees []int, opt Options) (*Graph, Stats, error) {
-	g, err := FromDegrees(degrees)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats, err := Randomize(g, opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return g, stats, nil
 }
 
 // Chain selects the Markov chain for AnalyzeMixing.

@@ -87,8 +87,7 @@ type Sample struct {
 // without ever rebuilding that state. This amortizes the setup cost the
 // paper's data structures (§5) are designed around: drawing k samples
 // through one Sampler costs one compilation plus burn-in plus (k-1)
-// thinning intervals, against k full burn-ins for k one-shot Randomize
-// calls.
+// thinning intervals, against k full burn-ins for k one-shot samplers.
 //
 // The Sampler mutates the target in place; Ensemble and Collect hand
 // out deep copies. A Sampler is not safe for concurrent use.
@@ -383,8 +382,8 @@ func newExactEngine(g *Graph, cfg *samplerConfig) (*switching.Engine, error) {
 
 func (g *Graph) snapshot() (*Graph, *DiGraph) { return g.Clone(), nil }
 
-// compile builds an undirected target's engine: the seven switching
-// implementations, the two Curveball chains, and the exact tier.
+// compile builds an undirected target's engine: the four switching
+// chains, the two Curveball chains, and the exact tier.
 func (g *Graph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 	if g == nil || g.g == nil {
 		return nil, ErrNilTarget
@@ -401,9 +400,6 @@ func (g *Graph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 		}
 		eng := curveball.NewEngine(g.g, cfg.workers, cfg.seed)
 		eng.Prefetch = cfg.prefetch
-		if cfg.chunkBytes > 0 {
-			eng.SetChunkBytes(cfg.chunkBytes)
-		}
 		return switching.NewEngine(eng.Stepper(cfg.algorithm == GlobalCurveball, g.g.Edges())), nil
 	}
 	ca, ok := algNames[cfg.algorithm]
@@ -412,14 +408,6 @@ func (g *Graph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 	}
 	var spec *constraint.Spec
 	if len(cfg.constraints) > 0 {
-		switch cfg.algorithm {
-		case SeqES, SeqGlobalES, ParES, ParGlobalES:
-		default:
-			return nil, fmt.Errorf("%w: %s", ErrUnsupportedConstraint, cfg.algorithm)
-		}
-		if cfg.sampleViaBuckets {
-			return nil, fmt.Errorf("%w: WithSampleViaBuckets", ErrUnsupportedConstraint)
-		}
 		var err error
 		spec, err = compileConstraints(cfg.constraints, g.g.N(), false, g.g.Edges(), g.IsConnected)
 		if err != nil {
@@ -427,13 +415,11 @@ func (g *Graph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 		}
 	}
 	eng, err := core.NewEngine(g.g, ca, core.Config{
-		Workers:          cfg.workers,
-		Seed:             cfg.seed,
-		LoopProb:         cfg.loopProb,
-		Prefetch:         cfg.prefetch,
-		SampleViaBuckets: cfg.sampleViaBuckets,
-		ChunkBytes:       cfg.chunkBytes,
-		Constraint:       spec,
+		Workers:    cfg.workers,
+		Seed:       cfg.seed,
+		LoopProb:   cfg.loopProb,
+		Prefetch:   cfg.prefetch,
+		Constraint: spec,
 	})
 	if err != nil {
 		if errors.Is(err, core.ErrTooSmall) {
@@ -477,7 +463,6 @@ func (g *DiGraph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 		Seed:       cfg.seed,
 		LoopProb:   cfg.loopProb,
 		Prefetch:   cfg.prefetch,
-		ChunkBytes: cfg.chunkBytes,
 		Constraint: spec,
 	})
 	if err != nil {

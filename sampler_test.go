@@ -31,6 +31,9 @@ func TestNewSamplerOptionValidation(t *testing.T) {
 	if _, err := NewSampler(nil); !errors.Is(err, ErrNilTarget) {
 		t.Errorf("nil target: err = %v", err)
 	}
+	if _, err := NewSampler(&DiGraph{}); !errors.Is(err, ErrNilTarget) {
+		t.Errorf("empty DiGraph: err = %v", err)
+	}
 	tiny, err := NewGraph(3, [][2]uint32{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -43,56 +46,14 @@ func TestNewSamplerOptionValidation(t *testing.T) {
 	}
 }
 
-func TestLegacyOptionsValidation(t *testing.T) {
-	g := GenerateGNP(64, 0.1, 2)
-	if _, err := Randomize(g.Clone(), Options{Workers: -3}); !errors.Is(err, ErrInvalidWorkers) {
-		t.Errorf("negative Workers: err = %v", err)
-	}
-	if _, err := Randomize(g.Clone(), Options{LoopProb: 2}); !errors.Is(err, ErrInvalidLoopProb) {
-		t.Errorf("LoopProb=2: err = %v", err)
-	}
-	if _, err := Randomize(g.Clone(), Options{Algorithm: Algorithm(42)}); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Errorf("bogus algorithm: err = %v", err)
-	}
-	if _, err := RandomizeDirected(&DiGraph{}, Options{}); !errors.Is(err, ErrNilTarget) {
-		t.Errorf("empty DiGraph wrapper: err = %v", err)
-	}
-}
-
 func TestSamplerUnsupportedDirectedAlgorithms(t *testing.T) {
 	g, err := FromInOutDegrees([]int{2, 1, 1, 0}, []int{0, 1, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []Algorithm{NaiveParES, ParES, AdjListES, AdjSortES, Curveball, GlobalCurveball} {
+	for _, alg := range []Algorithm{ParES, Curveball, GlobalCurveball, Exact} {
 		if _, err := NewSampler(g, WithAlgorithm(alg)); !errors.Is(err, ErrUnsupportedAlgorithm) {
 			t.Errorf("%v on digraph: err = %v, want ErrUnsupportedAlgorithm", alg, err)
-		}
-	}
-}
-
-// TestSamplerMatchesRandomize: the deprecated one-shot wrapper and an
-// explicit Sampler must walk the identical chain.
-func TestSamplerMatchesRandomize(t *testing.T) {
-	base := GenerateGNP(128, 0.1, 7)
-	for _, alg := range []Algorithm{SeqES, SeqGlobalES, ParGlobalES, GlobalCurveball} {
-		a := base.Clone()
-		if _, err := Randomize(a, Options{Algorithm: alg, Workers: 2, Seed: 5, Supersteps: 8}); err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		b := base.Clone()
-		s, err := NewSampler(b, WithAlgorithm(alg), WithWorkers(2), WithSeed(5))
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if _, err := s.Step(8); err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		ae, be := a.Edges(), b.Edges()
-		for i := range ae {
-			if ae[i] != be[i] {
-				t.Fatalf("%v: Randomize and Sampler.Step diverge at edge %d", alg, i)
-			}
 		}
 	}
 }
@@ -341,7 +302,7 @@ func TestCurveballPublicEnum(t *testing.T) {
 		}
 		base := GenerateGNP(96, 0.12, 13)
 		wantDeg := base.Degrees()
-		stats, err := Randomize(base, Options{Algorithm: alg, Seed: 21, SwapsPerEdge: 3})
+		stats, err := stepOnce(base, 6, WithAlgorithm(alg), WithSeed(21))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -420,7 +381,7 @@ func TestHasEdgeIndexInvalidation(t *testing.T) {
 		}
 	}
 	check()
-	if _, err := Randomize(g, Options{Algorithm: ParGlobalES, Workers: 2, Seed: 1, Supersteps: 6}); err != nil {
+	if _, err := stepOnce(g, 6, WithAlgorithm(ParGlobalES), WithWorkers(2), WithSeed(1)); err != nil {
 		t.Fatal(err)
 	}
 	check() // index must have been invalidated and rebuilt
