@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"gesmc/internal/autocorr"
 	"gesmc/internal/core"
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
@@ -81,12 +80,13 @@ func BenchmarkFig2Autocorr(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	thinnings := autocorr.DefaultThinnings(8)
-	for _, chain := range []autocorr.Chain{autocorr.ChainES, autocorr.ChainGlobalES} {
-		b.Run(chain.String(), func(b *testing.B) {
+	for _, alg := range []Algorithm{SeqES, SeqGlobalES} {
+		b.Run(alg.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				autocorr.Analyze(g, chain, 48, thinnings, 1e-6, uint64(i))
+				if _, err := AnalyzeMixing(&Graph{g: g}, alg, 48, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

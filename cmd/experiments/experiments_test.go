@@ -28,6 +28,12 @@ func TestFig3Driver(t *testing.T) {
 	}
 }
 
+func TestCurveballDriver(t *testing.T) {
+	if err := curveballCmp(quickOptions()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTable4Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow driver")

@@ -67,8 +67,15 @@
 //
 // The first sample pays the burn-in (default: 10 switch attempts per
 // edge); each further sample only a thinning interval. AnalyzeMixing
-// runs the paper's §6.1 autocorrelation/BIC diagnostic and its
-// FirstThinningBelow result is the natural input to WithThinning:
+// runs the paper's §6.1 autocorrelation/BIC diagnostic on any served
+// algorithm: it compiles the chain over a clone of the graph exactly as
+// NewSampler would, so the curve measures the chain a Sampler runs.
+//
+//	res, err := gesmc.AnalyzeMixing(g, gesmc.ParGlobalES, 256, 1)
+//	if err != nil { ... } // at least 16 supersteps and 2 edges
+//	k := res.FirstThinningBelow(0.05)
+//
+// FirstThinningBelow's result is the natural input to WithThinning:
 // thinning measured this way is typically several times shorter than a
 // full burn-in, which (together with engine reuse) is where the
 // ensemble throughput win over repeated one-shot runs comes from.

@@ -29,8 +29,9 @@ var (
 	// ErrInvalidThinning is returned for a thinning below one superstep.
 	ErrInvalidThinning = errors.New("gesmc: thinning must be at least 1 superstep")
 	// ErrInvalidSupersteps is returned when a negative superstep count is
-	// requested from Step.
-	ErrInvalidSupersteps = errors.New("gesmc: superstep count must be non-negative")
+	// requested from Step, or fewer than 16 supersteps from
+	// AnalyzeMixing.
+	ErrInvalidSupersteps = errors.New("gesmc: invalid superstep count")
 	// ErrInvalidCount is returned for a negative ensemble size.
 	ErrInvalidCount = errors.New("gesmc: sample count must be non-negative")
 	// ErrGraphTooSmall is returned for target graphs with fewer than two

@@ -2,8 +2,13 @@ package gesmc
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"gesmc/internal/gen"
+	"gesmc/internal/rng"
 )
 
 func TestNewGraphValidation(t *testing.T) {
@@ -210,17 +215,129 @@ func TestMetricsExposed(t *testing.T) {
 }
 
 func TestAnalyzeMixingShape(t *testing.T) {
+	pld, err := GeneratePowerLaw(128, 2.5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regular, err := GenerateRegular(64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeless, err := NewGraph(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneEdge, err := NewGraph(3, [][2]uint32{{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		name string
+		g    *Graph
+		alg  Algorithm
+		err  error
+	}
+	var rows []row
+	for _, alg := range Algorithms() {
+		g := pld
+		if alg == Exact {
+			g = regular // inside the exact tier's regime
+		}
+		rows = append(rows,
+			row{alg.String(), g, alg, nil},
+			row{alg.String() + "/edgeless", edgeless, alg, ErrGraphTooSmall},
+			row{alg.String() + "/one-edge", oneEdge, alg, ErrGraphTooSmall})
+	}
+	rows = append(rows, row{"Exact/out-of-regime", pld, Exact, ErrExactUnsupported})
+
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			before := r.g.Edges()
+			res, err := AnalyzeMixing(r.g, r.alg, 40, 6)
+			if !slices.Equal(r.g.Edges(), before) {
+				t.Fatal("AnalyzeMixing modified its input graph")
+			}
+			if r.err != nil {
+				if !errors.Is(err, r.err) {
+					t.Fatalf("err = %v, want %v", err, r.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Thinnings, []int{1, 2, 3, 4}) || len(res.NonIndependent) != len(res.Thinnings) {
+				t.Fatalf("malformed mixing result %+v", res)
+			}
+			first, last := res.NonIndependent[0], res.NonIndependent[len(res.NonIndependent)-1]
+			if r.alg == Exact {
+				// Independent draws: nothing beyond the BIC test's
+				// false-positive floor, already at thinning 1.
+				if first > 0.1 {
+					t.Fatalf("exact draws look autocorrelated: %v", res.NonIndependent)
+				}
+				return
+			}
+			if first < last {
+				t.Fatalf("autocorrelation did not decay with thinning: %v", res.NonIndependent)
+			}
+		})
+	}
+}
+
+func TestAnalyzeMixingSupersteps(t *testing.T) {
 	g, err := GeneratePowerLaw(128, 2.5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chain := range []Chain{ChainES, ChainGlobalES} {
-		res := AnalyzeMixing(g, chain, 40, 6)
-		if len(res.Thinnings) == 0 || len(res.Thinnings) != len(res.NonIndependent) {
-			t.Fatal("malformed mixing result")
+	for _, tc := range []struct {
+		supersteps int
+		thinnings  []int // nil: refused
+	}{
+		{-5, nil}, {0, nil}, {1, nil}, {15, nil},
+		{16, []int{1, 2}},
+		{40, []int{1, 2, 3, 4}},
+		{64, []int{1, 2, 3, 4, 6, 8}},
+	} {
+		res, err := AnalyzeMixing(g, SeqGlobalES, tc.supersteps, 1)
+		if tc.thinnings == nil {
+			if !errors.Is(err, ErrInvalidSupersteps) {
+				t.Errorf("supersteps=%d: err = %v, want ErrInvalidSupersteps", tc.supersteps, err)
+			}
+			continue
 		}
-		if res.NonIndependent[0] < res.NonIndependent[len(res.NonIndependent)-1] {
-			t.Fatal("autocorrelation did not decay with thinning")
+		if err != nil || !slices.Equal(res.Thinnings, tc.thinnings) {
+			t.Errorf("supersteps=%d: thinnings %v, err %v; want %v", tc.supersteps, res.Thinnings, err, tc.thinnings)
+		}
+	}
+}
+
+// TestAnalyzeMixingGoldenCurves pins the SeqES and SeqGlobalES curves to
+// the values of the dedicated ES/G-ES harness loop that AnalyzeMixing
+// replaced: the steppers draw the same MT19937 stream (TwoDistinct then
+// Bool per switch; Perm then Binom per global switch), so the curves
+// are bit-identical, with the bucket pre-touch pipeline on or off.
+func TestAnalyzeMixingGoldenCurves(t *testing.T) {
+	raw, err := gen.SynPldGraph(128, 2.3, rng.NewMT19937(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &Graph{g: raw}
+	golden := map[Algorithm][]float64{
+		SeqES:       {0.6707317073170732, 0.1524390243902439, 0.07926829268292683, 0.04878048780487805, 0.10365853658536585, 0.17682926829268292},
+		SeqGlobalES: {0.4451219512195122, 0.06707317073170732, 0.06707317073170732, 0.07317073170731707, 0.09146341463414634, 0.12804878048780488},
+	}
+	for alg, want := range golden {
+		for _, prefetch := range []bool{false, true} {
+			cfg := defaultSamplerConfig()
+			cfg.algorithm, cfg.seed, cfg.prefetch = alg, 99, prefetch
+			res, err := analyzeMixing(g, &cfg, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.NonIndependent, want) {
+				t.Errorf("%v prefetch=%v: curve %v, want %v", alg, prefetch, res.NonIndependent, want)
+			}
 		}
 	}
 }

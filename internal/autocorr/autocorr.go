@@ -12,11 +12,7 @@
 // keeping memory at Θ(|tracked| · |thinnings|).
 package autocorr
 
-import (
-	"math"
-
-	"gesmc/internal/graph"
-)
+import "math"
 
 // Collector accumulates thinned transition counts for a set of tracked
 // edges.
@@ -153,17 +149,4 @@ func DefaultThinnings(max int) []int {
 		}
 	}
 	return out
-}
-
-// TrackedBits fills buf with the existence bit of every tracked edge,
-// given a membership oracle.
-func TrackedBits(tracked []graph.Edge, contains func(graph.Edge) bool, buf []bool) []bool {
-	if cap(buf) < len(tracked) {
-		buf = make([]bool, len(tracked))
-	}
-	buf = buf[:len(tracked)]
-	for i, e := range tracked {
-		buf[i] = contains(e)
-	}
-	return buf
 }

@@ -1,12 +1,17 @@
 package autocorr
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
+	"gesmc/internal/core"
+	"gesmc/internal/curveball"
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 func TestG2Degenerate(t *testing.T) {
@@ -114,14 +119,23 @@ func TestAnalyzeBothChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chain := range []Chain{ChainES, ChainGlobalES} {
-		res := Analyze(g, chain, 60, DefaultThinnings(16), 0.01, 99)
+	for _, alg := range []core.Algorithm{core.AlgSeqES, core.AlgSeqGlobalES} {
+		work := g.Clone()
+		eng, err := core.NewEngine(work, alg, core.Config{Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Analyze(eng, work.Edges(), 60, DefaultThinnings(16))
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res.NonIndependent) != len(res.Thinnings) {
 			t.Fatal("result length mismatch")
 		}
 		// At thinning 1 the chain is strongly autocorrelated.
 		if res.NonIndependent[0] < 0.3 {
-			t.Fatalf("%v: thinning 1 fraction %.3f suspiciously low", chain, res.NonIndependent[0])
+			t.Fatalf("%v: thinning 1 fraction %.3f suspiciously low", alg, res.NonIndependent[0])
 		}
 		// Fractions are probabilities.
 		for _, f := range res.NonIndependent {
@@ -132,8 +146,49 @@ func TestAnalyzeBothChains(t *testing.T) {
 		// The curve should broadly decrease: final below initial.
 		last := res.NonIndependent[len(res.NonIndependent)-1]
 		if last >= res.NonIndependent[0] {
-			t.Fatalf("%v: no decay: first %.3f, last %.3f", chain, res.NonIndependent[0], last)
+			t.Fatalf("%v: no decay: first %.3f, last %.3f", alg, res.NonIndependent[0], last)
 		}
+	}
+}
+
+// toggler is a stepper that alternates live[0] between the tracked edge
+// it started as and an untracked edge, leaving every other edge fixed.
+type toggler struct {
+	live    []graph.Edge
+	a, b    graph.Edge
+	failAt  int
+	stepped int
+}
+
+func (s *toggler) Step(*switching.Stats) error {
+	s.stepped++
+	if s.stepped == s.failAt {
+		return errors.New("stepper failed")
+	}
+	if s.live[0] == s.a {
+		s.live[0] = s.b
+	} else {
+		s.live[0] = s.a
+	}
+	return nil
+}
+
+func TestAnalyzeTracksLiveEdges(t *testing.T) {
+	live := []graph.Edge{graph.MakeEdge(0, 1), graph.MakeEdge(2, 3), graph.MakeEdge(4, 5), graph.MakeEdge(6, 7)}
+	st := &toggler{live: live, a: live[0], b: graph.MakeEdge(0, 3)}
+	res, err := Analyze(switching.NewEngine(st), live, 32, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At k=1 only the alternating edge is Markov-like; at k=2 its
+	// thinned series is constant like every other edge's.
+	if want := []float64{0.25, 0}; !slices.Equal(res.NonIndependent, want) {
+		t.Fatalf("NonIndependent = %v, want %v", res.NonIndependent, want)
+	}
+
+	failing := &toggler{live: live, a: live[0], b: graph.MakeEdge(0, 3), failAt: 3}
+	if _, err := Analyze(switching.NewEngine(failing), live, 32, []int{1}); err == nil {
+		t.Fatal("stepper error not returned")
 	}
 }
 
@@ -165,15 +220,6 @@ func TestMeanResults(t *testing.T) {
 	}
 }
 
-func TestTrackedBits(t *testing.T) {
-	edges := []graph.Edge{graph.MakeEdge(0, 1), graph.MakeEdge(2, 3)}
-	present := map[graph.Edge]bool{graph.MakeEdge(0, 1): true}
-	bits := TrackedBits(edges, func(e graph.Edge) bool { return present[e] }, nil)
-	if !bits[0] || bits[1] {
-		t.Fatalf("bits = %v", bits)
-	}
-}
-
 func TestAnalyzeCurveball(t *testing.T) {
 	src := rng.NewMT19937(8)
 	g, err := gen.SynPldGraph(128, 2.4, src)
@@ -181,7 +227,13 @@ func TestAnalyzeCurveball(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, global := range []bool{false, true} {
-		res := AnalyzeCurveball(g, global, 48, DefaultThinnings(8), 99)
+		work := g.Clone()
+		eng := switching.NewEngine(curveball.NewEngine(work, 2, 99).Stepper(global, work.Edges()))
+		res, err := Analyze(eng, work.Edges(), 48, DefaultThinnings(8))
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(res.NonIndependent) != len(res.Thinnings) {
 			t.Fatal("malformed result")
 		}

@@ -1,82 +1,59 @@
 package autocorr
 
 import (
-	"gesmc/internal/core"
+	"context"
+
 	"gesmc/internal/graph"
-	"gesmc/internal/hashset"
-	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
-
-// Chain selects which Markov chain the harness drives.
-type Chain int
-
-const (
-	// ChainES is ES-MC; one superstep = ⌊m/2⌋ uniform switches.
-	ChainES Chain = iota
-	// ChainGlobalES is G-ES-MC; one superstep = one global switch.
-	ChainGlobalES
-)
-
-func (c Chain) String() string {
-	if c == ChainGlobalES {
-		return "G-ES-MC"
-	}
-	return "ES-MC"
-}
 
 // Result is the outcome of one analysis run.
 type Result struct {
-	Chain     Chain
 	Thinnings []int
 	// NonIndependent[i] is the fraction of tracked edges still
 	// Markov-like at thinning Thinnings[i].
 	NonIndependent []float64
 }
 
-// Analyze runs the chain for supersteps supersteps on a clone of g,
-// tracking the edges of the initial graph (the paper's NetRep protocol;
-// for tiny graphs this is nearly all information) and returns the
-// fraction of non-independent edges per thinning value.
-func Analyze(g *graph.Graph, chain Chain, supersteps int, thinnings []int, loopProb float64, seed uint64) Result {
-	work := g.Clone()
-	m := work.M()
-	E := work.Edges()
-	S := hashset.FromEdges(E, 0.5)
-	src := rng.NewMT19937(seed)
-
-	tracked := append([]graph.Edge(nil), g.Edges()...)
-	col := NewCollector(len(tracked), thinnings)
-	bits := make([]bool, len(tracked))
-
+// Analyze runs eng for supersteps supersteps, one Steps call each, and
+// returns the fraction of non-independent edges per thinning value. The
+// tracked edges are those in live at entry (the paper's NetRep
+// protocol; for tiny graphs this is nearly all information). live must
+// be the target's edge list that eng's stepper mutates in place or
+// writes back in Finish, so that after every Steps call it holds the
+// chain's current edges; recording scans it against an index of the
+// tracked edges in Θ(m) per superstep.
+func Analyze(eng *switching.Engine, live []graph.Edge, supersteps int, thinnings []int) (Result, error) {
+	index := make(map[graph.Edge]int, len(live))
+	for i, e := range live {
+		index[e] = i
+	}
+	col := NewCollector(len(live), thinnings)
+	bits := make([]bool, len(live))
 	record := func(t int) {
-		bits = TrackedBits(tracked, S.Contains, bits)
+		clear(bits)
+		for _, e := range live {
+			if i, ok := index[e]; ok {
+				bits[i] = true
+			}
+		}
 		col.Record(t, bits)
 	}
-	record(0)
 
-	var buf []core.Switch
+	record(0)
 	for t := 1; t <= supersteps; t++ {
-		switch chain {
-		case ChainES:
-			sw := core.SampleSwitches(m, m/2, src)
-			core.ExecuteSequential(E, S, sw)
-		case ChainGlobalES:
-			perm, l := core.SampleGlobalSwitch(m, loopProb, src)
-			_, buf = core.ExecuteGlobalSequential(E, S, perm, l, buf)
+		if _, err := eng.Steps(context.Background(), 1); err != nil {
+			return Result{}, err
 		}
 		record(t)
 	}
-
-	return Result{
-		Chain:          chain,
-		Thinnings:      col.Thinnings(),
-		NonIndependent: col.FractionNonIndependent(),
-	}
+	return Result{Thinnings: col.Thinnings(), NonIndependent: col.FractionNonIndependent()}, nil
 }
 
 // FirstThinningBelow returns the smallest thinning value whose
 // non-independent fraction is below tau, or 0 if none qualifies — the
-// y-axis of Figure 3.
+// y-axis of Figure 3, and the natural input to WithThinning when drawing
+// ensembles from graphs of the same scale.
 func (r Result) FirstThinningBelow(tau float64) int {
 	for i, k := range r.Thinnings {
 		if r.NonIndependent[i] < tau {
@@ -93,7 +70,6 @@ func MeanResults(results []Result) Result {
 		return Result{}
 	}
 	out := Result{
-		Chain:          results[0].Chain,
 		Thinnings:      results[0].Thinnings,
 		NonIndependent: make([]float64, len(results[0].NonIndependent)),
 	}

@@ -1,12 +1,14 @@
 package curveball
 
 import (
-	"sort"
+	"context"
+	"slices"
 	"testing"
 
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 func checkInvariants(t *testing.T, before, after *graph.Graph) {
@@ -23,15 +25,55 @@ func checkInvariants(t *testing.T, before, after *graph.Graph) {
 	}
 }
 
+func edgeKey(es []graph.Edge) string {
+	key := ""
+	for _, e := range sortedEdges(es) {
+		key += e.String()
+	}
+	return key
+}
+
+// tradeOnce runs the single trade (u, v) as a one-pair batch on both the
+// Reference and a fresh Engine and returns the resulting edge set, after
+// checking that the two agree.
+func tradeOnce(t *testing.T, ref *Reference, eng *Engine, m int, u, v uint32, seed uint64) []graph.Edge {
+	t.Helper()
+	pairs := [][2]uint32{{u, v}}
+	ref.TradeBatch(pairs, seed)
+	eng.TradeBatch(pairs, seed)
+	want := ref.Edges()
+	if got := sortedEdges(engineEdges(eng, m)); !slices.Equal(got, sortedEdges(want)) {
+		t.Fatalf("seed %d: engine %v, reference %v", seed, got, want)
+	}
+	return want
+}
+
 func TestTradePreservesInvariants(t *testing.T) {
+	// 500 uniform single-pair trades, each run as a one-pair batch on the
+	// Engine and checked against the Reference.
 	src := rng.NewMT19937(1)
 	g := gen.GNP(64, 0.15, src)
-	s := NewState(g)
+	ref, eng := NewReference(g), NewEngine(g, 2, 1)
+	defer eng.Close()
 	for i := 0; i < 500; i++ {
 		u, v := rng.TwoDistinct(src, g.N())
-		s.Trade(graph.Node(u), graph.Node(v), src)
+		tradeOnce(t, ref, eng, g.M(), uint32(u), uint32(v), uint64(i))
 	}
-	checkInvariants(t, g, s.Graph())
+	checkInvariants(t, g, eng.Graph())
+}
+
+func TestGlobalTradeInvariants(t *testing.T) {
+	src := rng.NewMT19937(4)
+	g, err := gen.SynPldGraph(128, 2.3, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(g, 2, 4)
+	defer eng.Close()
+	for i := 0; i < 20; i++ {
+		eng.GlobalStep()
+		checkInvariants(t, g, eng.Graph())
+	}
 }
 
 func TestTradeFixedSharedNeighbors(t *testing.T) {
@@ -40,15 +82,14 @@ func TestTradeFixedSharedNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := rng.NewMT19937(2)
-	s := NewState(g)
-	for i := 0; i < 50; i++ {
-		s.Trade(0, 1, src)
-		if !s.Contains(0, 1) {
-			t.Fatal("edge {0,1} vanished")
-		}
-		if !s.Contains(0, 2) || !s.Contains(1, 2) {
-			t.Fatal("shared neighbor 2 was traded")
+	ref, eng := NewReference(g), NewEngine(g, 2, 1)
+	defer eng.Close()
+	for seed := uint64(0); seed < 50; seed++ {
+		edges := tradeOnce(t, ref, eng, g.M(), 0, 1, seed)
+		for _, e := range []graph.Edge{graph.MakeEdge(0, 1), graph.MakeEdge(0, 2), graph.MakeEdge(1, 2)} {
+			if !slices.Contains(edges, e) {
+				t.Fatalf("seed %d: fixed edge %v was traded: %v", seed, e, edges)
+			}
 		}
 	}
 }
@@ -60,56 +101,44 @@ func TestTradeReachesBothAssignments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := rng.NewMT19937(3)
 	seen := map[string]bool{}
-	for trial := 0; trial < 200; trial++ {
-		s := NewState(base)
-		s.Trade(0, 1, src)
-		g := s.Graph()
-		edges := append([]graph.Edge(nil), g.Edges()...)
-		sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-		key := ""
-		for _, e := range edges {
-			key += e.String()
-		}
-		seen[key] = true
+	for seed := uint64(0); seed < 200; seed++ {
+		eng := NewEngine(base, 1, seed)
+		seen[edgeKey(tradeOnce(t, NewReference(base), eng, base.M(), 0, 1, seed))] = true
+		eng.Close()
 	}
-	if len(seen) < 2 {
-		t.Fatalf("trades never moved the exclusive neighbors: %v", seen)
+	if len(seen) != 2 {
+		t.Fatalf("trades reached %d assignments, want 2: %v", len(seen), seen)
 	}
-}
-
-func TestGlobalTradeInvariants(t *testing.T) {
-	src := rng.NewMT19937(4)
-	g, err := gen.SynPldGraph(128, 2.3, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewState(g)
-	for i := 0; i < 20; i++ {
-		s.GlobalTrade(src)
-	}
-	checkInvariants(t, g, s.Graph())
 }
 
 func TestRunnersRandomize(t *testing.T) {
+	// Both served chains, driven through switching.Engine: every Steps
+	// call writes the current edges back into the target's edge list.
 	src := rng.NewMT19937(5)
 	g := gen.GNP(64, 0.2, src)
-	cb := RunCurveball(g, 500, 7)
-	checkInvariants(t, g, cb)
-	if graph.SameEdgeSet(g, cb) {
-		t.Fatal("Curveball left the graph unchanged")
-	}
-	gcb := RunGlobalCurveball(g, 10, 8)
-	checkInvariants(t, g, gcb)
-	if graph.SameEdgeSet(g, gcb) {
-		t.Fatal("Global Curveball left the graph unchanged")
+	for _, global := range []bool{false, true} {
+		work := g.Clone()
+		eng := switching.NewEngine(NewEngine(work, 2, 7).Stepper(global, work.Edges()))
+		for i := 0; i < 5; i++ {
+			if _, err := eng.Steps(context.Background(), 2); err != nil {
+				t.Fatal(err)
+			}
+			checkInvariants(t, g, work)
+		}
+		eng.Close()
+		if graph.SameEdgeSet(g, work) {
+			t.Fatalf("global=%v left the graph unchanged", global)
+		}
 	}
 }
 
 func TestCurveballUniformOverMatchings(t *testing.T) {
-	// Same 15-state enumeration as the core chains: Curveball on the
-	// perfect matchings of K6 must also converge to uniform.
+	// The 15-state enumeration used by the other chains, for the local
+	// Curveball chain: ⌊n/2⌋ uniform trades per superstep, run as
+	// node-disjoint batches, must converge to uniform over the perfect
+	// matchings of K6 (the global chain is covered by
+	// TestParallelGlobalCurveballUniformOverMatchings).
 	base, err := graph.FromPairs(6, [][2]graph.Node{{0, 1}, {2, 3}, {4, 5}})
 	if err != nil {
 		t.Fatal(err)
@@ -117,14 +146,12 @@ func TestCurveballUniformOverMatchings(t *testing.T) {
 	counts := map[string]int{}
 	const runs = 3000
 	for r := 0; r < runs; r++ {
-		g := RunGlobalCurveball(base, 20, uint64(r)*2654435761+3)
-		edges := append([]graph.Edge(nil), g.Edges()...)
-		sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-		key := ""
-		for _, e := range edges {
-			key += e.String()
+		e := NewEngine(base, 1, uint64(r)*2654435761+3)
+		for s := 0; s < 20; s++ {
+			e.LocalStep()
 		}
-		counts[key]++
+		counts[edgeKey(engineEdges(e, base.M()))]++
+		e.Close()
 	}
 	if len(counts) != 15 {
 		t.Fatalf("reached %d of 15 states", len(counts))

@@ -2,6 +2,8 @@ package gesmc
 
 import (
 	"bytes"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -122,4 +124,45 @@ func TestDirectedSamplerFromArcList(t *testing.T) {
 	if err := back.CheckSimple(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkReaderContract is the contract FuzzReadEdgeList and
+// FuzzReadArcList check on arbitrary input: read either fails, or
+// returns a simple graph whose WriteEdgeList output reads back with the
+// same node count and the same edges in the same order.
+func checkReaderContract[T interface {
+	Target
+	N() int
+	CheckSimple() error
+}](t *testing.T, data []byte, read func(io.Reader) (T, error), pairs func(T) [][2]uint32) {
+	g, err := read(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	if err := g.CheckSimple(); err != nil {
+		t.Fatalf("reader returned a non-simple graph: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := read(&buf)
+	if err != nil {
+		t.Fatalf("written graph does not read back: %v\n%s", err, buf.Bytes())
+	}
+	if back.N() != g.N() || !slices.Equal(pairs(back), pairs(g)) {
+		t.Fatalf("round trip changed the graph: n %d -> %d, edges %v -> %v", g.N(), back.N(), pairs(g), pairs(back))
+	}
+}
+
+func FuzzReadEdgeList(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReaderContract(t, data, ReadEdgeList, (*Graph).Edges)
+	})
+}
+
+func FuzzReadArcList(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReaderContract(t, data, ReadArcList, (*DiGraph).Arcs)
+	})
 }

@@ -1,6 +1,7 @@
 package gesmc
 
 import (
+	"fmt"
 	"time"
 
 	"gesmc/internal/autocorr"
@@ -159,50 +160,54 @@ type Stats struct {
 	Duration     time.Duration
 }
 
-// Chain selects the Markov chain for AnalyzeMixing.
-type Chain int
+// MixingResult is the output of AnalyzeMixing: NonIndependent[i] is the
+// fraction of tracked edges whose time series, thinned to every
+// Thinnings[i]-th superstep, still looks first-order-Markov rather than
+// independent (§6.1's autocorrelation/BIC diagnostic). Its
+// FirstThinningBelow method returns the smallest thinning whose
+// fraction is below tau, or 0 if none: the natural input to
+// WithThinning when drawing ensembles from graphs of the same scale.
+type MixingResult = autocorr.Result
 
-const (
-	// ChainES is standard ES-MC.
-	ChainES Chain = iota
-	// ChainGlobalES is the paper's G-ES-MC.
-	ChainGlobalES
-)
+// minMixingSupersteps is the shortest run AnalyzeMixing accepts: the
+// schedule's largest thinning, supersteps/8, is then at least 2 and
+// every reported thinning has at least 8 transitions.
+const minMixingSupersteps = 16
 
-// MixingResult is the output of AnalyzeMixing: for each thinning value
-// (in supersteps), the fraction of tracked edges whose thinned
-// time series still looks first-order-Markov rather than independent
-// (§6.1's autocorrelation/BIC diagnostic).
-type MixingResult struct {
-	Thinnings      []int
-	NonIndependent []float64
+// AnalyzeMixing measures how fast the served chain alg decorrelates
+// from g: it compiles the chain over a clone of g (the graph is not
+// modified) exactly as NewSampler would, advances it supersteps
+// supersteps, and reports the autocorrelation diagnostic over the edges
+// of g at thinnings up to supersteps/8. It returns an error wrapping
+// ErrInvalidSupersteps for fewer than 16 supersteps, ErrGraphTooSmall
+// for graphs with fewer than two edges (whatever the algorithm), and the
+// errors NewSampler returns for the same graph and algorithm (for
+// example ErrExactUnsupported outside Exact's regime).
+func AnalyzeMixing(g *Graph, alg Algorithm, supersteps int, seed uint64) (MixingResult, error) {
+	cfg := defaultSamplerConfig()
+	cfg.algorithm, cfg.seed = alg, seed
+	return analyzeMixing(g, &cfg, supersteps)
 }
 
-// FirstThinningBelow returns the smallest thinning whose fraction of
-// non-independent edges is below tau, or 0 if none. The returned value
-// is the natural input to WithThinning when drawing ensembles from
-// graphs of the same scale.
-func (m MixingResult) FirstThinningBelow(tau float64) int {
-	for i, k := range m.Thinnings {
-		if m.NonIndependent[i] < tau {
-			return k
-		}
+// analyzeMixing is AnalyzeMixing for a resolved sampler config.
+func analyzeMixing(g *Graph, cfg *samplerConfig, supersteps int) (MixingResult, error) {
+	if supersteps < minMixingSupersteps {
+		return MixingResult{}, fmt.Errorf("%w: AnalyzeMixing needs at least %d, got %d",
+			ErrInvalidSupersteps, minMixingSupersteps, supersteps)
 	}
-	return 0
-}
-
-// AnalyzeMixing runs the chain for the given number of supersteps on a
-// clone of g (the graph is not modified) and reports the autocorrelation
-// diagnostic over the edges of the initial graph.
-func AnalyzeMixing(g *Graph, chain Chain, supersteps int, seed uint64) MixingResult {
-	ac := autocorr.ChainES
-	if chain == ChainGlobalES {
-		ac = autocorr.ChainGlobalES
+	if g == nil || g.g == nil {
+		return MixingResult{}, ErrNilTarget
 	}
-	maxThin := supersteps / 8
-	if maxThin < 2 {
-		maxThin = 2
+	if g.M() < 2 {
+		// Also for Exact, which samples such graphs: a curve over fewer
+		// than two edges is constant or undefined.
+		return MixingResult{}, fmt.Errorf("%w: m=%d", ErrGraphTooSmall, g.M())
 	}
-	res := autocorr.Analyze(g.raw(), ac, supersteps, autocorr.DefaultThinnings(maxThin), core.DefaultLoopProb, seed)
-	return MixingResult{Thinnings: res.Thinnings, NonIndependent: res.NonIndependent}
+	work := g.Clone()
+	eng, err := work.compile(cfg)
+	if err != nil {
+		return MixingResult{}, err
+	}
+	defer eng.Close()
+	return autocorr.Analyze(eng, work.g.Edges(), supersteps, autocorr.DefaultThinnings(supersteps/8))
 }
