@@ -43,6 +43,65 @@ func TestFromDegrees(t *testing.T) {
 	}
 }
 
+// FuzzGraphical checks each graphicality test against a constructive
+// realization: Erdős–Gallai (IsGraphical) against FromDegrees and
+// against Havel–Hakimi run without its Erdős–Gallai guard,
+// Fulkerson–Chen–Anstee (IsDigraphical) against Kleitman–Wang, and
+// Gale–Ryser (IsBigraphical) against FromBipartiteDegrees. Every
+// realization must be simple and carry exactly the requested degrees.
+// Each input byte b is one degree, b%32 - 1, so the range checks are
+// probed too; split picks where the directed and bipartite sequences
+// divide.
+func FuzzGraphical(f *testing.F) {
+	f.Fuzz(func(t *testing.T, split uint8, data []byte) {
+		d := make([]int, len(data))
+		for i, b := range data {
+			d[i] = int(b%32) - 1
+		}
+
+		g, err := FromDegrees(d)
+		_, hhErr := gen.HavelHakimi(d)
+		if ok := IsGraphical(d); ok != (err == nil) || ok != (hhErr == nil) {
+			t.Fatalf("%v: IsGraphical %v, FromDegrees error %v, HavelHakimi error %v", d, ok, err, hhErr)
+		}
+		if err == nil {
+			if err := g.CheckSimple(); err != nil || !slices.Equal(g.Degrees(), d) {
+				t.Fatalf("%v: realized degrees %v (%v)", d, g.Degrees(), err)
+			}
+		}
+
+		// Equal halves, or one extra in-degree when split is odd.
+		half := len(d) / 2
+		out, in := d[:half], d[half:2*half]
+		if split%2 == 1 {
+			in = d[half:]
+		}
+		dg, err := FromInOutDegrees(out, in)
+		if ok := IsDigraphical(out, in); ok != (err == nil) {
+			t.Fatalf("out %v in %v: IsDigraphical %v, FromInOutDegrees error %v", out, in, ok, err)
+		}
+		if err == nil {
+			if err := dg.CheckSimple(); err != nil || !slices.Equal(dg.OutDegrees(), out) || !slices.Equal(dg.InDegrees(), in) {
+				t.Fatalf("out %v in %v: realized %v %v (%v)", out, in, dg.OutDegrees(), dg.InDegrees(), err)
+			}
+		}
+
+		k := int(split) % (len(d) + 1)
+		left, right := d[:k], d[k:]
+		bg, err := FromBipartiteDegrees(left, right)
+		if ok := IsBigraphical(left, right); ok != (err == nil) {
+			t.Fatalf("left %v right %v: IsBigraphical %v, FromBipartiteDegrees error %v", left, right, ok, err)
+		}
+		if err == nil {
+			wantOut := append(slices.Clone(left), make([]int, len(right))...)
+			wantIn := append(make([]int, len(left)), right...)
+			if err := bg.CheckSimple(); err != nil || !slices.Equal(bg.OutDegrees(), wantOut) || !slices.Equal(bg.InDegrees(), wantIn) {
+				t.Fatalf("left %v right %v: realized %v %v (%v)", left, right, bg.OutDegrees(), bg.InDegrees(), err)
+			}
+		}
+	})
+}
+
 func TestGenerators(t *testing.T) {
 	g := GenerateGNP(100, 0.1, 1)
 	if g.N() != 100 || g.M() == 0 {

@@ -193,7 +193,7 @@ func handleSample(b Backend, w http.ResponseWriter, r *http.Request) {
 	// (the Backend emits them).
 	cut := faultinject.Lookup(faultinject.ServerStream)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var buf []byte // one encode buffer for the whole stream
 	streaming := false
 	written := 0
 	err := b.Sample(ctx, &wreq, func(ln wire.Line) error {
@@ -205,7 +205,11 @@ func handleSample(b Backend, w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusOK)
 			streaming = true
 		}
-		if err := enc.Encode(ln); err != nil {
+		var err error
+		if buf, err = wire.AppendLine(buf[:0], &ln); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 		if flusher != nil {

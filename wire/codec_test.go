@@ -1,0 +1,300 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+	"testing/iotest"
+)
+
+// checkEncode asserts that AppendLine writes exactly json.Marshal(ln)
+// plus '\n' after the bytes already in the buffer, fails where
+// json.Marshal fails, and leaves the buffer unchanged when it does.
+func checkEncode(t *testing.T, ln *Line) []byte {
+	t.Helper()
+	const prefix = "prefix"
+	want, werr := json.Marshal(ln)
+	got, gerr := AppendLine([]byte(prefix), ln)
+	if (werr != nil) != (gerr != nil) {
+		t.Fatalf("AppendLine error %v, json.Marshal error %v for %+v", gerr, werr, ln)
+	}
+	if werr != nil {
+		if string(got) != prefix {
+			t.Fatalf("failed AppendLine changed the buffer: %q", got)
+		}
+		return nil
+	}
+	if string(got) != prefix+string(want)+"\n" {
+		t.Fatalf("AppendLine differs from json.Marshal:\n got %q\nwant %q", got[len(prefix):], want)
+	}
+	return got[len(prefix):]
+}
+
+// checkDecode asserts that DecodeLines yields exactly what
+// json.Unmarshal yields on each non-blank line of data, and fails at
+// the first line where json.Unmarshal fails.
+func checkDecode(t *testing.T, data []byte) {
+	t.Helper()
+	var want []Line
+	wantErr := false
+	for _, b := range bytes.Split(data, []byte{'\n'}) {
+		if len(bytes.Trim(b, " \t\r")) == 0 {
+			continue
+		}
+		var ln Line
+		if err := json.Unmarshal(b, &ln); err != nil {
+			wantErr = true
+			break
+		}
+		want = append(want, ln)
+	}
+	var got []Line
+	err := DecodeLines(bytes.NewReader(data), func(ln Line) error {
+		got = append(got, ln)
+		return nil
+	})
+	if (err != nil) != wantErr {
+		t.Fatalf("DecodeLines error %v, json.Unmarshal failed: %v, on %q", err, wantErr, data)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("DecodeLines yielded %d lines, json.Unmarshal %d, on %q", len(got), len(want), data)
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("line %d: DecodeLines yielded %+v, json.Unmarshal %+v, on %q", i, got[i], want[i], data)
+		}
+	}
+}
+
+// lineFromBytes builds a Line straight from arbitrary bytes: header
+// integers and node ids from 4-byte words, strings from the raw bytes
+// (invalid UTF-8 included), and a Stats float from an 8-byte word (NaN
+// and ±Inf included).
+func lineFromBytes(data []byte) *Line {
+	word := func(i int) uint32 {
+		var w [4]byte
+		copy(w[:], data[min(i, len(data)):])
+		return binary.LittleEndian.Uint32(w[:])
+	}
+	flags := word(0)
+	ln := &Line{Index: int(int32(word(4))), Directed: flags&1 != 0}
+	if flags&2 != 0 {
+		ln.Cursor = int(int32(word(8)))
+	}
+	if flags&4 != 0 {
+		ln.Nodes = int(word(12))
+	}
+	if flags&8 != 0 {
+		for i := 16; i+8 <= len(data); i += 8 {
+			ln.Edges = append(ln.Edges, [2]uint32{word(i), word(i + 4)})
+		}
+	}
+	s := string(data)
+	if flags&16 != 0 {
+		ln.Error = s
+	}
+	if flags&32 != 0 {
+		ln.Code = s[len(s)/2:]
+	}
+	if flags&64 != 0 {
+		ln.TraceID = s[:len(s)/2]
+	}
+	if flags&128 != 0 {
+		ln.Stats = &Stats{
+			Algorithm:  s,
+			Supersteps: int(word(12)),
+			AvgRounds:  math.Float64frombits(uint64(word(4))<<32 | uint64(word(8))),
+			TraceID:    s[len(s)/3:],
+		}
+	}
+	return ln
+}
+
+func FuzzLineCodec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, data)
+		// Every decodable line, and a line built from the raw bytes,
+		// must encode as json.Marshal does and decode back as
+		// json.Unmarshal does.
+		_ = DecodeLines(bytes.NewReader(data), func(ln Line) error {
+			checkDecode(t, checkEncode(t, &ln))
+			return nil
+		})
+		checkDecode(t, checkEncode(t, lineFromBytes(data)))
+	})
+}
+
+// randomLine draws a Line covering every field, node ids of every
+// width, and strings that need escaping.
+func randomLine(r *rand.Rand) *Line {
+	strs := []string{"", "closed", "a<b>&c", "line\u2028sep", "q\"\\/\t", "\xff\xfe", "ü"}
+	pick := func() string { return strs[r.IntN(len(strs))] }
+	ln := &Line{Index: r.IntN(1000) - 10, Directed: r.IntN(2) == 0}
+	if r.IntN(2) == 0 {
+		ln.Cursor = ln.Index + 1
+	}
+	if r.IntN(4) > 0 {
+		ln.Nodes = r.IntN(1 << 20)
+	}
+	for range r.IntN(20) {
+		width := uint64(1) << r.IntN(33)
+		ln.Edges = append(ln.Edges, [2]uint32{uint32(r.Uint64N(width)), uint32(r.Uint64N(width))})
+	}
+	if r.IntN(3) > 0 {
+		ln.Stats = &Stats{
+			Algorithm:  pick(),
+			Uniformity: pick(),
+			Supersteps: r.IntN(100),
+			Attempted:  r.Int64(),
+			AvgRounds:  r.Float64() * 10,
+			DurationNS: r.Int64N(1e9),
+			TraceID:    pick(),
+		}
+	}
+	ln.Error, ln.Code, ln.TraceID = pick(), pick(), pick()
+	return ln
+}
+
+func TestLineCodecMatchesEncodingJSON(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	var stream []byte
+	for range 2000 {
+		line := checkEncode(t, randomLine(r))
+		checkDecode(t, line)
+		stream = append(stream, line...)
+	}
+	checkDecode(t, stream)
+}
+
+func TestDecodeLinesTruncated(t *testing.T) {
+	lines := []Line{
+		{Index: 0, Cursor: 1, Nodes: 4, Edges: [][2]uint32{{0, 1}, {2, 3}}, Stats: &Stats{Algorithm: "ParGlobalES", TraceID: "00000000000000ab"}},
+		{Index: 1, Cursor: 2, Nodes: 3, Directed: true, Edges: [][2]uint32{{0, 1}, {1, 0}}, Stats: &Stats{Algorithm: "ParES"}},
+		{Index: 2, Cursor: 2, Error: "engine closed", Code: "closed", TraceID: "00000000000000ab"},
+	}
+	var stream []byte
+	var starts []int
+	for i := range lines {
+		starts = append(starts, len(stream))
+		stream = append(stream, checkEncode(t, &lines[i])...)
+	}
+	starts = append(starts, len(stream))
+
+	for cut := 0; cut <= len(stream); cut++ {
+		// complete counts the lines before the cut, a final line that
+		// lacks only its '\n' included; inside marks a cut within a line.
+		complete, inside := 0, false
+		for k := range lines {
+			switch end := starts[k+1]; {
+			case cut >= end-1:
+				complete = k + 1
+			case cut > starts[k]:
+				inside = true
+			}
+		}
+		var got []Line
+		err := DecodeLines(iotest.OneByteReader(bytes.NewReader(stream[:cut])), func(ln Line) error {
+			got = append(got, ln)
+			return nil
+		})
+		if inside != (err != nil) {
+			t.Fatalf("cut at %d/%d: error %v, want error: %v", cut, len(stream), err, inside)
+		}
+		if len(got) != complete || (complete > 0 && !reflect.DeepEqual(got, lines[:complete])) {
+			t.Fatalf("cut at %d/%d: got %d lines %+v, want the first %d", cut, len(stream), len(got), got, complete)
+		}
+	}
+
+	// A transport error mid-line surfaces as is.
+	broken := errors.New("connection reset")
+	var n int
+	err := DecodeLines(io.MultiReader(bytes.NewReader(stream[:starts[1]+5]), iotest.ErrReader(broken)),
+		func(Line) error { n++; return nil })
+	if !errors.Is(err, broken) || n != 1 {
+		t.Fatalf("read error mid-line: %v after %d lines", err, n)
+	}
+}
+
+// TestDecodeLinesOwnsEdges pins that every callback gets its own Edges
+// backing array: callers such as RemoteBackend keep lines past the
+// callback.
+func TestDecodeLinesOwnsEdges(t *testing.T) {
+	var stream bytes.Buffer
+	for i := range 3 {
+		if err := EncodeLine(&stream, Line{Index: i, Nodes: 3, Edges: [][2]uint32{{0, uint32(i)}, {1, 2}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var kept []Line
+	if err := DecodeLines(&stream, func(ln Line) error { kept = append(kept, ln); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, ln := range kept {
+		if len(ln.Edges) != 2 || ln.Edges[0] != [2]uint32{0, uint32(i)} {
+			t.Fatalf("line %d edges overwritten: %v", i, ln.Edges)
+		}
+	}
+}
+
+// BenchmarkLineCodec times EncodeLine, AppendLine into a reused buffer
+// (the server's path) and DecodeLines on one sample line of about
+// 2.5·10⁴ edges over 2^14 nodes, and reports ns per edge; allocs/op
+// is allocations per line.
+func BenchmarkLineCodec(b *testing.B) {
+	const n, m = 1 << 14, 25000
+	r := rand.New(rand.NewPCG(7, 7))
+	edges := make([][2]uint32, m)
+	for i := range edges {
+		u, v := r.Uint32N(n), r.Uint32N(n)
+		edges[i] = [2]uint32{min(u, v), max(u, v)}
+	}
+	ln := Line{Index: 3, Cursor: 4, Nodes: n, Edges: edges, Stats: &Stats{
+		Algorithm: "GlobalCurveball", Uniformity: "mcmc", Supersteps: 1, Attempted: m, Accepted: m / 2,
+		AvgRounds: 1.25, MaxRounds: 3, DurationNS: 4500000, TraceID: "0123456789abcdef",
+	}}
+	perEdge := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/edge")
+	}
+	var line bytes.Buffer
+	if err := EncodeLine(&line, ln); err != nil {
+		b.Fatal(err)
+	}
+
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		var w bytes.Buffer
+		for b.Loop() {
+			w.Reset()
+			if err := EncodeLine(&w, ln); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perEdge(b)
+	})
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for b.Loop() {
+			var err error
+			if buf, err = AppendLine(buf[:0], &ln); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perEdge(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := DecodeLines(bytes.NewReader(line.Bytes()), func(Line) error { return nil }); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perEdge(b)
+	})
+}

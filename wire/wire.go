@@ -12,14 +12,17 @@
 // client can consume an ensemble incrementally and the server never
 // buffers more than one sample. A terminal error mid-stream is one
 // final Line carrying Error/Code and no edges.
+//
+// Every producer and consumer goes through one line codec: AppendLine
+// (and EncodeLine over it) writes exactly the bytes of json.Marshal
+// plus '\n', with the edge list formatted by hand; DecodeLines frames
+// the stream strictly by line — one JSON object per '\n'-terminated
+// line, so a value spanning lines is an error — and parses the edge
+// list of the encoder's canonical form directly, deferring every other
+// line to encoding/json. Each decoded Line owns its Edges.
 package wire
 
-import (
-	"encoding/json"
-	"io"
-
-	"gesmc"
-)
+import "gesmc"
 
 // SampleRequest is the body of POST /v1/sample. Exactly one target
 // spec must be set:
@@ -358,29 +361,4 @@ type Metrics struct {
 	// Cluster is the coordinator's placement view; absent on plain
 	// daemons.
 	Cluster *ClusterMetrics `json:"cluster,omitempty"`
-}
-
-// EncodeLine writes one NDJSON line (json.Encoder terminates each
-// Encode with '\n', which is exactly the framing).
-func EncodeLine(w io.Writer, ln Line) error {
-	return json.NewEncoder(w).Encode(ln)
-}
-
-// DecodeLines decodes an NDJSON stream, invoking fn per line until EOF,
-// a malformed line, or a non-nil fn result. It is the client-side
-// consumption loop: examples/service and the CLI tests use it.
-func DecodeLines(r io.Reader, fn func(Line) error) error {
-	dec := json.NewDecoder(r)
-	for {
-		var ln Line
-		if err := dec.Decode(&ln); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		if err := fn(ln); err != nil {
-			return err
-		}
-	}
 }
