@@ -60,7 +60,7 @@ func BenchmarkTable4(b *testing.B) {
 		core.AlgAdjListES, core.AlgAdjSortES, core.AlgSeqES, core.AlgSeqGlobalES,
 	} {
 		b.Run(alg.String(), func(b *testing.B) {
-			runAlg(b, pld, alg, 20, core.Config{Seed: 1, Prefetch: true})
+			runAlg(b, pld, alg, 20, core.Config{Seed: 1})
 		})
 	}
 	for _, alg := range []core.Algorithm{core.AlgNaiveParES, core.AlgParES, core.AlgParGlobalES} {
@@ -92,22 +92,20 @@ func BenchmarkFig2Autocorr(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Prefetch regenerates the Figure 5 comparison: sequential
-// and parallel G-ES-MC with the bucket pre-touch pipeline off and on.
-func BenchmarkFig5Prefetch(b *testing.B) {
+// BenchmarkFig5 regenerates the Figure 5 comparison: SeqES and
+// SeqGlobalES against ParGlobalES (the speed-up is the ratio of the
+// SeqGlobalES and ParGlobalES times).
+func BenchmarkFig5(b *testing.B) {
 	pld, _, _ := benchGraphs(b)
-	for _, prefetch := range []bool{false, true} {
-		name := "off"
-		if prefetch {
-			name = "on"
-		}
-		b.Run("SeqES/prefetch="+name, func(b *testing.B) {
-			runAlg(b, pld, core.AlgSeqES, 20, core.Config{Seed: 1, Prefetch: prefetch})
-		})
-		b.Run("SeqGlobalES/prefetch="+name, func(b *testing.B) {
-			runAlg(b, pld, core.AlgSeqGlobalES, 20, core.Config{Seed: 1, Prefetch: prefetch})
-		})
-	}
+	b.Run("SeqES", func(b *testing.B) {
+		runAlg(b, pld, core.AlgSeqES, 20, core.Config{Seed: 1})
+	})
+	b.Run("SeqGlobalES", func(b *testing.B) {
+		runAlg(b, pld, core.AlgSeqGlobalES, 20, core.Config{Seed: 1})
+	})
+	b.Run("ParGlobalES", func(b *testing.B) {
+		runAlg(b, pld, core.AlgParGlobalES, 20, core.Config{Seed: 1, Workers: 4})
+	})
 }
 
 // BenchmarkFig6Scaling regenerates Figure 6: ParGlobalES across worker

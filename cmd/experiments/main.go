@@ -100,7 +100,7 @@ func main() {
 	case "table4":
 		runOne("Table 4: absolute runtimes", table4)
 	case "fig5":
-		runOne("Figure 5: runtimes and speed-ups, +/- prefetch", fig5)
+		runOne("Figure 5: runtimes and speed-ups", fig5)
 	case "fig6":
 		runOne("Figure 6: strong scaling of ParGlobalES", fig6)
 	case "fig7":

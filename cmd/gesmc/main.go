@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"gesmc"
+	"gesmc/internal/graph"
 	"gesmc/internal/service"
 	"gesmc/wire"
 )
@@ -69,7 +70,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "random seed")
 		stats     = flag.Bool("stats", false, "print run statistics")
 		metrics   = flag.Bool("metrics", false, "print graph metrics before and after (undirected targets)")
-		prefetch  = flag.Bool("prefetch", true, "enable hash-bucket pre-touch pipeline")
 		connected = flag.Bool("connected", false, "constrain sampling to connected graphs (the input must be connected)")
 		server    = flag.String("server", "", "forward sampling to a gesmcd daemon or coordinator at this URL instead of sampling in-process")
 		retries   = flag.Int("retries", 2, "with -server: retries for transient failures (0 disables); a stream cut mid-way resumes from the last delivered sample")
@@ -131,7 +131,6 @@ func main() {
 		gesmc.WithAlgorithm(alg),
 		gesmc.WithWorkers(max(*workers, 1)),
 		gesmc.WithSeed(*seed),
-		gesmc.WithPrefetch(*prefetch),
 	}
 	if *uniformity != "exact" {
 		opts = append(opts, gesmc.WithSwapsPerEdge(*swaps))
@@ -433,6 +432,11 @@ func loadTarget(inPath, genSpec string, seed uint64, directed bool) (gesmc.Targe
 	}
 }
 
+// generate builds a graph from a -gen spec. The generators cannot
+// return errors for out-of-range parameters (they panic), so every
+// parameter is validated here first: integers must lie in
+// [0, graph.MaxNodes], grids must fit in graph.MaxNodes nodes, and p
+// must lie in [0, 1].
 func generate(spec string, seed uint64) (*gesmc.Graph, error) {
 	kind, args, _ := strings.Cut(spec, ":")
 	params := map[string]string{}
@@ -445,15 +449,19 @@ func generate(spec string, seed uint64) (*gesmc.Graph, error) {
 			params[k] = v
 		}
 	}
-	getInt := func(key string, def int) (int, error) {
+	getInt := func(key string) (int, error) {
 		s, ok := params[key]
 		if !ok {
-			if def >= 0 {
-				return def, nil
-			}
 			return 0, fmt.Errorf("generator %q requires %s=", kind, key)
 		}
-		return strconv.Atoi(s)
+		v, err := strconv.Atoi(s)
+		if err != nil {
+			return 0, err
+		}
+		if v < 0 || v > graph.MaxNodes {
+			return 0, fmt.Errorf("generator %q: %s=%d out of range [0, %d]", kind, key, v, graph.MaxNodes)
+		}
+		return v, nil
 	}
 	getFloat := func(key string) (float64, error) {
 		s, ok := params[key]
@@ -465,7 +473,7 @@ func generate(spec string, seed uint64) (*gesmc.Graph, error) {
 
 	switch kind {
 	case "gnp":
-		n, err := getInt("n", -1)
+		n, err := getInt("n")
 		if err != nil {
 			return nil, err
 		}
@@ -473,9 +481,12 @@ func generate(spec string, seed uint64) (*gesmc.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !(p >= 0 && p <= 1) {
+			return nil, fmt.Errorf("generator %q: p=%v out of range [0, 1]", kind, p)
+		}
 		return gesmc.GenerateGNP(n, p, seed), nil
 	case "pld":
-		n, err := getInt("n", -1)
+		n, err := getInt("n")
 		if err != nil {
 			return nil, err
 		}
@@ -485,23 +496,26 @@ func generate(spec string, seed uint64) (*gesmc.Graph, error) {
 		}
 		return gesmc.GeneratePowerLaw(n, gamma, seed)
 	case "reg":
-		n, err := getInt("n", -1)
+		n, err := getInt("n")
 		if err != nil {
 			return nil, err
 		}
-		d, err := getInt("d", -1)
+		d, err := getInt("d")
 		if err != nil {
 			return nil, err
 		}
 		return gesmc.GenerateRegular(n, d)
 	case "grid":
-		r, err := getInt("r", -1)
+		r, err := getInt("r")
 		if err != nil {
 			return nil, err
 		}
-		c, err := getInt("c", -1)
+		c, err := getInt("c")
 		if err != nil {
 			return nil, err
+		}
+		if r*c > graph.MaxNodes {
+			return nil, fmt.Errorf("generator %q: %dx%d grid exceeds %d nodes", kind, r, c, graph.MaxNodes)
 		}
 		return gesmc.GenerateGrid(r, c), nil
 	default:

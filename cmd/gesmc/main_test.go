@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,6 +30,13 @@ func TestGenerateSpecs(t *testing.T) {
 		{"blah:n=10", 0, true},     // unknown generator
 		{"gnp:n=abc,p=0.1", 0, true},
 		{"gnp:n", 0, true}, // malformed kv
+		{"gnp:n=10,p=1.5", 0, true},
+		{"gnp:n=10,p=NaN", 0, true},
+		{"gnp:n=10,p=Inf", 0, true},
+		{"gnp:n=-3,p=0.5", 0, true},
+		{"grid:r=-1,c=2", 0, true},
+		{"pld:n=1,gamma=2.5", 0, true},
+		{"pld:n=100,gamma=1", 0, true},
 	}
 	for _, c := range cases {
 		g, err := generate(c.spec, 1)
@@ -46,6 +54,37 @@ func TestGenerateSpecs(t *testing.T) {
 			t.Errorf("generate(%q): n=%d, want %d", c.spec, g.N(), c.wantN)
 		}
 	}
+}
+
+// FuzzGenerateSpec: for any spec string, generate either returns an
+// error or a simple graph; it never panics. Specs with an integer
+// parameter above 256 are skipped so a campaign cannot exhaust memory
+// (the CLI itself accepts node counts up to graph.MaxNodes).
+func FuzzGenerateSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		_, args, _ := strings.Cut(spec, ":")
+		for _, kv := range strings.Split(args, ",") {
+			_, v, _ := strings.Cut(kv, "=")
+			if x, err := strconv.Atoi(v); err == nil && x > 256 {
+				t.Skip()
+			}
+		}
+		g, err := generate(spec, 1)
+		if err != nil {
+			return
+		}
+		seen := map[[2]uint32]bool{}
+		for _, e := range g.Edges() {
+			if e[0] == e[1] || int(e[0]) >= g.N() || int(e[1]) >= g.N() {
+				t.Fatalf("generate(%q): invalid edge %v on %d nodes", spec, e, g.N())
+			}
+			key := [2]uint32{min(e[0], e[1]), max(e[0], e[1])}
+			if seen[key] {
+				t.Fatalf("generate(%q): duplicate edge %v", spec, e)
+			}
+			seen[key] = true
+		}
+	})
 }
 
 func TestLoadTargetFromFile(t *testing.T) {

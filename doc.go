@@ -19,15 +19,15 @@
 // scheduling, identical rounds instrumentation — see DESIGN.md), so
 // WithWorkers applies uniformly. All tiers share one counter type:
 // the Stats of consecutive Step calls add up to Sampler.Stats, and
-// each increment's MaxRounds is the maximum over its own supersteps. The kernel runs on a persistent
-// gang of worker goroutines owned by the sampler's engine: supersteps
-// reuse the parked gang instead of spawning goroutines, and the kernel
-// itself performs no steady-state heap allocations (chains still
-// allocate a few objects per superstep for their random permutations).
-// Call Sampler.Close to release the gang deterministically (a
-// finalizer reclaims leaked ones).
-// WithPrefetch enables the §5.4 pre-touch pipeline in every chain,
-// sequential and parallel alike, without changing any result.
+// each increment's MaxRounds is the maximum over its own supersteps.
+//
+// The kernel runs on a persistent gang of worker goroutines owned by
+// the sampler's engine: supersteps reuse the parked gang instead of
+// spawning goroutines, and the kernel itself performs no steady-state
+// heap allocations (chains still allocate a few objects per superstep
+// for their random permutations). Call Sampler.Close to release the
+// gang deterministically (a finalizer reclaims leaked ones).
+//
 // The algorithms:
 //
 //	Algorithm        chain     targets              parallel  notes

@@ -19,8 +19,8 @@ var (
 	// passed to WithWorkers.
 	ErrInvalidWorkers = errors.New("gesmc: worker count must be at least 1")
 	// ErrInvalidLoopProb is returned for a loop probability outside
-	// [0, 1].
-	ErrInvalidLoopProb = errors.New("gesmc: loop probability must lie in [0, 1]")
+	// [0, 1).
+	ErrInvalidLoopProb = errors.New("gesmc: loop probability must lie in [0, 1)")
 	// ErrInvalidSwapsPerEdge is returned for a non-positive or non-finite
 	// swaps-per-edge target.
 	ErrInvalidSwapsPerEdge = errors.New("gesmc: swaps per edge must be positive and finite")

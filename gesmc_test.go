@@ -3,6 +3,7 @@ package gesmc
 import (
 	"bytes"
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -126,6 +127,41 @@ func TestGenerators(t *testing.T) {
 	grid := GenerateGrid(4, 4)
 	if grid.N() != 16 || grid.ConnectedComponents() != 1 {
 		t.Fatal("grid degenerate")
+	}
+}
+
+// TestGeneratePowerLawRejectsDegenerateParameters pins the parameter
+// domain of GeneratePowerLaw: below n = 2 the degree range is empty,
+// and for gamma <= 1 (or NaN) the paper's maximum degree collapses to
+// 1, which would silently yield a perfect matching.
+func TestGeneratePowerLawRejectsDegenerateParameters(t *testing.T) {
+	cases := []struct {
+		n     int
+		gamma float64
+	}{
+		{0, 2.5},
+		{1, 2.5},
+		{-4, 2.5},
+		{100, 1},
+		{100, 0.5},
+		{100, -2},
+		{100, math.NaN()},
+		{100, math.Inf(1)},
+		{100, math.Inf(-1)},
+	}
+	for _, c := range cases {
+		if g, err := GeneratePowerLaw(c.n, c.gamma, 1); err == nil {
+			t.Errorf("n=%d gamma=%v: got a graph with m=%d, want an error", c.n, c.gamma, g.M())
+		}
+	}
+	// Gamma just above 1 puts the whole range [1, n-1] in play rather
+	// than collapsing it: the result is not a matching.
+	g, err := GeneratePowerLaw(100, 1.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.MaxDegree() < 2 {
+		t.Errorf("gamma=1.01: max degree %d, want a spread of degrees", g.MaxDegree())
 	}
 }
 
@@ -375,7 +411,7 @@ func TestAnalyzeMixingSupersteps(t *testing.T) {
 // the values of the dedicated ES/G-ES harness loop that AnalyzeMixing
 // replaced: the steppers draw the same MT19937 stream (TwoDistinct then
 // Bool per switch; Perm then Binom per global switch), so the curves
-// are bit-identical, with the bucket pre-touch pipeline on or off.
+// are bit-identical.
 func TestAnalyzeMixingGoldenCurves(t *testing.T) {
 	raw, err := gen.SynPldGraph(128, 2.3, rng.NewMT19937(7))
 	if err != nil {
@@ -387,16 +423,14 @@ func TestAnalyzeMixingGoldenCurves(t *testing.T) {
 		SeqGlobalES: {0.4451219512195122, 0.06707317073170732, 0.06707317073170732, 0.07317073170731707, 0.09146341463414634, 0.12804878048780488},
 	}
 	for alg, want := range golden {
-		for _, prefetch := range []bool{false, true} {
-			cfg := defaultSamplerConfig()
-			cfg.algorithm, cfg.seed, cfg.prefetch = alg, 99, prefetch
-			res, err := analyzeMixing(g, &cfg, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(res.NonIndependent, want) {
-				t.Errorf("%v prefetch=%v: curve %v, want %v", alg, prefetch, res.NonIndependent, want)
-			}
+		cfg := defaultSamplerConfig()
+		cfg.algorithm, cfg.seed = alg, 99
+		res, err := analyzeMixing(g, &cfg, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.NonIndependent, want) {
+			t.Errorf("%v: curve %v, want %v", alg, res.NonIndependent, want)
 		}
 	}
 }

@@ -146,8 +146,9 @@ func (t *DepTable) bucket(e graph.Edge) uint64 {
 }
 
 // Touch loads the head bucket of e, pulling its cache line in ahead of
-// a later Store or Probe — the §5.4 pre-touch hint for the dependency
-// table. Purely a memory hint; staleness cannot affect correctness.
+// a later Probe (the kernel's decide step overlaps it with three other
+// independent loads). Purely a memory hint; staleness cannot affect
+// correctness.
 func (t *DepTable) Touch(e graph.Edge) {
 	_ = atomic.LoadUint64(&t.heads[t.bucket(e)])
 }

@@ -147,9 +147,10 @@ func (s *EdgeSet) home(packed uint64) uint64 {
 }
 
 // Touch loads the home bucket of e, pulling the probe chain's first
-// cache line in ahead of a later Contains/insert/erase — the pure-Go
-// analogue of §5.4's prefetch instructions, safe under any concurrency
-// (it is an atomic load whose value is discarded).
+// cache line in ahead of a later Contains/insert/erase. It is a real
+// atomic load whose value is discarded, not a non-blocking prefetch, so
+// it only pays when issued next to other independent loads (the
+// kernel's decide step overlaps four); safe under any concurrency.
 func (s *EdgeSet) Touch(e graph.Edge) {
 	_ = atomic.LoadUint64(&s.buckets[s.home(packEdge(e))])
 }

@@ -128,27 +128,6 @@ func TestSeqESBucketSamplingInvariants(t *testing.T) {
 	}
 }
 
-func TestPrefetchVariantIdenticalResults(t *testing.T) {
-	// Touching buckets must not change any decision.
-	src := rng.NewMT19937(16)
-	base := gen.GNP(80, 0.15, src)
-	for _, alg := range []Algorithm{AlgSeqES, AlgSeqGlobalES} {
-		a := base.Clone()
-		b := base.Clone()
-		if _, err := Run(a, alg, 4, Config{Seed: 8}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(b, alg, 4, Config{Seed: 8, Prefetch: true}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Edges() {
-			if a.Edges()[i] != b.Edges()[i] {
-				t.Fatalf("%v: prefetch changed the outcome at edge %d", alg, i)
-			}
-		}
-	}
-}
-
 func TestGlobalParallelMatchesGlobalSequential(t *testing.T) {
 	// Inject identical (π, ℓ) into both implementations: bit-exact
 	// equality required, across superstep boundaries.

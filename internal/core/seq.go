@@ -43,49 +43,16 @@ func ExecuteSequential(E []graph.Edge, S *hashset.Set, switches []Switch) int64 
 	return legal
 }
 
-// pipelineDepth is the number of in-flight switches of the §5.4-style
-// software pipeline: targets and hash buckets of the next switches are
-// computed (and their buckets touched) ahead of execution.
-const pipelineDepth = 4
-
-// executeSequentialPrefetch is ExecuteSequential with the bucket
-// pre-touch pipeline enabled. Touching is only a memory hint — staleness
-// cannot affect correctness, exactly as with hardware prefetches.
-func executeSequentialPrefetch(E []graph.Edge, S *hashset.Set, switches []Switch) int64 {
-	var legal int64
-	n := len(switches)
-	for base := 0; base < n; base += pipelineDepth {
-		hi := base + pipelineDepth
-		if hi > n {
-			hi = n
-		}
-		// Stage 1: touch the buckets the upcoming switches will probe.
-		for k := base; k < hi; k++ {
-			sw := switches[k]
-			e1, e2 := E[sw.I], E[sw.J]
-			t3, t4 := graph.SwitchTargets(e1, e2, sw.G)
-			S.Touch(e1)
-			S.Touch(e2)
-			S.Touch(t3)
-			S.Touch(t4)
-		}
-		// Stage 2: run them for real.
-		legal += ExecuteSequential(E, S, switches[base:hi])
-	}
-	return legal
-}
-
 // seqESStepper is the production sequential ES-MC (§5's SeqES): per
 // superstep, floor(m/2) uniformly random switches executed per
 // Definition 1 on the persistent edge array plus hash set.
 type seqESStepper struct {
-	m        int
-	E        []graph.Edge
-	S        *hashset.Set
-	src      rng.Source
-	prefetch bool
-	buf      []Switch
-	cons     *constrainedRuntime
+	m    int
+	E    []graph.Edge
+	S    *hashset.Set
+	src  rng.Source
+	buf  []Switch
+	cons *constrainedRuntime
 }
 
 const seqChunk = 1 << 12
@@ -107,9 +74,8 @@ func newSeqESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) switc
 	}
 	return &seqESStepper{
 		m: g.M(), E: E, S: S, src: src,
-		prefetch: cfg.Prefetch,
-		buf:      make([]Switch, 0, seqChunk),
-		cons:     cons,
+		buf:  make([]Switch, 0, seqChunk),
+		cons: cons,
 	}
 }
 
@@ -125,12 +91,9 @@ func (s *seqESStepper) Step(st *switching.Stats) error {
 			i, j := rng.TwoDistinct(s.src, s.m)
 			buf[k] = Switch{I: uint32(i), J: uint32(j), G: rng.Bool(s.src)}
 		}
-		switch {
-		case s.cons != nil:
+		if s.cons != nil {
 			s.cons.ExecuteSequential(s.E, buf, s.src, st)
-		case s.prefetch:
-			st.Legal += executeSequentialPrefetch(s.E, s.S, buf)
-		default:
+		} else {
 			st.Legal += ExecuteSequential(s.E, s.S, buf)
 		}
 		done += take

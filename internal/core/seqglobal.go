@@ -19,14 +19,13 @@ func ExecuteGlobalSequential(E []graph.Edge, S *hashset.Set, perm []uint32, l in
 // SeqGlobalES): each superstep shuffles the edge indices, draws ℓ, and
 // executes the resulting switches in order.
 type seqGlobalStepper struct {
-	m        int
-	E        []graph.Edge
-	S        *hashset.Set
-	src      rng.Source
-	prefetch bool
-	pl       float64
-	buf      []Switch
-	cons     *constrainedRuntime
+	m    int
+	E    []graph.Edge
+	S    *hashset.Set
+	src  rng.Source
+	pl   float64
+	buf  []Switch
+	cons *constrainedRuntime
 }
 
 func newSeqGlobalStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) *seqGlobalStepper {
@@ -37,23 +36,19 @@ func newSeqGlobalStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) *
 	}
 	return &seqGlobalStepper{
 		m: g.M(), E: E, S: S,
-		src:      rng.NewMT19937(cfg.Seed),
-		prefetch: cfg.Prefetch,
-		pl:       cfg.loopProb(),
-		buf:      make([]Switch, 0, g.M()/2),
-		cons:     cons,
+		src:  rng.NewMT19937(cfg.Seed),
+		pl:   cfg.loopProb(),
+		buf:  make([]Switch, 0, g.M()/2),
+		cons: cons,
 	}
 }
 
 func (s *seqGlobalStepper) Step(st *switching.Stats) error {
 	perm, l := SampleGlobalSwitch(s.m, s.pl, s.src)
 	s.buf = GlobalSwitches(perm, l, s.buf)
-	switch {
-	case s.cons != nil:
+	if s.cons != nil {
 		s.cons.ExecuteSequential(s.E, s.buf, s.src, st)
-	case s.prefetch:
-		st.Legal += executeSequentialPrefetch(s.E, s.S, s.buf)
-	default:
+	} else {
 		st.Legal += ExecuteSequential(s.E, s.S, s.buf)
 	}
 	st.Attempted += int64(l)

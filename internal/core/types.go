@@ -99,9 +99,6 @@ type Config struct {
 	Seed uint64
 	// LoopProb is P_L of G-ES-MC. Zero selects DefaultLoopProb.
 	LoopProb float64
-	// Prefetch enables the software pipeline that pre-touches hash
-	// buckets (the Go analogue of §5.4's prefetch instructions).
-	Prefetch bool
 	// SampleViaBuckets switches SeqES edge sampling from the auxiliary
 	// edge array to random-bucket probing of the hash set (§5.3's
 	// memory/time trade-off).

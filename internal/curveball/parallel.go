@@ -80,12 +80,6 @@ type Engine struct {
 	set  *conc.EdgeSet
 	rank []int32
 
-	// Prefetch enables the §5.4 pre-touch pipeline in the trade pool
-	// collection: the disjointness-test bucket of a neighbor a few
-	// slots ahead is touched before it is probed. Results are
-	// bit-identical with the pipeline on or off.
-	Prefetch bool
-
 	drv     switching.RoundDriver
 	src     rng.Source      // pairing permutations and local pair draws
 	seedSrc *rng.SplitMix64 // per-batch trade-seed bases
@@ -314,16 +308,7 @@ func (e *Engine) trade(worker int, u, v uint32, k int32, stepSeed uint64) {
 	sc := &e.sc[worker]
 	pool := sc.pool[:0]
 	tgt := sc.tgt[:0]
-	// tradeTouchDist is the trade-loop pre-touch distance: the
-	// disjointness-test bucket of the neighbor a few slots ahead is
-	// pulled in before the Contains that probes it (§5.4).
-	const tradeTouchDist = int32(4)
-	pf := e.Prefetch
 	for i := e.offs[u]; i < e.offs[u+1]; i++ {
-		if pf && i+tradeTouchDist < e.offs[u+1] {
-			ahead := atomic.LoadUint64(&e.slot[i+tradeTouchDist])
-			e.set.Touch(graph.MakeEdge(v, uint32(ahead>>32)))
-		}
 		s := atomic.LoadUint64(&e.slot[i])
 		w := uint32(s >> 32)
 		if e.rank[w] <= k {
@@ -337,10 +322,6 @@ func (e *Engine) trade(worker int, u, v uint32, k int32, stepSeed uint64) {
 	}
 	nu := len(pool)
 	for i := e.offs[v]; i < e.offs[v+1]; i++ {
-		if pf && i+tradeTouchDist < e.offs[v+1] {
-			ahead := atomic.LoadUint64(&e.slot[i+tradeTouchDist])
-			e.set.Touch(graph.MakeEdge(u, uint32(ahead>>32)))
-		}
 		s := atomic.LoadUint64(&e.slot[i])
 		w := uint32(s >> 32)
 		if e.rank[w] <= k {

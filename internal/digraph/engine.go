@@ -34,11 +34,6 @@ type Config struct {
 	Seed uint64
 	// LoopProb is P_L of G-ES-MC; zero selects the default 1e-6.
 	LoopProb float64
-	// Prefetch enables the §5.4 pre-touch pipeline inside the parallel
-	// superstep kernel (AlgParGlobalES only; the sequential chains use
-	// map-backed sets with no probe chains to pre-touch). Results are
-	// bit-identical with the pipeline on or off.
-	Prefetch bool
 	// PessimisticRounds makes the parallel superstep publish decisions
 	// only at round barriers, simulating the worst-case scheduler
 	// analyzed in Theorems 2-3 (the directed mirror of core's flag,
@@ -96,7 +91,6 @@ func NewEngine(g *DiGraph, alg Algorithm, cfg Config) (*switching.Engine, error)
 	case AlgParGlobalES:
 		r := NewSuperstepRunner(g.Arcs(), g.M()/2, max(cfg.Workers, 1))
 		r.Pessimistic = cfg.PessimisticRounds
-		r.Prefetch = cfg.Prefetch
 		if cons != nil {
 			cons.BindRunner(r)
 		}

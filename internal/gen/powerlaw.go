@@ -45,7 +45,10 @@ func PowerLawSequence(n int, a, b int, gamma float64, src rng.Source) []int {
 // by the paper's SynPld dataset (matching the analytic bound of Gao and
 // Wormald).
 func PaperMaxDegree(n int, gamma float64) int {
-	d := int(math.Pow(float64(n), 1/(gamma-1)))
+	// Clamp in floating point first: for gamma just above 1 the power
+	// overflows int, and the conversion of an out-of-range float is
+	// implementation-defined.
+	d := int(min(math.Pow(float64(n), 1/(gamma-1)), float64(n)))
 	if d < 1 {
 		d = 1
 	}
@@ -64,8 +67,13 @@ func SynPldSequence(n int, gamma float64, src rng.Source) []int {
 // SynPldGraph samples SynPld sequences until one is graphical (highly
 // skewed exponents occasionally produce non-graphical samples on small n)
 // and realizes it with Havel-Hakimi, mirroring the paper's SynPld
-// pipeline. It gives up after a fixed number of attempts.
+// pipeline. It gives up after a fixed number of attempts. It rejects
+// n < 2 and any gamma that is not a finite value above 1: the degree
+// range [1, n^{1/(gamma-1)}] is then empty or collapses to [1, 1].
 func SynPldGraph(n int, gamma float64, src rng.Source) (*graph.Graph, error) {
+	if n < 2 || !(gamma > 1) || math.IsInf(gamma, 1) {
+		return nil, fmt.Errorf("gen: SynPld needs n >= 2 and a finite gamma > 1, got n=%d gamma=%v", n, gamma)
+	}
 	var err error
 	for try := 0; try < 64; try++ {
 		seq := SynPldSequence(n, gamma, src)

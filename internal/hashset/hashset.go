@@ -188,18 +188,6 @@ func (s *Set) SampleBucket(src rng.Source) graph.Edge {
 	}
 }
 
-// touchSink defeats dead-load elimination in Touch.
-var touchSink uint64
-
-// Touch reads the home bucket of e (and its successor), pulling the probe
-// chain's first cache lines into the cache ahead of a later operation.
-// It is the pure-Go analogue of the prefetch instructions of §5.4: a
-// hint only, with no effect on semantics.
-func (s *Set) Touch(e graph.Edge) {
-	i := s.slot(e)
-	touchSink += s.buckets[i] + s.buckets[(i+1)&s.mask]
-}
-
 // ForEach calls fn for every stored edge in unspecified order.
 func (s *Set) ForEach(fn func(graph.Edge)) {
 	for _, b := range s.buckets {

@@ -39,62 +39,24 @@ func TestRunnerSuperstepAllocs(t *testing.T) {
 	}
 	m := g.M()
 	for _, workers := range []int{1, 2, 4} {
-		for _, prefetch := range []bool{false, true} {
-			t.Run(fmt.Sprintf("workers=%d/prefetch=%v", workers, prefetch), func(t *testing.T) {
-				E := append([]graph.Edge(nil), g.Edges()...)
-				r := switching.NewRunner(E, m/2, workers)
-				r.Prefetch = prefetch
-				defer r.Release()
-				// Warm up: grows the undecided list, the per-worker
-				// delay buffers, and the compaction scratch, and lets
-				// worker stacks reach steady state.
-				for i := 0; i < 6; i++ {
-					r.Run(globalSwitchStep(m, src))
-				}
-				switches := globalSwitchStep(m, src)
-				allocs := testing.AllocsPerRun(10, func() {
-					r.Run(switches)
-				})
-				if allocs > 1 {
-					t.Fatalf("superstep allocates %.1f objects in steady state, want ~0", allocs)
-				}
-			})
-		}
-	}
-}
-
-// TestRunnerPrefetchParity asserts the §5.4 pre-touch pipeline is a
-// pure memory hint: for every worker count, the decided edge list with
-// prefetch on is bit-identical to prefetch off.
-func TestRunnerPrefetchParity(t *testing.T) {
-	src := rng.NewMT19937(4321)
-	for trial := 0; trial < 10; trial++ {
-		g := gen.GNP(16+rng.IntN(src, 48), 0.2, src)
-		if g.M() < 4 {
-			continue
-		}
-		switches := globalBatch(g.M(), src)
-		base := append([]graph.Edge(nil), g.Edges()...)
-		r0 := switching.NewRunner(base, maxi(len(switches), 1), 1)
-		r0.Run(switches)
-		r0.Release()
-		for _, w := range []int{1, 2, 4, 8} {
-			for _, prefetch := range []bool{false, true} {
-				E := append([]graph.Edge(nil), g.Edges()...)
-				r := switching.NewRunner(E, maxi(len(switches), 1), w)
-				r.Prefetch = prefetch
-				r.Run(switches)
-				if r.Legal != r0.Legal {
-					t.Fatalf("workers=%d prefetch=%v: accepted %d, want %d", w, prefetch, r.Legal, r0.Legal)
-				}
-				for i := range base {
-					if E[i] != base[i] {
-						t.Fatalf("workers=%d prefetch=%v: edge list diverges at %d", w, prefetch, i)
-					}
-				}
-				r.Release()
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			E := append([]graph.Edge(nil), g.Edges()...)
+			r := switching.NewRunner(E, m/2, workers)
+			defer r.Release()
+			// Warm up: grows the undecided list, the per-worker delay
+			// buffers, and the compaction scratch, and lets worker
+			// stacks reach steady state.
+			for i := 0; i < 6; i++ {
+				r.Run(globalSwitchStep(m, src))
 			}
-		}
+			switches := globalSwitchStep(m, src)
+			allocs := testing.AllocsPerRun(10, func() {
+				r.Run(switches)
+			})
+			if allocs > 1 {
+				t.Fatalf("superstep allocates %.1f objects in steady state, want ~0", allocs)
+			}
+		})
 	}
 }
 

@@ -44,16 +44,6 @@ type Decide func(worker int, k int32) uint32
 // never consult each other's statuses pass nil.
 type Publish func(k int32, st uint32)
 
-// PreTouch is a cache pre-touch hook invoked preTouchDist items ahead
-// of the decide cursor — the §5.4 software-prefetch pipeline of the
-// decide rounds. It must be a pure memory hint (loads only).
-type PreTouch func(worker int, k int32)
-
-// preTouchDist is the pipeline distance of the decide-round pre-touch:
-// far enough ahead to cover a memory round-trip, near enough that the
-// touched lines survive until use.
-const preTouchDist = 8
-
 // RoundDriver executes the round loop of Algorithm 1 (phase 2, lines
 // 7-35) for any decision kind: items start undecided, each round
 // attempts every still-undecided item in parallel, and items that
@@ -78,11 +68,6 @@ type RoundDriver struct {
 	// (expected <= 4*Delta^2/m, O(1) for regular graphs). Decisions are
 	// identical either way; only the round structure differs.
 	Pessimistic bool
-
-	// PreTouch, when non-nil, is invoked preTouchDist items ahead of
-	// the decide cursor within each chunk. Owners set it per superstep
-	// (the kernel enables it under its Prefetch flag).
-	PreTouch PreTouch
 
 	// Per-round dispatch state read by roundBody.
 	cur     []int32
@@ -145,13 +130,9 @@ func (d *RoundDriver) Release() {
 // allocate nothing.
 func (d *RoundDriver) roundBody(worker, lo, hi int) {
 	cur := d.cur
-	touch := d.PreTouch
 	sc := &d.scratch[worker]
 	var legal int64
 	for i := lo; i < hi; i++ {
-		if touch != nil && i+preTouchDist < hi {
-			touch(worker, cur[i+preTouchDist])
-		}
 		k := cur[i]
 		st := d.decide(worker, k)
 		switch st {

@@ -15,7 +15,6 @@ type samplerConfig struct {
 	burnIn       int  // supersteps before the first sample; 0 derives from swapsPerEdge
 	thinning     int  // supersteps between samples; 0 derives from burn-in
 	loopProb     float64
-	prefetch     bool
 	progress     func(Progress)
 	constraints  []Constraint
 }
@@ -132,29 +131,14 @@ func WithThinning(supersteps int) Option {
 }
 
 // WithLoopProb sets P_L of G-ES-MC (Definition 3). Zero selects the
-// package default (1e-6); values outside [0, 1] are rejected.
+// package default (1e-6); values outside [0, 1) are rejected — at
+// P_L = 1 every global switch has length zero and the chain never moves.
 func WithLoopProb(p float64) Option {
 	return func(c *samplerConfig) error {
-		if math.IsNaN(p) || p < 0 || p > 1 {
+		if !(p >= 0 && p < 1) {
 			return fmt.Errorf("%w: got %v", ErrInvalidLoopProb, p)
 		}
 		c.loopProb = p
-		return nil
-	}
-}
-
-// WithPrefetch enables the hash-bucket pre-touch pipeline (§5.4): the
-// buckets and dependency-table chains an upcoming operation will probe
-// are loaded a few items ahead, hiding the cache misses of the hot
-// probing loops. It applies to every chain — the sequential software
-// pipeline of SeqES, and the parallel kernel's batched phase-1 stores,
-// decide-cursor pre-touch, and phase-3 applies used by ParES,
-// ParGlobalES (undirected, directed, bipartite), and the
-// Curveball/GlobalCurveball trade chains. Results are bit-identical
-// with the pipeline on or off. Default: off.
-func WithPrefetch(on bool) Option {
-	return func(c *samplerConfig) error {
-		c.prefetch = on
 		return nil
 	}
 }

@@ -399,7 +399,6 @@ func (g *Graph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 			return nil, fmt.Errorf("%w: m=%d", ErrGraphTooSmall, g.g.M())
 		}
 		eng := curveball.NewEngine(g.g, cfg.workers, cfg.seed)
-		eng.Prefetch = cfg.prefetch
 		return switching.NewEngine(eng.Stepper(cfg.algorithm == GlobalCurveball, g.g.Edges())), nil
 	}
 	ca, ok := algNames[cfg.algorithm]
@@ -418,7 +417,6 @@ func (g *Graph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 		Workers:    cfg.workers,
 		Seed:       cfg.seed,
 		LoopProb:   cfg.loopProb,
-		Prefetch:   cfg.prefetch,
 		Constraint: spec,
 	})
 	if err != nil {
@@ -462,7 +460,6 @@ func (g *DiGraph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 		Workers:    cfg.workers,
 		Seed:       cfg.seed,
 		LoopProb:   cfg.loopProb,
-		Prefetch:   cfg.prefetch,
 		Constraint: spec,
 	})
 	if err != nil {

@@ -16,6 +16,7 @@ func TestNewSamplerOptionValidation(t *testing.T) {
 		{"negative workers", []Option{WithWorkers(-1)}, ErrInvalidWorkers},
 		{"zero workers", []Option{WithWorkers(0)}, ErrInvalidWorkers},
 		{"loopprob above 1", []Option{WithLoopProb(1.5)}, ErrInvalidLoopProb},
+		{"loopprob one", []Option{WithLoopProb(1)}, ErrInvalidLoopProb},
 		{"loopprob negative", []Option{WithLoopProb(-0.1)}, ErrInvalidLoopProb},
 		{"zero thinning", []Option{WithThinning(0)}, ErrInvalidThinning},
 		{"zero burn-in", []Option{WithBurnIn(0)}, ErrInvalidBurnIn},

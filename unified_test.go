@@ -23,73 +23,65 @@ func collectEdges(t *testing.T, g *Graph, alg Algorithm, workers, steps int) [][
 	return append(edges, target.Edges()...)
 }
 
-// TestPrefetchParityAllChains: the §5.4 pre-touch pipeline now applies
-// to every chain through the gang-scheduled kernel; it must be a pure
-// memory hint, bit-identical on and off at every worker count.
-func TestPrefetchParityAllChains(t *testing.T) {
+// TestWorkerIdentityAllChains: every chain served through the
+// gang-scheduled kernel produces bit-identical edge lists at every
+// worker count (sequential chains ignore the worker count).
+func TestWorkerIdentityAllChains(t *testing.T) {
 	g := GenerateGNP(160, 0.08, 6)
 	for _, alg := range []Algorithm{SeqES, ParES, ParGlobalES, Curveball, GlobalCurveball} {
 		var want [][2]uint32
 		for _, w := range []int{1, 2, 4, 8} {
-			for _, prefetch := range []bool{false, true} {
-				s, err := NewSampler(g.Clone(),
-					WithAlgorithm(alg), WithWorkers(w), WithSeed(33), WithPrefetch(prefetch))
-				if err != nil {
-					t.Fatal(err)
+			s, err := NewSampler(g.Clone(), WithAlgorithm(alg), WithWorkers(w), WithSeed(33))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Step(4); err != nil {
+				t.Fatal(err)
+			}
+			got := s.target.(*Graph).Edges()
+			s.Close()
+			if want == nil {
+				want = append([][2]uint32(nil), got...)
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v w=%d: edge count %d, want %d", alg, w, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v w=%d: edge list diverges at %d", alg, w, i)
 				}
-				if _, err := s.Step(4); err != nil {
-					t.Fatal(err)
-				}
-				got := s.target.(*Graph).Edges()
-				if want == nil {
-					want = append([][2]uint32(nil), got...)
-					s.Close()
-					continue
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%v w=%d prefetch=%v: edge count %d, want %d", alg, w, prefetch, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%v w=%d prefetch=%v: edge list diverges at %d", alg, w, prefetch, i)
-					}
-				}
-				s.Close()
 			}
 		}
 	}
 }
 
-// TestPrefetchParityDirected mirrors the parity check for the directed
-// parallel chain.
-func TestPrefetchParityDirected(t *testing.T) {
+// TestWorkerIdentityDirected mirrors the cross-worker check for the
+// directed parallel chain on a bipartite target.
+func TestWorkerIdentityDirected(t *testing.T) {
 	dg, err := FromBipartiteDegrees([]int{3, 2, 2, 1, 1, 1, 2}, []int{2, 2, 1, 2, 2, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want [][2]uint32
 	for _, w := range []int{1, 2, 4} {
-		for _, prefetch := range []bool{false, true} {
-			s, err := NewSampler(dg.Clone(),
-				WithAlgorithm(ParGlobalES), WithWorkers(w), WithSeed(8), WithPrefetch(prefetch))
-			if err != nil {
-				t.Fatal(err)
+		s, err := NewSampler(dg.Clone(), WithAlgorithm(ParGlobalES), WithWorkers(w), WithSeed(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Step(6); err != nil {
+			t.Fatal(err)
+		}
+		got := s.target.(*DiGraph).Arcs()
+		s.Close()
+		if want == nil {
+			want = append([][2]uint32(nil), got...)
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("w=%d: arc list diverges at %d", w, i)
 			}
-			if _, err := s.Step(6); err != nil {
-				t.Fatal(err)
-			}
-			got := s.target.(*DiGraph).Arcs()
-			if want == nil {
-				want = append([][2]uint32(nil), got...)
-				s.Close()
-				continue
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("w=%d prefetch=%v: arc list diverges at %d", w, prefetch, i)
-				}
-			}
-			s.Close()
 		}
 	}
 }
