@@ -32,8 +32,10 @@ var (
 	// requested from Step, or fewer than 16 supersteps from
 	// AnalyzeMixing.
 	ErrInvalidSupersteps = errors.New("gesmc: invalid superstep count")
-	// ErrInvalidCount is returned for a negative ensemble size.
-	ErrInvalidCount = errors.New("gesmc: sample count must be non-negative")
+	// ErrInvalidCount is returned for a negative ensemble size, and by
+	// FastForwardTo for a negative sample index or one whose superstep
+	// position overflows int.
+	ErrInvalidCount = errors.New("gesmc: invalid sample count")
 	// ErrGraphTooSmall is returned for target graphs with fewer than two
 	// edges, on which no switch (and no trade) is defined.
 	ErrGraphTooSmall = errors.New("gesmc: graph has fewer than 2 edges")

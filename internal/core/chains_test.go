@@ -142,8 +142,9 @@ func TestGlobalParallelMatchesGlobalSequential(t *testing.T) {
 	par := g.Clone()
 	runner := NewSuperstepRunner(par.Edges(), m/2, 4)
 	var buf []Switch
+	perm := make([]uint32, m)
 	for step := 0; step < 12; step++ {
-		perm, l := SampleGlobalSwitch(m, 0.01, src)
+		l := SampleGlobalSwitch(perm, 0.01, src)
 		_, buf = ExecuteGlobalSequential(seq.Edges(), seqSet, perm, l, buf)
 		buf = ExecuteGlobalParallel(runner, perm, l, buf)
 		for i := range seq.Edges() {

@@ -19,11 +19,11 @@ func ExecuteGlobalSequential(E []graph.Edge, S *hashset.Set, perm []uint32, l in
 // SeqGlobalES): each superstep shuffles the edge indices, draws ℓ, and
 // executes the resulting switches in order.
 type seqGlobalStepper struct {
-	m    int
 	E    []graph.Edge
 	S    *hashset.Set
 	src  rng.Source
 	pl   float64
+	perm []uint32
 	buf  []Switch
 	cons *constrainedRuntime
 }
@@ -35,17 +35,18 @@ func newSeqGlobalStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) *
 		bindHashSet(cons, S)
 	}
 	return &seqGlobalStepper{
-		m: g.M(), E: E, S: S,
+		E: E, S: S,
 		src:  rng.NewMT19937(cfg.Seed),
 		pl:   cfg.loopProb(),
+		perm: make([]uint32, g.M()),
 		buf:  make([]Switch, 0, g.M()/2),
 		cons: cons,
 	}
 }
 
 func (s *seqGlobalStepper) Step(st *switching.Stats) error {
-	perm, l := SampleGlobalSwitch(s.m, s.pl, s.src)
-	s.buf = GlobalSwitches(perm, l, s.buf)
+	l := SampleGlobalSwitch(s.perm, s.pl, s.src)
+	s.buf = GlobalSwitches(s.perm, l, s.buf)
 	if s.cons != nil {
 		s.cons.ExecuteSequential(s.E, s.buf, s.src, st)
 	} else {

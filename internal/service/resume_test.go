@@ -115,4 +115,16 @@ func TestResumeValidation(t *testing.T) {
 			t.Fatalf("resume_from=%d: err=%v, want ErrBadRequest", rf, err)
 		}
 	}
+	// A resume point past the int range (burn_in + resume_from·thinning
+	// overflows) is the request's fault on both the fresh-compile path
+	// and, on the repeat, the pooled path.
+	for try := 0; try < 2; try++ {
+		req := wire.SampleRequest{Degrees: []int{2, 2, 2, 1, 1}, Samples: 1<<32 + 1, Seed: 1,
+			Thinning: 1 << 32, ResumeFrom: 1 << 32}
+		_, err := collect(b, &req)
+		var re *RequestError
+		if !errors.As(err, &re) || re.Field != "resume_from" {
+			t.Fatalf("overflowing resume point, try %d: err=%v, want a resume_from RequestError", try, err)
+		}
+	}
 }

@@ -262,7 +262,7 @@ func (s *Service) sample(ctx context.Context, req *Request, emit func(wire.Line)
 				// Cancellation mid-fast-forward: the chain stopped at a
 				// superstep boundary and stays poolable.
 				s.met.requestsFailed.Add(1)
-				return err
+				return resumeError(err)
 			}
 			sampler, hit = nil, false
 		}
@@ -298,7 +298,7 @@ func (s *Service) sample(ctx context.Context, req *Request, emit func(wire.Line)
 			if err != nil {
 				s.pool.checkin(key, sampler)
 				s.met.requestsFailed.Add(1)
-				return err
+				return resumeError(err)
 			}
 		}
 	}
@@ -362,6 +362,16 @@ func (s *Service) sample(ctx context.Context, req *Request, emit func(wire.Line)
 		s.met.requestsFailed.Add(1)
 	}
 	return terminal
+}
+
+// resumeError maps a fast-forward failure to the request's fault when
+// the resume point is unaddressable (burn_in + resume_from·thinning
+// overflows): a 400 naming resume_from rather than an internal error.
+func resumeError(err error) error {
+	if errors.Is(err, gesmc.ErrInvalidCount) {
+		return &RequestError{Field: "resume_from", Reason: err.Error()}
+	}
+	return err
 }
 
 // Metrics snapshots the service counters.

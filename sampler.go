@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"gesmc/internal/constraint"
 	"gesmc/internal/core"
@@ -269,7 +270,9 @@ func (s *Sampler) Burned() bool { return s.burned }
 //
 // The chain only runs forward: if it has already advanced past the
 // required position (a pooled sampler that served a longer stream),
-// FastForwardTo returns ErrResumeBehind and the chain is unchanged.
+// FastForwardTo returns ErrResumeBehind and the chain is unchanged. A
+// negative index, or one whose position burnIn + index·thinning does not
+// fit in an int, returns ErrInvalidCount and leaves the chain unchanged.
 // On context cancellation the chain stops at a superstep boundary and
 // remains valid. The returned Stats cover the supersteps advanced by
 // the fast-forward itself.
@@ -279,6 +282,10 @@ func (s *Sampler) FastForwardTo(ctx context.Context, index int) (Stats, error) {
 	}
 	if index < 0 {
 		return Stats{}, fmt.Errorf("%w: got %d", ErrInvalidCount, index)
+	}
+	if index > (math.MaxInt-s.burnIn)/s.thin {
+		return Stats{}, fmt.Errorf("%w: burn-in %d + index %d × thinning %d overflows int",
+			ErrInvalidCount, s.burnIn, index, s.thin)
 	}
 	// Position the chain so the next advance (burn-in if unburned,
 	// thinning if burned) lands exactly on burnIn + index·thinning.

@@ -3,6 +3,7 @@ package gesmc
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -388,5 +389,57 @@ func TestHasEdgeIndexInvalidation(t *testing.T) {
 	check() // index must have been invalidated and rebuilt
 	if g.HasEdge(0, 0) || g.HasEdge(500, 1) {
 		t.Fatal("loop or out-of-range accepted")
+	}
+}
+
+// TestFastForwardToValidation: a resume index whose superstep position
+// burnIn + index·thinning is negative or overflows int is refused with
+// ErrInvalidCount and leaves the chain where it was; a reachable one
+// lands the next Sample on the canonical position.
+func TestFastForwardToValidation(t *testing.T) {
+	g := GenerateGNP(40, 0.2, 3)
+	cases := []struct {
+		name  string
+		opts  []Option
+		burn  bool // draw one sample first
+		index int
+		want  error
+	}{
+		{"negative index", nil, false, -1, ErrInvalidCount},
+		{"index times thinning overflows", []Option{WithThinning(1 << 32)}, false, 1 << 32, ErrInvalidCount},
+		{"burn-in plus position overflows", []Option{WithBurnIn(math.MaxInt), WithThinning(1)}, false, 1, ErrInvalidCount},
+		{"overflow on a burned chain", []Option{WithBurnIn(2), WithThinning(math.MaxInt / 2)}, true, 3, ErrInvalidCount},
+		{"behind a burned chain", []Option{WithBurnIn(5), WithThinning(1)}, true, 0, ErrResumeBehind},
+		{"reachable", []Option{WithBurnIn(3), WithThinning(2)}, false, 4, nil},
+		{"reachable on a burned chain", []Option{WithBurnIn(3), WithThinning(2)}, true, 4, nil},
+	}
+	for _, c := range cases {
+		s, err := NewSampler(g.Clone(), append([]Option{WithSeed(1)}, c.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.burn {
+			if _, err := s.Sample(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at := s.Supersteps()
+		_, err = s.FastForwardTo(context.Background(), c.index)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if err != nil {
+			if s.Supersteps() != at {
+				t.Errorf("%s: refused fast-forward moved the chain %d -> %d", c.name, at, s.Supersteps())
+			}
+		} else {
+			if _, err := s.Sample(); err != nil {
+				t.Fatal(err)
+			}
+			if want := s.BurnIn() + c.index*s.Thinning(); s.Supersteps() != want {
+				t.Errorf("%s: sample at superstep %d, want %d", c.name, s.Supersteps(), want)
+			}
+		}
+		s.Close()
 	}
 }

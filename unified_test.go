@@ -198,3 +198,69 @@ func TestDirectedSamplerRoundTimesPopulated(t *testing.T) {
 		t.Fatalf("directed rounds instrumentation missing: %+v", stats)
 	}
 }
+
+// edgeListHash is FNV-1a over an edge list in order, so it pins both
+// the edge set and the order the chain writes it back in.
+func edgeListHash(edges [][2]uint32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, e := range edges {
+		for _, x := range e {
+			for b := 0; b < 4; b++ {
+				h ^= uint64(byte(x >> (8 * b)))
+				h *= 1099511628211
+			}
+		}
+	}
+	return h
+}
+
+// TestSamplerGoldenStreams pins the edge lists the chains that draw a
+// per-superstep permutation emit after 8 supersteps at a fixed seed.
+// The target is power-law, so Curveball trades meet hubs and shared
+// neighbours on almost every superstep. The values were recorded from
+// the edge-set Curveball kernel and the allocating rng.Perm; any change
+// to the trade kernel or the permutation draws must keep them.
+func TestSamplerGoldenStreams(t *testing.T) {
+	g, err := GeneratePowerLaw(700, 2.2, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := FromInOutDegrees(g.Degrees(), g.Degrees())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		alg     Algorithm
+		target  func() Target
+		workers []int
+		want    uint64
+	}{
+		{Curveball, func() Target { return g.Clone() }, []int{1, 2, 4}, 0xa3a0074bccca7733},
+		{GlobalCurveball, func() Target { return g.Clone() }, []int{1, 2, 4}, 0x54348606fb38a22f},
+		{SeqGlobalES, func() Target { return g.Clone() }, []int{1}, 0x5a30533fef5ba847},
+		{SeqGlobalES, func() Target { return dg.Clone() }, []int{1}, 0x422bafd6dc7ce92d},
+	}
+	for _, tc := range cases {
+		for _, w := range tc.workers {
+			target := tc.target()
+			s, err := NewSampler(target, WithAlgorithm(tc.alg), WithWorkers(w), WithSeed(2024))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Step(8); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			var got uint64
+			switch tt := target.(type) {
+			case *Graph:
+				got = edgeListHash(tt.Edges())
+			case *DiGraph:
+				got = edgeListHash(tt.Arcs())
+			}
+			if got != tc.want {
+				t.Errorf("%v %T w=%d: edge-list hash %#x, want %#x", tc.alg, target, w, got, tc.want)
+			}
+		}
+	}
+}
