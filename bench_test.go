@@ -51,19 +51,19 @@ func runAlg(b *testing.B, g *graph.Graph, alg core.Algorithm, supersteps int, cf
 	b.SetBytes(int64(g.M()) * 8 * int64(supersteps))
 }
 
-// BenchmarkTable4 regenerates Table 4 (Figure 4): all implementations,
-// 20 supersteps, on the power-law workload; P=1 and P=4 variants for the
-// parallel implementations.
+// BenchmarkTable4 regenerates the served-chain columns of Table 4
+// (Figure 4): 20 supersteps on the power-law workload; P=1 and P=4
+// variants for the parallel implementations. The evaluation-only
+// baselines (NaiveParES, AdjListES, AdjSortES) live in cmd/experiments,
+// whose BenchmarkTable4Baselines times them on the same workload.
 func BenchmarkTable4(b *testing.B) {
 	pld, _, _ := benchGraphs(b)
-	for _, alg := range []core.Algorithm{
-		core.AlgAdjListES, core.AlgAdjSortES, core.AlgSeqES, core.AlgSeqGlobalES,
-	} {
+	for _, alg := range []core.Algorithm{core.AlgSeqES, core.AlgSeqGlobalES} {
 		b.Run(alg.String(), func(b *testing.B) {
 			runAlg(b, pld, alg, 20, core.Config{Seed: 1})
 		})
 	}
-	for _, alg := range []core.Algorithm{core.AlgNaiveParES, core.AlgParES, core.AlgParGlobalES} {
+	for _, alg := range []core.Algorithm{core.AlgParES, core.AlgParGlobalES} {
 		for _, p := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/P%d", alg, p), func(b *testing.B) {
 				runAlg(b, pld, alg, 20, core.Config{Seed: 1, Workers: p})
@@ -174,18 +174,6 @@ func BenchmarkFig9Rounds(b *testing.B) {
 			b.ReportMetric(float64(rounds)/float64(steps), "rounds/superstep")
 		})
 	}
-}
-
-// BenchmarkAblationSampling compares §5.3's two edge-sampling options in
-// SeqES: the auxiliary edge array vs direct random-bucket probing.
-func BenchmarkAblationSampling(b *testing.B) {
-	_, gnp, _ := benchGraphs(b)
-	b.Run("array", func(b *testing.B) {
-		runAlg(b, gnp, core.AlgSeqES, 10, core.Config{Seed: 1})
-	})
-	b.Run("buckets", func(b *testing.B) {
-		runAlg(b, gnp, core.AlgSeqES, 10, core.Config{Seed: 1, SampleViaBuckets: true})
-	})
 }
 
 // BenchmarkAblationPermutation compares the sequential Fisher-Yates

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,15 +9,38 @@ import (
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
-// timeRun clones g, runs the algorithm for the given supersteps, and
-// returns the elapsed time and stats.
-func timeRun(g *graph.Graph, alg core.Algorithm, supersteps int, cfg core.Config) (time.Duration, *core.RunStats, error) {
+// builder compiles a graph into a chain's engine.
+type builder func(*graph.Graph, core.Config) (*switching.Engine, error)
+
+// chain is one implementation in the timing tables: a served core
+// algorithm or an evaluation-only baseline (baselines.go).
+type chain struct {
+	name  string
+	build builder
+}
+
+// served builds the engine of a core algorithm.
+func served(alg core.Algorithm) builder {
+	return func(g *graph.Graph, cfg core.Config) (*switching.Engine, error) {
+		return core.NewEngine(g, alg, cfg)
+	}
+}
+
+// timeRun clones g, builds the engine and runs it for the given
+// supersteps, and returns the elapsed time (build included) and stats.
+func timeRun(g *graph.Graph, build builder, supersteps int, cfg core.Config) (time.Duration, *core.RunStats, error) {
 	c := g.Clone()
 	start := time.Now()
-	stats, err := core.Run(c, alg, supersteps, cfg)
-	return time.Since(start), stats, err
+	e, err := build(c, cfg)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer e.Close()
+	stats, err := e.Steps(context.Background(), supersteps)
+	return time.Since(start), &stats, err
 }
 
 // table4 reproduces Table 4 (Figure 4): absolute runtimes of all
@@ -36,41 +60,42 @@ func table4(opt options) error {
 	}
 	pMax := opt.workers
 
-	seqAlgs := []core.Algorithm{
-		core.AlgAdjListES, core.AlgAdjSortES, core.AlgSeqES, core.AlgSeqGlobalES,
+	seqChains := []chain{
+		{"AdjListES", adjListES}, {"AdjSortES", adjSortES},
+		{"SeqES", served(core.AlgSeqES)}, {"SeqGlobalES", served(core.AlgSeqGlobalES)},
 	}
-	parAlgs := []core.Algorithm{core.AlgNaiveParES, core.AlgParGlobalES}
+	parChains := []chain{{"NaiveParES", naiveParES}, {"ParGlobalES", served(core.AlgParGlobalES)}}
 
 	fmt.Printf("%-20s %-9s %-9s %-6s |", "graph", "n", "m", "dmax")
-	for _, a := range seqAlgs {
-		fmt.Printf(" %-10s", a)
+	for _, a := range seqChains {
+		fmt.Printf(" %-10s", a.name)
 	}
-	for _, a := range parAlgs {
-		fmt.Printf(" %-11s", fmt.Sprintf("%s/P1", shortName(a)))
+	for _, a := range parChains {
+		fmt.Printf(" %-11s", fmt.Sprintf("%s/P1", shortName(a.name)))
 	}
-	for _, a := range parAlgs {
-		fmt.Printf(" %-11s", fmt.Sprintf("%s/P%d", shortName(a), pMax))
+	for _, a := range parChains {
+		fmt.Printf(" %-11s", fmt.Sprintf("%s/P%d", shortName(a.name), pMax))
 	}
 	fmt.Println()
 
 	for _, c := range corpus {
 		fmt.Printf("%-20s %-9d %-9d %-6d |", c.Name, c.G.N(), c.G.M(), c.G.MaxDegree())
-		for _, a := range seqAlgs {
-			d, _, err := timeRun(c.G, a, supersteps, core.Config{Seed: opt.seed})
+		for _, a := range seqChains {
+			d, _, err := timeRun(c.G, a.build, supersteps, core.Config{Seed: opt.seed})
 			if err != nil {
 				return err
 			}
 			fmt.Printf(" %-10s", fmtDur(d))
 		}
-		for _, a := range parAlgs {
-			d, _, err := timeRun(c.G, a, supersteps, core.Config{Seed: opt.seed, Workers: 1})
+		for _, a := range parChains {
+			d, _, err := timeRun(c.G, a.build, supersteps, core.Config{Seed: opt.seed, Workers: 1})
 			if err != nil {
 				return err
 			}
 			fmt.Printf(" %-11s", fmtDur(d))
 		}
-		for _, a := range parAlgs {
-			d, _, err := timeRun(c.G, a, supersteps, core.Config{Seed: opt.seed, Workers: pMax})
+		for _, a := range parChains {
+			d, _, err := timeRun(c.G, a.build, supersteps, core.Config{Seed: opt.seed, Workers: pMax})
 			if err != nil {
 				return err
 			}
@@ -83,16 +108,14 @@ func table4(opt options) error {
 	return nil
 }
 
-func shortName(a core.Algorithm) string {
-	switch a {
-	case core.AlgNaiveParES:
+func shortName(name string) string {
+	switch name {
+	case "NaiveParES":
 		return "Naive"
-	case core.AlgParGlobalES:
+	case "ParGlobalES":
 		return "ParGES"
-	case core.AlgParES:
-		return "ParES"
 	default:
-		return a.String()
+		return name
 	}
 }
 
@@ -125,15 +148,15 @@ func fig5(opt options) error {
 
 	fmt.Printf("%-18s %-9s | %-10s %-10s %-8s spdup\n", "graph", "m", "SeqES", "SeqGES", "ParGES")
 	for _, c := range corpus {
-		dSeq, _, err := timeRun(c.G, core.AlgSeqES, supersteps, core.Config{Seed: opt.seed})
+		dSeq, _, err := timeRun(c.G, served(core.AlgSeqES), supersteps, core.Config{Seed: opt.seed})
 		if err != nil {
 			return err
 		}
-		dSeqG, _, err := timeRun(c.G, core.AlgSeqGlobalES, supersteps, core.Config{Seed: opt.seed})
+		dSeqG, _, err := timeRun(c.G, served(core.AlgSeqGlobalES), supersteps, core.Config{Seed: opt.seed})
 		if err != nil {
 			return err
 		}
-		dPar, _, err := timeRun(c.G, core.AlgParGlobalES, supersteps, core.Config{Seed: opt.seed, Workers: opt.workers})
+		dPar, _, err := timeRun(c.G, served(core.AlgParGlobalES), supersteps, core.Config{Seed: opt.seed, Workers: opt.workers})
 		if err != nil {
 			return err
 		}
@@ -169,13 +192,13 @@ func fig6(opt options) error {
 	}
 	fmt.Println(" (self speed-up vs P=1)")
 	for _, c := range corpus {
-		base, _, err := timeRun(c.G, core.AlgParGlobalES, supersteps, core.Config{Seed: opt.seed, Workers: 1})
+		base, _, err := timeRun(c.G, served(core.AlgParGlobalES), supersteps, core.Config{Seed: opt.seed, Workers: 1})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-20s %-9d |", c.Name, c.G.M())
 		for _, p := range ps {
-			d, _, err := timeRun(c.G, core.AlgParGlobalES, supersteps, core.Config{Seed: opt.seed, Workers: p})
+			d, _, err := timeRun(c.G, served(core.AlgParGlobalES), supersteps, core.Config{Seed: opt.seed, Workers: p})
 			if err != nil {
 				return err
 			}
@@ -210,7 +233,7 @@ func fig7(opt options) error {
 			if g.M() < 2 {
 				continue
 			}
-			d, stats, err := timeRun(g, core.AlgParGlobalES, supersteps, core.Config{Seed: opt.seed, Workers: opt.workers})
+			d, stats, err := timeRun(g, served(core.AlgParGlobalES), supersteps, core.Config{Seed: opt.seed, Workers: opt.workers})
 			if err != nil {
 				return err
 			}
@@ -242,7 +265,7 @@ func fig8(opt options) error {
 			if err != nil {
 				return err
 			}
-			d, stats, err := timeRun(g, core.AlgParGlobalES, supersteps, core.Config{Seed: opt.seed, Workers: opt.workers})
+			d, stats, err := timeRun(g, served(core.AlgParGlobalES), supersteps, core.Config{Seed: opt.seed, Workers: opt.workers})
 			if err != nil {
 				return err
 			}
@@ -274,7 +297,7 @@ func fig9(opt options) error {
 		// PessimisticRounds measures the worst-case-scheduler rounds of
 		// Theorems 2-3; with natural scheduling on few cores nearly all
 		// switches decide in round 1.
-		_, stats, err := timeRun(c.G, core.AlgParGlobalES, globalSwitches,
+		_, stats, err := timeRun(c.G, served(core.AlgParGlobalES), globalSwitches,
 			core.Config{Seed: opt.seed, Workers: opt.workers, PessimisticRounds: true})
 		if err != nil {
 			return err

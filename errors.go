@@ -21,9 +21,10 @@ var (
 	// ErrInvalidLoopProb is returned for a loop probability outside
 	// [0, 1).
 	ErrInvalidLoopProb = errors.New("gesmc: loop probability must lie in [0, 1)")
-	// ErrInvalidSwapsPerEdge is returned for a non-positive or non-finite
-	// swaps-per-edge target.
-	ErrInvalidSwapsPerEdge = errors.New("gesmc: swaps per edge must be positive and finite")
+	// ErrInvalidSwapsPerEdge is returned for a non-positive, non-finite,
+	// or too large swaps-per-edge target (the ceil(2s) burn-in
+	// supersteps must fit in an int).
+	ErrInvalidSwapsPerEdge = errors.New("gesmc: swaps per edge must be positive, finite, and small enough for its burn-in to fit in an int")
 	// ErrInvalidBurnIn is returned for a burn-in below one superstep.
 	ErrInvalidBurnIn = errors.New("gesmc: burn-in must be at least 1 superstep")
 	// ErrInvalidThinning is returned for a thinning below one superstep.

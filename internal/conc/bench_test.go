@@ -37,23 +37,6 @@ func BenchmarkEdgeSetInsertEraseUnique(b *testing.B) {
 	}
 }
 
-func BenchmarkEdgeSetTicketCycle(b *testing.B) {
-	// The NaiveParES hot path: lock two, insert-lock two, commit.
-	s := NewEdgeSet(1<<16, 2)
-	for i := uint32(0); i < 1<<14; i++ {
-		s.InsertUnique(edge(i, i+1<<16), 0)
-	}
-	src := rng.NewSplitMix64(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := uint32(src.Uint64() & 0x3FFF)
-		e := edge(u, u+1<<16)
-		if s.TryLock(e, 1) {
-			s.Unlock(e, 1)
-		}
-	}
-}
-
 func BenchmarkDepTableStoreLookup(b *testing.B) {
 	const n = 1 << 12
 	dt := NewDepTable(n)
@@ -135,7 +118,7 @@ func BenchmarkEdgeSetApply(b *testing.B) {
 			b.StopTimer()
 			copy(current, edges)
 			copy(current, from)
-			s.Compact(current)
+			compact(s, current)
 			b.StartTimer()
 		}
 	}

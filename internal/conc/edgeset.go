@@ -8,55 +8,36 @@ import (
 	"gesmc/internal/rng"
 )
 
-// Bucket layout (§5.2 of the paper): 64-bit buckets, the low 56 bits hold
-// the packed edge (28 bits per endpoint), the high 8 bits hold a lock
-// byte (0 = unlocked, otherwise owner id + 1). Empty and tombstone are
-// sentinel values that cannot collide with a packed simple edge, because
-// a simple edge never has equal endpoints:
+// Bucket layout: each 64-bit bucket holds a graph.Edge (or a directed
+// arc in the same 32+32 encoding) as-is. Empty and tombstone are
+// sentinel values that no stored edge or arc can equal, because both
+// decode to loops and neither a simple edge nor a stored arc has equal
+// endpoints:
 //
-//	empty     = 0                  (packed loop {0,0})
-//	tombstone = 0x00FFFFFFFFFFFFFF (packed loop {2^28-1, 2^28-1})
+//	empty     = 0                  (loop {0,0})
+//	tombstone = 0xFFFFFFFFFFFFFFFF (loop {2^32-1, 2^32-1})
 const (
 	bucketEmpty     = uint64(0)
-	bucketTombstone = uint64(0x00FFFFFFFFFFFFFF)
-	edgeMask        = uint64(0x00FFFFFFFFFFFFFF)
-	lockShift       = 56
+	bucketTombstone = ^uint64(0)
 )
 
-// packEdge converts the canonical 64-bit edge encoding (32+32) into the
-// 56-bit bucket encoding (28+28). Node ids must be below 2^28
-// (graph.MaxNodes), which graph.New enforces.
-func packEdge(e graph.Edge) uint64 {
-	return uint64(e.U())<<28 | uint64(e.V())
-}
-
-// unpackEdge inverts packEdge without canonicalizing: the set is also
-// used for directed arcs (package digraph), whose orientation must be
-// preserved exactly as stored.
-func unpackEdge(b uint64) graph.Edge {
-	b &= edgeMask
-	return graph.Edge(uint64(b>>28)<<32 | b&(1<<28-1))
-}
-
 // EdgeSet is a fixed-capacity concurrent open-addressing hash set of
-// edges with linear probing and per-edge lock bytes. The capacity is
-// fixed at construction: edge switching preserves the edge count, so the
-// set never needs to grow mid-run. Deletions write tombstones; the unique
-// insert path may reuse them, and Compact rebuilds the table when
-// tombstones accumulate.
+// edges with linear probing (§5.2 of the paper). The capacity is fixed
+// at construction: edge switching preserves the edge count, so the set
+// never needs to grow mid-run. Deletions write tombstones, inserts reuse
+// them, and the owner clears and rebuilds the table at a superstep
+// boundary once NeedsCompact reports that tombstones have accumulated
+// (ClearRange, ResetCounts, then InsertUnique or BuildFrom).
 //
 // Concurrency contract, by method:
 //
 //   - Contains and Touch are safe concurrently with everything except
-//     Compact/ClearRange.
+//     ClearRange.
 //   - InsertUnique/EraseUnique require that no two goroutines operate on
 //     the same edge concurrently (guaranteed inside a superstep: at most
 //     one legal inserter and one eraser per edge, Observation 2), and
 //     that no two goroutines pass the same worker index concurrently.
-//   - TryLock/TryInsertLock/Unlock/EraseLocked implement the ticket
-//     semantics of NaiveParES and are safe for arbitrary concurrency
-//     between distinct owners; the owner id doubles as the worker index.
-//   - Len, Tombstones, NeedsCompact, ResetCounts, Compact and ForEach
+//   - Len, Tombstones, NeedsCompact, ResetCounts and ForEach
 //     require external quiescence (superstep boundary, after the gang
 //     barrier that orders every worker's writes before the read).
 //
@@ -70,8 +51,7 @@ func unpackEdge(b uint64) graph.Edge {
 // Sequential mode (SetSequential) replaces the bucket compare-and-swaps
 // of the unique insert/erase path with plain stores: a 1-worker gang has
 // no concurrency to synchronize, and the locked instructions are pure
-// overhead on the apply phase of the kernel. The ticket path (TryLock
-// etc.) stays atomic regardless.
+// overhead on the apply phase of the kernel.
 type EdgeSet struct {
 	buckets []uint64
 	mask    uint64
@@ -142,8 +122,8 @@ func (s *EdgeSet) Tombstones() int {
 // Buckets returns the bucket count.
 func (s *EdgeSet) Buckets() int { return len(s.buckets) }
 
-func (s *EdgeSet) home(packed uint64) uint64 {
-	return rng.Mix64(packed) & s.mask
+func (s *EdgeSet) home(p uint64) uint64 {
+	return rng.Mix64(p) & s.mask
 }
 
 // Touch loads the home bucket of e, pulling the probe chain's first
@@ -152,19 +132,19 @@ func (s *EdgeSet) home(packed uint64) uint64 {
 // it only pays when issued next to other independent loads (the
 // kernel's decide step overlaps four); safe under any concurrency.
 func (s *EdgeSet) Touch(e graph.Edge) {
-	_ = atomic.LoadUint64(&s.buckets[s.home(packEdge(e))])
+	_ = atomic.LoadUint64(&s.buckets[s.home(uint64(e))])
 }
 
-// Contains reports whether e is live in the set, ignoring lock bytes.
+// Contains reports whether e is live in the set.
 func (s *EdgeSet) Contains(e graph.Edge) bool {
-	p := packEdge(e)
+	p := uint64(e)
 	i := s.home(p)
 	for probes := uint64(0); probes <= s.mask; probes++ {
 		b := atomic.LoadUint64(&s.buckets[i])
 		if b == bucketEmpty {
 			return false
 		}
-		if b&edgeMask == p {
+		if b == p {
 			return true
 		}
 		i = (i + 1) & s.mask
@@ -177,7 +157,7 @@ func (s *EdgeSet) Contains(e graph.Edge) bool {
 // worker's shard. Tombstone slots are reused. Panics if the table is
 // full (capacity misuse).
 func (s *EdgeSet) InsertUnique(e graph.Edge, worker int) {
-	p := packEdge(e)
+	p := uint64(e)
 	i := s.home(p)
 	for probes := uint64(0); probes <= s.mask; probes++ {
 		var b uint64
@@ -209,124 +189,27 @@ func (s *EdgeSet) InsertUnique(e graph.Edge, worker int) {
 	panic("conc: EdgeSet full")
 }
 
-// EraseUnique removes e, which must be live and unlocked, with no other
-// goroutine concurrently operating on the same edge, counting into
-// worker's shard.
+// EraseUnique removes e, which must be live, with no other goroutine
+// concurrently operating on the same edge, counting into worker's
+// shard.
 func (s *EdgeSet) EraseUnique(e graph.Edge, worker int) {
-	p := packEdge(e)
+	p := uint64(e)
 	i := s.home(p)
 	for probes := uint64(0); probes <= s.mask; probes++ {
 		b := atomic.LoadUint64(&s.buckets[i])
 		if b == bucketEmpty {
 			panic("conc: EraseUnique of absent edge")
 		}
-		if b&edgeMask == p {
-			if b != p {
-				panic("conc: EraseUnique of locked edge")
-			}
+		if b == p {
 			if s.seq {
 				s.buckets[i] = bucketTombstone
 			} else if !atomic.CompareAndSwapUint64(&s.buckets[i], p, bucketTombstone) {
-				panic("conc: EraseUnique raced (edge locked or contended)")
+				panic("conc: EraseUnique raced (edge contended)")
 			}
 			c := &s.counts[worker]
 			c.size--
 			c.tombstones++
 			return
-		}
-		i = (i + 1) & s.mask
-	}
-	panic("conc: EdgeSet probe loop exhausted (tombstone-saturated or misused table)")
-}
-
-// TryLock acquires the ticket for an existing unlocked edge by writing
-// owner+1 into its lock byte (compare-and-swap). It fails if the edge is
-// absent, locked, or contended.
-func (s *EdgeSet) TryLock(e graph.Edge, owner uint8) bool {
-	p := packEdge(e)
-	lockBits := uint64(owner+1) << lockShift
-	i := s.home(p)
-	for probes := uint64(0); probes <= s.mask; probes++ {
-		b := atomic.LoadUint64(&s.buckets[i])
-		if b == bucketEmpty {
-			return false
-		}
-		if b&edgeMask == p {
-			if b>>lockShift != 0 {
-				return false // already locked
-			}
-			return atomic.CompareAndSwapUint64(&s.buckets[i], p, p|lockBits)
-		}
-		i = (i + 1) & s.mask
-	}
-	panic("conc: EdgeSet probe loop exhausted (tombstone-saturated or misused table)")
-}
-
-// TryInsertLock inserts e in locked state if it is absent, counting
-// into owner's shard. It fails if e is present (locked or not). Unlike InsertUnique it never reuses
-// tombstones: concurrent inserters of the same edge may race, and
-// claiming only empty chain tails guarantees at most one wins.
-func (s *EdgeSet) TryInsertLock(e graph.Edge, owner uint8) bool {
-	p := packEdge(e)
-	locked := p | uint64(owner+1)<<lockShift
-	i := s.home(p)
-	for probes := uint64(0); probes <= s.mask; probes++ {
-		b := atomic.LoadUint64(&s.buckets[i])
-		if b&edgeMask == p && b != bucketTombstone {
-			return false // exists (whoever holds it)
-		}
-		if b == bucketEmpty {
-			if atomic.CompareAndSwapUint64(&s.buckets[i], bucketEmpty, locked) {
-				s.counts[owner].size++
-				return true
-			}
-			continue // re-examine raced slot: may now hold p
-		}
-		i = (i + 1) & s.mask
-	}
-	panic("conc: EdgeSet full")
-}
-
-// Unlock releases a lock held by owner on live edge e.
-func (s *EdgeSet) Unlock(e graph.Edge, owner uint8) {
-	p := packEdge(e)
-	locked := p | uint64(owner+1)<<lockShift
-	i := s.home(p)
-	for probes := uint64(0); probes <= s.mask; probes++ {
-		b := atomic.LoadUint64(&s.buckets[i])
-		if b == locked {
-			if !atomic.CompareAndSwapUint64(&s.buckets[i], locked, p) {
-				panic("conc: Unlock raced")
-			}
-			return
-		}
-		if b == bucketEmpty {
-			panic("conc: Unlock of absent edge")
-		}
-		i = (i + 1) & s.mask
-	}
-	panic("conc: EdgeSet probe loop exhausted (tombstone-saturated or misused table)")
-}
-
-// EraseLocked removes edge e whose lock is held by owner, counting into
-// owner's shard.
-func (s *EdgeSet) EraseLocked(e graph.Edge, owner uint8) {
-	p := packEdge(e)
-	locked := p | uint64(owner+1)<<lockShift
-	i := s.home(p)
-	for probes := uint64(0); probes <= s.mask; probes++ {
-		b := atomic.LoadUint64(&s.buckets[i])
-		if b == locked {
-			if !atomic.CompareAndSwapUint64(&s.buckets[i], locked, bucketTombstone) {
-				panic("conc: EraseLocked raced")
-			}
-			c := &s.counts[owner]
-			c.size--
-			c.tombstones++
-			return
-		}
-		if b == bucketEmpty {
-			panic("conc: EraseLocked of absent edge")
 		}
 		i = (i + 1) & s.mask
 	}
@@ -341,8 +224,8 @@ func (s *EdgeSet) NeedsCompact() bool {
 
 // ClearRange empties buckets [lo, hi). The caller must guarantee
 // quiescence and, before reusing the set, restore the live edges and
-// call ResetCounts — this is the building block of a pooled,
-// allocation-free Compact (see switching.Runner).
+// call ResetCounts — the building block of switching.Runner's pooled,
+// allocation-free compaction.
 func (s *EdgeSet) ClearRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s.buckets[i] = bucketEmpty
@@ -354,21 +237,12 @@ func (s *EdgeSet) ResetCounts() {
 	clear(s.counts)
 }
 
-// Compact rebuilds the table from the authoritative edge list, dropping
-// all tombstones, one goroutine per counter shard. The caller must
-// guarantee quiescence.
-func (s *EdgeSet) Compact(edges []graph.Edge) {
-	Blocks(len(s.buckets), len(s.counts), func(_, lo, hi int) { s.ClearRange(lo, hi) })
-	s.ResetCounts()
-	s.BuildFrom(edges)
-}
-
 // ForEach calls fn for every live edge. The caller must guarantee
 // quiescence.
 func (s *EdgeSet) ForEach(fn func(graph.Edge)) {
 	for _, b := range s.buckets {
 		if b != bucketEmpty && b != bucketTombstone {
-			fn(unpackEdge(b))
+			fn(graph.Edge(b))
 		}
 	}
 }

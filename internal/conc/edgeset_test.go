@@ -2,8 +2,6 @@ package conc
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"gesmc/internal/graph"
@@ -11,24 +9,74 @@ import (
 
 func edge(u, v uint32) graph.Edge { return graph.MakeEdge(u, v) }
 
-func TestPackUnpackRoundTrip(t *testing.T) {
-	cases := []graph.Edge{
-		edge(0, 1),
-		edge(5, 9),
-		edge(1<<28-2, 1<<28-1),
-		edge(0, 1<<28-1),
+// compact is the quiescent rebuild switching.Runner performs when
+// NeedsCompact fires: clear every bucket, zero the shards, reinsert the
+// live edges.
+func compact(s *EdgeSet, live []graph.Edge) {
+	s.ClearRange(0, s.Buckets())
+	s.ResetCounts()
+	s.BuildFrom(live)
+}
+
+func TestSentinelsAreNotEdges(t *testing.T) {
+	// Buckets hold edges and arcs unpacked (high 32 bits one endpoint,
+	// low 32 bits the other), so a sentinel could only collide with a
+	// stored value whose halves differ. Both sentinels have equal
+	// halves: they are loops in the edge and in the arc encoding, and
+	// neither a simple edge nor a loop-free arc is ever stored.
+	for _, b := range []uint64{bucketEmpty, bucketTombstone} {
+		if uint32(b>>32) != uint32(b) || !graph.Edge(b).IsLoop() {
+			t.Fatalf("sentinel %#x is not a loop", b)
+		}
 	}
-	for _, e := range cases {
-		if got := unpackEdge(packEdge(e)); got != e {
-			t.Fatalf("roundtrip %v -> %v", e, got)
+	const top = graph.MaxNodes - 1
+	for _, u := range []uint32{0, 1, top - 1, top, 1<<32 - 2} {
+		for _, v := range []uint32{0, 1, top - 1, top, 1<<32 - 1} {
+			if u == v {
+				continue
+			}
+			arc := uint64(u)<<32 | uint64(v)
+			for _, p := range []uint64{uint64(edge(u, v)), arc} {
+				if p == bucketEmpty || p == bucketTombstone {
+					t.Fatalf("{%d,%d} encodes to sentinel %#x", u, v, p)
+				}
+			}
 		}
 	}
 }
 
-func TestSentinelsAreNotEdges(t *testing.T) {
-	// empty and tombstone decode to loops, which are never stored.
-	if !unpackEdge(bucketEmpty).IsLoop() || !unpackEdge(bucketTombstone).IsLoop() {
-		t.Fatal("sentinel collides with a storable edge")
+// TestEdgeSetNearMaxNodes: edges whose endpoints sit at the top of the
+// node range are stored, found and erased like any other.
+func TestEdgeSetNearMaxNodes(t *testing.T) {
+	const top = graph.MaxNodes - 1
+	cases := []graph.Edge{
+		edge(top-1, top),
+		edge(0, top),
+		edge(top-2, top),
+		edge(1, top-1),
+	}
+	s := NewEdgeSet(len(cases), 1)
+	for _, e := range cases {
+		s.InsertUnique(e, 0)
+	}
+	for _, e := range cases {
+		if !s.Contains(e) {
+			t.Fatalf("missing %v", e)
+		}
+	}
+	if s.Contains(edge(top-3, top)) {
+		t.Fatal("contains an edge never inserted")
+	}
+	for _, e := range cases[:2] {
+		s.EraseUnique(e, 0)
+	}
+	for i, e := range cases {
+		if got, want := s.Contains(e), i >= 2; got != want {
+			t.Fatalf("Contains(%v) = %v after erase, want %v", e, got, want)
+		}
+	}
+	if s.Len() != 2 || s.Tombstones() != 2 {
+		t.Fatalf("Len %d, Tombstones %d, want 2 and 2", s.Len(), s.Tombstones())
 	}
 }
 
@@ -100,116 +148,6 @@ func TestConcurrentDisjointInsertErase(t *testing.T) {
 	}
 }
 
-func TestTryLockSemantics(t *testing.T) {
-	s := NewEdgeSet(16, 2)
-	e := edge(1, 2)
-	if s.TryLock(e, 0) {
-		t.Fatal("locked an absent edge")
-	}
-	s.InsertUnique(e, 0)
-	if !s.TryLock(e, 0) {
-		t.Fatal("failed to lock unlocked edge")
-	}
-	if s.TryLock(e, 1) {
-		t.Fatal("double lock")
-	}
-	if !s.Contains(e) {
-		t.Fatal("locked edge invisible to Contains")
-	}
-	s.Unlock(e, 0)
-	if !s.TryLock(e, 1) {
-		t.Fatal("failed to relock after unlock")
-	}
-	s.EraseLocked(e, 1)
-	if s.Contains(e) {
-		t.Fatal("erased edge still present")
-	}
-}
-
-func TestTryInsertLock(t *testing.T) {
-	s := NewEdgeSet(16, 5)
-	e := edge(7, 9)
-	if !s.TryInsertLock(e, 3) {
-		t.Fatal("insert-lock of fresh edge failed")
-	}
-	if s.TryInsertLock(e, 4) {
-		t.Fatal("insert-lock of existing edge succeeded")
-	}
-	if s.TryLock(e, 4) {
-		t.Fatal("insert-locked edge lockable by another owner")
-	}
-	s.Unlock(e, 3)
-	if !s.TryLock(e, 4) {
-		t.Fatal("unlock after insert-lock broken")
-	}
-}
-
-func TestConcurrentLockMutualExclusion(t *testing.T) {
-	// Many goroutines fight over a handful of edges; at most one may
-	// hold each lock at a time, checked with an owner shadow array.
-	const nEdges = 8
-	const workers = 8
-	const iters = 5000
-	s := NewEdgeSet(64, workers)
-	for i := uint32(0); i < nEdges; i++ {
-		s.InsertUnique(edge(i, i+100), 0)
-	}
-	var holders [nEdges]atomic.Int32
-	var violations atomic.Int32
-	Run(workers, func(w int) {
-		state := uint64(w)*2654435761 + 1
-		for it := 0; it < iters; it++ {
-			state = state*6364136223846793005 + 1442695040888963407
-			i := uint32(state>>33) % nEdges
-			e := edge(i, i+100)
-			if s.TryLock(e, uint8(w)) {
-				if !holders[i].CompareAndSwap(0, int32(w+1)) {
-					violations.Add(1)
-				}
-				if !holders[i].CompareAndSwap(int32(w+1), 0) {
-					violations.Add(1)
-				}
-				s.Unlock(e, uint8(w))
-			}
-		}
-	})
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d mutual-exclusion violations", v)
-	}
-}
-
-func TestConcurrentTryInsertLockUniqueWinner(t *testing.T) {
-	// Racing inserters of the same edge: exactly one must win per round.
-	const workers = 8
-	const rounds = 2000
-	s := NewEdgeSet(1<<12, workers)
-	for r := 0; r < rounds; r++ {
-		e := edge(uint32(r), uint32(r)+1<<20)
-		var winners atomic.Int32
-		winner := atomic.Int32{}
-		winner.Store(-1)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				if s.TryInsertLock(e, uint8(w)) {
-					winners.Add(1)
-					winner.Store(int32(w))
-				}
-			}(w)
-		}
-		wg.Wait()
-		if got := winners.Load(); got != 1 {
-			t.Fatalf("round %d: %d winners, want exactly 1", r, got)
-		}
-		s.EraseLocked(e, uint8(winner.Load()))
-		if s.NeedsCompact() {
-			s.Compact(nil)
-		}
-	}
-}
-
 func TestCompact(t *testing.T) {
 	s := NewEdgeSet(256, 4)
 	var live []graph.Edge
@@ -225,7 +163,7 @@ func TestCompact(t *testing.T) {
 	if s.Tombstones() == 0 {
 		t.Fatal("expected tombstones before compaction")
 	}
-	s.Compact(live)
+	compact(s, live)
 	if s.Tombstones() != 0 || s.Len() != len(live) {
 		t.Fatalf("after compact: %d tombstones, %d live", s.Tombstones(), s.Len())
 	}
@@ -270,9 +208,10 @@ func scanCounts(s *EdgeSet) (live, tombstones int) {
 	return live, tombstones
 }
 
-// TestShardedCountsMatchBucketScan drives the unique path (erase before
-// insert, as in the kernel's apply phase, with tombstone reuse) and the
-// ticket path from a Pool gang, and checks at every quiescent point
+// TestShardedCountsMatchBucketScan drives the unique path from a Pool
+// gang (erase before insert, as in the kernel's apply phase, with
+// tombstone reuse, and erasures counted by another worker than the
+// insert), and checks at every quiescent point
 // that the summed shards equal a bucket scan and that NeedsCompact
 // answers exactly the scanned tombstones*4 > buckets threshold. A
 // drifting tombstone count would compact too late and end in the
@@ -332,44 +271,34 @@ func TestShardedCountsMatchBucketScan(t *testing.T) {
 					}
 				}},
 			}}
-			ticket := func(i int) graph.Edge { return edge(uint32(i), uint32(1<<27+round*n+i)) }
+			extra := func(i int) graph.Edge { return edge(uint32(i), uint32(1<<27+round*n+i)) }
 			var live []graph.Edge
 			for round = 0; round < 12; round++ {
 				p.Fused(&plan)
 				check(fmt.Sprintf("round %d apply", round))
 
-				// Ticket path: every worker insert-locks its own
-				// disjoint edges with its owner id, erases half at
-				// once and, after a barrier, relocks and erases the
-				// rest.
+				// Every worker inserts its own disjoint extra edges
+				// and erases half at once; after a barrier, each
+				// worker erases the rest of its neighbour's, so
+				// shards count erasures of edges they never inserted.
 				p.Run(func(w int) {
 					for i := w; i < n/4; i += workers {
-						if !s.TryInsertLock(ticket(i), uint8(w)) {
-							t.Errorf("TryInsertLock %v failed", ticket(i))
-							return
-						}
+						s.InsertUnique(extra(i), w)
 						if i%2 == 0 {
-							s.EraseLocked(ticket(i), uint8(w))
-						} else {
-							s.Unlock(ticket(i), uint8(w))
+							s.EraseUnique(extra(i), w)
 						}
 					}
 				})
-				check(fmt.Sprintf("round %d tickets", round))
+				check(fmt.Sprintf("round %d extras", round))
 				p.Run(func(w int) {
-					// Relock under a different owner than the inserter.
 					o := (w + 1) % workers
 					for i := o; i < n/4; i += workers {
 						if i%2 == 1 {
-							if !s.TryLock(ticket(i), uint8(w)) {
-								t.Errorf("TryLock %v failed", ticket(i))
-								return
-							}
-							s.EraseLocked(ticket(i), uint8(w))
+							s.EraseUnique(extra(i), w)
 						}
 					}
 				})
-				check(fmt.Sprintf("round %d ticket erase", round))
+				check(fmt.Sprintf("round %d extra erase", round))
 
 				p.Blocks(n, func(w, lo, hi int) {
 					for i := lo; i < hi; i++ {
@@ -388,7 +317,7 @@ func TestShardedCountsMatchBucketScan(t *testing.T) {
 				if s.NeedsCompact() {
 					live = live[:0]
 					s.ForEach(func(e graph.Edge) { live = append(live, e) })
-					s.Compact(live)
+					compact(s, live)
 					compactions++
 					check(fmt.Sprintf("round %d compact", round))
 					if s.Tombstones() != 0 || s.Len() != n {

@@ -23,39 +23,11 @@ func TestEraseUniqueAbsentPanics(t *testing.T) {
 	})
 }
 
-func TestUnlockAbsentPanics(t *testing.T) {
-	s := NewEdgeSet(8, 2)
-	expectPanic(t, "Unlock of absent edge", func() {
-		s.Unlock(edge(1, 2), 0)
-	})
-}
-
-func TestEraseLockedAbsentPanics(t *testing.T) {
-	s := NewEdgeSet(8, 2)
-	expectPanic(t, "EraseLocked of absent edge", func() {
-		s.EraseLocked(edge(1, 2), 0)
-	})
-}
-
 func TestEdgeSetFullPanics(t *testing.T) {
 	s := NewEdgeSet(4, 1) // 16 buckets
 	expectPanic(t, "insert beyond capacity", func() {
 		for i := uint32(0); i < 64; i++ {
 			s.InsertUnique(edge(i, i+100), 0)
 		}
-	})
-}
-
-func TestEraseUniqueLockedPanics(t *testing.T) {
-	// EraseUnique requires the edge to be unlocked; a locked edge
-	// indicates interleaving unique-path and ticket-path operations.
-	s := NewEdgeSet(8, 2)
-	e := edge(3, 4)
-	s.InsertUnique(e, 0)
-	if !s.TryLock(e, 1) {
-		t.Fatal("lock failed")
-	}
-	expectPanic(t, "EraseUnique of locked edge", func() {
-		s.EraseUnique(e, 0)
 	})
 }

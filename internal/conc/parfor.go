@@ -1,7 +1,7 @@
 // Package conc provides the shared-memory concurrent building blocks of
 // the parallel switching algorithms: a fixed-capacity concurrent edge set
-// with per-edge lock bytes (§5.2 of the paper), the per-superstep
-// dependency table of Algorithm 1, and small parallel-for helpers.
+// (§5.2 of the paper), the per-superstep dependency table of Algorithm 1,
+// the persistent worker gang, and small parallel-for helpers.
 package conc
 
 import "sync"

@@ -28,22 +28,6 @@ func forbiddenSpec(edges ...graph.Edge) *constraint.Spec {
 	return &constraint.Spec{Locals: []constraint.Local{constraint.NewForbidden(packed)}}
 }
 
-// TestConstraintUnsupportedAlgorithms: the naive and adjacency-list
-// chains and the bucket-sampling variant reject constraint specs.
-func TestConstraintUnsupportedAlgorithms(t *testing.T) {
-	g := gridGraph(t, 4, 4)
-	for _, alg := range []Algorithm{AlgNaiveParES, AlgAdjListES, AlgAdjSortES} {
-		_, err := NewEngine(g.Clone(), alg, Config{Constraint: connectedSpec()})
-		if !errors.Is(err, ErrConstraintUnsupported) {
-			t.Fatalf("%v: err = %v, want ErrConstraintUnsupported", alg, err)
-		}
-	}
-	_, err := NewEngine(g.Clone(), AlgSeqES, Config{Constraint: connectedSpec(), SampleViaBuckets: true})
-	if !errors.Is(err, ErrConstraintUnsupported) {
-		t.Fatalf("SampleViaBuckets: err = %v, want ErrConstraintUnsupported", err)
-	}
-}
-
 // TestConstraintDisconnectedTarget: the connectivity constraint rejects
 // a disconnected start state.
 func TestConstraintDisconnectedTarget(t *testing.T) {

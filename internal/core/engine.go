@@ -13,7 +13,7 @@ var ErrUnknownAlgorithm = errors.New("core: unknown algorithm")
 
 // Engine is the resumable run every chain shares (switching.Engine):
 // NewEngine compiles the graph once into the algorithm's stepper
-// (hash set, dependency table, adjacency lists, RNG streams), after
+// (hash set, dependency table, RNG streams), after
 // which Steps advances the chain in arbitrarily many increments
 // without rebuilding anything. A single Steps(ctx, k) call is
 // bit-identical to the one-shot Run(g, alg, k, cfg); splitting the
@@ -36,9 +36,6 @@ func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
 	}
 	var cons *constrainedRuntime
 	if cfg.Constraint.Active() {
-		if !alg.supportsConstraint() || cfg.SampleViaBuckets {
-			return nil, ErrConstraintUnsupported
-		}
 		var err error
 		cons, err = newConstrainedRuntime(g, cfg.Constraint)
 		if err != nil {
@@ -51,17 +48,11 @@ func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
 		st = newSeqESStepper(g, cfg, cons)
 	case AlgSeqGlobalES:
 		st = newSeqGlobalStepper(g, cfg, cons)
-	case AlgNaiveParES:
-		st = newNaiveStepper(g, cfg)
 	case AlgParES:
 		st = newParESStepper(g, cfg, cons)
 	case AlgParGlobalES:
 		r := newRunner(g.Edges(), g.M()/2, cfg, cons)
 		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), GlobalSwitches, cons.After())
-	case AlgAdjListES:
-		st = newAdjListStepper(g, cfg, false)
-	case AlgAdjSortES:
-		st = newAdjListStepper(g, cfg, true)
 	default:
 		return nil, ErrUnknownAlgorithm
 	}

@@ -19,9 +19,7 @@ func TestEngineSplitStepsMatchOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	const steps = 12
-	for _, alg := range []Algorithm{
-		AlgSeqES, AlgSeqGlobalES, AlgParES, AlgParGlobalES, AlgAdjListES, AlgAdjSortES,
-	} {
+	for _, alg := range allAlgorithms {
 		cfg := Config{Seed: 7, Workers: 3}
 		oneShot := g.Clone()
 		rs, err := Run(oneShot, alg, steps, cfg)
@@ -59,36 +57,6 @@ func TestEngineSplitStepsMatchOneShot(t *testing.T) {
 	}
 }
 
-// TestEngineBucketsResumable: the §5.3 bucket-sampling variant carries a
-// position index across increments; make sure it stays consistent.
-func TestEngineBucketsResumable(t *testing.T) {
-	g := gen.GNP(256, 0.08, rng.NewMT19937(5))
-	cfg := Config{Seed: 3, SampleViaBuckets: true}
-	oneShot := g.Clone()
-	if _, err := Run(oneShot, AlgSeqES, 8, cfg); err != nil {
-		t.Fatal(err)
-	}
-	split := g.Clone()
-	e, err := NewEngine(split, AlgSeqES, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := e.Steps(context.Background(), 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, b := oneShot.Edges(), split.Edges()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("bucket-sampling engine diverges at %d", i)
-		}
-	}
-	if err := split.CheckSimple(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestEngineContextCancellation: a cancelled context stops the engine at
 // a superstep boundary, returning partial stats and a valid graph.
 func TestEngineContextCancellation(t *testing.T) {
@@ -115,29 +83,5 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 	if st := e.Stats(); st.Supersteps != 2 {
 		t.Fatalf("supersteps after resume = %d, want 2", st.Supersteps)
-	}
-}
-
-// TestEngineNaiveWriteBack: NaiveParES buffers edges privately; the
-// graph must hold the current state after every Steps increment.
-func TestEngineNaiveWriteBack(t *testing.T) {
-	g := gen.GNP(256, 0.08, rng.NewMT19937(8))
-	deg := g.Degrees()
-	e, err := NewEngine(g, AlgNaiveParES, Config{Seed: 2, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := e.Steps(context.Background(), 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.CheckSimple(); err != nil {
-			t.Fatalf("increment %d: %v", i, err)
-		}
-		for v, d := range g.Degrees() {
-			if d != deg[v] {
-				t.Fatalf("increment %d changed degree of %d", i, v)
-			}
-		}
 	}
 }

@@ -61,14 +61,6 @@ func newSeqESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) switc
 	E := g.Edges()
 	S := hashset.FromEdges(E, 0.5)
 	src := rng.NewMT19937(cfg.Seed)
-	if cfg.SampleViaBuckets {
-		// Keep an index for write-back: position of each edge in E.
-		pos := make(map[graph.Edge]int, len(E))
-		for i, e := range E {
-			pos[e] = i
-		}
-		return &seqBucketsStepper{m: g.M(), E: E, S: S, src: src, pos: pos}
-	}
 	if cons != nil {
 		bindHashSet(cons, S)
 	}
@@ -97,46 +89,6 @@ func (s *seqESStepper) Step(st *switching.Stats) error {
 			st.Legal += ExecuteSequential(s.E, s.S, buf)
 		}
 		done += take
-	}
-	st.Attempted += perStep
-	return nil
-}
-
-// seqBucketsStepper runs ES-MC sampling the two edges directly from the
-// hash set by random-bucket probing (§5.3 second option). The chain is
-// equivalent: a switch is an unordered pair of distinct edges plus a
-// direction bit, independent of edge-list indexing; the edge array is
-// still maintained only implicitly via the set.
-type seqBucketsStepper struct {
-	m   int
-	E   []graph.Edge
-	S   *hashset.Set
-	src rng.Source
-	pos map[graph.Edge]int
-}
-
-func (s *seqBucketsStepper) Step(st *switching.Stats) error {
-	perStep := int64(s.m / 2)
-	for k := int64(0); k < perStep; k++ {
-		e1 := s.S.SampleBucket(s.src)
-		e2 := s.S.SampleBucket(s.src)
-		if e1 == e2 {
-			continue // resample counts as rejection (prob 1/m)
-		}
-		t3, t4 := graph.SwitchTargets(e1, e2, rng.Bool(s.src))
-		if t3.IsLoop() || t4.IsLoop() || s.S.Contains(t3) || s.S.Contains(t4) {
-			continue
-		}
-		s.S.Erase(e1)
-		s.S.Erase(e2)
-		s.S.Insert(t3)
-		s.S.Insert(t4)
-		i, j := s.pos[e1], s.pos[e2]
-		delete(s.pos, e1)
-		delete(s.pos, e2)
-		s.E[i], s.E[j] = t3, t4
-		s.pos[t3], s.pos[t4] = i, j
-		st.Legal++
 	}
 	st.Attempted += perStep
 	return nil

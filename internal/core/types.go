@@ -1,15 +1,16 @@
-// Package core implements the switching Markov chains of the paper:
+// Package core implements the undirected switching Markov chains of the
+// paper:
 //
 //   - SeqES: fast sequential ES-MC (Definition 1) on an edge array plus
 //     hash set (§5).
 //   - SeqGlobalES: sequential G-ES-MC (Definition 3).
-//   - NaiveParES: the inexact parallel baseline that only synchronizes
-//     concurrent accesses to individual edges (§5.1).
 //   - ParES: the exact parallelization of ES-MC (Algorithm 2).
 //   - ParGlobalES: the exact parallelization of G-ES-MC (Algorithm 3).
 //   - ParallelSuperstep (Algorithm 1), shared by ParES and ParGlobalES.
-//   - Adjacency-list sequential baselines standing in for NetworKit and
-//     Gengraph (see DESIGN.md).
+//
+// The evaluation-only baselines of Table 4 (the inexact parallel chain
+// of §5.1 and the adjacency-list stand-ins for NetworKit and Gengraph)
+// are switching.Stepper plug-ins in cmd/experiments.
 //
 // All implementations mutate the graph's edge list in place and preserve
 // both the degree sequence and simplicity. The parallel implementations
@@ -42,18 +43,10 @@ const (
 	AlgSeqES Algorithm = iota
 	// AlgSeqGlobalES is the sequential G-ES-MC implementation.
 	AlgSeqGlobalES
-	// AlgNaiveParES is the inexact parallel ES-MC baseline.
-	AlgNaiveParES
 	// AlgParES is the exact parallel ES-MC (Algorithm 2).
 	AlgParES
 	// AlgParGlobalES is the exact parallel G-ES-MC (Algorithm 3).
 	AlgParGlobalES
-	// AlgAdjListES is the unsorted adjacency-list sequential baseline
-	// ("NetworKit-style").
-	AlgAdjListES
-	// AlgAdjSortES is the sorted adjacency-list sequential baseline
-	// ("Gengraph-style").
-	AlgAdjSortES
 )
 
 // String returns the implementation name used in the paper.
@@ -63,16 +56,10 @@ func (a Algorithm) String() string {
 		return "SeqES"
 	case AlgSeqGlobalES:
 		return "SeqGlobalES"
-	case AlgNaiveParES:
-		return "NaiveParES"
 	case AlgParES:
 		return "ParES"
 	case AlgParGlobalES:
 		return "ParGlobalES"
-	case AlgAdjListES:
-		return "AdjListES"
-	case AlgAdjSortES:
-		return "AdjSortES"
 	default:
 		return "unknown"
 	}
@@ -99,10 +86,6 @@ type Config struct {
 	Seed uint64
 	// LoopProb is P_L of G-ES-MC. Zero selects DefaultLoopProb.
 	LoopProb float64
-	// SampleViaBuckets switches SeqES edge sampling from the auxiliary
-	// edge array to random-bucket probing of the hash set (§5.3's
-	// memory/time trade-off).
-	SampleViaBuckets bool
 	// PessimisticRounds makes ParallelSuperstep publish decisions only
 	// at round barriers, simulating the worst-case scheduler analyzed
 	// in Theorems 2-3. Results are identical; only round counts change.
@@ -111,10 +94,9 @@ type Config struct {
 	PessimisticRounds bool
 	// Constraint restricts the chain's state space (see the constraint
 	// package): local vetoes run inside the decide phase, connectivity
-	// via certificate + speculate-then-recertify. Supported by SeqES,
-	// SeqGlobalES, ParES, and ParGlobalES; NewEngine rejects the
-	// combination otherwise (ErrConstraintUnsupported). Nil or a spec
-	// with nothing active constrains nothing.
+	// via certificate + speculate-then-recertify. Every algorithm
+	// supports it. Nil or a spec with nothing active constrains
+	// nothing.
 	Constraint *constraint.Spec
 }
 

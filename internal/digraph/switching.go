@@ -52,9 +52,9 @@ func ExecuteSequential(A []Arc, S map[Arc]struct{}, switches []Switch) int64 {
 // scheduler, and padded counters as the undirected Algorithm 1; the arc
 // type's Targets method (head exchange) is the only directed
 // ingredient. Arcs pack (tail, head) in 32+32 bits exactly like
-// canonical edges pack (min, max); the conc containers never
-// canonicalize, so the reuse is sound as long as nodes stay below 2^28
-// (checked at graph construction).
+// canonical edges pack (min, max), and the conc containers store and
+// compare those 64 bits as-is without canonicalizing, so the reuse is
+// sound for every loop-free arc.
 type SuperstepRunner = switching.Runner[Arc]
 
 // NewSuperstepRunner prepares a runner over the arc list A.

@@ -5,9 +5,10 @@
 //
 // Following §5.2 of the paper, an undirected edge {u, v} with u < v is
 // identified by a single 64-bit integer whose high 32 bits hold u and
-// whose low 32 bits hold v. The concurrent edge set reserves the top
-// 8 bits for a lock byte, so node identifiers must fit in 28 bits
-// (n ≤ 2^28), exactly the restriction of the paper's implementation.
+// whose low 32 bits hold v. Node identifiers must fit in 28 bits
+// (n ≤ 2^28). That is the paper's limit, which packs two endpoints next
+// to an 8-bit lock byte; it is kept as public behaviour, although the
+// concurrent edge set stores the full 64-bit encoding.
 package graph
 
 import "fmt"
@@ -15,9 +16,8 @@ import "fmt"
 // Node is a vertex identifier in [0, n).
 type Node = uint32
 
-// MaxNodes is the largest supported node count. The concurrent edge set
-// packs an edge into 56 bits (28 per endpoint) next to an 8-bit lock, as
-// in the paper (§5.2).
+// MaxNodes is the largest supported node count: the limit of the paper's
+// implementation (§5.2), kept as public behaviour for every target.
 const MaxNodes = 1 << 28
 
 // Edge is the canonical encoding of an undirected edge {u, v}: the

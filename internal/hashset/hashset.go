@@ -172,22 +172,6 @@ func (s *Set) grow() {
 	}
 }
 
-// SampleBucket returns a uniformly random stored edge by repeatedly
-// probing random buckets until a non-empty one is hit (the second edge
-// sampling option of §5.3: memory-free but geometric in the load factor).
-// It panics on an empty set.
-func (s *Set) SampleBucket(src rng.Source) graph.Edge {
-	if s.size == 0 {
-		panic("hashset: sampling from empty set")
-	}
-	for {
-		i := src.Uint64() & s.mask
-		if b := s.buckets[i]; b != empty {
-			return graph.Edge(b)
-		}
-	}
-}
-
 // ForEach calls fn for every stored edge in unspecified order.
 func (s *Set) ForEach(fn func(graph.Edge)) {
 	for _, b := range s.buckets {

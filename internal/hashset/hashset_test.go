@@ -128,32 +128,6 @@ func TestFromEdges(t *testing.T) {
 	}
 }
 
-func TestSampleBucketUniform(t *testing.T) {
-	s := NewDefault(64)
-	k := 16
-	for i := 0; i < k; i++ {
-		s.Insert(edge(uint32(i), uint32(i+100)))
-	}
-	src := rng.NewMT19937(9)
-	counts := map[graph.Edge]int{}
-	const samples = 160000
-	for i := 0; i < samples; i++ {
-		counts[s.SampleBucket(src)]++
-	}
-	expected := float64(samples) / float64(k)
-	var x2 float64
-	for _, c := range counts {
-		d := float64(c) - expected
-		x2 += d * d / expected
-	}
-	if len(counts) != k {
-		t.Fatalf("sampled %d distinct edges, want %d", len(counts), k)
-	}
-	if x2 > 50 { // df = 15
-		t.Fatalf("bucket sampling chi-square too large: %.1f", x2)
-	}
-}
-
 func TestForEach(t *testing.T) {
 	s := NewDefault(16)
 	want := map[graph.Edge]bool{edge(0, 1): true, edge(5, 9): true}
@@ -212,18 +186,4 @@ func BenchmarkContains(b *testing.B) {
 		}
 	}
 	_ = hits
-}
-
-func BenchmarkSampleBucket(b *testing.B) {
-	s := NewDefault(1 << 16)
-	for i := uint32(0); i < 1<<15; i++ {
-		s.Insert(edge(i, i+1<<16))
-	}
-	src := rng.NewSplitMix64(1)
-	b.ResetTimer()
-	var sink graph.Edge
-	for i := 0; i < b.N; i++ {
-		sink = s.SampleBucket(src)
-	}
-	_ = sink
 }

@@ -230,8 +230,10 @@ func (r *Request) Validate() error {
 	if r.Thinning < 0 {
 		return &RequestError{Field: "thinning", Reason: "must be non-negative"}
 	}
-	if r.SwapsPerEdge < 0 || math.IsInf(r.SwapsPerEdge, 0) || math.IsNaN(r.SwapsPerEdge) {
-		return &RequestError{Field: "swaps_per_edge", Reason: "must be finite and non-negative"}
+	if !(r.SwapsPerEdge >= 0) || math.Ceil(2*r.SwapsPerEdge) >= math.MaxInt {
+		// The ceil(2s) burn-in supersteps must fit in an int, exactly
+		// as gesmc.WithSwapsPerEdge requires.
+		return &RequestError{Field: "swaps_per_edge", Reason: "must be finite, non-negative, and small enough for its burn-in to fit in an int"}
 	}
 	if r.ResumeFrom < 0 {
 		return &RequestError{Field: "resume_from", Reason: "must be non-negative"}

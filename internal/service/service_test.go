@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -472,6 +473,7 @@ func TestRequestValidationErrors(t *testing.T) {
 		{"negative timeout", wire.SampleRequest{Degrees: []int{1, 1}, TimeoutMS: -5}},
 		{"negative degree", wire.SampleRequest{Degrees: []int{2, -1, 1}}},
 		{"half bipartite", wire.SampleRequest{BipartiteLeft: []int{1}}},
+		{"burn-in overflowing int", wire.SampleRequest{Degrees: []int{1, 1}, SwapsPerEdge: 1e300}},
 	}
 	for _, c := range cases {
 		if _, err := FromWire(&c.req); !errors.Is(err, ErrBadRequest) {
@@ -502,5 +504,29 @@ func TestRequestValidationErrors(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServerRefusesOverflowingSwapsPerEdge: a swaps_per_edge whose
+// ceil(2s) burn-in does not fit in an int is a typed 400 naming the
+// field, not a 500 from a burn-in that wrapped negative.
+func TestServerRefusesOverflowingSwapsPerEdge(t *testing.T) {
+	svc := New(Config{WorkerBudget: 1})
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	resp, err := http.Post(ts.URL+"/v1/sample", "application/json",
+		strings.NewReader(`{"degrees":[4,3,3,2,2,2,1,1],"swaps_per_edge":1e300}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body wire.Error
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || body.Code != "bad_request" ||
+		!strings.Contains(body.Error, "swaps_per_edge") {
+		t.Fatalf("status %d body %+v, want 400 bad_request naming swaps_per_edge", resp.StatusCode, body)
 	}
 }

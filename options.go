@@ -94,9 +94,11 @@ func WithSeed(seed uint64) Option {
 // WithSwapsPerEdge sets the burn-in length indirectly: enough supersteps
 // that the expected number of switch attempts is s per edge. The paper
 // (and the empirical literature it cites) recommends 10-30. Default: 10.
+// s must be positive and small enough that the ceil(2s) supersteps fit
+// in an int.
 func WithSwapsPerEdge(s float64) Option {
 	return func(c *samplerConfig) error {
-		if !(s > 0) || math.IsInf(s, 0) {
+		if !(s > 0) || math.Ceil(2*s) >= math.MaxInt {
 			return fmt.Errorf("%w: got %v", ErrInvalidSwapsPerEdge, s)
 		}
 		c.swapsPerEdge = s

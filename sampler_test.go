@@ -22,6 +22,7 @@ func TestNewSamplerOptionValidation(t *testing.T) {
 		{"zero thinning", []Option{WithThinning(0)}, ErrInvalidThinning},
 		{"zero burn-in", []Option{WithBurnIn(0)}, ErrInvalidBurnIn},
 		{"negative swaps", []Option{WithSwapsPerEdge(-2)}, ErrInvalidSwapsPerEdge},
+		{"burn-in overflowing int", []Option{WithSwapsPerEdge(1e300)}, ErrInvalidSwapsPerEdge},
 		{"bogus algorithm", []Option{WithAlgorithm(Algorithm(99))}, ErrUnknownAlgorithm},
 	}
 	for _, c := range cases {
