@@ -56,20 +56,6 @@ func BenchmarkDepTableStoreLookup(b *testing.B) {
 	b.SetBytes(n * 4)
 }
 
-func BenchmarkBuildFrom(b *testing.B) {
-	var edges []graph.Edge
-	for i := uint32(0); i < 1<<15; i++ {
-		edges = append(edges, edge(i, i+1<<16))
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewEdgeSet(len(edges), 4)
-		s.BuildFrom(edges)
-	}
-	b.SetBytes(int64(len(edges)) * 8)
-}
-
 // BenchmarkEdgeSetApply is the kernel's apply phase in isolation, shaped
 // like switching.Runner's phase3Erase/phase3Insert: one fused dispatch on
 // a Pool gang of GOMAXPROCS workers (set with -cpu) erases two edges per
@@ -93,7 +79,9 @@ func BenchmarkEdgeSetApply(b *testing.B) {
 	for i := range moved {
 		moved[i] = edge(uint32(i), uint32(i+1<<21))
 	}
-	s.BuildFrom(edges)
+	for _, e := range edges {
+		s.InsertUnique(e, 0)
+	}
 	from, to := edges[:2*items], moved
 	plan := FusedPlan{Passes: []FusedPass{
 		{N: items, Fn: func(w, lo, hi int) {

@@ -27,7 +27,7 @@ const (
 // never needs to grow mid-run. Deletions write tombstones, inserts reuse
 // them, and the owner clears and rebuilds the table at a superstep
 // boundary once NeedsCompact reports that tombstones have accumulated
-// (ClearRange, ResetCounts, then InsertUnique or BuildFrom).
+// (ClearRange, ResetCounts, then InsertUnique of every live edge).
 //
 // Concurrency contract, by method:
 //
@@ -37,7 +37,7 @@ const (
 //     the same edge concurrently (guaranteed inside a superstep: at most
 //     one legal inserter and one eraser per edge, Observation 2), and
 //     that no two goroutines pass the same worker index concurrently.
-//   - Len, Tombstones, NeedsCompact, ResetCounts and ForEach
+//   - Len, Tombstones, NeedsCompact and ResetCounts
 //     require external quiescence (superstep boundary, after the gang
 //     barrier that orders every worker's writes before the read).
 //
@@ -84,16 +84,6 @@ func NewEdgeSet(capacity, workers int) *EdgeSet {
 		mask:    uint64(nb - 1),
 		counts:  make([]countShard, workers),
 	}
-}
-
-// BuildFrom fills the set with the given distinct edges, one goroutine
-// per counter shard. It must not run concurrently with other operations.
-func (s *EdgeSet) BuildFrom(edges []graph.Edge) {
-	Blocks(len(edges), len(s.counts), func(w, lo, hi int) {
-		for _, e := range edges[lo:hi] {
-			s.InsertUnique(e, w)
-		}
-	})
 }
 
 // SetSequential switches the unique-path bucket writes between
@@ -235,14 +225,4 @@ func (s *EdgeSet) ClearRange(lo, hi int) {
 // ResetCounts zeroes every counter shard after ClearRange.
 func (s *EdgeSet) ResetCounts() {
 	clear(s.counts)
-}
-
-// ForEach calls fn for every live edge. The caller must guarantee
-// quiescence.
-func (s *EdgeSet) ForEach(fn func(graph.Edge)) {
-	for _, b := range s.buckets {
-		if b != bucketEmpty && b != bucketTombstone {
-			fn(graph.Edge(b))
-		}
-	}
 }

@@ -15,7 +15,9 @@ func edge(u, v uint32) graph.Edge { return graph.MakeEdge(u, v) }
 func compact(s *EdgeSet, live []graph.Edge) {
 	s.ClearRange(0, s.Buckets())
 	s.ResetCounts()
-	s.BuildFrom(live)
+	for _, e := range live {
+		s.InsertUnique(e, 0)
+	}
 }
 
 func TestSentinelsAreNotEdges(t *testing.T) {
@@ -101,23 +103,6 @@ func TestInsertContainsEraseUnique(t *testing.T) {
 	}
 }
 
-func TestBuildFromParallel(t *testing.T) {
-	var edges []graph.Edge
-	for i := uint32(0); i < 5000; i++ {
-		edges = append(edges, edge(i, i+10000))
-	}
-	s := NewEdgeSet(len(edges), 4)
-	s.BuildFrom(edges)
-	if s.Len() != len(edges) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(edges))
-	}
-	for _, e := range edges {
-		if !s.Contains(e) {
-			t.Fatalf("missing %v", e)
-		}
-	}
-}
-
 func TestConcurrentDisjointInsertErase(t *testing.T) {
 	// Workers operate on disjoint edges: the unique-path contract.
 	const perWorker = 2000
@@ -141,10 +126,8 @@ func TestConcurrentDisjointInsertErase(t *testing.T) {
 	if s.Len() != perWorker*workers/2 {
 		t.Fatalf("Len = %d after parallel erase", s.Len())
 	}
-	count := 0
-	s.ForEach(func(graph.Edge) { count++ })
-	if count != s.Len() {
-		t.Fatalf("ForEach visited %d, Len = %d", count, s.Len())
+	if live, _ := scanCounts(s); live != s.Len() {
+		t.Fatalf("bucket scan finds %d live, Len = %d", live, s.Len())
 	}
 }
 
@@ -315,8 +298,11 @@ func TestShardedCountsMatchBucketScan(t *testing.T) {
 					t.Fatalf("round %d: %d live, want %d", round, s.Len(), n)
 				}
 				if s.NeedsCompact() {
+					// Generation round+1 is live; every extra is erased.
 					live = live[:0]
-					s.ForEach(func(e graph.Edge) { live = append(live, e) })
+					for i := range n {
+						live = append(live, edgeOf(round+1, i))
+					}
 					compact(s, live)
 					compactions++
 					check(fmt.Sprintf("round %d compact", round))

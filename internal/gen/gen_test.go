@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gesmc/internal/graph"
@@ -110,6 +111,85 @@ func TestErdosGallai(t *testing.T) {
 	for _, c := range cases {
 		if got := ErdosGallai(c.deg); got != c.want {
 			t.Errorf("ErdosGallai(%v) = %v, want %v", c.deg, got, c.want)
+		}
+	}
+}
+
+// erdosGallaiEveryK is the Erdős–Gallai test as stated: sort the
+// degrees non-increasingly and check the inequality at every k.
+func erdosGallaiEveryK(degrees []int) bool {
+	n := len(degrees)
+	d := slices.Clone(degrees)
+	slices.SortFunc(d, func(a, b int) int { return b - a })
+	total := 0
+	for _, v := range d {
+		if v < 0 || v >= n {
+			return false
+		}
+		total += v
+	}
+	if total%2 != 0 {
+		return false
+	}
+	lhs := 0
+	for k := 1; k <= n; k++ {
+		lhs += d[k-1]
+		rhs := k * (k - 1)
+		for _, v := range d[k:] {
+			rhs += min(v, k)
+		}
+		if lhs > rhs {
+			return false
+		}
+	}
+	return true
+}
+
+// TestErdosGallaiEveryK checks the run-end histogram walk against the
+// inequality at every k: exhaustively over every sequence with n <= 7
+// and entries in [-1, n], and on random sequences up to n = 300,
+// including dense ones where the k < v branch runs long.
+func TestErdosGallaiEveryK(t *testing.T) {
+	for n := 0; n <= 7; n++ {
+		deg := make([]int, n)
+		for i := range deg {
+			deg[i] = -1
+		}
+		for {
+			if got, want := ErdosGallai(deg), erdosGallaiEveryK(deg); got != want {
+				t.Fatalf("ErdosGallai(%v) = %v, every-k test %v", deg, got, want)
+			}
+			i := 0
+			for ; i < n && deg[i] == n; i++ {
+				deg[i] = -1
+			}
+			if i == n {
+				break
+			}
+			deg[i]++
+		}
+	}
+	src := rng.NewMT19937(9)
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.IntN(src, 300)
+		top := 1 + rng.IntN(src, n)
+		deg := make([]int, n)
+		for i := range deg {
+			deg[i] = rng.IntN(src, top)
+		}
+		if s := 0; trial%2 == 0 {
+			for _, v := range deg {
+				s += v
+			}
+			if s%2 != 0 {
+				deg[0] ^= 1 // mostly even sums, so the inequalities decide
+				if deg[0] >= n {
+					deg[0] -= 2
+				}
+			}
+		}
+		if got, want := ErdosGallai(deg), erdosGallaiEveryK(deg); got != want {
+			t.Fatalf("ErdosGallai(%v) = %v, every-k test %v", deg, got, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package gen
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"gesmc/internal/graph"
 )
@@ -13,38 +12,49 @@ import (
 var ErrNotGraphical = errors.New("gen: degree sequence is not graphical")
 
 // ErdosGallai reports whether the degree sequence is graphical, using the
-// Erdős–Gallai characterization: the sum must be even and for every k,
+// Erdős–Gallai characterization: with the degrees sorted non-increasingly,
+// the sum must be even and for every k,
 // sum of the k largest degrees <= k(k-1) + sum_{i>k} min(d_i, k).
+// Only the k that end a run of equal degrees need checking (Tripathi and
+// Vijay 2003). Degrees must lie in [0, n), so the test walks the degree
+// histogram, its one n-length allocation, in O(n) time.
 func ErdosGallai(degrees []int) bool {
 	n := len(degrees)
-	d := make([]int, n)
-	copy(d, degrees)
-	sort.Sort(sort.Reverse(sort.IntSlice(d)))
-
-	var sum int64
-	for _, v := range d {
+	count := make([]int, n) // count[v] = number of nodes of degree v
+	var total int64
+	for _, v := range degrees {
 		if v < 0 || v >= n {
 			return false // degrees must lie in [0, n-1]
 		}
-		sum += int64(v)
+		count[v]++
+		total += int64(v)
 	}
-	if sum%2 != 0 {
+	if total%2 != 0 {
 		return false
 	}
-	// Prefix sums and the standard O(n) evaluation with a pointer for
-	// the min(d_i, k) split.
-	prefix := make([]int64, n+1)
-	for i, v := range d {
-		prefix[i+1] = prefix[i] + int64(v)
-	}
-	for k := 1; k <= n; k++ {
-		lhs := prefix[k]
-		rhs := int64(k) * int64(k-1)
-		// Split the tail at the first index i >= k with d[i] <= k.
-		split := sort.Search(n-k, func(i int) bool { return d[k+i] <= k }) + k
-		rhs += int64(split-k) * int64(k)
-		rhs += prefix[n] - prefix[split]
-		if lhs > rhs {
+	// Walk the runs from the largest degree down: after the run of
+	// degree v, the k nodes of degree >= v hold lhs, and the tail is
+	// every node of degree < v. While k < v the tail's min(d_i, k)
+	// splits at k: lo follows k, and low and lowSum count and sum the
+	// degrees below lo; the n-k-low tail nodes at or above k add k each.
+	// Once k >= v every tail degree is below k and adds itself.
+	var k, lhs, lo, low, lowSum int64
+	for v := int64(n) - 1; v >= 0; v-- {
+		c := int64(count[v])
+		if c == 0 {
+			continue
+		}
+		k += c
+		lhs += c * v
+		rest := total - lhs
+		if k < v {
+			for ; lo < k; lo++ {
+				low += int64(count[lo])
+				lowSum += lo * int64(count[lo])
+			}
+			rest = lowSum + k*(int64(n)-k-low)
+		}
+		if lhs > k*(k-1)+rest {
 			return false
 		}
 	}

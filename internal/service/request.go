@@ -253,11 +253,12 @@ func (r *Request) Validate() error {
 				Reason: fmt.Sprintf("edge[%d] = (%d, %d) is a loop", i, e[0], e[1])}
 		}
 	}
-	// Realizability gates: a non-realizable sequence is answered by an
-	// O(n log n) predicate here, before target compilation, so every
-	// target class 400s the same way the undirected path always has
-	// (the constructions would fail too, but only after their
-	// O(n² log n) attempt).
+	// Realizability gates: a non-realizable sequence is answered by a
+	// predicate here, before target compilation, so every target class
+	// 400s the same way the undirected path always has (the
+	// constructions would fail too, but only after their O(n² log n)
+	// attempt). Erdős–Gallai runs in O(n) on the degree histogram;
+	// the directed and bipartite tests still sort, in O(n log n).
 	switch r.kind {
 	case targetDegrees:
 		if !gesmc.IsGraphical(r.degrees) {

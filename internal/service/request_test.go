@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"gesmc"
+	"gesmc/internal/gen"
+	"gesmc/internal/rng"
 	"gesmc/wire"
 )
 
@@ -39,14 +41,15 @@ func TestServedAlgorithmSet(t *testing.T) {
 	}
 }
 
-// FuzzFromWire explores the request contract on arbitrary JSON bodies:
-// FromWire never panics, every refusal is a *RequestError wrapping
+// FuzzFromWire explores the request contract on arbitrary JSON bodies,
+// decoded with wire.DecodeRequest as the server decodes them: FromWire
+// never panics, every refusal is a *RequestError wrapping
 // ErrBadRequest, and every accepted request re-validates and has a
 // pool key. Seeds live in testdata/fuzz/FuzzFromWire.
 func FuzzFromWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var wr wire.SampleRequest
-		if json.Unmarshal(body, &wr) != nil {
+		if wire.DecodeRequest(body, &wr) != nil {
 			return
 		}
 		r, err := FromWire(&wr)
@@ -64,4 +67,36 @@ func FuzzFromWire(f *testing.F) {
 			t.Fatalf("accepted request has no pool key: %v", err)
 		}
 	})
+}
+
+// BenchmarkAdmitRequest times the admission of one repeat request for a
+// pooled engine, everything the server does before its first
+// superstep: decode the body, FromWire, the Validate that
+// Service.Sample repeats, and the pool key. The body is the canonical
+// json.Marshal form of a 2^14-node power-law target (degrees in
+// [1, 128], γ = 2.2).
+func BenchmarkAdmitRequest(b *testing.B) {
+	deg := gen.PowerLawSequence(1<<14, 1, 1<<7, 2.2, rng.NewMT19937(1))
+	body, err := json.Marshal(wire.SampleRequest{
+		Degrees: deg, Algorithm: gesmc.GlobalCurveball.String(), Workers: 1, Seed: 1, Thinning: 1, Samples: 24,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var wr wire.SampleRequest
+		if err := wire.DecodeRequest(body, &wr); err != nil {
+			b.Fatal(err)
+		}
+		r, err := FromWire(&wr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		_ = r.engineKey()
+	}
 }

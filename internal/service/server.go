@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -169,9 +170,14 @@ func handleSample(b Backend, w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// The body must be exactly one JSON object (json.Unmarshal
+	// semantics): trailing data after it is refused, not ignored.
 	var wreq wire.SampleRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&wreq); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength)
+	if err == nil {
+		err = wire.DecodeRequest(body, &wreq)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "malformed JSON: " + err.Error(), Code: "bad_request"})
 		return
 	}
@@ -196,7 +202,7 @@ func handleSample(b Backend, w http.ResponseWriter, r *http.Request) {
 	var buf []byte // one encode buffer for the whole stream
 	streaming := false
 	written := 0
-	err := b.Sample(ctx, &wreq, func(ln wire.Line) error {
+	err = b.Sample(ctx, &wreq, func(ln wire.Line) error {
 		if cut != nil && cut.Mode == faultinject.Cut && written >= cut.AfterLines && cut.Spend() {
 			return errInjectedCut
 		}
@@ -227,6 +233,17 @@ func handleSample(b Backend, w http.ResponseWriter, r *http.Request) {
 	if err != nil && !streaming {
 		writeJSON(w, statusFor(err), wire.Error{Error: err.Error(), Code: errCode(err)})
 	}
+}
+
+// readBody reads a whole request body, sized up front from its
+// declared length when that is known and within maxRequestBody.
+func readBody(r io.Reader, length int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if length > 0 && length <= maxRequestBody {
+		buf.Grow(int(length) + bytes.MinRead) // ReadFrom reads into MinRead free bytes
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

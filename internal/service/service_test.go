@@ -530,3 +530,50 @@ func TestServerRefusesOverflowingSwapsPerEdge(t *testing.T) {
 		t.Fatalf("status %d body %+v, want 400 bad_request naming swaps_per_edge", resp.StatusCode, body)
 	}
 }
+
+// TestServerRefusesTrailingData: the body is decoded with json.Unmarshal
+// semantics, so anything after the request object — a second object or
+// garbage — is a 400 malformed-JSON refusal rather than silently
+// dropped. Unknown fields and trailing whitespace stay accepted.
+func TestServerRefusesTrailingData(t *testing.T) {
+	svc := New(Config{WorkerBudget: 1})
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	post := func(body string) (int, wire.Error) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sample", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e wire.Error
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			decodeAll(t, resp.Body)
+		}
+		return resp.StatusCode, e
+	}
+	for _, body := range []string{
+		`{"degrees":[1,1],"samples":1}{"samples":1000}`,
+		`{"degrees":[1,1],"samples":1}garbage`,
+		`{"degrees":[1,1,1,1],"samples":1}{"samples":1000}`,
+		`{"degrees":[1,1,1,1],"samples":1}garbage`,
+	} {
+		code, e := post(body)
+		if code != http.StatusBadRequest || e.Code != "bad_request" || !strings.Contains(e.Error, "malformed JSON") {
+			t.Errorf("%s: status %d body %+v, want 400 bad_request malformed JSON", body, code, e)
+		}
+	}
+	for _, body := range []string{
+		`{"degrees":[1,1,1,1],"samples":1,"comment":"ignored"}`,
+		"{\"degrees\":[1,1,1,1],\"samples\":1}\n",
+	} {
+		if code, e := post(body); code != http.StatusOK {
+			t.Errorf("%s: status %d body %+v, want 200", body, code, e)
+		}
+	}
+}

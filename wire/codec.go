@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 )
@@ -42,16 +44,21 @@ func AppendLine(buf []byte, ln *Line) ([]byte, error) {
 		buf = append(buf, `,"directed":true`...)
 	}
 	if len(ln.Edges) > 0 {
-		buf = append(buf, `,"edges":[`...)
-		for i, e := range ln.Edges {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, '[')
-			buf = strconv.AppendUint(buf, uint64(e[0]), 10)
-			buf = append(buf, ',')
-			buf = strconv.AppendUint(buf, uint64(e[1]), 10)
-			buf = append(buf, ']')
+		buf = append(buf, `,"edges":`...)
+		sep := byte('[')
+		for _, e := range ln.Edges {
+			// `[` or `,`, then `[u,v]`: at most 24 bytes, which also
+			// covers putUint32's word stores.
+			buf = slices.Grow(buf, 24)
+			n := len(buf)
+			b := buf[n : n+24]
+			b[0], b[1] = sep, '['
+			j := 2 + putUint32(b[2:], e[0])
+			b[j] = ','
+			j += 1 + putUint32(b[j+1:], e[1])
+			b[j] = ']'
+			buf = buf[:n+j+1]
+			sep = ','
 		}
 		buf = append(buf, ']')
 	}
@@ -66,6 +73,49 @@ func AppendLine(buf []byte, ln *Line) ([]byte, error) {
 	buf = append(buf, ',')
 	buf = append(buf, tail[1:]...)
 	return append(buf, '\n'), nil
+}
+
+// digitQuads[v] holds the four decimal digits of v < 10^4, leading
+// zeros included, as ASCII in little-endian order: the most
+// significant digit is the low byte.
+var digitQuads = func() (t [10000]uint32) {
+	for v := range t {
+		for i, d := 0, v; i < 4; i, d = i+1, d/10 {
+			t[v] |= uint32('0'+d%10) << (8 * (3 - i))
+		}
+	}
+	return t
+}()
+
+// pow10 holds 10^0..10^9.
+var pow10 = [10]uint32{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// putUint32 writes the decimal form of v, as strconv.AppendUint writes
+// it, at the start of b and returns its length. It stores whole 8-byte
+// words, so b must hold 8 bytes (10 when v >= 10^8), and bytes past
+// the returned length are clobbered.
+func putUint32(b []byte, v uint32) int {
+	if v >= 1e8 {
+		q := v / 1e8
+		n := putUint32(b, q)
+		binary.LittleEndian.PutUint64(b[n:], digits8(v-q*1e8))
+		return n + 8
+	}
+	// v|1 has as many digits as v, and for x > 0, bits.Len32(x)·1233/4096
+	// is floor(log10 x) or one less; the shift adds the missing one
+	// without a branch.
+	x := v | 1
+	t := bits.Len32(x) * 1233 >> 12
+	n := t + int((pow10[t]-1-x)>>31)
+	binary.LittleEndian.PutUint64(b, digits8(v)>>(64-8*n))
+	return n
+}
+
+// digits8 returns the eight decimal digits of v < 10^8, leading zeros
+// included, as ASCII in little-endian order.
+func digits8(v uint32) uint64 {
+	hi := v / 10000
+	return uint64(digitQuads[hi]) | uint64(digitQuads[v-hi*10000])<<32
 }
 
 // lineSizeHint bounds the encoded size of ln's header and edge list
@@ -129,6 +179,127 @@ func DecodeLines(r io.Reader, fn func(Line) error) error {
 			return err
 		}
 	}
+}
+
+// requestTail is SampleRequest with the six fields DecodeRequest
+// parses itself shadowed by raw messages (the shallower field wins in
+// encoding/json). Decoding the rest of a request into it sets every
+// other field as json.Unmarshal would, and leaves a shadow non-nil for
+// any key that folds to one of the six, even one whose value is null.
+type requestTail struct {
+	SampleRequest
+	Degrees        json.RawMessage `json:"degrees"`
+	OutDegrees     json.RawMessage `json:"out_degrees"`
+	InDegrees      json.RawMessage `json:"in_degrees"`
+	BipartiteLeft  json.RawMessage `json:"bipartite_left"`
+	BipartiteRight json.RawMessage `json:"bipartite_right"`
+	Edges          json.RawMessage `json:"edges"`
+}
+
+// requestArrays names the integer-array members of SampleRequest in
+// field order, each with its opening bracket.
+var requestArrays = [5]string{`"degrees":[`, `"out_degrees":[`, `"in_degrees":[`, `"bipartite_left":[`, `"bipartite_right":[`}
+
+// DecodeRequest decodes a POST /v1/sample body into r. The result, and
+// whether it fails, are those of json.Unmarshal(b, r) on every input:
+// trailing data after the object is an error, unknown keys are
+// ignored, and keys absent from b leave r's fields as they were.
+//
+// The canonical form json.Marshal writes is parsed directly: the
+// target arrays (degrees, out_degrees, in_degrees, bipartite_left,
+// bipartite_right, edges) in field order as plain decimals, then the
+// rest of the object, which goes to encoding/json. Anything else —
+// whitespace, floats, leading zeros, overflow, re-cased or duplicate
+// keys — is decoded by json.Unmarshal whole. b is modified during the
+// call and restored before it returns.
+func DecodeRequest(b []byte, r *SampleRequest) error {
+	if decodeRequestFast(b, r) {
+		return nil
+	}
+	return json.Unmarshal(b, r)
+}
+
+// decodeRequestFast decodes b into r if b starts with the canonical
+// form of at least one target array and the rest of the object decodes
+// without touching any of the six; otherwise it reports false and
+// sets no field of r.
+func decodeRequestFast(b []byte, r *SampleRequest) bool {
+	if len(b) == 0 || b[0] != '{' {
+		return false
+	}
+	var ints [len(requestArrays)][]int
+	var edges [][2]uint32
+	i := 1
+	for f, key := range requestArrays {
+		if j, ok := skipMember(b, i, key); ok {
+			if ints[f], i, ok = parseInts(b, j); !ok {
+				return false
+			}
+		}
+	}
+	if j, ok := skipMember(b, i, `"edges":[`); ok {
+		if edges, i, ok = parseEdges(b, j); !ok {
+			return false
+		}
+	}
+	if i == 1 {
+		return false
+	}
+	tail := requestTail{SampleRequest: *r}
+	switch rest := b[i:]; {
+	case len(rest) > 0 && rest[0] == '}':
+		if !isSpace(rest[1:]) {
+			return false
+		}
+	case len(rest) < 2 || rest[0] != ',' || rest[1] != '"':
+		return false
+	default:
+		// Decode `,"key":...}` as the object `{"key":...}`.
+		rest[0] = '{'
+		ok := json.Unmarshal(rest, &tail) == nil
+		rest[0] = ','
+		if !ok || tail.Degrees != nil || tail.OutDegrees != nil || tail.InDegrees != nil ||
+			tail.BipartiteLeft != nil || tail.BipartiteRight != nil || tail.Edges != nil {
+			return false
+		}
+	}
+	*r = tail.SampleRequest
+	for f, dst := range [...]*[]int{&r.Degrees, &r.OutDegrees, &r.InDegrees, &r.BipartiteLeft, &r.BipartiteRight} {
+		if ints[f] != nil {
+			*dst = ints[f]
+		}
+	}
+	if edges != nil {
+		r.Edges = edges
+	}
+	return true
+}
+
+// skipMember returns the offset after the object member prefix key at
+// b[i:], preceded by a comma unless it is the object's first member
+// (i == 1, just past the '{').
+func skipMember(b []byte, i int, key string) (int, bool) {
+	j := i
+	if j > 1 {
+		if j >= len(b) || b[j] != ',' {
+			return i, false
+		}
+		j++
+	}
+	if j, ok := skipLit(b, j, key); ok {
+		return j, true
+	}
+	return i, false
+}
+
+// isSpace reports whether b holds only JSON whitespace.
+func isSpace(b []byte) bool {
+	for _, c := range b {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return false
+		}
+	}
+	return true
 }
 
 // lineReader splits a stream into lines. The slices it returns alias
@@ -277,11 +448,43 @@ func parseUint(b []byte, i, maxDigits int) (uint64, int, bool) {
 	return v, j, true
 }
 
+// parseInts parses a non-empty list of parseInt values up to and
+// including the closing ']' at b[i:].
+func parseInts(b []byte, i int) ([]int, int, bool) {
+	// A canonical list holds no ']' before its end and one ',' between
+	// values, so this is exact on canonical input.
+	end := bytes.IndexByte(b[i:], ']')
+	if end < 0 {
+		return nil, i, false
+	}
+	vals := make([]int, 0, bytes.Count(b[i:i+end], []byte{','})+1)
+	for {
+		v, j, ok := parseInt(b, i)
+		if !ok || j >= len(b) {
+			return nil, i, false
+		}
+		vals = append(vals, v)
+		switch b[j] {
+		case ',':
+			i = j + 1
+		case ']':
+			return vals, j + 1, true
+		default:
+			return nil, i, false
+		}
+	}
+}
+
 // parseEdges parses a non-empty list of [u,v] pairs of uint32 values up
 // to and including the closing ']' at b[i:].
 func parseEdges(b []byte, i int) ([][2]uint32, int, bool) {
-	// One '[' per edge, so this is exact on canonical lines.
-	edges := make([][2]uint32, 0, bytes.Count(b[i:], []byte{'['}))
+	// A canonical list ends at its first "]]" and holds one '[' per
+	// edge before it, so this is exact on canonical input.
+	end := bytes.Index(b[i:], []byte("]]"))
+	if end < 0 {
+		return nil, i, false
+	}
+	edges := make([][2]uint32, 0, bytes.Count(b[i:i+end], []byte{'['}))
 	for {
 		if i >= len(b) || b[i] != '[' {
 			return nil, i, false

@@ -130,6 +130,149 @@ func FuzzLineCodec(f *testing.F) {
 	})
 }
 
+// filledRequest returns a request with every field set, the state a
+// reused SampleRequest is in when DecodeRequest decodes into it.
+func filledRequest() SampleRequest {
+	return SampleRequest{
+		Degrees: []int{9, 9}, OutDegrees: []int{8}, InDegrees: []int{8}, BipartiteLeft: []int{7},
+		BipartiteRight: []int{7}, Edges: [][2]uint32{{6, 6}}, Nodes: 5, Directed: true,
+		Algorithm: "a", Uniformity: "u", Workers: 4, Seed: 3, Samples: 2, BurnIn: 1, Thinning: 1,
+		SwapsPerEdge: 0.5, TimeoutMS: 9, ResumeFrom: 1, Connected: true, ForbiddenEdges: [][2]uint32{{1, 2}},
+	}
+}
+
+// checkDecodeRequest asserts that DecodeRequest yields exactly what
+// json.Unmarshal yields on b, into a zero request and into a filled
+// one, fails where json.Unmarshal fails, and leaves b as it was.
+func checkDecodeRequest(t *testing.T, b []byte) {
+	t.Helper()
+	orig := bytes.Clone(b)
+	for _, start := range []func() SampleRequest{func() SampleRequest { return SampleRequest{} }, filledRequest} {
+		want, got := start(), start()
+		werr := json.Unmarshal(b, &want)
+		gerr := DecodeRequest(b, &got)
+		if !bytes.Equal(b, orig) {
+			t.Fatalf("DecodeRequest changed its input %q to %q", orig, b)
+		}
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("DecodeRequest error %v, json.Unmarshal error %v, on %q", gerr, werr, b)
+		}
+		if werr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeRequest yielded %+v, json.Unmarshal %+v, on %q", got, want, b)
+		}
+	}
+}
+
+// canonicalRequests are requests whose json.Marshal form takes
+// DecodeRequest's fast path: every target array alone and together,
+// the tail fields, and integers at the parser's limits.
+func canonicalRequests() []SampleRequest {
+	return []SampleRequest{
+		{Degrees: []int{3, 3, 2, 2, 2, 1, 1}},
+		{Degrees: []int{1, 1}, Samples: 1, Seed: math.MaxUint64, Algorithm: "GlobalCurveball", Thinning: 1, Workers: 2},
+		{OutDegrees: []int{1, 0}, InDegrees: []int{0, 1}, SwapsPerEdge: 2.5, TimeoutMS: 100},
+		{BipartiteLeft: []int{2, 1}, BipartiteRight: []int{1, 1, 1}, Uniformity: "mcmc", ResumeFrom: 3, Samples: 5},
+		{Edges: [][2]uint32{{0, 1}, {1, 2}, {0, math.MaxUint32}}, Nodes: 7, Directed: true},
+		{Edges: [][2]uint32{{0, 1}}, Connected: true, ForbiddenEdges: [][2]uint32{{2, 3}, {4, 5}}},
+		{Degrees: []int{999999999, -999999999, 0, -1}, OutDegrees: []int{5}, InDegrees: []int{5},
+			BipartiteLeft: []int{1}, BipartiteRight: []int{1}, Edges: [][2]uint32{{9, 10}}, BurnIn: 8},
+	}
+}
+
+func TestDecodeRequestFastPath(t *testing.T) {
+	for _, req := range canonicalRequests() {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got SampleRequest
+		if !decodeRequestFast(b, &got) || !reflect.DeepEqual(got, req) {
+			t.Fatalf("fast path on %s: got %+v, want %+v", b, got, req)
+		}
+		checkDecodeRequest(t, b)
+	}
+}
+
+// TestDecodeRequestMatchesEncodingJSON pins DecodeRequest to
+// json.Unmarshal on the inputs that must leave the fast path, or that
+// it must refuse.
+func TestDecodeRequestMatchesEncodingJSON(t *testing.T) {
+	for _, body := range []string{
+		``,
+		`{}`,
+		`null`,
+		`[]`,
+		`{"degrees":[1,1]}`,
+		`{"degrees":[1,1]} `,
+		"{\"degrees\":[1,1]}\n\t\r ",
+		`{"degrees":[1,1],"samples":1}{"samples":1000}`,
+		`{"degrees":[1,1],"samples":1}garbage`,
+		`{"degrees":[1,1]}garbage`,
+		`{"degrees":[1,1]}}`,
+		`{"degrees":[1,1],}`,
+		`{"degrees":[1,1],"samples":1,}`,
+		`{"degrees":[1,1] ,"samples":1}`,
+		`{"degrees":[1,1], "samples":1}`,
+		` {"degrees":[1,1]}`,
+		`{ "degrees":[1,1]}`,
+		`{"degrees":[1, 1]}`,
+		`{"degrees":[]}`,
+		`{"degrees":null}`,
+		`{"degrees":[1,1],"degrees":[2,2]}`,
+		`{"degrees":[1,1],"Degrees":[2,2]}`,
+		`{"degrees":[1,1],"DEGREES":null}`,
+		`{"degrees":[1,1],"degreeſ":[4]}`,
+		`{"degrees":[1,1],"degrees":[4]}`,
+		`{"degrees":[1,1],"edges":null}`,
+		`{"degrees":[1,1],"EDGES":[[1,2]]}`,
+		`{"out_degrees":[1],"degrees":[1,1]}`,
+		`{"in_degrees":[1],"out_degrees":[1]}`,
+		`{"degrees":[1.0,1]}`,
+		`{"degrees":[1e0,1]}`,
+		`{"degrees":[01,1]}`,
+		`{"degrees":[-0,1]}`,
+		`{"degrees":[-,1]}`,
+		`{"degrees":[1234567890,1]}`,
+		`{"degrees":[9223372036854775807]}`,
+		`{"degrees":[9223372036854775808]}`,
+		`{"degrees":[1,1],"samples":"1"}`,
+		`{"degrees":[1,1],"samples":1.5}`,
+		`{"degrees":[1,1],"unknown":{"a":[1,2]},"samples":3}`,
+		`{"degrees":[1,1],"forbidden_edges":[[1,2]],"forbidden_edges":null}`,
+		"{\"degrees\":[1,1],\"algorithm\":\"\xff\"}",
+		`{"edges":[[0,1],[1,2]],"nodes":3}`,
+		`{"edges":[[0,4294967295]]}`,
+		`{"edges":[[0,4294967296]]}`,
+		`{"edges":[[0,1,2]]}`,
+		`{"edges":[[0]]}`,
+		`{"edges":[[0,1]]]`,
+		`{"edges":[[0,1],]}`,
+		`{"edges":[[0,1]`,
+		`{"degrees":[1,1`,
+		`{"degrees":[1,1],"samples"`,
+		`{"degrees":[1,1]`,
+	} {
+		checkDecodeRequest(t, []byte(body))
+	}
+}
+
+// FuzzDecodeRequest checks DecodeRequest against json.Unmarshal on
+// arbitrary bodies. Seeds live in testdata/fuzz/FuzzDecodeRequest (the
+// service's FuzzFromWire bodies among them); the canonical requests are
+// added here.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, req := range canonicalRequests() {
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeRequest(t, body)
+	})
+}
+
 // randomLine draws a Line covering every field, node ids of every
 // width, and strings that need escaping.
 func randomLine(r *rand.Rand) *Line {
@@ -170,6 +313,19 @@ func TestLineCodecMatchesEncodingJSON(t *testing.T) {
 		stream = append(stream, line...)
 	}
 	checkDecode(t, stream)
+}
+
+// TestLineCodecDigitWidths encodes node ids at every decimal width
+// boundary, 9-10 digits (the two-word path of putUint32) included,
+// in both endpoints and next to each other, with and without a node
+// count to size the buffer.
+func TestLineCodecDigitWidths(t *testing.T) {
+	for _, v := range []uint32{0, 9, 10, 99, 100, 9999, 10000, 99999999, 100000000, math.MaxUint32} {
+		for _, nodes := range []int{0, 1} {
+			ln := &Line{Index: 1, Nodes: nodes, Edges: [][2]uint32{{v, 0}, {0, v}, {v, v}, {v, 1}, {math.MaxUint32, v}}}
+			checkDecode(t, checkEncode(t, ln))
+		}
+	}
 }
 
 func TestDecodeLinesTruncated(t *testing.T) {

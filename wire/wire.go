@@ -20,6 +20,12 @@
 // line, so a value spanning lines is an error — and parses the edge
 // list of the encoder's canonical form directly, deferring every other
 // line to encoding/json. Each decoded Line owns its Edges.
+//
+// Request bodies have their own decoder, DecodeRequest: it yields
+// exactly what json.Unmarshal yields (trailing data after the object
+// is an error), parsing the integer arrays of the canonical
+// json.Marshal form directly and handing the rest of the object to
+// encoding/json.
 package wire
 
 import "gesmc"
