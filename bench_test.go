@@ -186,13 +186,11 @@ func BenchmarkAblationPermutation(b *testing.B) {
 			rng.Perm(src, n)
 		}
 	})
-	for _, p := range []int{2, 4} {
-		b.Run(fmt.Sprintf("parallel/P=%d", p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rng.ParallelPerm(uint64(i), n, p)
-			}
-		})
-	}
+	b.Run("parallel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rng.ParallelPerm(uint64(i), n)
+		}
+	})
 }
 
 // BenchmarkEnsemble compares the two ways of drawing an ensemble of k

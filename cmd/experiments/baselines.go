@@ -205,17 +205,19 @@ func newNaiveStepper(g *graph.Graph, cfg core.Config) *naiveStepper {
 }
 
 func (s *naiveStepper) Step(st *switching.Stats) error {
-	perStep := int64(s.m / 2)
+	perStep := s.m / 2
 	step := s.idx
-	s.pool.Run(func(worker int) {
+	clear(s.legals)
+	clear(s.tombs)
+	// Each worker runs the attempts of its static block on its own
+	// (worker, step) stream.
+	s.pool.Blocks(perStep, func(worker, lo, hi int) {
 		// Decorrelate the (worker, step) streams through the full
 		// mixer: a plain additive stride equal to SplitMix64's
 		// gamma would make consecutive supersteps replay nearly
 		// the same stream.
 		src := rng.NewSplitMix64(rng.Mix64(s.seeds[worker] ^ (uint64(step)+1)*0xD1B54A32D192ED03))
 		owner := uint8(worker)
-		lo := perStep * int64(worker) / int64(s.w)
-		hi := perStep * int64(worker+1) / int64(s.w)
 		var legal, tombs int64
 		for a := lo; a < hi; a++ {
 			t := naiveAttempt(s.E, s.set, s.m, owner, src)
@@ -230,7 +232,7 @@ func (s *naiveStepper) Step(st *switching.Stats) error {
 		st.Legal += s.legals[i]
 		s.tombstones += s.tombs[i]
 	}
-	st.Attempted += perStep
+	st.Attempted += int64(perStep)
 	s.idx++
 	// Quiescent point: drop the tombstones once they fill a quarter of
 	// the table, so probe chains stay short and the table never fills.

@@ -296,6 +296,20 @@ func TestTryInsertLock(t *testing.T) {
 	}
 }
 
+// spmd runs body once per worker id 0..workers-1, each on its own
+// goroutine, and waits for all of them.
+func spmd(workers int, body func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() {
+			defer wg.Done()
+			body(w)
+		}()
+	}
+	wg.Wait()
+}
+
 func TestConcurrentLockMutualExclusion(t *testing.T) {
 	// Many goroutines fight over a handful of edges; at most one may
 	// hold each lock at a time, checked with an owner shadow array.
@@ -309,7 +323,7 @@ func TestConcurrentLockMutualExclusion(t *testing.T) {
 	s := lockedWith(64, edges...)
 	var holders [nEdges]atomic.Int32
 	var violations atomic.Int32
-	conc.Run(workers, func(w int) {
+	spmd(workers, func(w int) {
 		state := uint64(w)*2654435761 + 1
 		for it := 0; it < iters; it++ {
 			state = state*6364136223846793005 + 1442695040888963407
@@ -344,18 +358,12 @@ func TestConcurrentTryInsertLockUniqueWinner(t *testing.T) {
 		var winners atomic.Int32
 		winner := atomic.Int32{}
 		winner.Store(-1)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				if s.TryInsertLock(e, uint8(w)) {
-					winners.Add(1)
-					winner.Store(int32(w))
-				}
-			}(w)
-		}
-		wg.Wait()
+		spmd(workers, func(w int) {
+			if s.TryInsertLock(e, uint8(w)) {
+				winners.Add(1)
+				winner.Store(int32(w))
+			}
+		})
 		if got := winners.Load(); got != 1 {
 			t.Fatalf("round %d: %d winners, want exactly 1", r, got)
 		}

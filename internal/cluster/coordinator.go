@@ -40,23 +40,15 @@ type Config struct {
 	// HotThreshold is the routed-request count at which a key is
 	// promoted to replicated service (default 16).
 	HotThreshold int64
-	// VNodes is the number of ring points per shard (default 64).
-	VNodes int
 	// HealthInterval is the background health-check period (default
 	// 2s, jittered ±20% per round; negative disables the loop —
 	// CheckHealth can still be called explicitly).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 1s).
-	ProbeTimeout time.Duration
 	// MaxAttempts bounds how many shards one request may be issued to,
 	// counting the first (default 4). Mid-stream failovers that make
 	// progress re-issue with a resume cursor and count against this
 	// bound.
 	MaxAttempts int
-	// BreakerThreshold is the consecutive-failure count that trips a
-	// shard's circuit breaker open (default 1: the first transport or
-	// probe failure evicts).
-	BreakerThreshold int
 	// BreakerCooldown is how long a tripped breaker stays open before
 	// health probes may begin re-admission (default 3s).
 	BreakerCooldown time.Duration
@@ -77,6 +69,17 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+const (
+	// ringVNodes is the number of ring points per shard.
+	ringVNodes = 64
+	// probeTimeout bounds one health probe.
+	probeTimeout = time.Second
+	// breakerThreshold is the consecutive-failure count that trips a
+	// shard's circuit breaker open: the first transport or probe
+	// failure evicts.
+	breakerThreshold = 1
+)
+
 func (c Config) withDefaults() Config {
 	if c.Replication <= 0 {
 		c.Replication = 2
@@ -84,20 +87,11 @@ func (c Config) withDefaults() Config {
 	if c.HotThreshold <= 0 {
 		c.HotThreshold = 16
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 2 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 1
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 3 * time.Second
@@ -216,7 +210,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		seen[id] = true
 		ids[i] = id
-		brk := newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.BreakerProbes)
+		brk := newBreaker(breakerThreshold, cfg.BreakerCooldown, cfg.BreakerProbes)
 		// Breaker transitions were previously silent; surface every one
 		// with the shard ID, through the structured logger and the
 		// labeled transition counter.
@@ -234,7 +228,7 @@ func New(cfg Config) (*Coordinator, error) {
 			brk:     brk,
 		})
 	}
-	c.ring = newRing(ids, cfg.VNodes)
+	c.ring = newRing(ids, ringVNodes)
 	c.registerFuncMetrics()
 	if cfg.HealthInterval > 0 {
 		c.wg.Add(1)
@@ -268,7 +262,7 @@ func (c *Coordinator) healthLoop() {
 	}
 }
 
-// CheckHealth probes every shard once (bounded by ProbeTimeout each)
+// CheckHealth probes every shard once (bounded by probeTimeout each)
 // and feeds the outcomes to the shards' circuit breakers: a probe
 // succeeds when /v1/healthz answers "ok" — a draining daemon (503) is
 // routed around just like a dead one, since it refuses new work
@@ -282,7 +276,7 @@ func (c *Coordinator) CheckHealth(ctx context.Context) {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			h, err := sh.backend.Health(pctx)
 			if err == nil && h.Status == "ok" {

@@ -49,8 +49,8 @@ func BenchmarkDepTableStoreLookup(b *testing.B) {
 			dt.Store(k, 2, edge(uint32(k%97), uint32(1000+k%97)), KindInsert)
 		}
 		for k := 0; k < n; k++ {
-			dt.EraseTuple(edge(uint32(2*k), uint32(2*k+1)))
-			dt.MinInsert(edge(uint32(k%97), uint32(1000+k%97)))
+			dt.Probe(edge(uint32(2*k), uint32(2*k+1)))
+			dt.Probe(edge(uint32(k%97), uint32(1000+k%97)))
 		}
 	}
 	b.SetBytes(n * 4)

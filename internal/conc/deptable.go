@@ -190,39 +190,18 @@ func (t *DepTable) Store(k int, slot int, e graph.Edge, kind uint8) {
 	}
 }
 
-// EraseTuple returns the index of the switch that erases e in this
-// superstep, or ok=false if no switch sources e. By Observation 2 of the
-// paper there is at most one such switch.
-func (t *DepTable) EraseTuple(e graph.Edge) (idx int, ok bool) {
-	key := uint64(e)
-	for pos := t.headOf(atomic.LoadUint64(&t.heads[t.bucket(e)])); pos >= 0; {
-		ent := &t.entries[pos]
-		if ent.key == key && ent.meta&kindInsertBit == 0 {
-			return int(ent.meta), true
-		}
-		pos = ent.next
-	}
-	return 0, false
-}
-
-// MinInsert returns the smallest switch index q with an insert tuple for
-// e whose status is not illegal, together with its status, or ok=false
-// if there is no such tuple. This is the lookup_min of Algorithm 1.
+// Probe walks the chain of e once and answers both dependency queries
+// of Algorithm 1's decide step: the switch erasing e (eraseOK=false if
+// no switch sources e; by Observation 2 of the paper there is at most
+// one), and the smallest switch index q with an insert tuple for e
+// whose status is not illegal, with its status (minOK=false if there
+// is none) — the lookup_min of Algorithm 1. One walk for both halves
+// the cache-missing chain traversals of the kernel's hottest loop.
 //
 // The scan is racy with concurrent status updates by design: a tuple
 // turning illegal mid-scan may still be reported, in which case the
 // caller re-examines the switch in the next round (the delay path),
 // which is always sound.
-func (t *DepTable) MinInsert(e graph.Edge) (q int, status uint32, ok bool) {
-	_, _, q, status, ok = t.Probe(e)
-	return q, status, ok
-}
-
-// Probe walks the chain of e once and answers both dependency queries
-// of Algorithm 1's decide step: the switch erasing e (EraseTuple) and
-// the smallest non-illegal inserter of e (MinInsert). The merged walk
-// halves the cache-missing chain traversals of the kernel's hottest
-// loop; the same raciness caveat as MinInsert applies.
 func (t *DepTable) Probe(e graph.Edge) (eraseIdx int, eraseOK bool, minQ int, minStatus uint32, minOK bool) {
 	key := uint64(e)
 	best := -1

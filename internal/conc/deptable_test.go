@@ -14,24 +14,18 @@ func TestDepTableStoreLookup(t *testing.T) {
 	dt.Store(2, 2, e, KindInsert)
 	dt.Store(3, 2, f, KindInsert)
 
-	if p, ok := dt.EraseTuple(e); !ok || p != 0 {
-		t.Fatalf("EraseTuple(e) = %d, %v", p, ok)
+	if p, pok, q, st, qok := dt.Probe(e); !pok || p != 0 || !qok || q != 1 || st != StatusUndecided {
+		t.Fatalf("Probe(e) = %d, %v, %d, %d, %v", p, pok, q, st, qok)
 	}
-	if _, ok := dt.EraseTuple(f); ok {
-		t.Fatal("EraseTuple(f) found phantom eraser")
+	if _, pok, q, _, qok := dt.Probe(f); pok || !qok || q != 3 {
+		t.Fatalf("Probe(f) = eraser %v, inserter %d, %v; want no eraser, inserter 3", pok, q, qok)
 	}
-	if q, st, ok := dt.MinInsert(e); !ok || q != 1 || st != StatusUndecided {
-		t.Fatalf("MinInsert(e) = %d, %d, %v", q, st, ok)
-	}
-	if q, _, ok := dt.MinInsert(f); !ok || q != 3 {
-		t.Fatalf("MinInsert(f) = %d, %v", q, ok)
-	}
-	if _, _, ok := dt.MinInsert(edge(9, 10)); ok {
-		t.Fatal("MinInsert of unknown edge found a tuple")
+	if _, pok, _, _, qok := dt.Probe(edge(9, 10)); pok || qok {
+		t.Fatal("Probe of unknown edge found a tuple")
 	}
 }
 
-func TestDepTableMinInsertSkipsIllegal(t *testing.T) {
+func TestDepTableProbeSkipsIllegal(t *testing.T) {
 	dt := NewDepTable(8)
 	dt.Reset(4)
 	e := edge(5, 6)
@@ -40,17 +34,17 @@ func TestDepTableMinInsertSkipsIllegal(t *testing.T) {
 	dt.Store(2, 2, e, KindInsert)
 
 	dt.SetStatus(0, StatusIllegal)
-	if q, st, ok := dt.MinInsert(e); !ok || q != 1 || st != StatusUndecided {
-		t.Fatalf("MinInsert after illegal[0] = %d, %d, %v", q, st, ok)
+	if _, _, q, st, ok := dt.Probe(e); !ok || q != 1 || st != StatusUndecided {
+		t.Fatalf("Probe after illegal[0] = %d, %d, %v", q, st, ok)
 	}
 	dt.SetStatus(1, StatusLegal)
-	if q, st, ok := dt.MinInsert(e); !ok || q != 1 || st != StatusLegal {
-		t.Fatalf("MinInsert with legal[1] = %d, %d, %v", q, st, ok)
+	if _, _, q, st, ok := dt.Probe(e); !ok || q != 1 || st != StatusLegal {
+		t.Fatalf("Probe with legal[1] = %d, %d, %v", q, st, ok)
 	}
 	dt.SetStatus(1, StatusIllegal)
 	dt.SetStatus(2, StatusIllegal)
-	if _, _, ok := dt.MinInsert(e); ok {
-		t.Fatal("MinInsert found tuple though all inserters illegal")
+	if _, pok, _, _, ok := dt.Probe(e); ok || pok {
+		t.Fatal("Probe found a tuple though all inserters illegal and none erases")
 	}
 }
 
@@ -62,7 +56,7 @@ func TestDepTableResetClears(t *testing.T) {
 	dt.SetStatus(0, StatusLegal)
 
 	dt.Reset(2)
-	if _, ok := dt.EraseTuple(e); ok {
+	if _, ok, _, _, _ := dt.Probe(e); ok {
 		t.Fatal("tuple survived Reset")
 	}
 	if dt.StatusOf(0) != StatusUndecided {
@@ -74,9 +68,11 @@ func TestDepTableConcurrentStore(t *testing.T) {
 	const nSwitches = 4096
 	dt := NewDepTable(nSwitches)
 	dt.Reset(nSwitches)
+	pool := NewPool(8)
+	defer pool.Close()
 	// Every switch k stores four tuples; several switches share target
 	// edges to build long chains.
-	Blocks(nSwitches, 8, func(_, lo, hi int) {
+	pool.Blocks(nSwitches, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			dt.Store(k, 0, edge(uint32(2*k), uint32(2*k+1)), KindErase)
 			dt.Store(k, 1, edge(uint32(2*k+1), uint32(2*k+2)), KindErase)
@@ -86,16 +82,16 @@ func TestDepTableConcurrentStore(t *testing.T) {
 	})
 	// Every erase tuple must be findable.
 	for k := 0; k < nSwitches; k++ {
-		if p, ok := dt.EraseTuple(edge(uint32(2*k), uint32(2*k+1))); !ok || p != k {
+		if p, ok, _, _, _ := dt.Probe(edge(uint32(2*k), uint32(2*k+1))); !ok || p != k {
 			t.Fatalf("lost erase tuple of switch %d (got %d, %v)", k, p, ok)
 		}
 	}
 	// The minimum inserter of each shared target must be the smallest k
 	// in its residue class.
 	for r := 0; r < 7; r++ {
-		q, _, ok := dt.MinInsert(edge(uint32(r), uint32(100+r)))
+		_, _, q, _, ok := dt.Probe(edge(uint32(r), uint32(100+r)))
 		if !ok || q != r {
-			t.Fatalf("MinInsert residue %d = %d, %v", r, q, ok)
+			t.Fatalf("Probe residue %d: min inserter %d, %v", r, q, ok)
 		}
 	}
 }

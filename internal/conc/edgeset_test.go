@@ -2,6 +2,7 @@ package conc
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"gesmc/internal/graph"
@@ -103,12 +104,26 @@ func TestInsertContainsEraseUnique(t *testing.T) {
 	}
 }
 
+// spmd runs body once per worker id 0..workers-1, each on its own
+// goroutine, and waits for all of them.
+func spmd(workers int, body func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func() {
+			defer wg.Done()
+			body(w)
+		}()
+	}
+	wg.Wait()
+}
+
 func TestConcurrentDisjointInsertErase(t *testing.T) {
 	// Workers operate on disjoint edges: the unique-path contract.
 	const perWorker = 2000
 	const workers = 8
 	s := NewEdgeSet(perWorker*workers, workers)
-	Run(workers, func(w int) {
+	spmd(workers, func(w int) {
 		base := uint32(w * perWorker)
 		for i := uint32(0); i < perWorker; i++ {
 			s.InsertUnique(edge(base+i, base+i+1<<20), w)
@@ -117,7 +132,7 @@ func TestConcurrentDisjointInsertErase(t *testing.T) {
 	if s.Len() != perWorker*workers {
 		t.Fatalf("Len = %d after parallel insert", s.Len())
 	}
-	Run(workers, func(w int) {
+	spmd(workers, func(w int) {
 		base := uint32(w * perWorker)
 		for i := uint32(0); i < perWorker; i += 2 {
 			s.EraseUnique(edge(base+i, base+i+1<<20), w)
@@ -264,7 +279,7 @@ func TestShardedCountsMatchBucketScan(t *testing.T) {
 				// and erases half at once; after a barrier, each
 				// worker erases the rest of its neighbour's, so
 				// shards count erasures of edges they never inserted.
-				p.Run(func(w int) {
+				spmd(workers, func(w int) {
 					for i := w; i < n/4; i += workers {
 						s.InsertUnique(extra(i), w)
 						if i%2 == 0 {
@@ -273,7 +288,7 @@ func TestShardedCountsMatchBucketScan(t *testing.T) {
 					}
 				})
 				check(fmt.Sprintf("round %d extras", round))
-				p.Run(func(w int) {
+				spmd(workers, func(w int) {
 					o := (w + 1) % workers
 					for i := o; i < n/4; i += workers {
 						if i%2 == 1 {

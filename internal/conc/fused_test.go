@@ -188,7 +188,7 @@ func TestTopologyDetection(t *testing.T) {
 	if topo.LLCSharers < 1 {
 		t.Fatalf("bad sharer count: %+v", topo)
 	}
-	if g := NewPool(2).Grain(); g < serialCutoff {
+	if g := defaultGrain(2); g < serialCutoff {
 		t.Fatalf("derived grain %d below serial cutoff", g)
 	}
 }

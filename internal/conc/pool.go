@@ -1,3 +1,7 @@
+// Package conc provides the shared-memory concurrent building blocks of
+// the parallel switching algorithms: a fixed-capacity concurrent edge set
+// (§5.2 of the paper), the per-superstep dependency table of Algorithm 1,
+// and the persistent worker gang that runs every parallel loop.
 package conc
 
 import (
@@ -6,21 +10,28 @@ import (
 )
 
 // Pool is a persistent gang of worker goroutines parked on a
-// channel-based barrier, the replacement for spawn-per-call Run/Blocks
-// on hot paths: a kernel superstep issues several parallel-for phases,
-// and a chain issues thousands of supersteps, so goroutine creation and
-// WaitGroup churn per phase dominates the barrier cost the paper's
-// analysis assumes to be cheap. The pool's workers 1..P-1 live as long
-// as the pool; the caller participates as worker 0, so a dispatch costs
-// one channel send per parked worker plus one receive for the
-// completion barrier, and nothing at all at P=1.
+// channel-based barrier. A kernel superstep issues several parallel-for
+// phases and a chain issues thousands of supersteps, so goroutine
+// creation and WaitGroup churn per phase would dominate the barrier
+// cost the paper's analysis assumes to be cheap. The pool's workers
+// 1..P-1 live as long as the pool; the caller participates as worker 0,
+// so a dispatch costs one channel send per parked worker plus one
+// receive for the completion barrier, and nothing at all at P=1.
 //
-// Dispatch state (the task and its iteration space) is published via
-// plain fields before the wake-up sends; the channel operations order
-// them. Bodies passed to Run/Blocks/Chunked/Fused should be long-lived
-// function values (fields on the owning engine) — then a steady-state
-// dispatch performs zero heap allocations, which the kernel's
-// allocation-regression test asserts.
+// Every dispatch runs a FusedPlan: a sequence of passes, each a
+// parallel-for over [0, N) partitioned into static blocks or
+// cursor-claimed chunks, separated by in-dispatch sub-barriers
+// (Fused). Blocks is the one-pass, static-block form. A dispatch runs
+// inline on the caller as worker 0 — one call per pass over its whole
+// [0, N), After hooks in order — when P = 1 or when the plan's passes
+// total at most serialCutoff items: waking the gang costs ~µs, which
+// dwarfs a handful of items.
+//
+// Dispatch state is published via plain fields before the wake-up
+// sends; the channel operations order them. Bodies and plans should be
+// long-lived values (fields on the owning engine) — then a
+// steady-state dispatch performs zero heap allocations, which the
+// kernel's allocation-regression test asserts.
 //
 // Grain sizing is topology-aware: at construction the pool derives a
 // default chunk grain from the per-core L2 share (capped by the LLC
@@ -30,9 +41,9 @@ import (
 // workers writing item-indexed arrays do not false-share the boundary
 // cache lines.
 //
-// Concurrency contract: a Pool serializes its dispatches. Calling Run,
-// Blocks, Chunked, or Fused from inside a body (nested use), or from
-// two goroutines at once, panics. Close releases the workers; it is
+// Concurrency contract: a Pool serializes its dispatches. Calling
+// Blocks or Fused from inside a body (nested use), or from two
+// goroutines at once, panics. Close releases the workers; it is
 // idempotent, and a finalizer releases them when a pool owner leaks
 // without closing, so parked goroutines never outlive the pool's
 // reachability.
@@ -47,20 +58,17 @@ const cacheLine = 64
 // collectable, letting its finalizer release the gang when the owner
 // forgets to Close. The contended atomics (chunk cursor, completion
 // count, sub-barrier state) are padded onto private cache lines so the
-// cursor traffic of a chunked round does not invalidate the read-mostly
+// cursor traffic of a chunked pass does not invalidate the read-mostly
 // dispatch fields every worker re-reads.
 type poolShared struct {
 	workers int
 	grain   int // default chunk size in items, topology-derived
 
-	// Dispatch state, written by the coordinator before the wake-up
-	// sends and read-only during a dispatch.
-	mode    int
-	body    func(worker int)
-	rangeFn func(worker, lo, hi int)
-	n       int
-	chunk   int
-	plan    *FusedPlan
+	// plan is the current dispatch, written by the coordinator before
+	// the wake-up sends and read-only during a dispatch. blocks is the
+	// one-pass plan Blocks fills.
+	plan   *FusedPlan
+	blocks FusedPlan
 
 	start []chan struct{}
 	done  chan struct{}
@@ -70,24 +78,17 @@ type poolShared struct {
 	closed  atomic.Bool
 
 	_       [cacheLine]byte
-	cursor  atomic.Int64 // chunked mode: next unclaimed index
+	cursor  atomic.Int64 // chunked passes: next unclaimed index
 	_       [cacheLine - 8]byte
 	pending atomic.Int32
 	_       [cacheLine - 4]byte
-	barIn   atomic.Int32 // fused sub-barrier: arrivals
+	barIn   atomic.Int32 // sub-barrier: arrivals
 	_       [cacheLine - 4]byte
-	barGen  atomic.Uint32 // fused sub-barrier: release generation
+	barGen  atomic.Uint32 // sub-barrier: release generation
 	_       [cacheLine - 4]byte
 }
 
 type poolPanic struct{ v any }
-
-const (
-	modeBody = iota
-	modeBlocks
-	modeChunked
-	modeFused
-)
 
 // chunkItemBytes is the assumed per-item cache footprint used to convert
 // a byte budget into a chunk length: the kernel's decide items touch a
@@ -121,6 +122,7 @@ func NewPool(workers int) *Pool {
 	sh := &poolShared{
 		workers: workers,
 		grain:   defaultGrain(workers),
+		blocks:  FusedPlan{Passes: make([]FusedPass, 1)},
 		done:    make(chan struct{}),
 	}
 	sh.start = make([]chan struct{}, workers-1)
@@ -137,9 +139,6 @@ func NewPool(workers int) *Pool {
 
 // Workers returns the gang size P.
 func (p *Pool) Workers() int { return p.sh.workers }
-
-// Grain returns the default chunk size in items.
-func (p *Pool) Grain() int { return p.sh.grain }
 
 // Close releases the worker goroutines. Idempotent; dispatching after
 // Close panics. Closing is optional (a finalizer releases leaked
@@ -165,28 +164,11 @@ func (sh *poolShared) release() {
 // dispatch, signal the barrier if last, park again.
 func (sh *poolShared) parked(w int) {
 	for range sh.start[w-1] {
-		sh.invoke(w)
+		sh.fusedRun(w, false)
 		if sh.pending.Add(-1) == 0 {
 			sh.done <- struct{}{}
 		}
 	}
-}
-
-// invoke runs the current dispatch as worker w, converting panics into
-// a recorded first-panic that the coordinator re-raises. Fused
-// dispatches recover per pass instead (a worker must keep arriving at
-// the sub-barriers after a panic, or the gang would deadlock).
-func (sh *poolShared) invoke(w int) {
-	if sh.mode == modeFused {
-		sh.fusedRun(w)
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			sh.panicV.CompareAndSwap(nil, &poolPanic{v: r})
-		}
-	}()
-	sh.dispatch(w)
 }
 
 // alignItems is the item granularity static block boundaries snap to:
@@ -212,36 +194,6 @@ func blockRange(n, w, workers int) (int, int) {
 		}
 	}
 	return lo, hi
-}
-
-func (sh *poolShared) dispatch(w int) {
-	switch sh.mode {
-	case modeBody:
-		sh.body(w)
-	case modeBlocks:
-		lo, hi := blockRange(sh.n, w, sh.workers)
-		if lo < hi {
-			sh.rangeFn(w, lo, hi)
-		}
-	case modeChunked:
-		sh.chunkedLoop(w, sh.n, sh.chunk, sh.rangeFn)
-	}
-}
-
-// chunkedLoop claims chunk-sized ranges of [0, n) from the shared
-// cursor until the space is exhausted.
-func (sh *poolShared) chunkedLoop(w, n, chunk int, fn func(worker, lo, hi int)) {
-	for {
-		hi := int(sh.cursor.Add(int64(chunk)))
-		lo := hi - chunk
-		if lo >= n {
-			return
-		}
-		if hi > n {
-			hi = n
-		}
-		fn(w, lo, hi)
-	}
 }
 
 // autoChunk sizes a cursor-claimed chunk for an n-item space: the
@@ -271,125 +223,75 @@ func (sh *poolShared) acquire() {
 	}
 }
 
-// gang wakes the parked workers, runs the dispatch as worker 0, waits
-// for the completion barrier, and re-raises the first recorded panic.
-// The caller holds the dispatch lock (acquire) and has published the
-// dispatch state.
-func (sh *poolShared) gang() {
-	sh.pending.Store(int32(sh.workers - 1))
-	for _, c := range sh.start {
-		c <- struct{}{}
+// serialCutoff is the plan size, in items summed over its passes, at
+// or below which a dispatch runs inline on the calling goroutine: the
+// typical re-examination rounds of the superstep kernel decide only a
+// few delayed switches, far too few to pay for a gang wake.
+const serialCutoff = 32
+
+// inline reports whether plan runs on the caller alone.
+func (sh *poolShared) inline(plan *FusedPlan) bool {
+	if sh.workers == 1 {
+		return true
 	}
-	sh.invoke(0)
-	<-sh.done
-	sh.body = nil
-	sh.rangeFn = nil
+	items := 0
+	for i := range plan.Passes {
+		items += max(plan.Passes[i].N, 0)
+	}
+	return items <= serialCutoff
+}
+
+// dispatch runs plan as one gang wake (or inline), waits for the
+// completion barrier, releases the dispatch lock, and re-raises the
+// first recorded panic. The caller holds the dispatch lock (acquire).
+// Bodies never unwind through here (fusedPass and runAfter recover),
+// so the cleanup below always runs.
+func (sh *poolShared) dispatch(plan *FusedPlan) {
+	sh.plan = plan
+	if sh.inline(plan) {
+		sh.fusedRun(0, true)
+	} else {
+		sh.cursor.Store(0)
+		sh.pending.Store(int32(sh.workers - 1))
+		for _, c := range sh.start {
+			c <- struct{}{}
+		}
+		sh.fusedRun(0, false)
+		<-sh.done
+	}
+	// The parked workers keep sh alive; a retained body would keep the
+	// pool's owner, and so the pool, reachable and its finalizer idle.
 	sh.plan = nil
+	sh.blocks.Passes[0].Fn = nil
 	sh.running.Store(false)
 	if pv := sh.panicV.Swap(nil); pv != nil {
 		panic(pv.v)
 	}
 }
 
-// solo runs a dispatch inline on a 1-worker pool (or a small-n
-// fast path). The caller holds the dispatch lock (acquire) and has
-// published the dispatch state. Panics recorded by the per-pass
-// recovery of fused mode are re-raised after cleanup.
-func (sh *poolShared) solo() {
-	defer func() {
-		sh.body = nil
-		sh.rangeFn = nil
-		sh.plan = nil
-		sh.running.Store(false)
-	}()
-	sh.invoke(0)
-	if pv := sh.panicV.Swap(nil); pv != nil {
-		panic(pv.v)
+// Blocks partitions [0, n) into at most P contiguous blocks differing
+// in size by at most one (boundaries aligned to 16 items on large
+// inputs) and runs fn on each block in parallel: a one-pass plan of
+// static blocks. Workers whose block is empty skip the call.
+func (p *Pool) Blocks(n int, fn func(worker, lo, hi int)) {
+	if n <= 0 {
+		return
 	}
-}
-
-// Run executes body once per worker id 0..P-1, in parallel, and waits
-// for all of them — the pooled equivalent of package-level Run.
-func (p *Pool) Run(body func(worker int)) {
 	// Pin p: its finalizer must not release the gang mid-dispatch once
 	// the method body no longer references p itself.
 	defer runtime.KeepAlive(p)
 	sh := p.sh
 	sh.acquire()
-	sh.mode = modeBody
-	sh.body = body
-	if sh.workers == 1 {
-		sh.solo()
-		return
-	}
-	sh.gang()
+	sh.blocks.Passes[0] = FusedPass{N: n, Fn: fn}
+	sh.dispatch(&sh.blocks)
 }
 
-// serialCutoff is the iteration count below which Blocks and Chunked
-// run inline on the calling goroutine: waking the gang costs ~µs, which
-// dwarfs a handful of items (the typical re-examination rounds of the
-// superstep kernel decide only a few delayed switches).
-const serialCutoff = 32
-
-// Blocks partitions [0, n) into at most P contiguous blocks differing
-// in size by at most one (boundaries aligned to 16 items on large
-// inputs) and runs fn on each block in parallel. Workers whose block is
-// empty are still woken but skip the call.
-func (p *Pool) Blocks(n int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	defer runtime.KeepAlive(p) // see Run
-	sh := p.sh
-	sh.acquire()
-	sh.mode = modeBlocks
-	sh.rangeFn = fn
-	sh.n = n
-	if sh.workers == 1 || n <= serialCutoff {
-		sh.mode = modeChunked // single full-range call below
-		sh.chunk = n
-		sh.cursor.Store(0)
-		sh.solo()
-		return
-	}
-	sh.gang()
-}
-
-// Chunked runs fn over [0, n) in chunks claimed from an atomic cursor:
-// workers grab the next chunk-sized range until the space is exhausted.
-// Use it when per-item cost is skewed (the decide rounds, where delayed
-// switches cluster) and static blocks would imbalance the gang.
-// chunk <= 0 selects the pool's topology-derived grain, shrunk if
-// needed so each worker gets several claims.
-func (p *Pool) Chunked(n, chunk int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	defer runtime.KeepAlive(p) // see Run
-	sh := p.sh
-	sh.acquire()
-	if chunk <= 0 {
-		chunk = sh.autoChunk(n)
-	}
-	sh.mode = modeChunked
-	sh.rangeFn = fn
-	sh.n = n
-	sh.chunk = chunk
-	sh.cursor.Store(0)
-	if sh.workers == 1 || n <= serialCutoff {
-		sh.chunk = n
-		sh.solo()
-		return
-	}
-	sh.gang()
-}
-
-// FusedPass is one pass of a fused dispatch: an iteration space, the
-// body to run over it, and how to partition it. After, when non-nil,
-// runs on exactly one worker at the pass's trailing sub-barrier —
-// after every worker has finished the pass, before any worker starts
-// the next — for short serial fix-ups (counter resets) that would
-// otherwise cost a full dispatch.
+// FusedPass is one pass of a dispatch: an iteration space, the body to
+// run over it, and how to partition it. After, when non-nil, runs on
+// exactly one worker at the pass's trailing sub-barrier — after every
+// worker has finished the pass, before any worker starts the next —
+// for short serial fix-ups (counter resets) that would otherwise cost
+// a full dispatch.
 type FusedPass struct {
 	// N is the iteration space [0, N). N <= 0 skips the body (After
 	// still runs).
@@ -404,9 +306,9 @@ type FusedPass struct {
 	After func()
 }
 
-// FusedPlan is a reusable sequence of passes executed by one fused
-// dispatch. Owners build it once (the passes slice is read, never
-// mutated) so steady-state fused dispatches allocate nothing.
+// FusedPlan is a reusable sequence of passes executed by one dispatch.
+// Owners build it once (the passes slice is read, never mutated by the
+// pool) so steady-state dispatches allocate nothing.
 type FusedPlan struct {
 	Passes []FusedPass
 }
@@ -428,47 +330,51 @@ func (p *Pool) Fused(plan *FusedPlan) {
 	if len(plan.Passes) == 0 {
 		return
 	}
-	defer runtime.KeepAlive(p) // see Run
+	defer runtime.KeepAlive(p) // see Blocks
 	sh := p.sh
 	sh.acquire()
-	sh.mode = modeFused
-	sh.plan = plan
-	sh.cursor.Store(0)
-	if sh.workers == 1 {
-		sh.solo()
-		return
-	}
-	sh.gang()
+	sh.dispatch(plan)
 }
 
-// fusedRun is the per-worker loop of a fused dispatch.
-func (sh *poolShared) fusedRun(w int) {
+// fusedRun is the per-worker loop of a dispatch. solo runs the whole
+// plan on the caller: each pass over its whole iteration space, then
+// its After hook, with no sub-barriers.
+func (sh *poolShared) fusedRun(w int, solo bool) {
 	passes := sh.plan.Passes
 	last := len(passes) - 1
 	for pi := range passes {
 		ps := &passes[pi]
 		if ps.Fn != nil && ps.N > 0 {
-			sh.fusedPass(w, ps)
+			sh.fusedPass(w, ps, solo)
 		}
+		switch {
+		case solo:
+			if ps.After != nil {
+				sh.runAfter(ps.After)
+			}
 		// The final sub-barrier is subsumed by the completion barrier
 		// unless an After hook needs the all-finished point.
-		if pi < last || ps.After != nil {
+		case pi < last || ps.After != nil:
 			sh.fusedBarrier(ps.After)
 		}
 	}
 }
 
-// fusedPass runs one pass body, recovering panics so the worker still
-// reaches the trailing sub-barrier.
-func (sh *poolShared) fusedPass(w int, ps *FusedPass) {
+// fusedPass runs worker w's share of one pass (all of it when solo),
+// recovering panics so the worker still reaches the trailing
+// sub-barrier.
+func (sh *poolShared) fusedPass(w int, ps *FusedPass, solo bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.panicV.CompareAndSwap(nil, &poolPanic{v: r})
 		}
 	}()
+	if solo {
+		ps.Fn(w, 0, ps.N)
+		return
+	}
 	if ps.Chunk == 0 {
-		lo, hi := blockRange(ps.N, w, sh.workers)
-		if lo < hi {
+		if lo, hi := blockRange(ps.N, w, sh.workers); lo < hi {
 			ps.Fn(w, lo, hi)
 		}
 		return
@@ -477,11 +383,18 @@ func (sh *poolShared) fusedPass(w int, ps *FusedPass) {
 	if chunk < 0 {
 		chunk = sh.autoChunk(ps.N)
 	}
-	sh.chunkedLoop(w, ps.N, chunk, ps.Fn)
+	for {
+		hi := int(sh.cursor.Add(int64(chunk)))
+		lo := hi - chunk
+		if lo >= ps.N {
+			return
+		}
+		ps.Fn(w, lo, min(hi, ps.N))
+	}
 }
 
-// fusedBarrier is the sense-reversing sub-barrier between fused passes.
-// The last arriver (the leader) runs the After hook, resets the shared
+// fusedBarrier is the sense-reversing sub-barrier between passes. The
+// last arriver (the leader) runs the After hook, resets the shared
 // cursor for the next pass, and releases the generation; the others
 // spin briefly and then yield, so oversubscribed gangs (P > cores)
 // still make progress.

@@ -27,15 +27,15 @@ func BenchmarkPoolDispatchBlocks(b *testing.B) {
 	}
 }
 
-func BenchmarkPoolDispatchChunked(b *testing.B) {
+func BenchmarkPoolDispatchChunkedPass(b *testing.B) {
 	for _, w := range benchPoolWorkers() {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			p := NewPool(w)
 			defer p.Close()
-			fn := func(_, _, _ int) {}
+			plan := &FusedPlan{Passes: []FusedPass{{N: 1 << 16, Chunk: -1, Fn: func(_, _, _ int) {}}}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.Chunked(1<<16, 0, fn)
+				p.Fused(plan)
 			}
 		})
 	}

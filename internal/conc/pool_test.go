@@ -1,18 +1,23 @@
 package conc
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestPoolRunCoversAllWorkers(t *testing.T) {
+// TestPoolBlocksCoversAllWorkers: a Blocks dispatch large enough for
+// the gang calls the body exactly once on every worker.
+func TestPoolBlocksCoversAllWorkers(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		pool := NewPool(p)
 		counts := make([]atomic.Int32, p)
 		for rep := 0; rep < 3; rep++ { // reuse across dispatches
-			pool.Run(func(w int) { counts[w].Add(1) })
+			pool.Blocks(1<<10, func(w, _, _ int) { counts[w].Add(1) })
 		}
 		for w := range counts {
 			if got := counts[w].Load(); got != 3 {
@@ -53,14 +58,14 @@ func TestPoolChunkedCoversAll(t *testing.T) {
 		hits := make([]atomic.Int32, n)
 		// Skewed per-item work: chunk claiming must still cover every
 		// index exactly once.
-		pool.Chunked(n, 64, func(w, lo, hi int) {
+		pool.Fused(&FusedPlan{Passes: []FusedPass{{N: n, Chunk: 64, Fn: func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if i%997 == 0 {
 					time.Sleep(time.Microsecond)
 				}
 				hits[i].Add(1)
 			}
-		})
+		}}}})
 		for i := range hits {
 			if hits[i].Load() != 1 {
 				t.Fatalf("P=%d: index %d covered %d times", p, i, hits[i].Load())
@@ -74,7 +79,7 @@ func TestPoolPanicPropagation(t *testing.T) {
 	for _, culprit := range []int{0, 2} { // coordinator and parked worker
 		pool := NewPool(4)
 		expectPanic(t, "worker panic", func() {
-			pool.Run(func(w int) {
+			pool.Blocks(1<<10, func(w, _, _ int) {
 				if w == culprit {
 					panic("boom")
 				}
@@ -82,7 +87,7 @@ func TestPoolPanicPropagation(t *testing.T) {
 		})
 		// The pool must stay usable after a propagated panic.
 		var ran atomic.Int32
-		pool.Run(func(int) { ran.Add(1) })
+		pool.Blocks(1<<10, func(int, int, int) { ran.Add(1) })
 		if ran.Load() != 4 {
 			t.Fatalf("culprit=%d: pool broken after panic: %d workers ran", culprit, ran.Load())
 		}
@@ -94,7 +99,7 @@ func TestPoolNestedDispatchPanics(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		pool := NewPool(p)
 		expectPanic(t, "nested dispatch", func() {
-			pool.Run(func(w int) {
+			pool.Blocks(1<<10, func(w, _, _ int) {
 				if w == 0 {
 					pool.Blocks(8, func(int, int, int) {})
 				}
@@ -109,7 +114,7 @@ func TestPoolDispatchAfterClosePanics(t *testing.T) {
 	pool.Close()
 	pool.Close() // idempotent
 	expectPanic(t, "dispatch after Close", func() {
-		pool.Run(func(int) {})
+		pool.Blocks(1<<10, func(int, int, int) {})
 	})
 }
 
@@ -120,7 +125,7 @@ func TestPoolReleaseEndsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		pool := NewPool(4)
-		pool.Run(func(int) {})
+		pool.Blocks(1<<10, func(int, int, int) {})
 		pool.Close()
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -134,4 +139,74 @@ func TestPoolReleaseEndsWorkers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestPoolInlineSmallPlans pins the inline rule on a gang: a plan of
+// at most serialCutoff items in total runs on the caller as worker 0,
+// one call per pass over its whole range, After hooks in pass order;
+// one item more wakes the gang.
+func TestPoolInlineSmallPlans(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	var mu sync.Mutex
+	var events []string
+	record := func(format string, args ...any) {
+		mu.Lock()
+		events = append(events, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	body := func(pass string) func(w, lo, hi int) {
+		return func(w, lo, hi int) { record("%s w%d [%d,%d)", pass, w, lo, hi) }
+	}
+	for _, n := range []int{1, 5, 31, serialCutoff} {
+		events = nil
+		pool.Blocks(n, body("b"))
+		if want := fmt.Sprintf("b w0 [0,%d)", n); len(events) != 1 || events[0] != want {
+			t.Fatalf("Blocks(%d) calls %q, want [%q]", n, events, want)
+		}
+	}
+
+	events = nil
+	pool.Fused(&FusedPlan{Passes: []FusedPass{
+		{N: 20, Fn: body("p0"), After: func() { record("after0") }},
+		{N: serialCutoff - 20, Chunk: 4, Fn: body("p1"), After: func() { record("after1") }},
+	}})
+	want := []string{"p0 w0 [0,20)", "after0", fmt.Sprintf("p1 w0 [0,%d)", serialCutoff-20), "after1"}
+	if !slices.Equal(events, want) {
+		t.Fatalf("two-pass plan ran %q, want %q", events, want)
+	}
+
+	events = nil
+	pool.Blocks(serialCutoff+1, body("b"))
+	if len(events) < 2 {
+		t.Fatalf("Blocks(%d) ran inline: %q", serialCutoff+1, events)
+	}
+}
+
+// TestPoolLeakedOwnerReleased: a pool dropped without Close, whose last
+// Blocks body captured the pool's owner, must still be finalized — the
+// parked workers must not keep that body, and through it the pool,
+// reachable — and its parked goroutines must exit.
+func TestPoolLeakedOwnerReleased(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		type owner struct {
+			pool  *Pool
+			items atomic.Int64
+		}
+		o := &owner{pool: NewPool(4)}
+		o.pool.Blocks(1<<10, func(_, lo, hi int) { o.items.Add(int64(hi - lo)) })
+		if o.items.Load() != 1<<10 {
+			t.Fatalf("covered %d items", o.items.Load())
+		}
+	}()
+	for round := 0; round < 50; round++ {
+		runtime.GC()
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("leaked pool's workers still parked: %d goroutines before, %d after",
+		before, runtime.NumGoroutine())
 }

@@ -65,12 +65,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// IsGlobal reports whether the algorithm runs the G-ES-MC chain (one
-// global switch per superstep) rather than ES-MC.
-func (a Algorithm) IsGlobal() bool {
-	return a == AlgSeqGlobalES || a == AlgParGlobalES
-}
-
 // DefaultLoopProb is the default loop-rejection probability P_L of
 // G-ES-MC (Definition 3). It only needs to be strictly positive for
 // aperiodicity; a tiny value wastes almost no switches.

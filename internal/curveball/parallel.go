@@ -269,7 +269,7 @@ func (e *Engine) TradeBatch(pairs [][2]uint32, stepSeed uint64) {
 	// Rank registration is the prologue of the fused first trade round
 	// (one gang wake instead of two); trades always decide in round
 	// one, so the whole batch is prologue + one round + rank clear.
-	e.drv.RunFused(nt, e.rankSetFn, nt, e.tradeFn, nil)
+	e.drv.Run(nt, e.rankSetFn, nt, e.tradeFn, nil)
 	e.drv.Pool().Blocks(nt, e.rankClearFn)
 	e.curPairs = nil
 }

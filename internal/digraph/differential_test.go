@@ -8,12 +8,12 @@ import (
 )
 
 // replayParGlobalSequentially reproduces the exact switch sequence the
-// parallel directed G-ES-MC engine draws for a given (seed, workers)
-// pair — ParallelPerm seeds from the SplitMix64 stream, ℓ from the
+// parallel directed G-ES-MC engine draws for a given seed at every
+// worker count — ParallelPerm seeds from the SplitMix64 stream, ℓ from the
 // MT19937 stream — and executes it with the map-backed sequential
 // reference. This is the ground truth the parallel engine must hit
 // bit-identically.
-func replayParGlobalSequentially(g *DiGraph, supersteps, workers int, loopProb float64, seed uint64) *DiGraph {
+func replayParGlobalSequentially(g *DiGraph, supersteps int, loopProb float64, seed uint64) *DiGraph {
 	c := g.Clone()
 	A := c.Arcs()
 	S := c.ArcSet()
@@ -22,7 +22,7 @@ func replayParGlobalSequentially(g *DiGraph, supersteps, workers int, loopProb f
 	seedSrc := rng.NewSplitMix64(seed ^ 0x5DEECE66D)
 	var buf []Switch
 	for step := 0; step < supersteps; step++ {
-		perm := rng.ParallelPerm(seedSrc.Uint64(), m, workers)
+		perm := rng.ParallelPerm(seedSrc.Uint64(), m)
 		l := int(rng.BinomialComplementSmall(src, int64(m/2), loopProb))
 		buf = GlobalSwitches(perm, l, buf)
 		ExecuteSequential(A, S, buf)
@@ -32,16 +32,14 @@ func replayParGlobalSequentially(g *DiGraph, supersteps, workers int, loopProb f
 
 func TestDirectedParGlobalBitIdenticalAcrossWorkers(t *testing.T) {
 	// For every worker count, the parallel engine must reproduce the
-	// sequential reference executing the same switch stream. (Different
-	// worker counts draw different parallel permutations, so each w is
-	// checked against its own replay.)
+	// sequential reference executing the same switch stream.
 	src := rng.NewMT19937(8701)
 	g := randomDigraph(72, 0.12, src)
 	const supersteps = 8
 	const pl = 0.01
 	const seed = 42
+	want := replayParGlobalSequentially(g, supersteps, pl, seed)
 	for _, w := range []int{1, 2, 4, 8} {
-		want := replayParGlobalSequentially(g, supersteps, w, pl, seed)
 		got := g.Clone()
 		if _, err := ParGlobalES(got, supersteps, w, pl, seed); err != nil {
 			t.Fatal(err)

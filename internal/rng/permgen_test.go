@@ -46,7 +46,7 @@ func TestPermGenDispatchIndependent(t *testing.T) {
 
 func TestPermGenMatchesParallelPerm(t *testing.T) {
 	for _, n := range []int{100, 1 << 13} {
-		a := ParallelPerm(7, n, 4)
+		a := ParallelPerm(7, n)
 		b := NewPermGen(n).Generate(7, nil)
 		for i := range a {
 			if a[i] != b[i] {

@@ -40,14 +40,10 @@ func Shuffle(src Source, p []uint32) {
 }
 
 // ParallelPerm returns a uniform random permutation of [0, n)
-// determined by (seed, n) alone — the workers argument is retained for
-// signature compatibility but no longer influences the output, which
-// strengthens the kernels' bit-identity invariant from "identical at
-// sizes below the scatter cutoff" to "identical at every size". It is
-// a convenience wrapper over PermGen; per-superstep callers hold a
+// determined by (seed, n) alone, identical at every worker count. It
+// is a convenience wrapper over PermGen; per-superstep callers hold a
 // PermGen and pass their gang's Blocks method to Generate instead, so
 // steady-state supersteps allocate nothing.
-func ParallelPerm(seed uint64, n, workers int) []uint32 {
-	_ = workers
+func ParallelPerm(seed uint64, n int) []uint32 {
 	return NewPermGen(n).Generate(seed, nil)
 }

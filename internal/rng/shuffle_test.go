@@ -94,17 +94,15 @@ func TestShufflePreservesElements(t *testing.T) {
 
 func TestParallelPermIsPermutation(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 1 << 12, 1<<14 + 13} {
-		for _, w := range []int{1, 2, 4, 7} {
-			if p := ParallelPerm(12345, n, w); !isPermutation(p) {
-				t.Fatalf("ParallelPerm(n=%d, w=%d) not a permutation", n, w)
-			}
+		if p := ParallelPerm(12345, n); !isPermutation(p) {
+			t.Fatalf("ParallelPerm(n=%d) not a permutation", n)
 		}
 	}
 }
 
 func TestParallelPermDeterministic(t *testing.T) {
-	a := ParallelPerm(777, 1<<14, 4)
-	b := ParallelPerm(777, 1<<14, 4)
+	a := ParallelPerm(777, 1<<14)
+	b := ParallelPerm(777, 1<<14)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("ParallelPerm not deterministic at index %d", i)
@@ -120,7 +118,7 @@ func TestParallelPermUniformPositions(t *testing.T) {
 	const samples = 2000
 	counts := make([]int, 4)
 	for s := 0; s < samples; s++ {
-		p := ParallelPerm(uint64(s)*2654435761+1, n, 4)
+		p := ParallelPerm(uint64(s)*2654435761+1, n)
 		for pos, v := range p {
 			if v == 0 {
 				counts[pos*4/n]++
@@ -211,6 +209,6 @@ func BenchmarkPermSequential(b *testing.B) {
 
 func BenchmarkPermParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = ParallelPerm(uint64(i), 1<<16, 4)
+		_ = ParallelPerm(uint64(i), 1<<16)
 	}
 }

@@ -256,3 +256,33 @@ func TestPoolKey(t *testing.T) {
 		t.Fatalf("empty request: %v, want ErrBadRequest", err)
 	}
 }
+
+// TestPoolKeyPinned pins PoolKey digests: a cluster routes a request to
+// the shard its digest hashes to, so a change of hashing would strand
+// every pooled engine behind a rolling upgrade. One request per target
+// kind; the last also covers forbidden-edge canonicalization.
+func TestPoolKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wr   wire.SampleRequest
+		want uint64
+	}{
+		{"degrees", wire.SampleRequest{Degrees: []int{3, 3, 2, 2, 2, 1, 1}, Seed: 7, Workers: 2, BurnIn: 5, Thinning: 3},
+			0xf935ab23c0af4121},
+		{"in/out degrees", wire.SampleRequest{OutDegrees: []int{2, 1, 1, 0}, InDegrees: []int{1, 1, 1, 1}, Seed: 11, SwapsPerEdge: 4},
+			0x0610c06fcf504301},
+		{"bipartite", wire.SampleRequest{BipartiteLeft: []int{2, 1}, BipartiteRight: []int{1, 1, 1}, Seed: 3, Algorithm: "GlobalCurveball"},
+			0x14ffaa395f4791a4},
+		{"edges+forbidden", wire.SampleRequest{Edges: [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}}, Nodes: 7,
+			ForbiddenEdges: [][2]uint32{{3, 1}, {0, 2}, {6, 5}}, Seed: 19, Algorithm: "SeqES"},
+			0x4fdc5984e349d717},
+	} {
+		got, err := PoolKey(&tc.wr)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: PoolKey = %#016x, want %#016x", tc.name, got, tc.want)
+		}
+	}
+}

@@ -9,7 +9,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"time"
@@ -411,34 +410,48 @@ type engineKey struct {
 	swapsBits  uint64
 }
 
+// fnv64a is a 64-bit FNV-1a hash fed little-endian 8-byte words: the
+// digest of hash/fnv's New64a over the same bytes, without an interface
+// call and a buffer copy per word. The digests route requests to
+// cluster shards, so the byte order is part of the contract.
+type fnv64a uint64
+
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+)
+
+func (h *fnv64a) put(v uint64) {
+	x := *h
+	for range 8 {
+		x = (x ^ fnv64a(byte(v))) * fnvPrime64
+		v >>= 8
+	}
+	*h = x
+}
+
+// putInts hashes a length-prefixed slice: an in-band separator word
+// would collide with a degree of the same value, letting two different
+// targets share a pool key.
+func (h *fnv64a) putInts(vals []int) {
+	h.put(uint64(len(vals)))
+	for _, v := range vals {
+		h.put(uint64(v))
+	}
+}
+
 func (r *Request) engineKey() engineKey {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	put := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf)
-	}
-	// Every slice is length-prefixed: an in-band separator word would
-	// collide with a degree of the same value, letting two different
-	// targets share a pool key.
-	putInts := func(vals []int) {
-		put(uint64(len(vals)))
-		for _, v := range vals {
-			put(uint64(v))
-		}
-	}
-	put(uint64(r.kind))
-	put(uint64(r.nodes))
-	putInts(r.degrees)
-	putInts(r.outDegrees)
-	putInts(r.inDegrees)
-	putInts(r.left)
-	putInts(r.right)
-	put(uint64(len(r.edges)))
+	h := fnvOffset64
+	h.put(uint64(r.kind))
+	h.put(uint64(r.nodes))
+	h.putInts(r.degrees)
+	h.putInts(r.outDegrees)
+	h.putInts(r.inDegrees)
+	h.putInts(r.left)
+	h.putInts(r.right)
+	h.put(uint64(len(r.edges)))
 	for _, e := range r.edges {
-		put(uint64(e[0])<<32 | uint64(e[1]))
+		h.put(uint64(e[0])<<32 | uint64(e[1]))
 	}
 	// Constraints change the compiled chain, so they are part of the
 	// engine identity: a connected-ensemble request must never resume
@@ -448,11 +461,11 @@ func (r *Request) engineKey() engineKey {
 	// that differ only in pair orientation or list order share a
 	// pooled engine.
 	if r.Connected {
-		put(1)
+		h.put(1)
 	} else {
-		put(0)
+		h.put(0)
 	}
-	put(uint64(len(r.ForbiddenEdges)))
+	h.put(uint64(len(r.ForbiddenEdges)))
 	if len(r.ForbiddenEdges) > 0 {
 		directed := r.kind == targetArcs || r.kind == targetInOut || r.kind == targetBipartite
 		packed := make([]uint64, len(r.ForbiddenEdges))
@@ -465,11 +478,11 @@ func (r *Request) engineKey() engineKey {
 		}
 		slices.Sort(packed)
 		for _, p := range packed {
-			put(p)
+			h.put(p)
 		}
 	}
 	return engineKey{
-		targetHash: h.Sum64(),
+		targetHash: uint64(h),
 		algorithm:  r.Algorithm,
 		workers:    r.Workers,
 		seed:       r.Seed,
@@ -484,22 +497,15 @@ func (r *Request) engineKey() engineKey {
 // label of pool metrics. Two requests share a digest exactly when they
 // would share a pooled engine (modulo FNV collisions).
 func (k engineKey) digest() uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	put := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf)
-	}
-	put(k.targetHash)
-	put(uint64(k.algorithm))
-	put(uint64(k.workers))
-	put(k.seed)
-	put(uint64(k.burnIn))
-	put(uint64(k.thinning))
-	put(k.swapsBits)
-	return h.Sum64()
+	h := fnvOffset64
+	h.put(k.targetHash)
+	h.put(uint64(k.algorithm))
+	h.put(uint64(k.workers))
+	h.put(k.seed)
+	h.put(uint64(k.burnIn))
+	h.put(uint64(k.thinning))
+	h.put(k.swapsBits)
+	return uint64(h)
 }
 
 // PoolKey computes the engine-pool identity digest of a wire request:

@@ -19,11 +19,6 @@ type RetryPolicy struct {
 	// cap.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Jitter scales a uniform random factor applied to each delay:
-	// the slept duration is d * (1 - Jitter/2 + Jitter*rand). 0.5
-	// (the default) spreads sleeps over [0.75d, 1.25d), decorrelating
-	// retry storms across concurrent clients.
-	Jitter float64
 	// Resume additionally re-issues a request after a mid-stream
 	// transport cut, setting ResumeFrom to the cursor of the last
 	// delivered line so the spliced stream is the exact continuation.
@@ -34,15 +29,18 @@ type RetryPolicy struct {
 	Resume bool
 }
 
+// retryJitter scales a uniform random factor applied to each delay:
+// the slept duration is d * (1 - retryJitter/2 + retryJitter*rand),
+// spreading sleeps over [0.75d, 1.25d) to decorrelate retry storms
+// across concurrent clients.
+const retryJitter = 0.5
+
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 50 * time.Millisecond
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.Jitter <= 0 {
-		p.Jitter = 0.5
 	}
 	return p
 }
@@ -54,7 +52,7 @@ func (p RetryPolicy) delay(n int) time.Duration {
 	if d > p.MaxDelay || d <= 0 {
 		d = p.MaxDelay
 	}
-	f := 1 - p.Jitter/2 + p.Jitter*rand.Float64()
+	f := 1 - retryJitter/2 + retryJitter*rand.Float64()
 	return time.Duration(float64(d) * f)
 }
 

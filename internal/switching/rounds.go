@@ -53,8 +53,8 @@ type Publish func(k int32, st uint32)
 // reused across supersteps; steady-state supersteps perform no heap
 // allocations.
 //
-// Rounds dispatch through the pool's atomic-cursor chunked mode rather
-// than static blocks: delayed switches cluster (they share contested
+// Rounds dispatch one-pass plans of atomic-cursor chunks rather than
+// static blocks: delayed switches cluster (they share contested
 // edges), so fixed per-worker blocks of the undecided list can be
 // heavily skewed in re-examination rounds.
 type RoundDriver struct {
@@ -73,13 +73,12 @@ type RoundDriver struct {
 	cur     []int32
 	decide  Decide
 	publish Publish
-	roundFn func(worker, lo, hi int)
 
-	// plan is the fused prologue+first-round dispatch (RunFused):
-	// pass 0 is the caller's registration phase, pass 1 the first
-	// decide round, separated by a sub-barrier instead of a full
-	// park/wake cycle.
-	plan conc.FusedPlan
+	// first is the prologue+first-round dispatch: pass 0 is the
+	// caller's registration phase, pass 1 the first decide round,
+	// separated by a sub-barrier instead of a full park/wake cycle.
+	// round is every other round, one chunked pass.
+	first, round conc.FusedPlan
 
 	undecided []int32
 	scratch   []driverScratch
@@ -103,9 +102,9 @@ func (d *RoundDriver) Init(workers int) {
 	d.workers = workers
 	d.pool = conc.NewPool(workers)
 	d.scratch = make([]driverScratch, workers)
-	d.roundFn = d.roundBody
-	d.plan.Passes = make([]conc.FusedPass, 2)
-	d.plan.Passes[1] = conc.FusedPass{Chunk: -1, Fn: d.roundFn}
+	roundFn := d.roundBody
+	d.first.Passes = []conc.FusedPass{{}, {Chunk: -1, Fn: roundFn}}
+	d.round.Passes = []conc.FusedPass{{Chunk: -1, Fn: roundFn}}
 }
 
 // Workers returns the parallelism degree the driver was initialized
@@ -157,32 +156,21 @@ func (d *RoundDriver) roundBody(worker, lo, hi int) {
 // Run decides one superstep of n items through the round loop. decide
 // is invoked at most once per item and round; publish (if non-nil)
 // makes non-delayed decisions visible — immediately under the natural
-// scheduler, at the round barrier under the pessimistic one. Pass
-// long-lived function values (fields of the owning engine) to keep
-// supersteps allocation-free.
-func (d *RoundDriver) Run(n int, decide Decide, publish Publish) {
-	d.run(0, nil, n, decide, publish)
-}
-
-// RunFused is Run with the caller's per-superstep prologue (phase-1
-// tuple registration in Algorithm 1) folded into the first decide-round
-// dispatch: both run on one gang wake separated by an in-dispatch
-// sub-barrier, cutting a full park/wake cycle per superstep. The
-// prologue covers [0, prologueN) in static blocks and is guaranteed
-// complete on all workers before any decide executes — the same
-// ordering the separate dispatches gave. prologue must be a long-lived
-// function value to keep supersteps allocation-free.
-func (d *RoundDriver) RunFused(prologueN int, prologue func(worker, lo, hi int), n int, decide Decide, publish Publish) {
-	d.run(prologueN, prologue, n, decide, publish)
-}
-
-func (d *RoundDriver) run(proN int, proFn func(worker, lo, hi int), n int, decide Decide, publish Publish) {
-	if n == 0 && proN > 0 && proFn != nil {
-		// Degenerate superstep: registration with nothing to decide.
-		d.pool.Blocks(proN, proFn)
-		return
-	}
+// scheduler, at the round barrier under the pessimistic one.
+//
+// prologue, when non-nil, is the caller's per-superstep registration
+// phase (phase 1 of Algorithm 1) over [0, prologueN) in static blocks.
+// It is folded into the first round's dispatch: both run on one gang
+// wake separated by an in-dispatch sub-barrier, so the prologue is
+// complete on all workers before any decide executes. Pass long-lived
+// function values (fields of the owning engine) to keep supersteps
+// allocation-free.
+func (d *RoundDriver) Run(prologueN int, prologue func(worker, lo, hi int), n int, decide Decide, publish Publish) {
 	if n == 0 {
+		// Degenerate superstep: registration with nothing to decide.
+		if prologue != nil {
+			d.pool.Blocks(prologueN, prologue)
+		}
 		return
 	}
 	d.decide = decide
@@ -201,13 +189,14 @@ func (d *RoundDriver) run(proN int, proFn func(worker, lo, hi int), n int, decid
 			sc.deferred = sc.deferred[:0]
 		}
 		d.cur = undecided
-		if rounds == 1 && proN > 0 && proFn != nil {
-			d.plan.Passes[0] = conc.FusedPass{N: proN, Fn: proFn}
-			d.plan.Passes[1].N = len(undecided)
-			d.pool.Fused(&d.plan)
-			d.plan.Passes[0] = conc.FusedPass{}
+		if rounds == 1 && prologue != nil {
+			d.first.Passes[0] = conc.FusedPass{N: prologueN, Fn: prologue}
+			d.first.Passes[1].N = len(undecided)
+			d.pool.Fused(&d.first)
+			d.first.Passes[0] = conc.FusedPass{}
 		} else {
-			d.pool.Chunked(len(undecided), 0, d.roundFn)
+			d.round.Passes[0].N = len(undecided)
+			d.pool.Fused(&d.round)
 		}
 		if d.Pessimistic && publish != nil {
 			for i := range d.scratch {

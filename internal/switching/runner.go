@@ -126,7 +126,7 @@ func (r *Runner[E]) Run(switches []Switch) {
 	// rounds dispatch individually. Statuses publish into the
 	// dependency table, the linearization point observed by dependent
 	// switches.
-	r.RoundDriver.RunFused(n, r.phase1Fn, n, r.decideFn, r.publishFn)
+	r.RoundDriver.Run(n, r.phase1Fn, n, r.decideFn, r.publishFn)
 	for i := range r.vetoTot {
 		r.Stats.Vetoed += r.vetoTot[i].v
 		r.vetoTot[i].v = 0
