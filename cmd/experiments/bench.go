@@ -15,9 +15,10 @@ import (
 // bench is the reproducible performance-trajectory harness: it times the
 // four parallel chains that now share the unified superstep kernel —
 // ParES, ParGlobalES, directed ParGlobalES, and parallel Global
-// Curveball — at P=1 and P=workers on a fixed synthetic workload, and
-// writes the ns/switch numbers to BENCH_<date>.json so successive PRs
-// can be compared. All runs go through the public Sampler API (the code
+// Curveball — at P=1 and P=workers on a fixed synthetic workload, plus
+// SeqGlobalES at P=1 as the sequential reference, and writes the
+// ns/switch numbers to BENCH_<date>.json so successive PRs can be
+// compared. All runs go through the public Sampler API (the code
 // path production callers use).
 type benchResult struct {
 	Name       string `json:"name"`
@@ -202,12 +203,15 @@ func bench(opt options) error {
 		name   string
 		alg    gesmc.Algorithm
 		target func() gesmc.Target
+		// seq marks the sequential reference: timed at w=1 only.
+		seq bool
 	}
 	chains := []chain{
-		{"ParES", gesmc.ParES, func() gesmc.Target { return ug.Clone() }},
-		{"ParGlobalES", gesmc.ParGlobalES, func() gesmc.Target { return ug.Clone() }},
-		{"ParGlobalES/directed", gesmc.ParGlobalES, func() gesmc.Target { return dg.Clone() }},
-		{"GlobalCurveball", gesmc.GlobalCurveball, func() gesmc.Target { return ug.Clone() }},
+		{"ParES", gesmc.ParES, func() gesmc.Target { return ug.Clone() }, false},
+		{"ParGlobalES", gesmc.ParGlobalES, func() gesmc.Target { return ug.Clone() }, false},
+		{"ParGlobalES/directed", gesmc.ParGlobalES, func() gesmc.Target { return dg.Clone() }, false},
+		{"GlobalCurveball", gesmc.GlobalCurveball, func() gesmc.Target { return ug.Clone() }, false},
+		{"SeqGlobalES", gesmc.SeqGlobalES, func() gesmc.Target { return ug.Clone() }, true},
 	}
 
 	// Powers of two up to the requested maximum (always including the
@@ -224,7 +228,11 @@ func bench(opt options) error {
 		"chain", "workers", "attempted", "ns/switch", "allocs/superstep", "speedup")
 	for _, c := range chains {
 		var base float64
-		for _, w := range workerCounts {
+		counts := workerCounts
+		if c.seq {
+			counts = workerCounts[:1]
+		}
+		for _, w := range counts {
 			r, err := benchOne(c.name, c.alg, c.target(), w, supersteps, opt.seed)
 			if err != nil {
 				return err

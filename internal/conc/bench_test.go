@@ -43,7 +43,7 @@ func BenchmarkDepTableStoreLookup(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dt.Reset(n)
+		dt.Reset(n, 0)
 		for k := 0; k < n; k++ {
 			dt.Store(k, 0, edge(uint32(2*k), uint32(2*k+1)), KindErase)
 			dt.Store(k, 2, edge(uint32(k%97), uint32(1000+k%97)), KindInsert)

@@ -32,6 +32,16 @@ const (
 // positions 4k .. 4k+3, so phase 1 needs no allocation synchronization —
 // workers only contend on the bucket head CAS.
 //
+// Survivor tuples make the table a complete index of the edges present
+// at superstep start. A global superstep (Algorithm 3) sources every
+// edge except the m − 2ℓ edges its permutation leaves unpaired; each of
+// those is registered as an erase tuple of the virtual switch
+// SurvivorIdx, later than every real switch, at arena positions 4ℓ + j.
+// A probe that finds no erase tuple then proves the edge absent, and a
+// survivor target takes the ordinary "erased only by a later switch"
+// branch of the decide step — the implicit (e, ∞, erase, illegal) tuple
+// of Algorithm 1 made explicit, so no separate edge set is consulted.
+//
 // Epoch-stamped reset: bucket heads pack (epoch, arena index) into one
 // word and status words pack (epoch, status); a head or status whose
 // epoch differs from the table's current one reads as empty/undecided.
@@ -66,6 +76,12 @@ type depEntry struct {
 	next int32  // chain link, -1 terminates
 }
 
+// SurvivorIdx is the switch index of survivor tuples: an edge that no
+// switch of the superstep sources, erased "after" every switch. It is
+// the largest index the 31-bit meta field holds, so no real switch
+// index reaches it.
+const SurvivorIdx = 1<<31 - 1
+
 const (
 	kindInsertBit = uint32(1) << 31
 	// statusEpochShift leaves the low 2 bits for the status value.
@@ -77,15 +93,21 @@ const (
 
 // NewDepTable returns a table with room for maxSwitches switches per
 // superstep. The same table is reused across supersteps via Reset.
+//
+// The arena holds 4·maxSwitches + 1 tuples: a global superstep of ℓ
+// switches over m edges stores 4ℓ switch tuples and m − 2ℓ survivors,
+// 2m − 1 = 4⌊m/2⌋ + 1 of them when m is odd and ℓ = ⌊m/2⌋ (the common
+// case at a small loop probability).
 func NewDepTable(maxSwitches int) *DepTable {
-	nb := 1 << uint(bits.Len(uint(maxSwitches*4)))
+	slots := 4*maxSwitches + 1
+	nb := 1 << uint(bits.Len(uint(slots)))
 	if nb < 16 {
 		nb = 16
 	}
 	return &DepTable{
 		heads:   make([]uint64, nb),
 		mask:    uint64(nb - 1),
-		entries: make([]depEntry, 4*maxSwitches),
+		entries: make([]depEntry, slots),
 		status:  make([]uint32, maxSwitches),
 		epoch:   0, // first Reset moves to 1; zeroed words can never match
 	}
@@ -96,11 +118,12 @@ func NewDepTable(maxSwitches int) *DepTable {
 // it once, when they know the gang size that will drive the table.
 func (t *DepTable) SetSequential(on bool) { t.seq = on }
 
-// Reset prepares the table for a superstep of nSwitches switches by
-// advancing the epoch: all previously stored heads and statuses become
-// stale in O(1). The caller must be quiescent (superstep boundary).
-func (t *DepTable) Reset(nSwitches int) {
-	if nSwitches > len(t.status) {
+// Reset prepares the table for a superstep of nSwitches switches and
+// nSurvivors survivor tuples by advancing the epoch: all previously
+// stored heads and statuses become stale in O(1). The caller must be
+// quiescent (superstep boundary).
+func (t *DepTable) Reset(nSwitches, nSurvivors int) {
+	if nSwitches > len(t.status) || 4*nSwitches+nSurvivors > len(t.entries) {
 		panic("conc: DepTable capacity exceeded")
 	}
 	t.nSwitch = nSwitches
@@ -166,14 +189,26 @@ func (t *DepTable) headOf(h uint64) int32 {
 // given kind on edge e. Safe for concurrent use by distinct (k, slot)
 // pairs.
 func (t *DepTable) Store(k int, slot int, e graph.Edge, kind uint8) {
-	pos := int32(4*k + slot)
-	ent := &t.entries[pos]
-	ent.key = uint64(e)
 	m := uint32(k)
 	if kind == KindInsert {
 		m |= kindInsertBit
 	}
-	ent.meta = m
+	t.link(int32(4*k+slot), e, m)
+}
+
+// StoreSurvivor registers the j-th survivor of the superstep: edge e,
+// present at superstep start and sourced by no switch, as an erase
+// tuple of switch SurvivorIdx. Safe for concurrent use by distinct j
+// and alongside Store.
+func (t *DepTable) StoreSurvivor(j int, e graph.Edge) {
+	t.link(int32(4*t.nSwitch+j), e, SurvivorIdx)
+}
+
+// link writes arena entry pos and pushes it onto the chain of e.
+func (t *DepTable) link(pos int32, e graph.Edge, meta uint32) {
+	ent := &t.entries[pos]
+	ent.key = uint64(e)
+	ent.meta = meta
 	head := &t.heads[t.bucket(e)]
 	tagged := uint64(t.epoch)<<32 | uint64(uint32(pos))
 	if t.seq {
@@ -193,7 +228,7 @@ func (t *DepTable) Store(k int, slot int, e graph.Edge, kind uint8) {
 // Probe walks the chain of e once and answers both dependency queries
 // of Algorithm 1's decide step: the switch erasing e (eraseOK=false if
 // no switch sources e; by Observation 2 of the paper there is at most
-// one), and the smallest switch index q with an insert tuple for e
+// one; SurvivorIdx for a survivor tuple), and the smallest switch index q with an insert tuple for e
 // whose status is not illegal, with its status (minOK=false if there
 // is none) — the lookup_min of Algorithm 1. One walk for both halves
 // the cache-missing chain traversals of the kernel's hottest loop.

@@ -1,7 +1,11 @@
 // Package conc provides the shared-memory concurrent building blocks of
-// the parallel switching algorithms: a fixed-capacity concurrent edge set
-// (§5.2 of the paper), the per-superstep dependency table of Algorithm 1,
-// and the persistent worker gang that runs every parallel loop.
+// the parallel switching algorithms: the per-superstep dependency table
+// of Algorithm 1, which in a global superstep indexes every edge of the
+// graph through survivor tuples; a fixed-capacity concurrent edge set
+// (§5.2 of the paper), kept only by runners that need edge membership
+// between supersteps (prefix supersteps and the connectivity
+// constraint); and the persistent worker gang that runs every parallel
+// loop.
 package conc
 
 import (

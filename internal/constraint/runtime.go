@@ -120,13 +120,20 @@ func (c *Runtime[E]) escape(edges []E, src rng.Source, st *switching.Stats) {
 	}
 }
 
-// BindRunner installs the local veto on a parallel chain's runner and
-// points the graph ops at its concurrent edge set, which stores every
-// edge kind bit-cast to graph.Edge exactly as the runner's own phases
-// do. The ops run single-goroutine between supersteps, so they count
-// as worker 0.
+// BindRunner installs the local veto on a parallel chain's runner and,
+// when connectivity is required, points the escape graph ops at its
+// concurrent edge set (built here if the runner has none: rollbacks
+// and escapes need edge membership between supersteps, which the
+// dependency table does not keep). The set stores every edge kind
+// bit-cast to graph.Edge exactly as the runner's own phases do. The
+// ops run single-goroutine between supersteps, so they count as
+// worker 0.
 func (c *Runtime[E]) BindRunner(r *switching.Runner[E]) {
 	r.Veto = c.Veto
+	if c.Tracker == nil {
+		return
+	}
+	r.EnsureSet()
 	c.Ops = GraphOps[E]{
 		Contains: func(e E) bool { return r.Set.Contains(graph.Edge(e)) },
 		Insert:   func(e E) { r.Set.InsertUnique(graph.Edge(e), 0) },

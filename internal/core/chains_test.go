@@ -8,6 +8,7 @@ import (
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 var allAlgorithms = []Algorithm{AlgSeqES, AlgSeqGlobalES, AlgParES, AlgParGlobalES}
@@ -82,26 +83,62 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 
 func TestGlobalParallelMatchesGlobalSequential(t *testing.T) {
 	// Inject identical (π, ℓ) into both implementations: bit-exact
-	// equality required, across superstep boundaries.
+	// equality required, across superstep boundaries. The parallel side
+	// runs the production survivor path twice: on a set-less global
+	// runner (what ParGlobalES compiles) and on a set-backed one (what
+	// the connectivity constraint compiles), whose edge set must track
+	// the edge list. One target has an odd edge count, so ℓ = ⌊m/2⌋
+	// leaves one survivor; the large loop probabilities leave many.
 	src := rng.NewMT19937(17)
 	g, err := gen.SynPldGraph(200, 2.1, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := g.M()
-	seq := g.Clone()
-	seqSet := hashset.FromEdges(seq.Edges(), 0.5)
-	par := g.Clone()
-	runner := NewSuperstepRunner(par.Edges(), m/2, 4)
-	var buf []Switch
-	perm := make([]uint32, m)
-	for step := 0; step < 12; step++ {
-		l := SampleGlobalSwitch(perm, 0.01, src)
-		_, buf = ExecuteGlobalSequential(seq.Edges(), seqSet, perm, l, buf)
-		buf = ExecuteGlobalParallel(runner, perm, l, buf)
-		for i := range seq.Edges() {
-			if seq.Edges()[i] != par.Edges()[i] {
-				t.Fatalf("step %d: divergence at edge %d", step, i)
+	trimmed := graph.NewUnchecked(g.N(), append([]graph.Edge(nil), g.Edges()[:g.M()-1]...))
+	for _, base := range []*graph.Graph{g, trimmed} {
+		m := base.M()
+		for _, pl := range []float64{0.01, 0.5, 0.9} {
+			for _, w := range []int{1, 2, 4, 8} {
+				seq := base.Clone()
+				seqSet := hashset.FromEdges(seq.Edges(), 0.5)
+				bare := base.Clone()
+				rBare := switching.NewGlobalRunner(bare.Edges(), w)
+				backed := base.Clone()
+				rBacked := NewSuperstepRunner(backed.Edges(), m/2, w)
+				stepSrc := rng.NewMT19937(uint64(m) ^ uint64(w))
+				var legal int64
+				var buf []Switch
+				perm := make([]uint32, m)
+				for step := 0; step < 12; step++ {
+					l := SampleGlobalSwitch(perm, pl, stepSrc)
+					var acc int64
+					acc, buf = ExecuteGlobalSequential(seq.Edges(), seqSet, perm, l, buf)
+					legal += acc
+					buf = ExecuteGlobalParallel(rBare, perm, l, buf)
+					buf = ExecuteGlobalParallel(rBacked, perm, l, buf)
+					for i := range seq.Edges() {
+						if seq.Edges()[i] != bare.Edges()[i] || seq.Edges()[i] != backed.Edges()[i] {
+							t.Fatalf("m=%d P_L=%v workers=%d step %d: divergence at edge %d", m, pl, w, step, i)
+						}
+					}
+				}
+				if rBare.Stats.Legal != legal || rBacked.Stats.Legal != legal {
+					t.Fatalf("m=%d P_L=%v workers=%d: legal %d (set-less) / %d (set-backed), sequential %d",
+						m, pl, w, rBare.Stats.Legal, rBacked.Stats.Legal, legal)
+				}
+				if rBare.Set != nil {
+					t.Fatal("global runner built an edge set")
+				}
+				if rBacked.Set.Len() != m {
+					t.Fatalf("m=%d P_L=%v workers=%d: edge set holds %d edges", m, pl, w, rBacked.Set.Len())
+				}
+				for _, e := range backed.Edges() {
+					if !rBacked.Set.Contains(e) {
+						t.Fatalf("m=%d P_L=%v workers=%d: edge set lost %v", m, pl, w, e)
+					}
+				}
+				rBare.Release()
+				rBacked.Release()
 			}
 		}
 	}

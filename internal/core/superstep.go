@@ -22,10 +22,11 @@ func NewSuperstepRunner(E []graph.Edge, maxSwitches, workers int) *SuperstepRunn
 // ExecuteGlobalParallel performs one global switch Γ = (π, ℓ) using the
 // given runner. A global switch has no source dependencies by definition
 // (each edge index occurs at most once in π), so it is exactly one
-// ParallelSuperstep (Algorithm 3). The production chain is
-// switching.GlobalStepper; this form serves the differential tests.
+// ParallelSuperstep (Algorithm 3), run on the same survivor path as the
+// production chain switching.GlobalStepper: π[2ℓ:] become survivors.
+// This form serves the differential tests.
 func ExecuteGlobalParallel(r *SuperstepRunner, perm []uint32, l int, buf []Switch) []Switch {
 	buf = GlobalSwitches(perm, l, buf)
-	r.Run(buf)
+	r.RunGlobal(buf, perm[2*l:])
 	return buf
 }

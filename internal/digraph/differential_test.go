@@ -89,3 +89,32 @@ func TestDirectedEngineResumedSplitsBitIdentical(t *testing.T) {
 		t.Fatalf("stats diverge: one-shot %+v, split %+v", s1, s2)
 	}
 }
+
+func TestDirectedParGlobalMatchesReplayAcrossLoopProbs(t *testing.T) {
+	// The production engine's survivor path against the sequential
+	// replay: one odd-m and one even-m target, loop probabilities that
+	// leave from a handful to most edges unpaired as survivors, and
+	// every worker count.
+	src := rng.NewMT19937(8703)
+	g := randomDigraph(60, 0.1, src)
+	trimmed := NewUnchecked(g.N(), append([]Arc(nil), g.Arcs()[:g.M()-1]...))
+	const supersteps = 6
+	const seed = 43
+	for _, base := range []*DiGraph{g, trimmed} {
+		for _, pl := range []float64{0.01, 0.5, 0.9} {
+			want := replayParGlobalSequentially(base, supersteps, pl, seed)
+			for _, w := range []int{1, 2, 4, 8} {
+				got := base.Clone()
+				if _, err := ParGlobalES(got, supersteps, w, pl, seed); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Arcs() {
+					if want.Arcs()[i] != got.Arcs()[i] {
+						t.Fatalf("m=%d P_L=%v workers=%d: arc %d diverges from sequential replay",
+							base.M(), pl, w, i)
+					}
+				}
+			}
+		}
+	}
+}

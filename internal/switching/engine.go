@@ -190,10 +190,11 @@ func (e *Engine) Close() {
 
 // GlobalStepper is the parallel G-ES-MC chain (Algorithm 3) for any
 // edge kind: per superstep, a parallel random permutation of the edge
-// indices and ℓ ~ Binom(⌊m/2⌋, 1−P_L) become one source-independent
-// superstep of the runner. The permutation seeds are drawn lazily from
-// a SplitMix64 stream salted per edge kind, so a resumed engine replays
-// the identical chain.
+// indices and ℓ ~ Binom(⌊m/2⌋, 1−P_L) become one global superstep of
+// the runner (RunGlobal), the unpaired tail of the permutation its
+// survivors. The permutation seeds are drawn lazily from a SplitMix64
+// stream salted per edge kind, so a resumed engine replays the
+// identical chain.
 type GlobalStepper[E EdgeKind[E]] struct {
 	runner   *Runner[E]
 	src      rng.Source      // ℓ draws (and the after-hook's escape draws)
@@ -215,8 +216,9 @@ type PairFunc func(perm []uint32, l int, buf []Switch) []Switch
 type AfterFunc[E EdgeKind[E]] func(r *Runner[E], switches []Switch, src rng.Source, st *Stats)
 
 // NewGlobalStepper wires a G-ES-MC stepper over runner r (sized for
-// ⌊m/2⌋ switches). The seed feeds the ℓ stream directly and the
-// permutation stream XOR salt; after may be nil.
+// ⌊m/2⌋ switches, as NewGlobalRunner sizes it). The seed feeds the ℓ
+// stream directly and the permutation stream XOR salt; after may be
+// nil.
 func NewGlobalStepper[E EdgeKind[E]](r *Runner[E], seed, salt uint64, loopProb float64,
 	pair PairFunc, after AfterFunc[E]) *GlobalStepper[E] {
 	m := len(r.E)
@@ -238,7 +240,7 @@ func (s *GlobalStepper[E]) Step(st *Stats) error {
 	perm := s.perm.Generate(s.seedSrc.Uint64(), s.dispatch)
 	l := int(rng.BinomialComplementSmall(s.src, int64(len(s.runner.E)/2), s.loopProb))
 	s.buf = s.pair(perm, l, s.buf)
-	s.runner.Run(s.buf)
+	s.runner.RunGlobal(s.buf, perm[2*l:])
 	st.Attempted += int64(l)
 	if s.after != nil {
 		s.after(s.runner, s.buf, s.src, st)
@@ -246,6 +248,9 @@ func (s *GlobalStepper[E]) Step(st *Stats) error {
 	s.runner.Flush(st)
 	return nil
 }
+
+// Runner returns the kernel the stepper drives.
+func (s *GlobalStepper[E]) Runner() *Runner[E] { return s.runner }
 
 // Release parks the runner's worker gang.
 func (s *GlobalStepper[E]) Release() { s.runner.Release() }

@@ -8,11 +8,29 @@ import (
 // Runner executes supersteps of source-independent switches in parallel
 // (Algorithm 1, ParallelSuperstep), generically over the edge encoding:
 // Runner[graph.Edge] is the paper's undirected kernel, Runner[digraph.Arc]
-// the directed/bipartite one. It owns the concurrent edge set and the
-// dependency table, both reused across supersteps; the round loop,
-// pessimistic scheduler, and padded counters come from the embedded
-// RoundDriver, so every instantiation gets identical scheduling and
-// observability. All phases dispatch on the driver's persistent worker
+// the directed/bipartite one. It owns the dependency table, reused
+// across supersteps; the round loop, pessimistic scheduler, and padded
+// counters come from the embedded RoundDriver, so every instantiation
+// gets identical scheduling and observability.
+//
+// Two superstep shapes share one decide step:
+//
+//   - A global superstep (RunGlobal, Algorithm 3) sources every edge
+//     but the few its permutation leaves unpaired, which phase 1
+//     registers as survivor tuples. The dependency table then indexes
+//     every edge present at superstep start, and decide reads nothing
+//     else.
+//   - A prefix superstep (Run, Algorithm 2) sources only Θ(√m) edges,
+//     so the runner keeps the concurrent edge set Set for membership of
+//     the unsourced ones, applies accepted switches to it (phase 3),
+//     and compacts it.
+//
+// The set exists only where a caller needs edge membership between
+// supersteps: NewRunner builds it for prefix supersteps, and EnsureSet
+// adds it to a NewGlobalRunner runner for the connectivity
+// constraint's rollback and escape moves. A global superstep on a
+// set-backed runner still decides from the table alone and then keeps
+// the set in step. All phases dispatch on the driver's persistent worker
 // gang through function values created once at construction, so a
 // steady-state superstep performs zero heap allocations (asserted by
 // the allocation-regression test).
@@ -28,7 +46,9 @@ type Runner[E EdgeKind[E]] struct {
 	RoundDriver
 
 	// E is the authoritative edge (or arc) list, rewired in place.
-	E   []E
+	E []E
+	// Set indexes E between supersteps; nil on a runner that only
+	// runs global supersteps and was never asked for it (EnsureSet).
 	Set *conc.EdgeSet
 
 	// Veto is the local-constraint hook of the constraint subsystem:
@@ -44,19 +64,20 @@ type Runner[E EdgeKind[E]] struct {
 	switches []Switch
 	vetoTot  []paddedCounter
 
+	// global marks a RunGlobal superstep: rest holds the edge indices
+	// its switches leave unsourced (registered as survivors), and
+	// decide consults the dependency table only.
+	global bool
+	rest   []uint32
+
 	// Phase bodies and driver hooks, created once so supersteps
 	// allocate nothing.
-	phase1Fn   func(worker, lo, hi int)
-	eraseFn    func(worker, lo, hi int)
-	insertFn   func(worker, lo, hi int)
-	snapshotFn func(worker, lo, hi int)
-	clearFn    func(worker, lo, hi int)
-	rebuildFn  func(worker, lo, hi int)
-	decideFn   Decide
-	publishFn  Publish
+	phase1Fn  func(worker, lo, hi int)
+	decideFn  Decide
+	publishFn Publish
 
-	// Fused dispatch plans, built once; only the pass lengths mutate
-	// per superstep. applyPlan runs phase 3's erase and insert on a
+	// Fused dispatch plans of set-backed runners, built once by
+	// EnsureSet; only the pass lengths mutate per superstep. applyPlan runs phase 3's erase and insert on a
 	// single gang wake (the erase-before-insert order is preserved by
 	// the plan's sub-barrier); compactPlan collapses the three
 	// compaction sweeps — snapshot, clear (with the serial counter
@@ -65,76 +86,116 @@ type Runner[E EdgeKind[E]] struct {
 	compactPlan conc.FusedPlan
 }
 
-// NewRunner prepares a runner for edge list E, supporting supersteps of
-// up to maxSwitches switches. The edge set is built in parallel with
-// workers goroutines (the persistent gang owned by the embedded
-// driver). Call Release when done with the runner to park the gang.
+// NewRunner prepares a set-backed runner for edge list E, supporting
+// supersteps of up to maxSwitches switches: the edge set is built in
+// parallel on the persistent gang owned by the embedded driver, so
+// both Run and RunGlobal may be used. Call Release when done with the
+// runner to park the gang.
 func NewRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
+	r := newRunner(edges, maxSwitches, workers)
+	r.EnsureSet()
+	return r
+}
+
+// NewGlobalRunner prepares a runner for global supersteps (RunGlobal)
+// over edge list E, sized for ⌊m/2⌋ switches. It builds no edge set.
+func NewGlobalRunner[E EdgeKind[E]](edges []E, workers int) *Runner[E] {
+	return newRunner(edges, len(edges)/2, workers)
+}
+
+func newRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
 	r := &Runner[E]{
 		E:     edges,
 		table: conc.NewDepTable(maxSwitches),
 	}
 	r.RoundDriver.Init(workers)
-	r.Set = conc.NewEdgeSet(len(edges)*2, r.Workers())
 	r.vetoTot = make([]paddedCounter, r.Workers())
-	// A 1-worker gang drives the table and set from a single goroutine:
-	// drop the CAS/XCHG write paths for plain stores.
-	seq := r.Workers() == 1
-	r.table.SetSequential(seq)
-	r.Set.SetSequential(seq)
-	r.pool.Blocks(len(edges), func(w, lo, hi int) {
-		for _, e := range edges[lo:hi] {
-			r.Set.InsertUnique(graph.Edge(e), w)
-		}
-	})
+	// A 1-worker gang drives the table (and set) from a single
+	// goroutine: drop the CAS/XCHG write paths for plain stores.
+	r.table.SetSequential(r.Workers() == 1)
 	r.phase1Fn = r.phase1
-	r.eraseFn = r.phase3Erase
-	r.insertFn = r.phase3Insert
-	r.snapshotFn = r.compactSnapshot
-	r.clearFn = r.compactClear
-	r.rebuildFn = r.compactRebuild
 	r.decideFn = r.decideItem
 	r.publishFn = r.publishItem
-	r.applyPlan.Passes = []conc.FusedPass{
-		{Fn: r.eraseFn},
-		{Fn: r.insertFn},
-	}
-	r.compactPlan.Passes = []conc.FusedPass{
-		{Fn: r.snapshotFn},
-		{Fn: r.clearFn, After: r.Set.ResetCounts},
-		{Fn: r.rebuildFn},
-	}
 	return r
 }
 
-// Run performs one superstep: the switches must be free of source
-// dependencies (each edge index appears at most once). The edge list
-// and edge set are updated to the post-superstep state.
+// EnsureSet builds the concurrent edge set over the current edge list,
+// if the runner has none, and keeps it up to date from then on. Call
+// it at a superstep boundary.
+func (r *Runner[E]) EnsureSet() {
+	if r.Set != nil {
+		return
+	}
+	r.Set = conc.NewEdgeSet(len(r.E)*2, r.Workers())
+	r.Set.SetSequential(r.Workers() == 1)
+	r.pool.Blocks(len(r.E), func(w, lo, hi int) {
+		for _, e := range r.E[lo:hi] {
+			r.Set.InsertUnique(graph.Edge(e), w)
+		}
+	})
+	r.applyPlan.Passes = []conc.FusedPass{
+		{Fn: r.phase3Erase},
+		{Fn: r.phase3Insert},
+	}
+	r.compactPlan.Passes = []conc.FusedPass{
+		{Fn: r.compactSnapshot},
+		{Fn: r.compactClear, After: r.Set.ResetCounts},
+		{Fn: r.compactRebuild},
+	}
+}
+
+// Run performs one prefix superstep on a set-backed runner: the
+// switches must be free of source dependencies (each edge index
+// appears at most once), and the edges they leave unsourced are looked
+// up in the edge set. The edge list and edge set are updated to the
+// post-superstep state.
 func (r *Runner[E]) Run(switches []Switch) {
+	if r.Set == nil {
+		panic("switching: Run needs the edge set (NewRunner or EnsureSet)")
+	}
+	r.run(switches, nil, false)
+}
+
+// RunGlobal performs one global superstep Γ = (π, ℓ): switches pair up
+// π's first 2ℓ entries and rest = π[2ℓ:] holds the indices of the
+// edges no switch sources, so every edge index appears exactly once in
+// switches or rest. The decisions read the dependency table only; the
+// edge set, if the runner has one, is updated afterwards.
+func (r *Runner[E]) RunGlobal(switches []Switch, rest []uint32) {
+	r.run(switches, rest, true)
+}
+
+func (r *Runner[E]) run(switches []Switch, rest []uint32, global bool) {
 	n := len(switches)
 	if n == 0 {
 		return
 	}
-	r.switches = switches
-	t := r.table
-	t.Reset(n)
+	r.switches, r.rest, r.global = switches, rest, global
+	r.table.Reset(n, len(rest))
 
 	// Phases 1+2 on one gang wake (Algorithm 1, lines 1-35): the fused
 	// dispatch runs the tuple registration sweep (keys[4k]=e1, +1=e2,
-	// +2=e3, +3=e4, deterministic slots which decide() reads back) as
-	// pass 0, sub-barriers, then starts the first decide round; later
-	// rounds dispatch individually. Statuses publish into the
-	// dependency table, the linearization point observed by dependent
-	// switches.
-	r.RoundDriver.Run(n, r.phase1Fn, n, r.decideFn, r.publishFn)
+	// +2=e3, +3=e4, deterministic slots which decide() reads back,
+	// followed by the survivors) as pass 0, sub-barriers, then starts
+	// the first decide round; later rounds dispatch individually.
+	// Statuses publish into the dependency table, the linearization
+	// point observed by dependent switches.
+	r.RoundDriver.Run(n+len(rest), r.phase1Fn, n, r.decideFn, r.publishFn)
 	for i := range r.vetoTot {
 		r.Stats.Vetoed += r.vetoTot[i].v
 		r.vetoTot[i].v = 0
 	}
+	if r.Set != nil {
+		r.apply(n)
+	}
+	r.switches, r.rest = nil, nil
+}
 
-	// Phase 3: apply the accepted switches to the edge set, erasures
-	// before insertions (sub-barrier) so an edge that is erased by one
-	// switch and re-inserted by another nets out present.
+// apply is phase 3: the accepted switches update the edge set,
+// erasures before insertions (sub-barrier) so an edge that is erased
+// by one switch and re-inserted by another nets out present; the set
+// is compacted when its tombstones call for it.
+func (r *Runner[E]) apply(n int) {
 	r.applyPlan.Passes[0].N = n
 	r.applyPlan.Passes[1].N = n
 	r.pool.Fused(&r.applyPlan)
@@ -147,13 +208,14 @@ func (r *Runner[E]) Run(switches []Switch) {
 		r.compactPlan.Passes[2].N = len(r.E)
 		r.pool.Fused(&r.compactPlan)
 	}
-	r.switches = nil
 }
 
-// phase1 registers the dependency tuples of switches [lo, hi).
+// phase1 registers items [lo, hi) of the superstep: the dependency
+// tuples of switch k for k < n, survivor k − n after them.
 func (r *Runner[E]) phase1(_, lo, hi int) {
 	t := r.table
-	for k := lo; k < hi; k++ {
+	n := len(r.switches)
+	for k := lo; k < min(hi, n); k++ {
 		sw := r.switches[k]
 		e1 := r.E[sw.I]
 		e2 := r.E[sw.J]
@@ -162,6 +224,9 @@ func (r *Runner[E]) phase1(_, lo, hi int) {
 		t.Store(k, 1, graph.Edge(e2), conc.KindErase)
 		t.Store(k, 2, graph.Edge(t3), conc.KindInsert)
 		t.Store(k, 3, graph.Edge(t4), conc.KindInsert)
+	}
+	for k := max(lo, n); k < hi; k++ {
+		t.StoreSurvivor(k-n, graph.Edge(r.E[r.rest[k-n]]))
 	}
 }
 
@@ -247,14 +312,16 @@ func (r *Runner[E]) decide(sw Switch, k int, worker int) uint32 {
 		r.vetoTot[worker].v++
 		st = conc.StatusIllegal
 	} else {
-		// Issue the four bucket loads the loop below depends on before
-		// walking any of them: the two table chains and the two set
-		// probes then overlap their leading cache misses instead of
-		// serializing four memory round-trips.
+		// Start the bucket loads the loop below depends on before
+		// walking any of them: the two table chains (and, in a prefix
+		// superstep, the two set probes) then overlap their leading
+		// cache misses instead of serializing the memory round-trips.
 		t.Touch(graph.Edge(t3))
 		t.Touch(graph.Edge(t4))
-		r.Set.Touch(graph.Edge(t3))
-		r.Set.Touch(graph.Edge(t4))
+		if !r.global {
+			r.Set.Touch(graph.Edge(t3))
+			r.Set.Touch(graph.Edge(t4))
+		}
 		delay := false
 		for _, target := range [2]E{t3, t4} {
 			key := graph.Edge(target)
@@ -268,8 +335,9 @@ func (r *Runner[E]) decide(sw Switch, k int, worker int) uint32 {
 					break
 				}
 				if k < p {
-					// Erased only by a later switch: the target
-					// exists at σ_k's turn (line 19, k < p).
+					// Erased only by a later switch, or a survivor
+					// (p = SurvivorIdx): the target exists at σ_k's
+					// turn (line 19, k < p).
 					st = conc.StatusIllegal
 					break
 				}
@@ -283,9 +351,10 @@ func (r *Runner[E]) decide(sw Switch, k int, worker int) uint32 {
 				if st == conc.StatusIllegal {
 					break
 				}
-			} else if r.Set.Contains(key) {
-				// In the graph and not sourced by this superstep:
-				// the implicit (e, ∞, erase, illegal) tuple.
+			} else if !r.global && r.Set.Contains(key) {
+				// In the graph and not sourced by this prefix
+				// superstep: the implicit (e, ∞, erase, illegal)
+				// tuple. A global superstep stored it as a survivor.
 				st = conc.StatusIllegal
 				break
 			}
@@ -312,16 +381,16 @@ func (r *Runner[E]) decide(sw Switch, k int, worker int) uint32 {
 }
 
 // Accepted reports whether switch k of the superstep most recently
-// executed by Run was decided legal. Valid until the next Run call
-// resets the dependency table.
+// executed by Run or RunGlobal was decided legal. Valid until the next
+// superstep resets the dependency table.
 func (r *Runner[E]) Accepted(k int) bool {
 	return r.table.StatusOf(k) == conc.StatusLegal
 }
 
 // Rollback undoes accepted switch k of the superstep most recently
-// executed by Run: the source edges return to the edge list and the
-// edge set, the targets are erased, and the switch is re-marked
-// illegal. It is the primitive of the speculate-then-recertify mode
+// executed by Run or RunGlobal on a set-backed runner: the source edges
+// return to the edge list and the edge set, the targets are erased, and
+// the switch is re-marked illegal. It is the primitive of the speculate-then-recertify mode
 // for global constraints (constraint.Recertify) and must be applied in
 // reverse commit order — undoing the highest accepted k first — so
 // that each undo reverts exactly the last step of the equivalent

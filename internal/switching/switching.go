@@ -16,9 +16,10 @@
 //     earlier items' decisions can run through it.
 //
 //   - Runner[E] (runner.go): the edge-switch instantiation — the
-//     dependency-table phases (tuple registration, round-based
-//     decisions, erase/insert application, compaction) over a
-//     concurrent edge set, parameterized by the 64-bit edge encoding E.
+//     dependency-table phases (tuple and survivor registration,
+//     round-based decisions, and, on set-backed runners, erase/insert
+//     application to the concurrent edge set and its compaction),
+//     parameterized by the 64-bit edge encoding E.
 //     graph.Edge (canonical undirected edges) and digraph.Arc
 //     (orientation-preserving directed arcs) both instantiate it; the
 //     only chain-specific ingredient is the Targets method computing
