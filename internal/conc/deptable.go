@@ -228,10 +228,11 @@ func (t *DepTable) link(pos int32, e graph.Edge, meta uint32) {
 // Probe walks the chain of e once and answers both dependency queries
 // of Algorithm 1's decide step: the switch erasing e (eraseOK=false if
 // no switch sources e; by Observation 2 of the paper there is at most
-// one; SurvivorIdx for a survivor tuple), and the smallest switch index q with an insert tuple for e
-// whose status is not illegal, with its status (minOK=false if there
-// is none) — the lookup_min of Algorithm 1. One walk for both halves
-// the cache-missing chain traversals of the kernel's hottest loop.
+// one; SurvivorIdx for a survivor tuple), and the smallest switch
+// index q with an insert tuple for e whose status is not illegal, with
+// its status (minOK=false if there is none) — the lookup_min of
+// Algorithm 1. One walk for both halves the cache-missing chain
+// traversals of the kernel's hottest loop.
 //
 // The scan is racy with concurrent status updates by design: a tuple
 // turning illegal mid-scan may still be reported, in which case the

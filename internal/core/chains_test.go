@@ -8,7 +8,6 @@ import (
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
-	"gesmc/internal/switching"
 )
 
 var allAlgorithms = []Algorithm{AlgSeqES, AlgSeqGlobalES, AlgParES, AlgParGlobalES}
@@ -102,9 +101,10 @@ func TestGlobalParallelMatchesGlobalSequential(t *testing.T) {
 				seq := base.Clone()
 				seqSet := hashset.FromEdges(seq.Edges(), 0.5)
 				bare := base.Clone()
-				rBare := switching.NewGlobalRunner(bare.Edges(), w)
+				rBare := NewSuperstepRunner(bare.Edges(), m/2, w)
 				backed := base.Clone()
 				rBacked := NewSuperstepRunner(backed.Edges(), m/2, w)
+				rBacked.EnsureSet()
 				stepSrc := rng.NewMT19937(uint64(m) ^ uint64(w))
 				var legal int64
 				var buf []Switch

@@ -7,7 +7,6 @@ import (
 	"gesmc/internal/constraint"
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
-	"gesmc/internal/switching"
 )
 
 // gridGraph builds a rows x cols grid (connected, bridge-free
@@ -308,46 +307,33 @@ func TestEscapeMovesFire(t *testing.T) {
 	}
 }
 
-// TestEdgeSetOwnership: the concurrent edge set exists only where edge
-// membership is needed between supersteps — ParES's prefix supersteps
-// and the connectivity constraint's rollbacks and escapes. An
-// unconstrained or locally constrained ParGlobalES decides from the
-// dependency table alone and holds none.
-func TestEdgeSetOwnership(t *testing.T) {
+// TestParESEdgeSet: ParES's prefix supersteps look up unsourced edges
+// in the concurrent edge set, which its runner builds on the first
+// superstep (up front when the connectivity constraint needs it) and
+// keeps indexing every edge.
+func TestParESEdgeSet(t *testing.T) {
 	g := gridGraph(t, 6, 6)
-	cases := []struct {
-		alg     Algorithm
-		spec    *constraint.Spec
-		wantSet bool
-	}{
-		{AlgParGlobalES, nil, false},
-		{AlgParGlobalES, forbiddenSpec(g.Edges()[0]), false},
-		{AlgParGlobalES, connectedSpec(), true},
-		{AlgParES, nil, true},
-		{AlgParES, connectedSpec(), true},
-	}
-	for _, c := range cases {
+	for _, spec := range []*constraint.Spec{nil, connectedSpec()} {
 		for _, w := range []int{1, 2} {
-			st, err := newStepper(g.Clone(), c.alg, Config{Workers: w, Constraint: c.spec})
-			if err != nil {
-				t.Fatal(err)
+			gc := g.Clone()
+			var cons *constrainedRuntime
+			if spec != nil {
+				var err error
+				if cons, err = newConstrainedRuntime(gc, spec); err != nil {
+					t.Fatal(err)
+				}
 			}
-			var r *SuperstepRunner
-			switch s := st.(type) {
-			case *switching.GlobalStepper[graph.Edge]:
-				r = s.Runner()
-			case *parESStepper:
-				r = s.runner
-			default:
-				t.Fatalf("%v: unexpected stepper %T", c.alg, st)
+			s := newParESStepper(gc, Config{Seed: 5, Workers: w, Constraint: spec}, cons)
+			var st RunStats
+			for step := 0; step < 3; step++ {
+				if err := s.Step(&st); err != nil {
+					t.Fatal(err)
+				}
+				if s.runner.Set == nil || s.runner.Set.Len() != g.M() {
+					t.Fatalf("constraint=%v workers=%d step %d: edge set missing or not holding all %d edges", spec, w, step, g.M())
+				}
 			}
-			if got := r.Set != nil; got != c.wantSet {
-				t.Fatalf("%v workers=%d constraint=%v: holds edge set %v, want %v", c.alg, w, c.spec, got, c.wantSet)
-			}
-			if c.wantSet && r.Set.Len() != g.M() {
-				t.Fatalf("%v workers=%d: edge set holds %d of %d edges", c.alg, w, r.Set.Len(), g.M())
-			}
-			r.Release()
+			s.Release()
 		}
 	}
 }

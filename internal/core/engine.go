@@ -31,15 +31,6 @@ const parGlobalSalt = 0xA5A5A5A5A5A5A5A5
 // NewEngine compiles the graph into the working state of the selected
 // algorithm. The graph is retained and mutated in place by Steps.
 func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
-	st, err := newStepper(g, alg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return switching.NewEngine(st), nil
-}
-
-// newStepper compiles the graph into the selected chain's stepper.
-func newStepper(g *graph.Graph, alg Algorithm, cfg Config) (switching.Stepper, error) {
 	if g.M() < 2 {
 		return nil, ErrTooSmall
 	}
@@ -60,17 +51,18 @@ func newStepper(g *graph.Graph, alg Algorithm, cfg Config) (switching.Stepper, e
 	case AlgParES:
 		st = newParESStepper(g, cfg, cons)
 	case AlgParGlobalES:
-		r := bindRunner(switching.NewGlobalRunner(g.Edges(), cfg.workers()), cfg, cons)
+		r := newRunner(g.Edges(), g.M()/2, cfg, cons)
 		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), GlobalSwitches, cons.After())
 	default:
 		return nil, ErrUnknownAlgorithm
 	}
-	return st, nil
+	return switching.NewEngine(st), nil
 }
 
-// bindRunner applies the config's scheduling knobs to a chain's
-// parallel kernel and binds it to the constraint runtime, if any.
-func bindRunner(r *SuperstepRunner, cfg Config, cons *constrainedRuntime) *SuperstepRunner {
+// newRunner builds the parallel kernel for a switching chain with the
+// config's scheduling knobs, bound to the constraint runtime if any.
+func newRunner(edges []graph.Edge, maxSwitches int, cfg Config, cons *constrainedRuntime) *SuperstepRunner {
+	r := NewSuperstepRunner(edges, maxSwitches, cfg.workers())
 	r.Pessimistic = cfg.PessimisticRounds
 	if cons != nil {
 		cons.BindRunner(r)

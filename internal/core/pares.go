@@ -153,7 +153,7 @@ func newParESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) *parE
 	if window > m/2 {
 		window = m / 2
 	}
-	runner := bindRunner(NewSuperstepRunner(g.Edges(), window, cfg.workers()), cfg, cons)
+	runner := newRunner(g.Edges(), window, cfg, cons)
 	return &parESStepper{
 		m:       m,
 		src:     rng.NewMT19937(cfg.Seed),

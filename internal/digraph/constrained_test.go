@@ -7,7 +7,6 @@ import (
 
 	"gesmc/internal/constraint"
 	"gesmc/internal/graph"
-	"gesmc/internal/switching"
 )
 
 // dirCycle builds the directed n-cycle 0->1->...->n-1->0 with a few
@@ -165,35 +164,6 @@ func TestDirectedForbiddenArcs(t *testing.T) {
 			if g.Arcs()[i] != ref[i] {
 				t.Fatalf("w=%d: arc %d differs from w=1", w, i)
 			}
-		}
-	}
-}
-
-// TestDirectedEdgeSetOwnership: the unconstrained directed ParGlobalES
-// decides from the dependency table alone and holds no edge set; the
-// connectivity-constrained one keeps it for rollbacks and escapes.
-func TestDirectedEdgeSetOwnership(t *testing.T) {
-	g := dirCycle(t, 14)
-	for _, c := range []struct {
-		spec    *constraint.Spec
-		wantSet bool
-	}{
-		{nil, false},
-		{&constraint.Spec{Connected: true}, true},
-	} {
-		for _, w := range []int{1, 2} {
-			st, err := newStepper(g.Clone(), AlgParGlobalES, Config{Workers: w, Constraint: c.spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := st.(*switching.GlobalStepper[Arc]).Runner()
-			if got := r.Set != nil; got != c.wantSet {
-				t.Fatalf("workers=%d constraint=%v: holds edge set %v, want %v", w, c.spec, got, c.wantSet)
-			}
-			if c.wantSet && r.Set.Len() != g.M() {
-				t.Fatalf("workers=%d: edge set holds %d of %d arcs", w, r.Set.Len(), g.M())
-			}
-			r.Release()
 		}
 	}
 }

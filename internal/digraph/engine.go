@@ -63,15 +63,6 @@ const parGlobalSalt = 0x5DEECE66D
 // Steps; a single Steps(ctx, k) call is bit-identical to the one-shot
 // SeqES/SeqGlobalES/ParGlobalES with the same parameters.
 func NewEngine(g *DiGraph, alg Algorithm, cfg Config) (*switching.Engine, error) {
-	st, err := newStepper(g, alg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return switching.NewEngine(st), nil
-}
-
-// newStepper compiles the digraph into the selected chain's stepper.
-func newStepper(g *DiGraph, alg Algorithm, cfg Config) (switching.Stepper, error) {
 	if g.M() < 2 {
 		return nil, ErrTooSmall
 	}
@@ -102,7 +93,7 @@ func newStepper(g *DiGraph, alg Algorithm, cfg Config) (switching.Stepper, error
 		}
 		st = ds
 	case AlgParGlobalES:
-		r := switching.NewGlobalRunner(g.Arcs(), max(cfg.Workers, 1))
+		r := NewSuperstepRunner(g.Arcs(), g.M()/2, max(cfg.Workers, 1))
 		r.Pessimistic = cfg.PessimisticRounds
 		if cons != nil {
 			cons.BindRunner(r)
@@ -111,7 +102,7 @@ func newStepper(g *DiGraph, alg Algorithm, cfg Config) (switching.Stepper, error
 	default:
 		return nil, ErrUnknownAlgorithm
 	}
-	return st, nil
+	return switching.NewEngine(st), nil
 }
 
 // dirSeqStepper is the sequential directed chain on the map-backed

@@ -216,9 +216,8 @@ type PairFunc func(perm []uint32, l int, buf []Switch) []Switch
 type AfterFunc[E EdgeKind[E]] func(r *Runner[E], switches []Switch, src rng.Source, st *Stats)
 
 // NewGlobalStepper wires a G-ES-MC stepper over runner r (sized for
-// ⌊m/2⌋ switches, as NewGlobalRunner sizes it). The seed feeds the ℓ
-// stream directly and the permutation stream XOR salt; after may be
-// nil.
+// ⌊m/2⌋ switches). The seed feeds the ℓ stream directly and the
+// permutation stream XOR salt; after may be nil.
 func NewGlobalStepper[E EdgeKind[E]](r *Runner[E], seed, salt uint64, loopProb float64,
 	pair PairFunc, after AfterFunc[E]) *GlobalStepper[E] {
 	m := len(r.E)
@@ -248,9 +247,6 @@ func (s *GlobalStepper[E]) Step(st *Stats) error {
 	s.runner.Flush(st)
 	return nil
 }
-
-// Runner returns the kernel the stepper drives.
-func (s *GlobalStepper[E]) Runner() *Runner[E] { return s.runner }
 
 // Release parks the runner's worker gang.
 func (s *GlobalStepper[E]) Release() { s.runner.Release() }

@@ -26,14 +26,14 @@ import (
 //     and compacts it.
 //
 // The set exists only where a caller needs edge membership between
-// supersteps: NewRunner builds it for prefix supersteps, and EnsureSet
-// adds it to a NewGlobalRunner runner for the connectivity
-// constraint's rollback and escape moves. A global superstep on a
-// set-backed runner still decides from the table alone and then keeps
-// the set in step. All phases dispatch on the driver's persistent worker
-// gang through function values created once at construction, so a
-// steady-state superstep performs zero heap allocations (asserted by
-// the allocation-regression test).
+// supersteps: Run builds it on first use for prefix supersteps, and
+// EnsureSet builds it up front for the connectivity constraint's
+// rollback and escape moves. A global superstep on a set-backed runner
+// still decides from the table alone and then keeps the set in step.
+// All phases dispatch on the driver's persistent worker gang through
+// function values created once at construction, so a steady-state
+// superstep performs zero heap allocations (asserted by the
+// allocation-regression test).
 //
 // Semantics refinement over the printed pseudocode (see DESIGN.md §2):
 // a switch whose target coincides with one of its own source edges is
@@ -47,8 +47,9 @@ type Runner[E EdgeKind[E]] struct {
 
 	// E is the authoritative edge (or arc) list, rewired in place.
 	E []E
-	// Set indexes E between supersteps; nil on a runner that only
-	// runs global supersteps and was never asked for it (EnsureSet).
+	// Set indexes E between supersteps; nil until the first Run or an
+	// EnsureSet call, so a runner that only runs global supersteps
+	// never builds it.
 	Set *conc.EdgeSet
 
 	// Veto is the local-constraint hook of the constraint subsystem:
@@ -77,33 +78,21 @@ type Runner[E EdgeKind[E]] struct {
 	publishFn Publish
 
 	// Fused dispatch plans of set-backed runners, built once by
-	// EnsureSet; only the pass lengths mutate per superstep. applyPlan runs phase 3's erase and insert on a
-	// single gang wake (the erase-before-insert order is preserved by
-	// the plan's sub-barrier); compactPlan collapses the three
-	// compaction sweeps — snapshot, clear (with the serial counter
-	// reset as its barrier hook), rebuild — into one dispatch.
+	// EnsureSet; only the pass lengths mutate per superstep. applyPlan
+	// runs phase 3's erase and insert on a single gang wake (the
+	// erase-before-insert order is preserved by the plan's
+	// sub-barrier); compactPlan collapses the three compaction sweeps —
+	// snapshot, clear (with the serial counter reset as its barrier
+	// hook), rebuild — into one dispatch.
 	applyPlan   conc.FusedPlan
 	compactPlan conc.FusedPlan
 }
 
-// NewRunner prepares a set-backed runner for edge list E, supporting
-// supersteps of up to maxSwitches switches: the edge set is built in
-// parallel on the persistent gang owned by the embedded driver, so
-// both Run and RunGlobal may be used. Call Release when done with the
-// runner to park the gang.
+// NewRunner prepares a runner for edge list E, supporting supersteps of
+// up to maxSwitches switches; a global superstep over m edges has
+// ⌊m/2⌋. It builds no edge set (see EnsureSet). Call Release when done
+// with the runner to park the gang.
 func NewRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
-	r := newRunner(edges, maxSwitches, workers)
-	r.EnsureSet()
-	return r
-}
-
-// NewGlobalRunner prepares a runner for global supersteps (RunGlobal)
-// over edge list E, sized for ⌊m/2⌋ switches. It builds no edge set.
-func NewGlobalRunner[E EdgeKind[E]](edges []E, workers int) *Runner[E] {
-	return newRunner(edges, len(edges)/2, workers)
-}
-
-func newRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
 	r := &Runner[E]{
 		E:     edges,
 		table: conc.NewDepTable(maxSwitches),
@@ -144,15 +133,13 @@ func (r *Runner[E]) EnsureSet() {
 	}
 }
 
-// Run performs one prefix superstep on a set-backed runner: the
-// switches must be free of source dependencies (each edge index
-// appears at most once), and the edges they leave unsourced are looked
-// up in the edge set. The edge list and edge set are updated to the
+// Run performs one prefix superstep: the switches must be free of
+// source dependencies (each edge index appears at most once), and the
+// edges they leave unsourced are looked up in the edge set, built here
+// on first use. The edge list and edge set are updated to the
 // post-superstep state.
 func (r *Runner[E]) Run(switches []Switch) {
-	if r.Set == nil {
-		panic("switching: Run needs the edge set (NewRunner or EnsureSet)")
-	}
+	r.EnsureSet()
 	r.run(switches, nil, false)
 }
 

@@ -168,6 +168,7 @@ func TestRunnerSetCountsAcrossCompactions(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		E := append([]graph.Edge(nil), g.Edges()...)
 		r := switching.NewRunner(E, m/2, w)
+		r.EnsureSet()
 		compactions := 0
 		for i, sw := range steps {
 			before := r.Set.Tombstones()
