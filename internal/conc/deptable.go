@@ -29,8 +29,8 @@ const (
 // collapses into one atomic store.
 //
 // The arena is laid out deterministically: the tuples of switch k live at
-// positions 4k .. 4k+3, so phase 1 needs no allocation synchronization —
-// workers only contend on the bucket head CAS.
+// positions 4k .. 4k+3, so registration needs no allocation
+// synchronization.
 //
 // Survivor tuples make the table a complete index of the edges present
 // at superstep start. A global superstep (Algorithm 3) sources every
@@ -42,6 +42,30 @@ const (
 // branch of the decide step — the implicit (e, ∞, erase, illegal) tuple
 // of Algorithm 1 made explicit, so no separate edge set is consulted.
 //
+// Tuple-count filter: on a sparse target almost every key has exactly
+// one tuple — the edge its own erase tuple names, or the target its own
+// insert tuple names — and such a key needs neither a chain entry nor a
+// probe. A superstep therefore builds the table in three passes, which
+// the caller runs in order with a barrier between them (IndexPasses
+// returns the last two):
+//
+//  1. Register (Store, StoreSurvivor): write the arena entry and mark
+//     the key's filter slot in the calling worker's own seen/dup
+//     bitmaps (dup when seen already has it), with plain stores.
+//  2. Merge: per filter word, multi = OR_w dup_w | (seen of earlier
+//     workers & seen_w), a slot with two or more tuples of any workers;
+//     the per-worker bitmaps are cleared in the same sweep.
+//  3. Link: push onto the hash chains only the arena positions whose
+//     slot is in multi.
+//
+// Unique(e) then reports a key whose slot holds a single tuple. A
+// decide step asks it about its own targets: a unique target has no
+// erase tuple and no other inserter, so the probe would find only the
+// switch's own insert tuple and can be skipped. Keys sharing a slot by
+// hash collision are merely probed, so the filter never changes an
+// answer. The filter has about filterBitsPerTuple bits per tuple of
+// the current superstep, so small supersteps touch small bitmaps.
+//
 // Epoch-stamped reset: bucket heads pack (epoch, arena index) into one
 // word and status words pack (epoch, status); a head or status whose
 // epoch differs from the table's current one reads as empty/undecided.
@@ -49,6 +73,8 @@ const (
 // and performs a genuine clear only when the epoch tag would wrap
 // (every 2^30-1 supersteps). The epoch itself is written only at the
 // quiescent superstep boundary and is read-only during a superstep.
+// The filter needs no epoch: merge clears the per-worker bitmaps it
+// reads and overwrites every multi word the superstep uses.
 //
 // Sequential mode (SetSequential) replaces the head CAS loop and the
 // status XCHG with plain stores: a 1-worker gang has no concurrency to
@@ -63,6 +89,18 @@ type DepTable struct {
 	epoch   uint32     // 1 .. epochMax; stored tags match iff current
 	seq     bool
 	nSwitch int
+
+	// Filter of the current superstep: slot = Mix64(key) >> fshift, in
+	// words [0, fwords) of each bitmap.
+	filt       [][]filterWord // per worker: seen and dup of one word
+	multi      []uint64
+	fshift     uint
+	fwords     int
+	unfiltered bool
+
+	// index holds the merge and link passes, built once; Reset sets
+	// their lengths.
+	index [2]FusedPass
 }
 
 // depEntry is one arena tuple: the edge key, the switch index (31 bits)
@@ -74,6 +112,13 @@ type depEntry struct {
 	key  uint64
 	meta uint32 // switch index | kindInsertBit
 	next int32  // chain link, -1 terminates
+}
+
+// filterWord is one 64-slot word of a worker's filter: the slots it
+// registered a tuple in, and those it registered two or more in. They
+// share a cache line, so registering a tuple touches one line.
+type filterWord struct {
+	seen, dup uint64
 }
 
 // SurvivorIdx is the switch index of survivor tuples: an edge that no
@@ -89,28 +134,54 @@ const (
 	// epochMax bounds the epoch tag by the status word's 30 epoch bits
 	// (head words have 32 and are never the binding constraint).
 	epochMax = 1<<30 - 1
+	// filterBitsPerTuple sizes the filter: with ≥ 8 slots per tuple, a
+	// key of a single tuple shares its slot with another key about one
+	// time in eight.
+	filterBitsPerTuple = 8
+	// linkChunk is the number of arena positions the link pass filters
+	// into its stack buffer before linking them.
+	linkChunk = 256
 )
 
 // NewDepTable returns a table with room for maxSwitches switches per
-// superstep. The same table is reused across supersteps via Reset.
+// superstep, registered by up to workers workers. The same table is
+// reused across supersteps via Reset.
 //
 // The arena holds 4·maxSwitches + 1 tuples: a global superstep of ℓ
 // switches over m edges stores 4ℓ switch tuples and m − 2ℓ survivors,
 // 2m − 1 = 4⌊m/2⌋ + 1 of them when m is odd and ℓ = ⌊m/2⌋ (the common
 // case at a small loop probability).
-func NewDepTable(maxSwitches int) *DepTable {
+func NewDepTable(maxSwitches, workers int) *DepTable {
 	slots := 4*maxSwitches + 1
 	nb := 1 << uint(bits.Len(uint(slots)))
 	if nb < 16 {
 		nb = 16
 	}
-	return &DepTable{
+	words := filterWords(slots)
+	t := &DepTable{
 		heads:   make([]uint64, nb),
 		mask:    uint64(nb - 1),
 		entries: make([]depEntry, slots),
 		status:  make([]uint32, maxSwitches),
 		epoch:   0, // first Reset moves to 1; zeroed words can never match
+		filt:    make([][]filterWord, max(workers, 1)),
+		multi:   make([]uint64, words),
 	}
+	for w := range t.filt {
+		t.filt[w] = make([]filterWord, words)
+	}
+	t.index = [2]FusedPass{{Fn: t.merge}, {Fn: t.link}}
+	return t
+}
+
+// filterWords is the filter size, in 64-slot words, for n tuples: the
+// power of two of at least filterBitsPerTuple·n slots, one word at least.
+func filterWords(n int) int {
+	return 1 << (filterLog(n) - 6)
+}
+
+func filterLog(n int) int {
+	return bits.Len(uint(max(filterBitsPerTuple*n, 64) - 1))
 }
 
 // SetSequential switches the table's write side between the concurrent
@@ -118,15 +189,28 @@ func NewDepTable(maxSwitches int) *DepTable {
 // it once, when they know the gang size that will drive the table.
 func (t *DepTable) SetSequential(on bool) { t.seq = on }
 
+// DisableFilter makes merge mark every slot shared from the next
+// superstep on, so every tuple is linked and Unique is always false:
+// the table answers as an unfiltered chained hash. The differential
+// tests compare decisions with and without the filter through it; the
+// kernel never calls it.
+func (t *DepTable) DisableFilter() { t.unfiltered = true }
+
 // Reset prepares the table for a superstep of nSwitches switches and
 // nSurvivors survivor tuples by advancing the epoch: all previously
-// stored heads and statuses become stale in O(1). The caller must be
-// quiescent (superstep boundary).
+// stored heads and statuses become stale in O(1). It sizes the filter
+// for the superstep's tuples and the index passes to match. The caller
+// must be quiescent (superstep boundary).
 func (t *DepTable) Reset(nSwitches, nSurvivors int) {
-	if nSwitches > len(t.status) || 4*nSwitches+nSurvivors > len(t.entries) {
+	tuples := 4*nSwitches + nSurvivors
+	if nSwitches > len(t.status) || tuples > len(t.entries) {
 		panic("conc: DepTable capacity exceeded")
 	}
 	t.nSwitch = nSwitches
+	t.fshift = uint(64 - filterLog(tuples))
+	t.fwords = filterWords(tuples)
+	t.index[0].N = t.fwords
+	t.index[1].N = tuples
 	if t.epoch >= epochMax {
 		// Epoch tag wrap: genuinely clear so stale tags cannot alias.
 		for i := range t.heads {
@@ -139,6 +223,12 @@ func (t *DepTable) Reset(nSwitches, nSurvivors int) {
 	}
 	t.epoch++
 }
+
+// IndexPasses returns the merge and link passes of the current
+// superstep, to run in order after every Store and StoreSurvivor and
+// before any Unique or Probe. The slice is the table's own: read it,
+// do not modify it.
+func (t *DepTable) IndexPasses() []FusedPass { return t.index[:] }
 
 // Key returns the edge key stored in arena position pos (tuple slot
 // 4k+s of switch k). Valid after the corresponding Store.
@@ -168,6 +258,11 @@ func (t *DepTable) bucket(e graph.Edge) uint64 {
 	return rng.Mix64(uint64(e)) & t.mask
 }
 
+// slot returns the filter slot of key.
+func (t *DepTable) slot(key uint64) uint64 {
+	return rng.Mix64(key) >> t.fshift
+}
+
 // Touch loads the head bucket of e, pulling its cache line in ahead of
 // a later Probe (the kernel's decide step overlaps it with three other
 // independent loads). Purely a memory hint; staleness cannot affect
@@ -185,31 +280,87 @@ func (t *DepTable) headOf(h uint64) int32 {
 	return int32(uint32(h))
 }
 
-// Store registers tuple slot (0..3) of switch k: an operation of the
-// given kind on edge e. Safe for concurrent use by distinct (k, slot)
-// pairs.
-func (t *DepTable) Store(k int, slot int, e graph.Edge, kind uint8) {
+// Store registers, on behalf of worker w, tuple slot (0..3) of switch
+// k: an operation of the given kind on edge e. Safe for concurrent use
+// by distinct (k, slot) pairs and distinct workers.
+func (t *DepTable) Store(w, k, slot int, e graph.Edge, kind uint8) {
 	m := uint32(k)
 	if kind == KindInsert {
 		m |= kindInsertBit
 	}
-	t.link(int32(4*k+slot), e, m)
+	t.register(t.filt[w], 4*k+slot, uint64(e), m)
 }
 
-// StoreSurvivor registers the j-th survivor of the superstep: edge e,
-// present at superstep start and sourced by no switch, as an erase
-// tuple of switch SurvivorIdx. Safe for concurrent use by distinct j
-// and alongside Store.
-func (t *DepTable) StoreSurvivor(j int, e graph.Edge) {
-	t.link(int32(4*t.nSwitch+j), e, SurvivorIdx)
+// StoreSurvivor registers, on behalf of worker w, the j-th survivor of
+// the superstep: edge e, present at superstep start and sourced by no
+// switch, as an erase tuple of switch SurvivorIdx. Safe for concurrent
+// use by distinct j and workers, and alongside Store.
+func (t *DepTable) StoreSurvivor(w, j int, e graph.Edge) {
+	t.register(t.filt[w], 4*t.nSwitch+j, uint64(e), SurvivorIdx)
 }
 
-// link writes arena entry pos and pushes it onto the chain of e.
-func (t *DepTable) link(pos int32, e graph.Edge, meta uint32) {
+// register writes arena entry pos and counts its key in filter f.
+func (t *DepTable) register(f []filterWord, pos int, key uint64, meta uint32) {
 	ent := &t.entries[pos]
-	ent.key = uint64(e)
+	ent.key = key
 	ent.meta = meta
-	head := &t.heads[t.bucket(e)]
+	s := t.slot(key)
+	fw := &f[s>>6]
+	bit := uint64(1) << (s & 63)
+	fw.dup |= fw.seen & bit
+	fw.seen |= bit
+}
+
+// merge is the merge pass over filter words [lo, hi): it folds the
+// workers' bitmaps into multi and clears them for the next superstep.
+func (t *DepTable) merge(_, lo, hi int) {
+	force := uint64(0)
+	if t.unfiltered {
+		force = ^uint64(0)
+	}
+	for i := lo; i < hi; i++ {
+		var seen, multi uint64
+		for _, f := range t.filt {
+			fw := &f[i]
+			multi |= fw.dup | seen&fw.seen
+			seen |= fw.seen
+			*fw = filterWord{}
+		}
+		t.multi[i] = multi | force
+	}
+}
+
+// Unique reports whether e's filter slot holds a single tuple of the
+// current superstep, so at most one tuple names e. Valid after the
+// merge pass.
+func (t *DepTable) Unique(e graph.Edge) bool {
+	s := t.slot(uint64(e))
+	return t.multi[s>>6]&(1<<(s&63)) == 0
+}
+
+// link is the link pass over arena positions [lo, hi): a branch-free
+// sweep collects the positions whose slot is shared into a stack
+// buffer, chunk by chunk, and only those are pushed onto their chains.
+func (t *DepTable) link(_, lo, hi int) {
+	var buf [linkChunk]int32
+	for c := lo; c < hi; c += linkChunk {
+		ents := t.entries[c:min(c+linkChunk, hi)]
+		n := 0
+		for i := range ents {
+			s := t.slot(ents[i].key)
+			buf[n] = int32(c + i)
+			n += int(t.multi[s>>6] >> (s & 63) & 1)
+		}
+		for _, pos := range buf[:n] {
+			t.push(pos)
+		}
+	}
+}
+
+// push links arena entry pos onto the chain of its key.
+func (t *DepTable) push(pos int32) {
+	ent := &t.entries[pos]
+	head := &t.heads[t.bucket(graph.Edge(ent.key))]
 	tagged := uint64(t.epoch)<<32 | uint64(uint32(pos))
 	if t.seq {
 		ent.next = t.headOf(*head)
@@ -233,6 +384,9 @@ func (t *DepTable) link(pos int32, e graph.Edge, meta uint32) {
 // its status (minOK=false if there is none) — the lookup_min of
 // Algorithm 1. One walk for both halves the cache-missing chain
 // traversals of the kernel's hottest loop.
+//
+// Probe is valid after the link pass and finds the tuples of shared
+// filter slots only; when e's slot is shared, that is every tuple of e.
 //
 // The scan is racy with concurrent status updates by design: a tuple
 // turning illegal mid-scan may still be reported, in which case the

@@ -1,11 +1,12 @@
 // Package conc provides the shared-memory concurrent building blocks of
 // the parallel switching algorithms: the per-superstep dependency table
 // of Algorithm 1, which in a global superstep indexes every edge of the
-// graph through survivor tuples; a fixed-capacity concurrent edge set
-// (§5.2 of the paper), kept only by runners that need edge membership
-// between supersteps (prefix supersteps and the connectivity
-// constraint); and the persistent worker gang that runs every parallel
-// loop.
+// graph through survivor tuples and, behind a tuple-count filter,
+// chains and probes only the keys that more than one tuple names; a
+// fixed-capacity concurrent edge set (§5.2 of the paper), kept only by
+// runners that need edge membership between supersteps (prefix
+// supersteps and the connectivity constraint); and the persistent
+// worker gang that runs every parallel loop.
 package conc
 
 import (
@@ -96,8 +97,10 @@ type poolPanic struct{ v any }
 
 // chunkItemBytes is the assumed per-item cache footprint used to convert
 // a byte budget into a chunk length: the kernel's decide items touch a
-// handful of scattered lines (dependency-table entries plus hash-set
-// buckets), of which roughly one line per item is unique to the chunk.
+// handful of scattered lines (the switch's arena tuples, the filter
+// words of its targets, the chains of shared targets and, in a prefix
+// superstep, edge-set buckets), of which roughly one line per item is
+// unique to the chunk.
 const chunkItemBytes = 64
 
 // defaultGrain derives the chunk grain from the cache topology: a chunk

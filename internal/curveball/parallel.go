@@ -100,7 +100,7 @@ type Engine struct {
 	// created once so batches allocate nothing in steady state.
 	curPairs    [][2]uint32
 	curSeed     uint64
-	rankSetFn   func(worker, lo, hi int)
+	rankSet     [1]conc.FusedPass // the driver prologue; N set per batch
 	rankClearFn func(worker, lo, hi int)
 	tradeFn     switching.Decide
 }
@@ -143,7 +143,7 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 	for w := range e.sc {
 		e.sc[w].tab = make([]uint64, 1<<tableBits(g.MaxDegree()))
 	}
-	e.rankSetFn = func(_, lo, hi int) {
+	e.rankSet[0].Fn = func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
 			e.rank[e.curPairs[k][0]] = int32(k)
 			e.rank[e.curPairs[k][1]] = int32(k)
@@ -269,7 +269,8 @@ func (e *Engine) TradeBatch(pairs [][2]uint32, stepSeed uint64) {
 	// Rank registration is the prologue of the fused first trade round
 	// (one gang wake instead of two); trades always decide in round
 	// one, so the whole batch is prologue + one round + rank clear.
-	e.drv.Run(nt, e.rankSetFn, nt, e.tradeFn, nil)
+	e.rankSet[0].N = nt
+	e.drv.Run(e.rankSet[:], nt, e.tradeFn, nil)
 	e.drv.Pool().Blocks(nt, e.rankClearFn)
 	e.curPairs = nil
 }

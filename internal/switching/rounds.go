@@ -74,11 +74,12 @@ type RoundDriver struct {
 	decide  Decide
 	publish Publish
 
-	// first is the prologue+first-round dispatch: pass 0 is the
-	// caller's registration phase, pass 1 the first decide round,
-	// separated by a sub-barrier instead of a full park/wake cycle.
-	// round is every other round, one chunked pass.
+	// first is the prologue+first-round dispatch: the caller's
+	// prologue passes, then the first decide round, separated by
+	// sub-barriers instead of full park/wake cycles. round is every
+	// other round, one chunked pass.
 	first, round conc.FusedPlan
+	roundFn      func(worker, lo, hi int)
 
 	undecided []int32
 	scratch   []driverScratch
@@ -102,9 +103,8 @@ func (d *RoundDriver) Init(workers int) {
 	d.workers = workers
 	d.pool = conc.NewPool(workers)
 	d.scratch = make([]driverScratch, workers)
-	roundFn := d.roundBody
-	d.first.Passes = []conc.FusedPass{{}, {Chunk: -1, Fn: roundFn}}
-	d.round.Passes = []conc.FusedPass{{Chunk: -1, Fn: roundFn}}
+	d.roundFn = d.roundBody
+	d.round.Passes = []conc.FusedPass{{Chunk: -1, Fn: d.roundFn}}
 }
 
 // Workers returns the parallelism degree the driver was initialized
@@ -158,19 +158,22 @@ func (d *RoundDriver) roundBody(worker, lo, hi int) {
 // makes non-delayed decisions visible — immediately under the natural
 // scheduler, at the round barrier under the pessimistic one.
 //
-// prologue, when non-nil, is the caller's per-superstep registration
-// phase (phase 1 of Algorithm 1) over [0, prologueN) in static blocks.
-// It is folded into the first round's dispatch: both run on one gang
-// wake separated by an in-dispatch sub-barrier, so the prologue is
+// prologue is the caller's per-superstep preparation (phase 1 of
+// Algorithm 1: registration, and the dependency table's merge and link
+// passes), run in order ahead of the first round. It is folded into the
+// first round's dispatch: all of it runs on one gang wake, pass after
+// pass separated by in-dispatch sub-barriers, so the prologue is
 // complete on all workers before any decide executes. Pass long-lived
-// function values (fields of the owning engine) to keep supersteps
-// allocation-free.
-func (d *RoundDriver) Run(prologueN int, prologue func(worker, lo, hi int), n int, decide Decide, publish Publish) {
+// function values (fields of the owning engine) and a slice the caller
+// keeps to keep supersteps allocation-free.
+func (d *RoundDriver) Run(prologue []conc.FusedPass, n int, decide Decide, publish Publish) {
+	d.first.Passes = append(append(d.first.Passes[:0], prologue...),
+		conc.FusedPass{N: n, Chunk: -1, Fn: d.roundFn})
+	// The plan must not keep the caller's bodies reachable.
+	defer clear(d.first.Passes)
 	if n == 0 {
-		// Degenerate superstep: registration with nothing to decide.
-		if prologue != nil {
-			d.pool.Blocks(prologueN, prologue)
-		}
+		// Degenerate superstep: the prologue with nothing to decide.
+		d.pool.Fused(&d.first)
 		return
 	}
 	d.decide = decide
@@ -189,11 +192,8 @@ func (d *RoundDriver) Run(prologueN int, prologue func(worker, lo, hi int), n in
 			sc.deferred = sc.deferred[:0]
 		}
 		d.cur = undecided
-		if rounds == 1 && prologue != nil {
-			d.first.Passes[0] = conc.FusedPass{N: prologueN, Fn: prologue}
-			d.first.Passes[1].N = len(undecided)
+		if rounds == 1 {
 			d.pool.Fused(&d.first)
-			d.first.Passes[0] = conc.FusedPass{}
 		} else {
 			d.round.Passes[0].N = len(undecided)
 			d.pool.Fused(&d.round)

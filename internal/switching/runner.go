@@ -25,6 +25,11 @@ import (
 //     the unsourced ones, applies accepted switches to it (phase 3),
 //     and compacts it.
 //
+// Phase 1 is three passes: registration of the tuples, then the
+// dependency table's filter merge and chain link (conc.DepTable), so
+// that decide walks a chain only for a target some other tuple may
+// name. They run on the same gang wake as the first decide round.
+//
 // The set exists only where a caller needs edge membership between
 // supersteps: Run builds it on first use for prefix supersteps, and
 // EnsureSet builds it up front for the connectivity constraint's
@@ -72,8 +77,10 @@ type Runner[E EdgeKind[E]] struct {
 	rest   []uint32
 
 	// Phase bodies and driver hooks, created once so supersteps
-	// allocate nothing.
-	phase1Fn  func(worker, lo, hi int)
+	// allocate nothing. prologue is phase 1: the registration pass
+	// (phase1), then the table's merge and link passes; only the pass
+	// lengths change per superstep.
+	prologue  [3]conc.FusedPass
 	decideFn  Decide
 	publishFn Publish
 
@@ -93,16 +100,14 @@ type Runner[E EdgeKind[E]] struct {
 // ⌊m/2⌋. It builds no edge set (see EnsureSet). Call Release when done
 // with the runner to park the gang.
 func NewRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
-	r := &Runner[E]{
-		E:     edges,
-		table: conc.NewDepTable(maxSwitches),
-	}
+	r := &Runner[E]{E: edges}
 	r.RoundDriver.Init(workers)
+	r.table = conc.NewDepTable(maxSwitches, r.Workers())
 	r.vetoTot = make([]paddedCounter, r.Workers())
 	// A 1-worker gang drives the table (and set) from a single
 	// goroutine: drop the CAS/XCHG write paths for plain stores.
 	r.table.SetSequential(r.Workers() == 1)
-	r.phase1Fn = r.phase1
+	r.prologue[0].Fn = r.phase1
 	r.decideFn = r.decideItem
 	r.publishFn = r.publishItem
 	return r
@@ -163,11 +168,14 @@ func (r *Runner[E]) run(switches []Switch, rest []uint32, global bool) {
 	// Phases 1+2 on one gang wake (Algorithm 1, lines 1-35): the fused
 	// dispatch runs the tuple registration sweep (keys[4k]=e1, +1=e2,
 	// +2=e3, +3=e4, deterministic slots which decide() reads back,
-	// followed by the survivors) as pass 0, sub-barriers, then starts
-	// the first decide round; later rounds dispatch individually.
-	// Statuses publish into the dependency table, the linearization
-	// point observed by dependent switches.
-	r.RoundDriver.Run(n+len(rest), r.phase1Fn, n, r.decideFn, r.publishFn)
+	// followed by the survivors), the table's filter merge and chain
+	// link, each after a sub-barrier, then starts the first decide
+	// round; later rounds dispatch individually. Statuses publish into
+	// the dependency table, the linearization point observed by
+	// dependent switches.
+	r.prologue[0].N = n + len(rest)
+	copy(r.prologue[1:], r.table.IndexPasses())
+	r.RoundDriver.Run(r.prologue[:], n, r.decideFn, r.publishFn)
 	for i := range r.vetoTot {
 		r.Stats.Vetoed += r.vetoTot[i].v
 		r.vetoTot[i].v = 0
@@ -199,7 +207,7 @@ func (r *Runner[E]) apply(n int) {
 
 // phase1 registers items [lo, hi) of the superstep: the dependency
 // tuples of switch k for k < n, survivor k − n after them.
-func (r *Runner[E]) phase1(_, lo, hi int) {
+func (r *Runner[E]) phase1(w, lo, hi int) {
 	t := r.table
 	n := len(r.switches)
 	for k := lo; k < min(hi, n); k++ {
@@ -207,13 +215,13 @@ func (r *Runner[E]) phase1(_, lo, hi int) {
 		e1 := r.E[sw.I]
 		e2 := r.E[sw.J]
 		t3, t4 := e1.Targets(e2, sw.G)
-		t.Store(k, 0, graph.Edge(e1), conc.KindErase)
-		t.Store(k, 1, graph.Edge(e2), conc.KindErase)
-		t.Store(k, 2, graph.Edge(t3), conc.KindInsert)
-		t.Store(k, 3, graph.Edge(t4), conc.KindInsert)
+		t.Store(w, k, 0, graph.Edge(e1), conc.KindErase)
+		t.Store(w, k, 1, graph.Edge(e2), conc.KindErase)
+		t.Store(w, k, 2, graph.Edge(t3), conc.KindInsert)
+		t.Store(w, k, 3, graph.Edge(t4), conc.KindInsert)
 	}
 	for k := max(lo, n); k < hi; k++ {
-		t.StoreSurvivor(k-n, graph.Edge(r.E[r.rest[k-n]]))
+		t.StoreSurvivor(w, k-n, graph.Edge(r.E[r.rest[k-n]]))
 	}
 }
 
@@ -299,22 +307,37 @@ func (r *Runner[E]) decide(sw Switch, k int, worker int) uint32 {
 		r.vetoTot[worker].v++
 		st = conc.StatusIllegal
 	} else {
-		// Start the bucket loads the loop below depends on before
-		// walking any of them: the two table chains (and, in a prefix
-		// superstep, the two set probes) then overlap their leading
-		// cache misses instead of serializing the memory round-trips.
-		t.Touch(graph.Edge(t3))
-		t.Touch(graph.Edge(t4))
+		// A target alone in its filter slot has no tuple but this
+		// switch's own insert: no switch erases it, no other inserts
+		// it, and in a global superstep the missing survivor tuple
+		// shows it absent. Only shared targets walk a chain. Start the
+		// bucket loads the loop below depends on before walking any of
+		// them: the table chains (and, in a prefix superstep, the two
+		// set probes) then overlap their leading cache misses instead
+		// of serializing the memory round-trips.
+		targets := [2]E{t3, t4}
+		unique := [2]bool{t.Unique(graph.Edge(t3)), t.Unique(graph.Edge(t4))}
+		for i, target := range targets {
+			if !unique[i] {
+				t.Touch(graph.Edge(target))
+			}
+		}
 		if !r.global {
 			r.Set.Touch(graph.Edge(t3))
 			r.Set.Touch(graph.Edge(t4))
 		}
 		delay := false
-		for _, target := range [2]E{t3, t4} {
+		for i, target := range targets {
 			key := graph.Edge(target)
 			// One chain walk answers both dependency queries: the
-			// switch erasing the target and its minimum inserter.
-			p, pOK, q, sq, qOK := t.Probe(key)
+			// switch erasing the target and its minimum inserter. A
+			// unique target has neither.
+			var p, q int
+			var sq uint32
+			var pOK, qOK bool
+			if !unique[i] {
+				p, pOK, q, sq, qOK = t.Probe(key)
+			}
 			if pOK {
 				if p == k {
 					// Own source: already handled above; unreachable.

@@ -238,7 +238,7 @@ func TestRoundDriverChain(t *testing.T) {
 		d.Init(1)
 		d.Pessimistic = pessimistic
 		status := make([]uint32, n)
-		d.Run(0, nil, n,
+		d.Run(nil, n,
 			func(_ int, k int32) uint32 {
 				if k == 0 || status[k-1] != conc.StatusUndecided {
 					return conc.StatusLegal

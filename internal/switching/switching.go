@@ -16,8 +16,10 @@
 //     earlier items' decisions can run through it.
 //
 //   - Runner[E] (runner.go): the edge-switch instantiation — the
-//     dependency-table phases (tuple and survivor registration,
-//     round-based decisions, and, on set-backed runners, erase/insert
+//     dependency-table phases (tuple and survivor registration, the
+//     table's filter merge and chain link, round-based decisions that
+//     probe only targets the filter cannot clear, and, on set-backed
+//     runners, erase/insert
 //     application to the concurrent edge set and its compaction),
 //     parameterized by the 64-bit edge encoding E.
 //     graph.Edge (canonical undirected edges) and digraph.Arc
