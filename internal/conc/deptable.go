@@ -52,6 +52,8 @@ const (
 //  1. Register (Store, StoreSurvivor): write the arena entry and mark
 //     the key's filter slot in the calling worker's own seen/dup
 //     bitmaps (dup when seen already has it), with plain stores.
+//     Every arena position of the superstep — four per switch, then
+//     the survivors — must be registered, because link reads them all.
 //  2. Merge: per filter word, multi = OR_w dup_w | (seen of earlier
 //     workers & seen_w), a slot with two or more tuples of any workers;
 //     the per-worker bitmaps are cleared in the same sweep.
@@ -91,15 +93,14 @@ type DepTable struct {
 	nSwitch int
 
 	// Filter of the current superstep: slot = Mix64(key) >> fshift, in
-	// words [0, fwords) of each bitmap.
+	// the first index[0].N words of each bitmap.
 	filt       [][]filterWord // per worker: seen and dup of one word
 	multi      []uint64
 	fshift     uint
-	fwords     int
 	unfiltered bool
 
-	// index holds the merge and link passes, built once; Reset sets
-	// their lengths.
+	// index holds the merge pass over filter words and the link pass
+	// over arena positions, built once; Reset sets their lengths.
 	index [2]FusedPass
 }
 
@@ -150,10 +151,13 @@ const (
 // The arena holds 4·maxSwitches + 1 tuples: a global superstep of ℓ
 // switches over m edges stores 4ℓ switch tuples and m − 2ℓ survivors,
 // 2m − 1 = 4⌊m/2⌋ + 1 of them when m is odd and ℓ = ⌊m/2⌋ (the common
-// case at a small loop probability).
+// case at a small loop probability). Only tuples of shared filter
+// slots are chained, so there is one bucket per two arena slots: the
+// load factor stays below 2 even if every tuple is chained, and is far
+// lower on sparse targets, where most tuples are not.
 func NewDepTable(maxSwitches, workers int) *DepTable {
 	slots := 4*maxSwitches + 1
-	nb := 1 << uint(bits.Len(uint(slots)))
+	nb := 1 << uint(bits.Len(uint(slots))-1)
 	if nb < 16 {
 		nb = 16
 	}
@@ -208,8 +212,7 @@ func (t *DepTable) Reset(nSwitches, nSurvivors int) {
 	}
 	t.nSwitch = nSwitches
 	t.fshift = uint(64 - filterLog(tuples))
-	t.fwords = filterWords(tuples)
-	t.index[0].N = t.fwords
+	t.index[0].N = filterWords(tuples)
 	t.index[1].N = tuples
 	if t.epoch >= epochMax {
 		// Epoch tag wrap: genuinely clear so stale tags cannot alias.

@@ -234,7 +234,6 @@ func fillRandom(dt *DepTable, workers, nSwitch, nSurv int, seed uint64, logF int
 		// A forced-collision filter of 2^logF slots: nearly every slot
 		// holds several keys.
 		dt.fshift = uint(64 - logF)
-		dt.fwords = 1
 		dt.index[0].N = 1
 	}
 	want := map[graph.Edge]*bruteKey{}

@@ -163,14 +163,12 @@ func (d *RoundDriver) roundBody(worker, lo, hi int) {
 // passes), run in order ahead of the first round. It is folded into the
 // first round's dispatch: all of it runs on one gang wake, pass after
 // pass separated by in-dispatch sub-barriers, so the prologue is
-// complete on all workers before any decide executes. Pass long-lived
-// function values (fields of the owning engine) and a slice the caller
-// keeps to keep supersteps allocation-free.
+// complete on all workers before any decide executes. Pass a prologue
+// slice and function values created once (fields of the owning engine)
+// so that supersteps stay allocation-free.
 func (d *RoundDriver) Run(prologue []conc.FusedPass, n int, decide Decide, publish Publish) {
 	d.first.Passes = append(append(d.first.Passes[:0], prologue...),
 		conc.FusedPass{N: n, Chunk: -1, Fn: d.roundFn})
-	// The plan must not keep the caller's bodies reachable.
-	defer clear(d.first.Passes)
 	if n == 0 {
 		// Degenerate superstep: the prologue with nothing to decide.
 		d.pool.Fused(&d.first)
