@@ -267,9 +267,9 @@ func (t *DepTable) slot(key uint64) uint64 {
 }
 
 // Touch loads the head bucket of e, pulling its cache line in ahead of
-// a later Probe (the kernel's decide step overlaps it with three other
-// independent loads). Purely a memory hint; staleness cannot affect
-// correctness.
+// a later Probe (the kernel's decide step overlaps it with its other
+// independent bucket loads). Purely a memory hint; staleness cannot
+// affect correctness.
 func (t *DepTable) Touch(e graph.Edge) {
 	_ = atomic.LoadUint64(&t.heads[t.bucket(e)])
 }
