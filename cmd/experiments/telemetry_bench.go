@@ -26,23 +26,13 @@ type telemetryOverhead struct {
 	Overhead       float64 `json:"overhead"`
 }
 
-// telemetryWindows is the number of measured windows per side. On a
-// loaded 2-vCPU host single windows vary by ±15 %, and the minimum of
-// three 8-request windows did not resolve the 3 % budget; twelve
-// interleaved 32-request windows gave the ratio the narrowest spread of
-// the window shapes measured.
-const telemetryWindows = 12
-
 // benchTelemetry measures the telemetry-on/off request overhead with
 // the same min-of-windows discipline as the kernel benches: each window
 // replays the request batch, and the fastest window estimates intrinsic
-// cost on a shared machine. The two sides run on two live services
-// whose windows interleave, alternating which side goes first, so host
-// drift over the measurement reaches both sides alike instead of
-// biasing the ratio.
+// cost on a shared machine.
 func benchTelemetry(opt options) (*telemetryOverhead, error) {
 	n := 1 << 12
-	requests := 32
+	requests := 8
 	if opt.quick {
 		n = 1 << 9
 		requests = 4
@@ -53,69 +43,68 @@ func benchTelemetry(opt options) (*telemetryOverhead, error) {
 	}
 	degrees := g.Degrees()
 
-	window := func(svc *service.Service) (float64, error) {
-		var attempted int64
-		start := time.Now()
-		for i := 0; i < requests; i++ {
-			req, ferr := service.FromWire(&wire.SampleRequest{
-				Degrees:  degrees,
-				Samples:  2,
-				Seed:     opt.seed,
-				Workers:  max(opt.workers, 1),
-				BurnIn:   20,
-				Thinning: 4,
-			})
-			if ferr != nil {
-				return 0, ferr
-			}
-			serr := svc.Sample(context.Background(), req, func(ln wire.Line) error {
-				if ln.Stats != nil {
-					attempted += ln.Stats.Attempted
-				}
-				return nil
-			})
-			if serr != nil {
-				return 0, serr
-			}
-		}
-		if attempted == 0 {
-			return 0, fmt.Errorf("telemetry bench: no switches attempted")
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(attempted), nil
-	}
-
-	// sides[0] has telemetry on (the default), sides[1] off.
-	var sides [2]*service.Service
-	for i := range sides {
-		sides[i] = service.New(service.Config{
+	run := func(telemetryOn bool) (float64, error) {
+		svc := service.New(service.Config{
 			WorkerBudget: max(opt.workers, 1),
 			PoolCapacity: 4,
-			NoTelemetry:  i == 1,
+			NoTelemetry:  !telemetryOn,
 		})
-		defer sides[i].Shutdown(context.Background())
-	}
-	// Warm-up: the first batch pays pool misses and burn-in; the
-	// measured windows replay warm pool hits, the steady state.
-	for _, svc := range sides {
-		if _, err := window(svc); err != nil {
-			return nil, err
+		defer svc.Shutdown(context.Background())
+		window := func() (float64, error) {
+			var attempted int64
+			start := time.Now()
+			for i := 0; i < requests; i++ {
+				req, ferr := service.FromWire(&wire.SampleRequest{
+					Degrees:  degrees,
+					Samples:  2,
+					Seed:     opt.seed,
+					Workers:  max(opt.workers, 1),
+					BurnIn:   20,
+					Thinning: 4,
+				})
+				if ferr != nil {
+					return 0, ferr
+				}
+				serr := svc.Sample(context.Background(), req, func(ln wire.Line) error {
+					if ln.Stats != nil {
+						attempted += ln.Stats.Attempted
+					}
+					return nil
+				})
+				if serr != nil {
+					return 0, serr
+				}
+			}
+			if attempted == 0 {
+				return 0, fmt.Errorf("telemetry bench: no switches attempted")
+			}
+			return float64(time.Since(start).Nanoseconds()) / float64(attempted), nil
 		}
-	}
-	var best [2]float64
-	for w := 0; w < telemetryWindows; w++ {
-		for j := range sides {
-			side := (w + j) % 2
-			ns, err := window(sides[side])
+		// Warm-up: the first batch pays pool misses and burn-in; the
+		// measured windows replay warm pool hits, the steady state.
+		if _, err := window(); err != nil {
+			return 0, err
+		}
+		best := 0.0
+		for w := 0; w < benchWindows; w++ {
+			ns, err := window()
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			if w == 0 || ns < best[side] {
-				best[side] = ns
+			if w == 0 || ns < best {
+				best = ns
 			}
 		}
+		return best, nil
 	}
 
-	to := &telemetryOverhead{Requests: requests, NsPerSwitchOn: best[0], NsPerSwitchOff: best[1]}
+	to := &telemetryOverhead{Requests: requests}
+	if to.NsPerSwitchOn, err = run(true); err != nil {
+		return nil, err
+	}
+	if to.NsPerSwitchOff, err = run(false); err != nil {
+		return nil, err
+	}
 	if to.NsPerSwitchOff > 0 {
 		to.Overhead = to.NsPerSwitchOn / to.NsPerSwitchOff
 	}

@@ -50,13 +50,17 @@ const (
 // returns the last two):
 //
 //  1. Register (Store, StoreSurvivor): write the arena entry and mark
-//     the key's filter slot in the calling worker's own seen/dup
-//     bitmaps (dup when seen already has it), with plain stores.
-//     Every arena position of the superstep — four per switch, then
-//     the survivors — must be registered, because link reads them all.
-//  2. Merge: per filter word, multi = OR_w dup_w | (seen of earlier
-//     workers & seen_w), a slot with two or more tuples of any workers;
-//     the per-worker bitmaps are cleared in the same sweep.
+//     the key's filter slot in the seen/dup bitmaps (dup when seen
+//     already has it) of the calling worker's lane. The filter has
+//     min(W, filterLanes) lanes, worker w writing lane w mod
+//     filterLanes: with one writer per lane the marks are plain
+//     stores; above filterLanes workers a lane has several writers and
+//     marks seen with a compare-and-swap. Every arena position of the
+//     superstep — four per switch, then the survivors — must be
+//     registered, because link reads them all.
+//  2. Merge: per filter word, multi = OR_l dup_l | (seen of earlier
+//     lanes & seen_l), a slot with two or more tuples of any workers;
+//     the lanes' bitmaps are cleared in the same sweep.
 //  3. Link: push onto the hash chains only the arena positions whose
 //     slot is in multi.
 //
@@ -65,8 +69,9 @@ const (
 // erase tuple and no other inserter, so the probe would find only the
 // switch's own insert tuple and can be skipped. Keys sharing a slot by
 // hash collision are merely probed, so the filter never changes an
-// answer. The filter has about filterBitsPerTuple bits per tuple of
-// the current superstep, so small supersteps touch small bitmaps.
+// answer. The filter has about filterBitsPerTuple slots per tuple of
+// the current superstep, so small supersteps touch small bitmaps, and
+// its memory is bounded by the lane count, not the worker count.
 //
 // Epoch-stamped reset: bucket heads pack (epoch, arena index) into one
 // word and status words pack (epoch, status); a head or status whose
@@ -75,8 +80,7 @@ const (
 // and performs a genuine clear only when the epoch tag would wrap
 // (every 2^30-1 supersteps). The epoch itself is written only at the
 // quiescent superstep boundary and is read-only during a superstep.
-// The filter needs no epoch: merge clears the per-worker bitmaps it
-// reads and overwrites every multi word the superstep uses.
+// The filter needs no epoch: merge clears the lanes' bitmaps it reads and overwrites every multi word the superstep uses.
 //
 // Sequential mode (SetSequential) replaces the head CAS loop and the
 // status XCHG with plain stores: a 1-worker gang has no concurrency to
@@ -94,9 +98,10 @@ type DepTable struct {
 
 	// Filter of the current superstep: slot = Mix64(key) >> fshift, in
 	// the first index[0].N words of each bitmap.
-	filt       [][]filterWord // per worker: seen and dup of one word
+	filt       [][]filterWord // per lane: seen and dup of one word
 	multi      []uint64
 	fshift     uint
+	casLanes   bool // a lane has several writers: mark seen by CAS
 	unfiltered bool
 
 	// index holds the merge pass over filter words and the link pass
@@ -115,9 +120,9 @@ type depEntry struct {
 	next int32  // chain link, -1 terminates
 }
 
-// filterWord is one 64-slot word of a worker's filter: the slots it
-// registered a tuple in, and those it registered two or more in. They
-// share a cache line, so registering a tuple touches one line.
+// filterWord is one 64-slot word of a filter lane: the slots its
+// writers registered a tuple in, and those they registered two or more
+// in. They share a cache line, so registering a tuple touches one line.
 type filterWord struct {
 	seen, dup uint64
 }
@@ -139,13 +144,18 @@ const (
 	// key of a single tuple shares its slot with another key about one
 	// time in eight.
 	filterBitsPerTuple = 8
+	// filterLanes caps the filter's seen/dup bitmap pairs, a power of
+	// two: up to that many workers each own a lane and mark it with
+	// plain stores, and more workers share lanes, so the filter's
+	// memory stops growing with the worker count.
+	filterLanes = 4
 	// linkChunk is the number of arena positions the link pass filters
 	// into its stack buffer before linking them.
 	linkChunk = 256
 )
 
 // NewDepTable returns a table with room for maxSwitches switches per
-// superstep, registered by up to workers workers. The same table is
+// superstep, registered by workers 0 .. workers−1. The same table is
 // reused across supersteps via Reset.
 //
 // The arena holds 4·maxSwitches + 1 tuples: a global superstep of ℓ
@@ -163,13 +173,14 @@ func NewDepTable(maxSwitches, workers int) *DepTable {
 	}
 	words := filterWords(slots)
 	t := &DepTable{
-		heads:   make([]uint64, nb),
-		mask:    uint64(nb - 1),
-		entries: make([]depEntry, slots),
-		status:  make([]uint32, maxSwitches),
-		epoch:   0, // first Reset moves to 1; zeroed words can never match
-		filt:    make([][]filterWord, max(workers, 1)),
-		multi:   make([]uint64, words),
+		heads:    make([]uint64, nb),
+		mask:     uint64(nb - 1),
+		entries:  make([]depEntry, slots),
+		status:   make([]uint32, maxSwitches),
+		epoch:    0, // first Reset moves to 1; zeroed words can never match
+		filt:     make([][]filterWord, min(max(workers, 1), filterLanes)),
+		multi:    make([]uint64, words),
+		casLanes: workers > filterLanes,
 	}
 	for w := range t.filt {
 		t.filt[w] = make([]filterWord, words)
@@ -291,7 +302,7 @@ func (t *DepTable) Store(w, k, slot int, e graph.Edge, kind uint8) {
 	if kind == KindInsert {
 		m |= kindInsertBit
 	}
-	t.register(t.filt[w], 4*k+slot, uint64(e), m)
+	t.register(t.filt[w&(filterLanes-1)], 4*k+slot, uint64(e), m)
 }
 
 // StoreSurvivor registers, on behalf of worker w, the j-th survivor of
@@ -299,10 +310,12 @@ func (t *DepTable) Store(w, k, slot int, e graph.Edge, kind uint8) {
 // switch, as an erase tuple of switch SurvivorIdx. Safe for concurrent
 // use by distinct j and workers, and alongside Store.
 func (t *DepTable) StoreSurvivor(w, j int, e graph.Edge) {
-	t.register(t.filt[w], 4*t.nSwitch+j, uint64(e), SurvivorIdx)
+	t.register(t.filt[w&(filterLanes-1)], 4*t.nSwitch+j, uint64(e), SurvivorIdx)
 }
 
-// register writes arena entry pos and counts its key in filter f.
+// register writes arena entry pos and counts its key in filter lane f.
+// A shared lane takes the seen bit by CAS, and whoever finds it taken
+// sets dup; the OR's result is not read (DESIGN §5).
 func (t *DepTable) register(f []filterWord, pos int, key uint64, meta uint32) {
 	ent := &t.entries[pos]
 	ent.key = key
@@ -310,12 +323,25 @@ func (t *DepTable) register(f []filterWord, pos int, key uint64, meta uint32) {
 	s := t.slot(key)
 	fw := &f[s>>6]
 	bit := uint64(1) << (s & 63)
-	fw.dup |= fw.seen & bit
-	fw.seen |= bit
+	if !t.casLanes {
+		fw.dup |= fw.seen & bit
+		fw.seen |= bit
+		return
+	}
+	for {
+		old := atomic.LoadUint64(&fw.seen)
+		if old&bit != 0 {
+			atomic.OrUint64(&fw.dup, bit)
+			return
+		}
+		if atomic.CompareAndSwapUint64(&fw.seen, old, old|bit) {
+			return
+		}
+	}
 }
 
 // merge is the merge pass over filter words [lo, hi): it folds the
-// workers' bitmaps into multi and clears them for the next superstep.
+// lanes' bitmaps into multi and clears them for the next superstep.
 func (t *DepTable) merge(_, lo, hi int) {
 	force := uint64(0)
 	if t.unfiltered {

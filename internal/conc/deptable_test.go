@@ -362,3 +362,73 @@ func TestDepTableFilterCrossWorker(t *testing.T) {
 		t.Fatalf("Probe = eraser %d/%v, inserter %d/%v; want 1, 0", p, pOK, q, qOK)
 	}
 }
+
+// TestDepTableFilterConcurrentLanes registers a superstep from a real
+// gang, with one writer per filter lane (W = 2) and with lanes shared
+// by several writers (W = 8 > filterLanes), and checks Unique and Probe
+// against the brute-force multiset. Each insert on slot 2 names the
+// erase key of another switch, which a different worker usually
+// registers; slot 3 inserts keys of one tuple.
+func TestDepTableFilterConcurrentLanes(t *testing.T) {
+	const n = 3000
+	ins := func(k int) graph.Edge { j := k * 7919 % n; return edge(uint32(2*j), uint32(2*j+1)) }
+	for _, workers := range []int{2, 8} {
+		dt := NewDepTable(n, workers)
+		pool := NewPool(workers)
+		want := map[graph.Edge]*bruteKey{}
+		add := func(e graph.Edge, k int, kind uint8) {
+			b := want[e]
+			if b == nil {
+				b = &bruteKey{eraser: -1, minIns: -1}
+				want[e] = b
+			}
+			b.tuples++
+			if kind == KindErase {
+				b.eraser = k
+			} else if b.minIns == -1 || k < b.minIns {
+				b.minIns = k
+			}
+		}
+		for k := 0; k < n; k++ {
+			add(edge(uint32(2*k), uint32(2*k+1)), k, KindErase)
+			add(edge(uint32(2*k+1), uint32(2*k+2)), k, KindErase)
+			add(ins(k), k, KindInsert)
+			add(edge(uint32(k), uint32(1<<20+k)), k, KindInsert)
+		}
+		// Two supersteps: the second must not see the first's lanes.
+		for step := 0; step < 2; step++ {
+			dt.Reset(n, 0)
+			plan := FusedPlan{Passes: append([]FusedPass{{N: n, Fn: func(w, lo, hi int) {
+				for k := lo; k < hi; k++ {
+					dt.Store(w, k, 0, edge(uint32(2*k), uint32(2*k+1)), KindErase)
+					dt.Store(w, k, 1, edge(uint32(2*k+1), uint32(2*k+2)), KindErase)
+					dt.Store(w, k, 2, ins(k), KindInsert)
+					dt.Store(w, k, 3, edge(uint32(k), uint32(1<<20+k)), KindInsert)
+				}
+			}}}, dt.IndexPasses()...)}
+			pool.Fused(&plan)
+			unique, singles := 0, 0
+			for e, b := range want {
+				if dt.Unique(e) {
+					if b.tuples != 1 {
+						t.Fatalf("W=%d: Unique(%v) with %d tuples", workers, e, b.tuples)
+					}
+					unique++
+					singles++
+					continue
+				}
+				if b.tuples == 1 {
+					singles++
+				}
+				p, pOK, q, _, qOK := dt.Probe(e)
+				if pOK != (b.eraser >= 0) || (pOK && p != b.eraser) || qOK != (b.minIns >= 0) || (qOK && q != b.minIns) {
+					t.Fatalf("W=%d: Probe(%v) = eraser %d/%v, inserter %d/%v; want %d, %d", workers, e, p, pOK, q, qOK, b.eraser, b.minIns)
+				}
+			}
+			if unique < singles*3/4 {
+				t.Fatalf("W=%d: only %d of %d single-tuple keys unique", workers, unique, singles)
+			}
+		}
+		pool.Close()
+	}
+}

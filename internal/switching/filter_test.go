@@ -19,7 +19,8 @@ import (
 // with every slot forced shared, which links and probes every tuple as
 // the table did before the filter. The edge lists must be equal after
 // every superstep. The targets are dense enough that many targets
-// collide with present edges or other targets.
+// collide with present edges or other targets. At w = 8 the workers
+// outnumber the filter's lanes, so lanes have several writers.
 
 const filterSupersteps = 8
 
@@ -33,7 +34,7 @@ func TestFilterParGlobalMatchesUnfiltered(t *testing.T) {
 	}
 	for ti, g := range targets {
 		for _, pl := range []float64{0, 0.5} {
-			for _, w := range []int{1, 2, 4} {
+			for _, w := range []int{1, 2, 4, 8} {
 				cfg := core.Config{Seed: 11, Workers: w, LoopProb: pl}
 				def, forced := g.Clone(), g.Clone()
 				ed, err := core.NewEngine(def, core.AlgParGlobalES, cfg)
@@ -74,7 +75,7 @@ func TestFilterDirectedParGlobalMatchesUnfiltered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pl := range []float64{0, 0.5} {
-		for _, w := range []int{1, 2, 4} {
+		for _, w := range []int{1, 2, 4, 8} {
 			cfg := digraph.Config{Seed: 12, Workers: w, LoopProb: pl}
 			def, forced := dg.Clone(), dg.Clone()
 			ed, err := digraph.NewEngine(def, digraph.AlgParGlobalES, cfg)
@@ -114,7 +115,7 @@ func TestFilterParESMatchesUnfiltered(t *testing.T) {
 		a, b := rng.TwoDistinct(src, m)
 		switches[i] = switching.Switch{I: uint32(a), J: uint32(b), G: rng.Bool(src)}
 	}
-	for _, w := range []int{1, 2, 4} {
+	for _, w := range []int{1, 2, 4, 8} {
 		def := append([]graph.Edge(nil), g.Edges()...)
 		forced := append([]graph.Edge(nil), g.Edges()...)
 		rd := switching.NewRunner(def, m/2, w)
