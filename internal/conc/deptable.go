@@ -80,7 +80,8 @@ const (
 // and performs a genuine clear only when the epoch tag would wrap
 // (every 2^30-1 supersteps). The epoch itself is written only at the
 // quiescent superstep boundary and is read-only during a superstep.
-// The filter needs no epoch: merge clears the lanes' bitmaps it reads and overwrites every multi word the superstep uses.
+// The filter needs no epoch: merge clears the lanes' bitmaps it reads
+// and overwrites every multi word the superstep uses.
 //
 // Sequential mode (SetSequential) replaces the head CAS loop and the
 // status XCHG with plain stores: a 1-worker gang has no concurrency to
