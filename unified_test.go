@@ -214,12 +214,15 @@ func edgeListHash(edges [][2]uint32) uint64 {
 	return h
 }
 
-// TestSamplerGoldenStreams pins the edge lists the chains that draw a
-// per-superstep permutation emit after 8 supersteps at a fixed seed.
-// The target is power-law, so Curveball trades meet hubs and shared
-// neighbours on almost every superstep. The values were recorded from
-// the edge-set Curveball kernel and the allocating rng.Perm; any change
-// to the trade kernel or the permutation draws must keep them.
+// TestSamplerGoldenStreams pins the edge lists the chains emit after 8
+// supersteps at a fixed seed. The target is power-law, so Curveball
+// trades meet hubs and shared neighbours on almost every superstep. The
+// values were recorded from the edge-set Curveball kernel and the
+// allocating rng.Perm; any change to the trade kernel or the
+// permutation draws must keep them. The sequential ES-MC cases and the
+// connectivity-constrained cases pin the sequential chains' switch
+// draws, executor and escape draws; the constrained targets are paths,
+// on which the pinned supersteps reach at least one escape move.
 func TestSamplerGoldenStreams(t *testing.T) {
 	g, err := GeneratePowerLaw(700, 2.2, 17)
 	if err != nil {
@@ -229,28 +232,41 @@ func TestSamplerGoldenStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	path, dipath, forbidden := escapePaths(t, 100)
+	connected := []Option{WithConstraint(Connected())}
 	cases := []struct {
 		alg     Algorithm
 		target  func() Target
 		workers []int
+		opts    []Option
 		want    uint64
 	}{
-		{Curveball, func() Target { return g.Clone() }, []int{1, 2, 4}, 0xa3a0074bccca7733},
-		{GlobalCurveball, func() Target { return g.Clone() }, []int{1, 2, 4}, 0x54348606fb38a22f},
-		{SeqGlobalES, func() Target { return g.Clone() }, []int{1}, 0x5a30533fef5ba847},
-		{SeqGlobalES, func() Target { return dg.Clone() }, []int{1}, 0x422bafd6dc7ce92d},
+		{Curveball, func() Target { return g.Clone() }, []int{1, 2, 4}, nil, 0xa3a0074bccca7733},
+		{GlobalCurveball, func() Target { return g.Clone() }, []int{1, 2, 4}, nil, 0x54348606fb38a22f},
+		{SeqGlobalES, func() Target { return g.Clone() }, []int{1}, nil, 0x5a30533fef5ba847},
+		{SeqGlobalES, func() Target { return dg.Clone() }, []int{1}, nil, 0x422bafd6dc7ce92d},
+		{SeqES, func() Target { return g.Clone() }, []int{1}, nil, 0xc0f67ee6ec114f87},
+		{SeqES, func() Target { return dg.Clone() }, []int{1}, nil, 0x851ecfec31cb4965},
+		{SeqGlobalES, func() Target { return dipath.Clone() }, []int{1}, connected, 0xcea55b194a591426},
+		{SeqES, func() Target { return path.Clone() }, []int{1},
+			[]Option{WithConstraint(Connected(), ForbiddenEdges(forbidden))}, 0xfebb0dfadbeeb206},
 	}
 	for _, tc := range cases {
 		for _, w := range tc.workers {
 			target := tc.target()
-			s, err := NewSampler(target, WithAlgorithm(tc.alg), WithWorkers(w), WithSeed(2024))
+			opts := append([]Option{WithAlgorithm(tc.alg), WithWorkers(w), WithSeed(2024)}, tc.opts...)
+			s, err := NewSampler(target, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Step(8); err != nil {
+			st, err := s.Step(8)
+			if err != nil {
 				t.Fatal(err)
 			}
 			s.Close()
+			if tc.opts != nil && st.EscapeMoves == 0 {
+				t.Errorf("%v %T constrained: no escape move within the pinned supersteps", tc.alg, target)
+			}
 			var got uint64
 			switch tt := target.(type) {
 			case *Graph:
@@ -263,4 +279,40 @@ func TestSamplerGoldenStreams(t *testing.T) {
 			}
 		}
 	}
+}
+
+// escapePaths returns an undirected and a directed path on n nodes,
+// plus the forbidden edges that make single connectivity-preserving
+// switches of the undirected path rare enough for the sequential
+// constrained chain to stall. A directed path needs no help: every
+// single head exchange splits it into a path and a cycle. On the
+// undirected path a switch of (i, i+1) and (j, j+1) either reverses
+// the segment between them, adding {i, j} and {i+1, j+1}, or cuts it
+// off as a cycle, adding {i, j+1} and {i+1, j}. The two are equally
+// likely, so the default stall limit is practically never reached.
+// Forbidding every non-adjacent pair whose node sum is not 2 mod 3
+// vetoes every reversal on the initial path (its two node sums differ
+// by 2) while a third of the cuts stay allowed.
+func escapePaths(t *testing.T, n int) (*Graph, *DiGraph, [][2]uint32) {
+	t.Helper()
+	var edges, forbidden [][2]uint32
+	for v := 0; v+1 < n; v++ {
+		edges = append(edges, [2]uint32{uint32(v), uint32(v + 1)})
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 2; v < n; v++ {
+			if (u+v)%3 != 2 {
+				forbidden = append(forbidden, [2]uint32{uint32(u), uint32(v)})
+			}
+		}
+	}
+	g, err := NewGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := NewDiGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, dg, forbidden
 }
