@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"gesmc/internal/graph"
+	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
 	"gesmc/internal/switching"
 )
@@ -20,13 +21,13 @@ var ErrDisconnected = errors.New("constraint: connectivity requires a connected 
 const ParStallSupersteps = 2
 
 // Runtime is the compiled form of a Spec for one chain, generic over
-// the edge encoding so the undirected (graph.Edge + hashset/EdgeSet)
-// and directed (Arc + map/EdgeSet) chains share one implementation:
-// the fused local veto, the connectivity tracker (nil without
-// Connected), the escape graph ops, and the stall state. Ops must be
-// bound (via the owning chain's set adapter) before the first
-// ExecuteSequential or AfterSuperstep call when connectivity is
-// active.
+// the edge encoding so the undirected (graph.Edge) and directed (Arc)
+// chains share one implementation: the fused local veto, the
+// connectivity tracker (nil without Connected), the escape graph ops,
+// and the stall state. Ops must be bound to the chain's edge set — the
+// sequential chains' hashset.Set (Sequential) or the parallel runner's
+// conc.EdgeSet (BindRunner) — before the first ExecuteSequential or
+// AfterSuperstep call.
 type Runtime[E switching.EdgeKind[E]] struct {
 	Veto    func(e1, e2, t3, t4 E) bool
 	Tracker *Tracker
@@ -139,6 +140,23 @@ func (c *Runtime[E]) BindRunner(r *switching.Runner[E]) {
 		Insert:   func(e E) { r.Set.InsertUnique(graph.Edge(e), 0) },
 		Erase:    func(e E) { r.Set.EraseUnique(graph.Edge(e), 0) },
 	}
+}
+
+// Sequential points the graph ops at a sequential chain's hash set,
+// which stores every edge kind bit-cast to graph.Edge, and returns
+// ExecuteSequential as the chain's executor, or nil when there is no
+// runtime. A nil runtime's method value is a valid binder, so chains
+// pass cons.Sequential whether or not a constraint is configured.
+func (c *Runtime[E]) Sequential(S *hashset.Set) switching.SeqExecFunc[E] {
+	if c == nil {
+		return nil
+	}
+	c.Ops = GraphOps[E]{
+		Contains: func(e E) bool { return S.Contains(graph.Edge(e)) },
+		Insert:   func(e E) { S.Insert(graph.Edge(e)) },
+		Erase:    func(e E) { S.Erase(graph.Edge(e)) },
+	}
+	return c.ExecuteSequential
 }
 
 // After returns AfterSuperstep as a parallel stepper's hook, or nil

@@ -8,6 +8,7 @@ import (
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 var allAlgorithms = []Algorithm{AlgSeqES, AlgSeqGlobalES, AlgParES, AlgParGlobalES}
@@ -110,10 +111,10 @@ func TestGlobalParallelMatchesGlobalSequential(t *testing.T) {
 				var buf []Switch
 				perm := make([]uint32, m)
 				for step := 0; step < 12; step++ {
-					l := SampleGlobalSwitch(perm, pl, stepSrc)
-					var acc int64
-					acc, buf = ExecuteGlobalSequential(seq.Edges(), seqSet, perm, l, buf)
-					legal += acc
+					rng.PermInto(stepSrc, perm)
+					l := int(rng.BinomialComplementSmall(stepSrc, int64(m/2), pl))
+					buf = switching.GlobalSwitches(perm, l, buf)
+					legal += switching.ExecuteSequential(seq.Edges(), seqSet, buf)
 					buf = ExecuteGlobalParallel(rBare, perm, l, buf)
 					buf = ExecuteGlobalParallel(rBacked, perm, l, buf)
 					for i := range seq.Edges() {

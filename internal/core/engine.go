@@ -7,6 +7,10 @@ import (
 	"gesmc/internal/switching"
 )
 
+// ErrTooSmall is returned for graphs with fewer than two edges, on which
+// no switch is defined.
+var ErrTooSmall = errors.New("core: graph has fewer than 2 edges")
+
 // ErrUnknownAlgorithm is returned by NewEngine for an Algorithm value
 // outside the defined enum.
 var ErrUnknownAlgorithm = errors.New("core: unknown algorithm")
@@ -45,14 +49,14 @@ func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
 	var st switching.Stepper
 	switch alg {
 	case AlgSeqES:
-		st = newSeqESStepper(g, cfg, cons)
+		st = switching.NewSeqES(g.Edges(), cfg.Seed, true, cons.Sequential)
 	case AlgSeqGlobalES:
-		st = newSeqGlobalStepper(g, cfg, cons)
+		st = switching.NewSeqGlobal(g.Edges(), cfg.Seed, cfg.loopProb(), cons.Sequential)
 	case AlgParES:
 		st = newParESStepper(g, cfg, cons)
 	case AlgParGlobalES:
 		r := newRunner(g.Edges(), g.M()/2, cfg, cons)
-		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), GlobalSwitches, cons.After())
+		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), cons.After())
 	default:
 		return nil, ErrUnknownAlgorithm
 	}

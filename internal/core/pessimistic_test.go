@@ -6,6 +6,7 @@ import (
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 func TestPessimisticSchedulerSameResults(t *testing.T) {
@@ -65,7 +66,7 @@ func measurePessimisticRounds(g *graph.Graph, src *rng.MT19937) float64 {
 	r.Pessimistic = true
 	for step := 0; step < 8; step++ {
 		perm := rng.Perm(src, m)
-		r.Run(GlobalSwitches(perm, m/2, nil))
+		r.Run(switching.GlobalSwitches(perm, m/2, nil))
 	}
 	return float64(r.TotalRounds) / float64(r.InternalSupersteps)
 }

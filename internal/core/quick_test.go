@@ -9,6 +9,7 @@ import (
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // quickGraph is a generator for testing/quick: a random simple graph
@@ -92,7 +93,7 @@ func TestQuickGlobalSwitchesWellFormed(t *testing.T) {
 		src := rng.NewSplitMix64(seed)
 		perm := rng.Perm(src, m)
 		l := int(lRaw) % (m/2 + 1)
-		switches := GlobalSwitches(perm, l, nil)
+		switches := switching.GlobalSwitches(perm, l, nil)
 		if len(switches) != l {
 			return false
 		}
@@ -177,7 +178,7 @@ func BenchmarkSuperstepDecide(b *testing.B) {
 	m := g.M()
 	r := NewSuperstepRunner(g.Edges(), m/2, 1)
 	perm := rng.Perm(src, m)
-	switches := GlobalSwitches(perm, m/2, nil)
+	switches := switching.GlobalSwitches(perm, m/2, nil)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -26,7 +26,7 @@ func NewSuperstepRunner(E []graph.Edge, maxSwitches, workers int) *SuperstepRunn
 // production chain switching.GlobalStepper: π[2ℓ:] become survivors.
 // This form serves the differential tests.
 func ExecuteGlobalParallel(r *SuperstepRunner, perm []uint32, l int, buf []Switch) []Switch {
-	buf = GlobalSwitches(perm, l, buf)
+	buf = switching.GlobalSwitches(perm, l, buf)
 	r.RunGlobal(buf, perm[2*l:])
 	return buf
 }

@@ -7,6 +7,7 @@ import (
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // runSequentialReference executes switches on a clone of g per
@@ -14,7 +15,7 @@ import (
 func runSequentialReference(g *graph.Graph, switches []Switch) ([]graph.Edge, int64) {
 	c := g.Clone()
 	S := hashset.FromEdges(c.Edges(), 0.5)
-	legal := ExecuteSequential(c.Edges(), S, switches)
+	legal := switching.ExecuteSequential(c.Edges(), S, switches)
 	return c.Edges(), legal
 }
 
@@ -66,7 +67,7 @@ func assertExactMatch(t *testing.T, g *graph.Graph, switches []Switch, workers i
 func globalSwitchBatch(m int, src rng.Source) []Switch {
 	perm := rng.Perm(src, m)
 	l := rng.IntN(src, m/2+1)
-	return GlobalSwitches(perm, l, nil)
+	return switching.GlobalSwitches(perm, l, nil)
 }
 
 func TestSuperstepMatchesSequentialGNP(t *testing.T) {
@@ -225,8 +226,8 @@ func TestSuperstepManyConsecutive(t *testing.T) {
 	for step := 0; step < 30; step++ {
 		perm := rng.Perm(src, m)
 		l := rng.IntN(src, m/2+1)
-		switches := GlobalSwitches(perm, l, nil)
-		ExecuteSequential(seq.Edges(), S, switches)
+		switches := switching.GlobalSwitches(perm, l, nil)
+		switching.ExecuteSequential(seq.Edges(), S, switches)
 		r.Run(switches)
 		for i := range seq.Edges() {
 			if seq.Edges()[i] != par.Edges()[i] {
@@ -286,7 +287,7 @@ func TestRegularGraphRoundsBounded(t *testing.T) {
 	r := NewSuperstepRunner(g.Edges(), g.M()/2, 4)
 	for step := 0; step < 10; step++ {
 		perm := rng.Perm(src, g.M())
-		r.Run(GlobalSwitches(perm, g.M()/2, nil))
+		r.Run(switching.GlobalSwitches(perm, g.M()/2, nil))
 	}
 	if avg := float64(r.TotalRounds) / float64(r.InternalSupersteps); avg > 6 {
 		t.Fatalf("average rounds %.1f exceeds bound for regular graph", avg)

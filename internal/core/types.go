@@ -122,26 +122,6 @@ func SampleSwitches(m int, r int, src rng.Source) []Switch {
 	return out
 }
 
-// GlobalSwitches converts a permutation prefix into the switch sequence
-// of a global switch Γ = (π, ℓ): σ_k = (π(2k−1), π(2k), 1_{π(2k−1)<π(2k)})
-// (Definition 3, 1-based; here 0-based pairs).
-func GlobalSwitches(perm []uint32, l int, buf []Switch) []Switch {
-	buf = buf[:0]
-	for k := 0; k < l; k++ {
-		i, j := perm[2*k], perm[2*k+1]
-		buf = append(buf, Switch{I: i, J: j, G: i < j})
-	}
-	return buf
-}
-
-// SampleGlobalSwitch draws a full global switch into perm: a uniform
-// permutation of [m], m = len(perm), and the returned
-// ℓ ~ Binom(⌊m/2⌋, 1−P_L).
-func SampleGlobalSwitch(perm []uint32, loopProb float64, src rng.Source) int {
-	rng.PermInto(src, perm)
-	return int(rng.BinomialComplementSmall(src, int64(len(perm)/2), loopProb))
-}
-
 // Run executes the selected algorithm for the given number of supersteps
 // (one superstep = ⌊m/2⌋ switch attempts for ES-MC chains, one global
 // switch for G-ES-MC chains, matching §6.1's normalization) and returns

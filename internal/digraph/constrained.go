@@ -24,13 +24,3 @@ type constrainedRuntime = constraint.Runtime[Arc]
 func newConstrainedRuntime(g *DiGraph, spec *constraint.Spec) (*constrainedRuntime, error) {
 	return constraint.NewRuntime(spec, g.N(), g.Arcs())
 }
-
-// bindMap points the runtime's graph ops at a sequential chain's
-// map-backed arc set.
-func bindMap(c *constrainedRuntime, S map[Arc]struct{}) {
-	c.Ops = constraint.GraphOps[Arc]{
-		Contains: func(a Arc) bool { _, ok := S[a]; return ok },
-		Insert:   func(a Arc) { S[a] = struct{}{} },
-		Erase:    func(a Arc) { delete(S, a) },
-	}
-}

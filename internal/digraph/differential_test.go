@@ -4,19 +4,23 @@ import (
 	"context"
 	"testing"
 
+	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // replayParGlobalSequentially reproduces the exact switch sequence the
 // parallel directed G-ES-MC engine draws for a given seed at every
 // worker count — ParallelPerm seeds from the SplitMix64 stream, ℓ from the
-// MT19937 stream — and executes it with the map-backed sequential
-// reference. This is the ground truth the parallel engine must hit
-// bit-identically.
+// MT19937 stream — and executes it with the sequential executor every
+// edge kind shares (switching.ExecuteSequential over the hash set,
+// itself checked against an independent map-backed reference in the
+// switching package). This is the ground truth the parallel engine must
+// hit bit-identically.
 func replayParGlobalSequentially(g *DiGraph, supersteps int, loopProb float64, seed uint64) *DiGraph {
 	c := g.Clone()
 	A := c.Arcs()
-	S := c.ArcSet()
+	S := hashset.FromEdges(c.Arcs(), 0.5)
 	m := c.M()
 	src := rng.NewMT19937(seed)
 	seedSrc := rng.NewSplitMix64(seed ^ 0x5DEECE66D)
@@ -24,8 +28,8 @@ func replayParGlobalSequentially(g *DiGraph, supersteps int, loopProb float64, s
 	for step := 0; step < supersteps; step++ {
 		perm := rng.ParallelPerm(seedSrc.Uint64(), m)
 		l := int(rng.BinomialComplementSmall(src, int64(m/2), loopProb))
-		buf = GlobalSwitches(perm, l, buf)
-		ExecuteSequential(A, S, buf)
+		buf = switching.GlobalSwitches(perm, l, buf)
+		switching.ExecuteSequential(A, S, buf)
 	}
 	return c
 }

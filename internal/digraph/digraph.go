@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"gesmc/internal/graph"
+	"gesmc/internal/hashset"
 )
 
 // Arc is a directed edge (u → v), packed with the tail in the high and
@@ -138,23 +139,14 @@ func (g *DiGraph) CheckSimple() error {
 	return nil
 }
 
-// ArcSet returns the arcs as a set.
-func (g *DiGraph) ArcSet() map[Arc]struct{} {
-	s := make(map[Arc]struct{}, len(g.arcs))
-	for _, a := range g.arcs {
-		s[a] = struct{}{}
-	}
-	return s
-}
-
 // SameArcSet reports whether two digraphs hold identical arc sets.
 func SameArcSet(a, b *DiGraph) bool {
 	if a.M() != b.M() {
 		return false
 	}
-	set := a.ArcSet()
+	set := hashset.FromEdges(a.arcs, 0.5)
 	for _, x := range b.arcs {
-		if _, ok := set[x]; !ok {
+		if !set.Contains(graph.Edge(x)) {
 			return false
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"gesmc/internal/constraint"
-	"gesmc/internal/rng"
 	"gesmc/internal/switching"
 )
 
@@ -76,73 +75,19 @@ func NewEngine(g *DiGraph, alg Algorithm, cfg Config) (*switching.Engine, error)
 	}
 	var st switching.Stepper
 	switch alg {
-	case AlgSeqES, AlgSeqGlobalES:
-		S := g.ArcSet()
-		if cons != nil {
-			bindMap(cons, S)
-		}
-		ds := &dirSeqStepper{
-			m: g.M(), A: g.Arcs(), S: S,
-			src:    rng.NewMT19937(cfg.Seed),
-			global: alg == AlgSeqGlobalES,
-			pl:     cfg.loopProb(),
-			cons:   cons,
-		}
-		if ds.global {
-			ds.perm = make([]uint32, g.M())
-		}
-		st = ds
+	case AlgSeqES:
+		st = switching.NewSeqES(g.Arcs(), cfg.Seed, false, cons.Sequential)
+	case AlgSeqGlobalES:
+		st = switching.NewSeqGlobal(g.Arcs(), cfg.Seed, cfg.loopProb(), cons.Sequential)
 	case AlgParGlobalES:
 		r := NewSuperstepRunner(g.Arcs(), g.M()/2, max(cfg.Workers, 1))
 		r.Pessimistic = cfg.PessimisticRounds
 		if cons != nil {
 			cons.BindRunner(r)
 		}
-		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), GlobalSwitches, cons.After())
+		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), cons.After())
 	default:
 		return nil, ErrUnknownAlgorithm
 	}
 	return switching.NewEngine(st), nil
-}
-
-// dirSeqStepper is the sequential directed chain on the map-backed
-// arc set: one superstep is ⌊m/2⌋ uniform switches (ES-MC) or one
-// global switch executed in order (G-ES-MC).
-type dirSeqStepper struct {
-	m      int
-	A      []Arc
-	S      map[Arc]struct{}
-	src    rng.Source
-	global bool
-	pl     float64
-	perm   []uint32 // global permutation buffer (G-ES-MC only)
-	buf    []Switch
-	cons   *constrainedRuntime
-}
-
-func (s *dirSeqStepper) Step(st *switching.Stats) error {
-	if s.global {
-		rng.PermInto(s.src, s.perm)
-		l := int(rng.BinomialComplementSmall(s.src, int64(s.m/2), s.pl))
-		s.buf = GlobalSwitches(s.perm, l, s.buf)
-		s.execute(st)
-		st.Attempted += int64(l)
-		return nil
-	}
-	perStep := int64(s.m / 2)
-	for a := int64(0); a < perStep; a++ {
-		i, j := rng.TwoDistinct(s.src, s.m)
-		s.buf = append(s.buf[:0], Switch{I: uint32(i), J: uint32(j)})
-		s.execute(st)
-	}
-	st.Attempted += perStep
-	return nil
-}
-
-func (s *dirSeqStepper) execute(st *switching.Stats) {
-	if s.cons != nil {
-		s.cons.ExecuteSequential(s.A, s.buf, s.src, st)
-	} else {
-		st.Legal += ExecuteSequential(s.A, s.S, s.buf)
-	}
 }

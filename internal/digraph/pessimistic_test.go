@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // The directed mirror of core/pessimistic_test.go: the worst-case
@@ -21,8 +23,8 @@ func TestDirectedPessimisticSameResults(t *testing.T) {
 		switches := globalBatch(g.M(), src)
 
 		seq := g.Clone()
-		S := seq.ArcSet()
-		seqLegal := ExecuteSequential(seq.Arcs(), S, switches)
+		S := hashset.FromEdges(seq.Arcs(), 0.5)
+		seqLegal := switching.ExecuteSequential(seq.Arcs(), S, switches)
 
 		par := g.Clone()
 		r := NewSuperstepRunner(par.Arcs(), maxi(len(switches), 1), 4)
@@ -69,7 +71,7 @@ func TestDirectedPessimisticRoundsBounded(t *testing.T) {
 	var buf []Switch
 	for step := 0; step < 8; step++ {
 		perm := rng.Perm(src, m)
-		buf = GlobalSwitches(perm, m/2, buf)
+		buf = switching.GlobalSwitches(perm, m/2, buf)
 		r.Run(buf)
 	}
 	if avg := float64(r.TotalRounds) / float64(r.InternalSupersteps); avg > 10 {

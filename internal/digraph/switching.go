@@ -17,35 +17,6 @@ type Switch = switching.Switch
 // ErrTooSmall is returned for digraphs with fewer than two arcs.
 var ErrTooSmall = errors.New("digraph: graph has fewer than 2 arcs")
 
-// ExecuteSequential performs the switches in order on arc list A with
-// membership set S (a map-backed set): a switch is rejected iff a target
-// arc is a loop or already exists. Reference semantics for the parallel
-// runner.
-func ExecuteSequential(A []Arc, S map[Arc]struct{}, switches []Switch) int64 {
-	var legal int64
-	for _, sw := range switches {
-		a1, a2 := A[sw.I], A[sw.J]
-		t1, t2 := SwitchTargets(a1, a2)
-		if t1.IsLoop() || t2.IsLoop() {
-			continue
-		}
-		if _, ok := S[t1]; ok {
-			continue
-		}
-		if _, ok := S[t2]; ok {
-			continue
-		}
-		delete(S, a1)
-		delete(S, a2)
-		S[t1] = struct{}{}
-		S[t2] = struct{}{}
-		A[sw.I] = t1
-		A[sw.J] = t2
-		legal++
-	}
-	return legal
-}
-
 // SuperstepRunner decides batches of source-independent directed
 // switches in parallel. It is the directed instantiation of the generic
 // kernel in internal/switching — identical round structure, pessimistic
@@ -60,15 +31,6 @@ type SuperstepRunner = switching.Runner[Arc]
 // NewSuperstepRunner prepares a runner over the arc list A.
 func NewSuperstepRunner(A []Arc, maxSwitches, workers int) *SuperstepRunner {
 	return switching.NewRunner(A, maxSwitches, workers)
-}
-
-// GlobalSwitches pairs a permutation prefix into directed switches.
-func GlobalSwitches(perm []uint32, l int, buf []Switch) []Switch {
-	buf = buf[:0]
-	for k := 0; k < l; k++ {
-		buf = append(buf, Switch{I: perm[2*k], J: perm[2*k+1]})
-	}
-	return buf
 }
 
 // run is the shared one-shot wrapper over NewEngine + Steps.

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"gesmc/internal/graph"
+	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
+	"gesmc/internal/switching"
 )
 
 // randomDigraph samples a simple digraph by thinning the complete
@@ -25,7 +27,7 @@ func randomDigraph(n int, p float64, src rng.Source) *DiGraph {
 func globalBatch(m int, src rng.Source) []Switch {
 	perm := rng.Perm(src, m)
 	l := rng.IntN(src, m/2+1)
-	return GlobalSwitches(perm, l, nil)
+	return switching.GlobalSwitches(perm, l, nil)
 }
 
 func TestDirectedSuperstepMatchesSequential(t *testing.T) {
@@ -38,8 +40,8 @@ func TestDirectedSuperstepMatchesSequential(t *testing.T) {
 		switches := globalBatch(g.M(), src)
 
 		seq := g.Clone()
-		S := seq.ArcSet()
-		seqLegal := ExecuteSequential(seq.Arcs(), S, switches)
+		S := hashset.FromEdges(seq.Arcs(), 0.5)
+		seqLegal := switching.ExecuteSequential(seq.Arcs(), S, switches)
 
 		for _, w := range []int{1, 2, 4} {
 			par := g.Clone()
@@ -159,13 +161,13 @@ func TestDirectedParallelMatchesSequentialEndToEnd(t *testing.T) {
 	par := g.Clone()
 	r := NewSuperstepRunner(par.Arcs(), m/2, 2)
 	seq := g.Clone()
-	S := seq.ArcSet()
+	S := hashset.FromEdges(seq.Arcs(), 0.5)
 	var buf []Switch
 	for step := 0; step < 10; step++ {
 		perm := rng.Perm(src, m)
 		l := m / 2
-		buf = GlobalSwitches(perm, l, buf)
-		ExecuteSequential(seq.Arcs(), S, buf)
+		buf = switching.GlobalSwitches(perm, l, buf)
+		switching.ExecuteSequential(seq.Arcs(), S, buf)
 		r.Run(buf)
 		for i := range seq.Arcs() {
 			if seq.Arcs()[i] != par.Arcs()[i] {

@@ -1,8 +1,9 @@
 // Package hashset implements the sequential open-addressing edge set of
 // §5.2 of the paper: linear probing over a power-of-two bucket array with
-// a maximum load factor of 1/2, constant-time insert/erase/contains, and
-// optional direct sampling of a uniformly random element by probing
-// random buckets (the §5.3 trade-off).
+// a maximum load factor of 1/2 and constant-time insert/erase/contains.
+// It stores the 64 bits of any edge kind as-is — canonical undirected
+// edges and directed arcs alike, both bit-cast to graph.Edge — so the
+// sequential chains of every kind share it.
 //
 // Deletions use backward-shift compaction instead of tombstones, so
 // lookup cost never degrades no matter how many switches are performed.
@@ -15,7 +16,9 @@ import (
 	"gesmc/internal/rng"
 )
 
-const empty = ^uint64(0) // sentinel: not a canonical edge (u would exceed v)
+// empty marks a free bucket. It is the loop (2^32−1, 2^32−1) under both
+// the canonical-edge and the arc packing, and no chain stores a loop.
+const empty = ^uint64(0)
 
 // Set is an open-addressing hash set of edges. The zero value is not
 // usable; create sets with New.
@@ -54,11 +57,12 @@ func (s *Set) init(capacity int) {
 	s.size = 0
 }
 
-// FromEdges builds a set containing the edges of the slice.
-func FromEdges(edges []graph.Edge, maxLoad float64) *Set {
+// FromEdges builds a set containing the edges of the slice, of any
+// 64-bit edge kind (stored bit-cast to graph.Edge).
+func FromEdges[E ~uint64](edges []E, maxLoad float64) *Set {
 	s := New(len(edges), maxLoad)
 	for _, e := range edges {
-		s.Insert(e)
+		s.Insert(graph.Edge(e))
 	}
 	return s
 }

@@ -97,6 +97,54 @@ func TestBackwardShiftChains(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalArcs stores directed arcs whose tail exceeds their
+// head, which no canonical edge encodes: three of them share one home
+// bucket, and erasing the first must shift the other two back without
+// losing them or confusing an arc with its reverse.
+func TestNonCanonicalArcs(t *testing.T) {
+	type arc uint64
+	mk := func(tail, head uint32) arc { return arc(uint64(tail)<<32 | uint64(head)) }
+	s := FromEdges([]arc{mk(9, 2), mk(2, 9)}, 0.5)
+	byHome := map[uint64][]arc{}
+	var chain []arc
+	for head := uint32(0); chain == nil; head++ {
+		a := mk(head+1000, head)
+		h := s.slot(graph.Edge(a))
+		byHome[h] = append(byHome[h], a)
+		if len(byHome[h]) == 3 && h+3 < uint64(s.Buckets()) && s.buckets[h] == empty &&
+			s.buckets[h+1] == empty && s.buckets[h+2] == empty {
+			chain = byHome[h]
+		}
+	}
+	home := s.slot(graph.Edge(chain[0]))
+	for _, a := range chain {
+		if !s.Insert(graph.Edge(a)) {
+			t.Fatalf("insert %#x reported duplicate", uint64(a))
+		}
+	}
+	if !s.Erase(graph.Edge(chain[0])) {
+		t.Fatal("erase of the chain head failed")
+	}
+	if s.buckets[home] != uint64(chain[1]) || s.buckets[home+1] != uint64(chain[2]) || s.buckets[home+2] != empty {
+		t.Fatal("erase did not shift the chain back")
+	}
+	for i, a := range chain {
+		rev := mk(uint32(a), uint32(uint64(a)>>32))
+		if got := s.Contains(graph.Edge(a)); got != (i > 0) {
+			t.Fatalf("Contains(%#x) = %v after erasing the chain head", uint64(a), got)
+		}
+		if s.Contains(graph.Edge(rev)) {
+			t.Fatalf("reverse of %#x found", uint64(a))
+		}
+	}
+	if !s.Contains(graph.Edge(mk(9, 2))) || !s.Contains(graph.Edge(mk(2, 9))) || s.Len() != 4 {
+		t.Fatalf("an arc and its reverse must both stay stored (Len %d)", s.Len())
+	}
+	if !s.Erase(graph.Edge(mk(9, 2))) || !s.Contains(graph.Edge(mk(2, 9))) {
+		t.Fatal("erasing an arc touched its reverse")
+	}
+}
+
 func TestGrowPreservesContent(t *testing.T) {
 	s := New(2, 0.5)
 	var edges []graph.Edge

@@ -203,13 +203,8 @@ type GlobalStepper[E EdgeKind[E]] struct {
 	dispatch rng.Dispatch // the runner's gang, stored once (alloc-free steps)
 	buf      []Switch
 	loopProb float64
-	pair     PairFunc
 	after    AfterFunc[E]
 }
-
-// PairFunc turns a permutation prefix into the first l switches of a
-// global switch, reusing buf.
-type PairFunc func(perm []uint32, l int, buf []Switch) []Switch
 
 // AfterFunc runs after each superstep's kernel pass — the constraint
 // layer's speculate-then-recertify hook — adding its counters to st.
@@ -219,7 +214,7 @@ type AfterFunc[E EdgeKind[E]] func(r *Runner[E], switches []Switch, src rng.Sour
 // ⌊m/2⌋ switches). The seed feeds the ℓ stream directly and the
 // permutation stream XOR salt; after may be nil.
 func NewGlobalStepper[E EdgeKind[E]](r *Runner[E], seed, salt uint64, loopProb float64,
-	pair PairFunc, after AfterFunc[E]) *GlobalStepper[E] {
+	after AfterFunc[E]) *GlobalStepper[E] {
 	m := len(r.E)
 	return &GlobalStepper[E]{
 		runner:   r,
@@ -229,7 +224,6 @@ func NewGlobalStepper[E EdgeKind[E]](r *Runner[E], seed, salt uint64, loopProb f
 		dispatch: r.Pool().Blocks,
 		buf:      make([]Switch, 0, m/2),
 		loopProb: loopProb,
-		pair:     pair,
 		after:    after,
 	}
 }
@@ -238,7 +232,7 @@ func NewGlobalStepper[E EdgeKind[E]](r *Runner[E], seed, salt uint64, loopProb f
 func (s *GlobalStepper[E]) Step(st *Stats) error {
 	perm := s.perm.Generate(s.seedSrc.Uint64(), s.dispatch)
 	l := int(rng.BinomialComplementSmall(s.src, int64(len(s.runner.E)/2), s.loopProb))
-	s.buf = s.pair(perm, l, s.buf)
+	s.buf = GlobalSwitches(perm, l, s.buf)
 	s.runner.RunGlobal(s.buf, perm[2*l:])
 	st.Attempted += int64(l)
 	if s.after != nil {

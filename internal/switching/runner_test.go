@@ -7,6 +7,7 @@ import (
 	"gesmc/internal/digraph"
 	"gesmc/internal/gen"
 	"gesmc/internal/graph"
+	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
 	"gesmc/internal/switching"
 )
@@ -147,6 +148,98 @@ func TestRunnerDirectedMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// drawSwitches draws k switches over edges, every third one between two
+// edges that share an endpoint in the state the switch will see: the
+// list is built against ref's running result. It returns the switches
+// and how many of them target exactly their own sources.
+func drawSwitches[E switching.EdgeKind[E]](edges []E, k int, src rng.Source,
+	ref func([]E, []switching.Switch) ([]E, int64)) ([]switching.Switch, int) {
+	cur := append([]E(nil), edges...)
+	m := len(cur)
+	var out []switching.Switch
+	own := 0
+	for len(out) < k {
+		i, j := rng.TwoDistinct(src, m)
+		if len(out)%3 == 0 {
+			j = -1
+			u, v := uint32(uint64(cur[i])>>32), uint32(cur[i])
+			for off := 1; off < m; off++ {
+				c := (i + off) % m
+				x, y := uint32(uint64(cur[c])>>32), uint32(cur[c])
+				if x == u || x == v || y == u || y == v {
+					j = c
+					break
+				}
+			}
+			if j < 0 {
+				continue
+			}
+		}
+		sw := switching.Switch{I: uint32(i), J: uint32(j), G: rng.Bool(src)}
+		t3, t4 := cur[i].Targets(cur[j], sw.G)
+		if (t3 == cur[i] && t4 == cur[j]) || (t3 == cur[j] && t4 == cur[i]) {
+			own++
+		}
+		out = append(out, sw)
+		cur, _ = ref(cur, []switching.Switch{sw})
+	}
+	return out, own
+}
+
+// checkExecutor runs the hash-set executor on a copy of edges and
+// compares its accepted count and edge list with ref's.
+func checkExecutor[E switching.EdgeKind[E]](t *testing.T, kind string, edges []E, switches []switching.Switch,
+	ref func([]E, []switching.Switch) ([]E, int64)) {
+	t.Helper()
+	want, wantLegal := ref(edges, switches)
+	got := append([]E(nil), edges...)
+	S := hashset.FromEdges(got, 0.5)
+	if legal := switching.ExecuteSequential(got, S, switches); legal != wantLegal {
+		t.Fatalf("%s: accepted %d, map reference %d", kind, legal, wantLegal)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: edge list diverges at %d", kind, i)
+		}
+	}
+	if S.Len() != len(got) {
+		t.Fatalf("%s: set holds %d edges, want %d", kind, S.Len(), len(got))
+	}
+	for _, e := range got {
+		if !S.Contains(graph.Edge(e)) {
+			t.Fatalf("%s: edge %#x missing from the set", kind, uint64(e))
+		}
+	}
+}
+
+// TestExecuteSequentialMatchesMapReference checks the one sequential
+// executor, over the hash set, against the independent map-backed
+// references for both edge kinds, on switch lists that include
+// shared-endpoint switches — some of them targeting their own sources.
+func TestExecuteSequentialMatchesMapReference(t *testing.T) {
+	src := rng.NewMT19937(9005)
+	ownU, ownD := 0, 0
+	for trial := 0; trial < 30; trial++ {
+		n := 8 + rng.IntN(src, 24)
+		g := gen.GNP(n, 0.3, src)
+		if g.M() >= 4 {
+			sws, own := drawSwitches(g.Edges(), 3*g.M(), src, seqUndirected)
+			ownU += own
+			checkExecutor(t, "undirected", g.Edges(), sws, seqUndirected)
+		}
+		arcs := randomArcs(n, 0.3, src)
+		if len(arcs) >= 4 {
+			sws, own := drawSwitches(arcs, 3*len(arcs), src, seqDirected)
+			ownD += own
+			checkExecutor(t, "directed", arcs, sws, seqDirected)
+		}
+	}
+	if ownU == 0 || ownD == 0 {
+		t.Fatalf("own-target switches drawn: %d undirected, %d directed; want both > 0", ownU, ownD)
+	}
+	t.Logf("own-target switches: %d undirected, %d directed", ownU, ownD)
 }
 
 // TestRunnerSetCountsAcrossCompactions runs 50 ParGlobalES supersteps

@@ -35,8 +35,10 @@
 // Above the kernel, Engine (engine.go) is the one resumable superstep
 // loop every chain runs through: each chain is a Stepper plug-in, and
 // Stats is the one counter type from the round driver to the public
-// Sampler. GlobalStepper is the parallel G-ES-MC stepper shared by the
-// undirected and directed chains.
+// Sampler. GlobalStepper is the parallel G-ES-MC stepper and SeqStepper
+// (seq.go) the sequential ES-MC/G-ES-MC stepper, each shared by the
+// undirected and directed chains; ExecuteSequential is the one
+// Definition-1 executor every differential test compares against.
 package switching
 
 // Switch is one edge switch σ = (i, j, g): two edge-list indices plus a
