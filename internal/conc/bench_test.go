@@ -72,7 +72,7 @@ func BenchmarkDepTableStoreLookup(b *testing.B) {
 }
 
 // BenchmarkEdgeSetApply is the kernel's apply phase in isolation, shaped
-// like switching.Runner's phase3Erase/phase3Insert: one fused dispatch on
+// like switching.Runner's phase3Erase/commit: one fused dispatch on
 // a Pool gang of GOMAXPROCS workers (set with -cpu) erases two edges per
 // item, sub-barriers, then inserts two disjoint edges per item. Odd
 // iterations move the edges back, so the set stays at 2^16 live edges in

@@ -14,20 +14,26 @@ import (
 // globalSwitchStep builds one full global-switch superstep (⌊m/2⌋
 // source-independent switches from a fresh permutation).
 func globalSwitchStep(m int, src rng.Source) []switching.Switch {
+	switches, _ := globalStep(m, m/2, src)
+	return switches
+}
+
+// globalStep draws a global superstep of n switches over the m edges
+// of a list: a uniform permutation, its first 2n entries paired as in
+// Algorithm 3 and the rest left as survivors.
+func globalStep(m, n int, src rng.Source) ([]switching.Switch, []uint32) {
 	perm := rng.Perm(src, m)
-	out := make([]switching.Switch, 0, m/2)
-	for k := 0; k+1 < m; k += 2 {
-		i, j := perm[k], perm[k+1]
-		out = append(out, switching.Switch{I: i, J: j, G: i < j})
-	}
-	return out
+	return switching.GlobalSwitches(perm, n, nil), perm[2*n:]
 }
 
 // TestRunnerSuperstepAllocs is the allocation-regression gate of the
 // gang-scheduled kernel: after warm-up (scratch grown, compaction path
 // exercised), a superstep must perform (almost) no heap allocations —
 // the phase bodies, driver hooks, and pool dispatches are all
-// persistent. The bound of 1 tolerates rare runtime-internal
+// persistent. It covers both superstep shapes: Run, the set-backed
+// prefix path with its fused apply, and RunGlobal on a set-less
+// runner, the production ParGlobalES path with its write-back
+// dispatch. The bound of 1 tolerates rare runtime-internal
 // allocations (e.g. a goroutine stack growth); the historical
 // spawn-per-phase kernel sat at ~15+ per superstep before counting
 // goroutine churn.
@@ -50,13 +56,28 @@ func TestRunnerSuperstepAllocs(t *testing.T) {
 				r.Run(globalSwitchStep(m, src))
 			}
 			switches := globalSwitchStep(m, src)
-			allocs := testing.AllocsPerRun(10, func() {
-				r.Run(switches)
-			})
-			if allocs > 1 {
-				t.Fatalf("superstep allocates %.1f objects in steady state, want ~0", allocs)
-			}
+			assertSuperstepAllocs(t, func() { r.Run(switches) })
 		})
+		t.Run(fmt.Sprintf("global/workers=%d", workers), func(t *testing.T) {
+			E := append([]graph.Edge(nil), g.Edges()...)
+			r := switching.NewRunner(E, m/2, workers)
+			defer r.Release()
+			for i := 0; i < 6; i++ {
+				r.RunGlobal(globalStep(m, m/2, src))
+			}
+			if r.Set != nil {
+				t.Fatal("RunGlobal built an edge set")
+			}
+			switches, rest := globalStep(m, m/2, src)
+			assertSuperstepAllocs(t, func() { r.RunGlobal(switches, rest) })
+		})
+	}
+}
+
+func assertSuperstepAllocs(t *testing.T, superstep func()) {
+	t.Helper()
+	if allocs := testing.AllocsPerRun(10, superstep); allocs > 1 {
+		t.Fatalf("superstep allocates %.1f objects in steady state, want ~0", allocs)
 	}
 }
 

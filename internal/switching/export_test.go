@@ -29,3 +29,6 @@ func (s *GlobalStepper[E]) depTable() *conc.DepTable { return s.runner.table }
 
 // DisableRunnerFilter is DisableFilter for a bare runner.
 func DisableRunnerFilter[E EdgeKind[E]](r *Runner[E]) { r.table.DisableFilter() }
+
+// GatherBatch is phase 1's gather width.
+const GatherBatch = gatherBatch

@@ -30,6 +30,14 @@ import (
 // that decide walks a chain only for a target some other tuple may
 // name. They run on the same gang wake as the first decide round.
 //
+// Phase 2, the decide rounds, only decides: it reads the table (and,
+// in a prefix superstep, the set) and publishes statuses, and it
+// writes no edge. Phase 3 then writes every legal switch's targets,
+// which the table's arena already holds, into the edge list in one
+// pass (commit) — its own dispatch on a set-less runner, the set's
+// insertion pass on a set-backed one — before Run or RunGlobal
+// returns.
+//
 // The set exists only where a caller needs edge membership between
 // supersteps: Run builds it on first use for prefix supersteps, and
 // EnsureSet builds it up front for the connectivity constraint's
@@ -83,14 +91,15 @@ type Runner[E EdgeKind[E]] struct {
 	prologue  [3]conc.FusedPass
 	decideFn  Decide
 	publishFn Publish
+	commitFn  func(w, lo, hi int)
 
 	// Fused dispatch plans of set-backed runners, built once by
 	// EnsureSet; only the pass lengths mutate per superstep. applyPlan
-	// runs phase 3's erase and insert on a single gang wake (the
-	// erase-before-insert order is preserved by the plan's
-	// sub-barrier); compactPlan collapses the three compaction sweeps —
-	// snapshot, clear (with the serial counter reset as its barrier
-	// hook), rebuild — into one dispatch.
+	// runs phase 3's erase and insert-and-write-back (commit) on a
+	// single gang wake (the erase-before-insert order is preserved by
+	// the plan's sub-barrier); compactPlan collapses the three
+	// compaction sweeps — snapshot, clear (with the serial counter
+	// reset as its barrier hook), rebuild — into one dispatch.
 	applyPlan   conc.FusedPlan
 	compactPlan conc.FusedPlan
 }
@@ -108,8 +117,9 @@ func NewRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
 	// goroutine: drop the CAS/XCHG write paths for plain stores.
 	r.table.SetSequential(r.Workers() == 1)
 	r.prologue[0].Fn = r.phase1
-	r.decideFn = r.decideItem
+	r.decideFn = r.decide
 	r.publishFn = r.publishItem
+	r.commitFn = r.commit
 	return r
 }
 
@@ -129,7 +139,7 @@ func (r *Runner[E]) EnsureSet() {
 	})
 	r.applyPlan.Passes = []conc.FusedPass{
 		{Fn: r.phase3Erase},
-		{Fn: r.phase3Insert},
+		{Fn: r.commitFn},
 	}
 	r.compactPlan.Passes = []conc.FusedPass{
 		{Fn: r.compactSnapshot},
@@ -152,7 +162,8 @@ func (r *Runner[E]) Run(switches []Switch) {
 // π's first 2ℓ entries and rest = π[2ℓ:] holds the indices of the
 // edges no switch sources, so every edge index appears exactly once in
 // switches or rest. The decisions read the dependency table only; the
-// edge set, if the runner has one, is updated afterwards.
+// edge list, and the edge set if the runner has one, are updated
+// afterwards.
 func (r *Runner[E]) RunGlobal(switches []Switch, rest []uint32) {
 	r.run(switches, rest, true)
 }
@@ -182,14 +193,18 @@ func (r *Runner[E]) run(switches []Switch, rest []uint32, global bool) {
 	}
 	if r.Set != nil {
 		r.apply(n)
+	} else {
+		r.pool.Blocks(n, r.commitFn)
 	}
 	r.switches, r.rest = nil, nil
 }
 
-// apply is phase 3: the accepted switches update the edge set,
-// erasures before insertions (sub-barrier) so an edge that is erased
-// by one switch and re-inserted by another nets out present; the set
-// is compacted when its tombstones call for it.
+// apply is phase 3 of a set-backed runner: the accepted switches update
+// the edge set, erasures before insertions (sub-barrier) so an edge
+// that is erased by one switch and re-inserted by another nets out
+// present, and the insertion pass is the edge list's write-back
+// (commit); the set is compacted, from the rewired list, when its
+// tombstones call for it.
 func (r *Runner[E]) apply(n int) {
 	r.applyPlan.Passes[0].N = n
 	r.applyPlan.Passes[1].N = n
@@ -205,29 +220,44 @@ func (r *Runner[E]) apply(n int) {
 	}
 }
 
+// gatherBatch is phase 1's gather width: the edges of this many
+// switches (or survivors) are loaded before any of them is registered,
+// so their independent cache misses on the edge list overlap instead
+// of each waiting behind the table stores of the previous switch.
+const gatherBatch = 32
+
 // phase1 registers items [lo, hi) of the superstep: the dependency
-// tuples of switch k for k < n, survivor k − n after them.
+// tuples of switch k for k < n, survivor k − n after them. Each batch
+// gathers its edges first and registers them in item order, so the
+// arena and its registration order do not depend on the batch width.
 func (r *Runner[E]) phase1(w, lo, hi int) {
 	t := r.table
 	n := len(r.switches)
-	for k := lo; k < min(hi, n); k++ {
-		sw := r.switches[k]
-		e1 := r.E[sw.I]
-		e2 := r.E[sw.J]
-		t3, t4 := e1.Targets(e2, sw.G)
-		t.Store(w, k, 0, graph.Edge(e1), conc.KindErase)
-		t.Store(w, k, 1, graph.Edge(e2), conc.KindErase)
-		t.Store(w, k, 2, graph.Edge(t3), conc.KindInsert)
-		t.Store(w, k, 3, graph.Edge(t4), conc.KindInsert)
+	var a, b [gatherBatch]E
+	for k0 := lo; k0 < min(hi, n); k0 += gatherBatch {
+		batch := r.switches[k0:min(k0+gatherBatch, hi, n)]
+		for i, sw := range batch {
+			a[i], b[i] = r.E[sw.I], r.E[sw.J]
+		}
+		for i, sw := range batch {
+			k := k0 + i
+			e1, e2 := a[i], b[i]
+			t3, t4 := e1.Targets(e2, sw.G)
+			t.Store(w, k, 0, graph.Edge(e1), conc.KindErase)
+			t.Store(w, k, 1, graph.Edge(e2), conc.KindErase)
+			t.Store(w, k, 2, graph.Edge(t3), conc.KindInsert)
+			t.Store(w, k, 3, graph.Edge(t4), conc.KindInsert)
+		}
 	}
-	for k := max(lo, n); k < hi; k++ {
-		t.StoreSurvivor(w, k-n, graph.Edge(r.E[r.rest[k-n]]))
+	for j0 := max(lo, n) - n; j0 < hi-n; j0 += gatherBatch {
+		batch := r.rest[j0:min(j0+gatherBatch, hi-n)]
+		for i, idx := range batch {
+			a[i] = r.E[idx]
+		}
+		for i := range batch {
+			t.StoreSurvivor(w, j0+i, graph.Edge(a[i]))
+		}
 	}
-}
-
-// decideItem adapts decide to the driver's item signature.
-func (r *Runner[E]) decideItem(worker int, k int32) uint32 {
-	return r.decide(r.switches[k], int(k), worker)
 }
 
 // publishItem publishes a decision into the dependency table.
@@ -248,16 +278,27 @@ func (r *Runner[E]) phase3Erase(w, lo, hi int) {
 	}
 }
 
-// phase3Insert applies the accepted insertions of switches [lo, hi).
-func (r *Runner[E]) phase3Insert(w, lo, hi int) {
+// commit is the deferred write-back that ends every superstep: each
+// legal switch k writes its targets, the arena's Key(4k+2) and
+// Key(4k+3), over its sources E[sw.I] and E[sw.J], and on a set-backed
+// runner inserts them into the edge set (after the erase pass, see
+// apply). No decision reads E after phase 1, so one write after the
+// last round leaves E as rewiring at decision time would; the sources
+// of a superstep are distinct, so the order of the writes is free.
+func (r *Runner[E]) commit(w, lo, hi int) {
 	t := r.table
 	for k := lo; k < hi; k++ {
 		if t.StatusOf(k) != conc.StatusLegal {
 			continue
 		}
 		base := 4 * k
-		r.Set.InsertUnique(graph.Edge(t.Key(base+2)), w)
-		r.Set.InsertUnique(graph.Edge(t.Key(base+3)), w)
+		t3, t4 := t.Key(base+2), t.Key(base+3)
+		sw := r.switches[k]
+		r.E[sw.I], r.E[sw.J] = E(t3), E(t4)
+		if r.Set != nil {
+			r.Set.InsertUnique(graph.Edge(t3), w)
+			r.Set.InsertUnique(graph.Edge(t4), w)
+		}
 	}
 }
 
@@ -282,12 +323,15 @@ func (r *Runner[E]) compactRebuild(w, lo, hi int) {
 	}
 }
 
-// decide attempts to decide switch k (Algorithm 1, lines 10-33) and
-// returns its resulting status. Legal switches rewire the edge list
-// immediately; the driver publishes the status (immediately, or at the
-// round barrier under the pessimistic scheduler).
-func (r *Runner[E]) decide(sw Switch, k int, worker int) uint32 {
+// decide attempts to decide switch k (Algorithm 1, lines 10-33) from
+// the dependency table (and, in a prefix superstep, the edge set) and
+// returns its resulting status; the driver publishes it (immediately,
+// or at the round barrier under the pessimistic scheduler). It writes
+// nothing but per-worker counters: legal switches rewire the edge list
+// in commit, after the last round.
+func (r *Runner[E]) decide(worker int, item int32) uint32 {
 	t := r.table
+	k := int(item)
 	base := 4 * k
 	e1 := E(t.Key(base))
 	e2 := E(t.Key(base + 1))
@@ -383,10 +427,6 @@ func (r *Runner[E]) decide(sw Switch, k int, worker int) uint32 {
 		}
 	}
 
-	if st == conc.StatusLegal {
-		r.E[sw.I] = t3
-		r.E[sw.J] = t4
-	}
 	return st
 }
 

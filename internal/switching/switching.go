@@ -18,9 +18,10 @@
 //   - Runner[E] (runner.go): the edge-switch instantiation — the
 //     dependency-table phases (tuple and survivor registration, the
 //     table's filter merge and chain link, round-based decisions that
-//     probe only targets the filter cannot clear, and, on set-backed
-//     runners, erase/insert
-//     application to the concurrent edge set and its compaction),
+//     probe only targets the filter cannot clear and write no edge, one
+//     write-back of the accepted targets into the edge list after the
+//     last round and, on set-backed runners, erase/insert application
+//     to the concurrent edge set and its compaction),
 //     parameterized by the 64-bit edge encoding E.
 //     graph.Edge (canonical undirected edges) and digraph.Arc
 //     (orientation-preserving directed arcs) both instantiate it; the
