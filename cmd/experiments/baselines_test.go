@@ -45,8 +45,9 @@ func edgeListHash(edges []graph.Edge) uint64 {
 
 // TestBaselineGoldens pins the final edge lists of the baselines after
 // 12 supersteps at seed 5. The values were recorded from the baselines'
-// earlier home inside internal/core (on conc.EdgeSet's lock byte and
-// ticket API); the plug-ins here must reproduce them exactly.
+// earlier home inside internal/core (on the lock byte and ticket API of
+// the kernel's former concurrent edge set); the plug-ins here must
+// reproduce them exactly.
 // NaiveParES runs at one worker, where it is deterministic; the
 // power-law case rebuilds its table several times. The adjacency-list
 // baselines equal SeqES on both targets.

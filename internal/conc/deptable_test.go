@@ -7,6 +7,8 @@ import (
 	"gesmc/internal/rng"
 )
 
+func edge(u, v uint32) graph.Edge { return graph.MakeEdge(u, v) }
+
 // unfiltered returns a one-worker table whose filter marks every slot
 // shared, so Probe sees every registered tuple: the chain mechanics
 // under test do not depend on which keys the filter finds unique.

@@ -2,11 +2,8 @@
 // the parallel switching algorithms: the per-superstep dependency table
 // of Algorithm 1, which in a global superstep indexes every edge of the
 // graph through survivor tuples and, behind a tuple-count filter,
-// chains and probes only the keys that more than one tuple names; a
-// fixed-capacity concurrent edge set (§5.2 of the paper), kept only by
-// runners that need edge membership between supersteps (prefix
-// supersteps and the connectivity constraint); and the persistent
-// worker gang that runs every parallel loop.
+// chains and probes only the keys that more than one tuple names; and
+// the persistent worker gang that runs every parallel loop.
 package conc
 
 import (

@@ -78,8 +78,8 @@ func BenchmarkPoolDispatchTwoBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolDispatchFused3 measures the three-pass shape used by the
-// fused compaction (snapshot / clear+reset / rebuild).
+// BenchmarkPoolDispatchFused3 measures a three-pass fused plan with a
+// serial barrier hook between the second and third passes.
 func BenchmarkPoolDispatchFused3(b *testing.B) {
 	for _, w := range benchPoolWorkers() {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {

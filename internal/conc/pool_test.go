@@ -10,6 +10,19 @@ import (
 	"time"
 )
 
+// expectPanic asserts that fn panics: the pool's contracts are enforced
+// by panics, which must actually fire on misuse rather than corrupt
+// state silently.
+func expectPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
 // TestPoolBlocksCoversAllWorkers: a Blocks dispatch large enough for
 // the gang calls the body exactly once on every worker.
 func TestPoolBlocksCoversAllWorkers(t *testing.T) {

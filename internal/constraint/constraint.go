@@ -174,6 +174,13 @@ type Spec struct {
 	// Stall is the number of consecutive connectivity rejections after
 	// which the chain attempts a compound k-switch escape move; 0
 	// selects DefaultStall. Only meaningful with Connected.
+	//
+	// Under Connected alone an undirected sequential chain practically
+	// never reaches DefaultStall: where one reconnection of an edge pair
+	// is simple and disconnects the graph, the other is simple and keeps
+	// it connected, so each connectivity veto is matched by an equally
+	// likely acceptance, and an acceptance resets the count. Directed
+	// targets do stall (a directed path has no connected single switch).
 	Stall int
 }
 

@@ -7,9 +7,9 @@ import (
 
 // GraphOps is the minimal edge-set interface Escape needs to execute
 // switches: membership, insertion, and erasure over the chain's
-// authoritative set. Chains adapt their set type (the sequential
-// chains' hashset.Set, the parallel runner's conc.EdgeSet) with three
-// closures built once at engine construction.
+// authoritative hashset.Set (a sequential chain's own, or the parallel
+// runner's), adapted with three closures built once at engine
+// construction.
 type GraphOps[E any] struct {
 	Contains func(E) bool
 	Insert   func(E)

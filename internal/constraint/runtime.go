@@ -24,10 +24,10 @@ const ParStallSupersteps = 2
 // the edge encoding so the undirected (graph.Edge) and directed (Arc)
 // chains share one implementation: the fused local veto, the
 // connectivity tracker (nil without Connected), the escape graph ops,
-// and the stall state. Ops must be bound to the chain's edge set — the
-// sequential chains' hashset.Set (Sequential) or the parallel runner's
-// conc.EdgeSet (BindRunner) — before the first ExecuteSequential or
-// AfterSuperstep call.
+// and the stall state. Ops must be bound to the chain's hashset.Set —
+// a sequential chain's own set (Sequential) or the parallel runner's
+// (BindRunner) — before the first ExecuteSequential or AfterSuperstep
+// call.
 type Runtime[E switching.EdgeKind[E]] struct {
 	Veto    func(e1, e2, t3, t4 E) bool
 	Tracker *Tracker
@@ -123,40 +123,43 @@ func (c *Runtime[E]) escape(edges []E, src rng.Source, st *switching.Stats) {
 
 // BindRunner installs the local veto on a parallel chain's runner and,
 // when connectivity is required, points the escape graph ops at its
-// concurrent edge set (built here if the runner has none: rollbacks
-// and escapes need edge membership between supersteps, which the
-// dependency table does not keep). The set stores every edge kind
-// bit-cast to graph.Edge exactly as the runner's own phases do. The
-// ops run single-goroutine between supersteps, so they count as
-// worker 0.
+// edge set (built here if the runner has none: rollbacks and escapes
+// need edge membership between supersteps, which the dependency table
+// does not keep). The ops run on a single goroutine between
+// supersteps. A nil runtime leaves the runner unconstrained.
 func (c *Runtime[E]) BindRunner(r *switching.Runner[E]) {
+	if c == nil {
+		return
+	}
 	r.Veto = c.Veto
 	if c.Tracker == nil {
 		return
 	}
 	r.EnsureSet()
-	c.Ops = GraphOps[E]{
-		Contains: func(e E) bool { return r.Set.Contains(graph.Edge(e)) },
-		Insert:   func(e E) { r.Set.InsertUnique(graph.Edge(e), 0) },
-		Erase:    func(e E) { r.Set.EraseUnique(graph.Edge(e), 0) },
-	}
+	c.bind(r.Set)
 }
 
-// Sequential points the graph ops at a sequential chain's hash set,
-// which stores every edge kind bit-cast to graph.Edge, and returns
-// ExecuteSequential as the chain's executor, or nil when there is no
-// runtime. A nil runtime's method value is a valid binder, so chains
-// pass cons.Sequential whether or not a constraint is configured.
+// Sequential points the graph ops at a sequential chain's hash set and
+// returns ExecuteSequential as the chain's executor, or nil when there
+// is no runtime. A nil runtime's method value is a valid binder, so
+// chains pass cons.Sequential whether or not a constraint is
+// configured.
 func (c *Runtime[E]) Sequential(S *hashset.Set) switching.SeqExecFunc[E] {
 	if c == nil {
 		return nil
 	}
+	c.bind(S)
+	return c.ExecuteSequential
+}
+
+// bind points the graph ops at S, which stores every edge kind
+// bit-cast to graph.Edge.
+func (c *Runtime[E]) bind(S *hashset.Set) {
 	c.Ops = GraphOps[E]{
 		Contains: func(e E) bool { return S.Contains(graph.Edge(e)) },
 		Insert:   func(e E) { S.Insert(graph.Edge(e)) },
 		Erase:    func(e E) { S.Erase(graph.Edge(e)) },
 	}
-	return c.ExecuteSequential
 }
 
 // After returns AfterSuperstep as a parallel stepper's hook, or nil

@@ -41,7 +41,7 @@ func TestEngineSuperstepAllocs(t *testing.T) {
 				}
 				defer eng.Close()
 				// Warm-up: grow every reused buffer (switch buffer,
-				// undecided list, delay buffers, compaction scratch)
+				// undecided list, delay buffers)
 				// and let worker stacks reach steady state.
 				if _, err := eng.Steps(ctx, 8); err != nil {
 					t.Fatal(err)

@@ -308,7 +308,7 @@ func TestEscapeMovesFire(t *testing.T) {
 }
 
 // TestParESEdgeSet: ParES's prefix supersteps look up unsourced edges
-// in the concurrent edge set, which its runner builds on the first
+// in the edge set, which its runner builds on the first
 // superstep (up front when the connectivity constraint needs it) and
 // keeps indexing every edge.
 func TestParESEdgeSet(t *testing.T) {

@@ -68,8 +68,6 @@ func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
 func newRunner(edges []graph.Edge, maxSwitches int, cfg Config, cons *constrainedRuntime) *SuperstepRunner {
 	r := NewSuperstepRunner(edges, maxSwitches, cfg.workers())
 	r.Pessimistic = cfg.PessimisticRounds
-	if cons != nil {
-		cons.BindRunner(r)
-	}
+	cons.BindRunner(r)
 	return r
 }

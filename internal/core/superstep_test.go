@@ -51,7 +51,7 @@ func assertExactMatch(t *testing.T, g *graph.Graph, switches []Switch, workers i
 				i, seqE[i], parE[i], workers)
 		}
 	}
-	// The concurrent edge set must mirror the edge list.
+	// The edge set must mirror the edge list.
 	if r.Set.Len() != len(parE) {
 		t.Fatalf("edge set size %d, edge list %d", r.Set.Len(), len(parE))
 	}
@@ -213,7 +213,7 @@ func TestSuperstepEmptyBatch(t *testing.T) {
 func TestSuperstepManyConsecutive(t *testing.T) {
 	// Chained supersteps against chained sequential execution: state
 	// must track bit-exactly across superstep boundaries (exercises the
-	// set update + compaction path).
+	// edge-set update).
 	src := rng.NewMT19937(4004)
 	g := gen.GNP(60, 0.15, src)
 	m := g.M()

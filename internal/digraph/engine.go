@@ -82,9 +82,7 @@ func NewEngine(g *DiGraph, alg Algorithm, cfg Config) (*switching.Engine, error)
 	case AlgParGlobalES:
 		r := NewSuperstepRunner(g.Arcs(), g.M()/2, max(cfg.Workers, 1))
 		r.Pessimistic = cfg.PessimisticRounds
-		if cons != nil {
-			cons.BindRunner(r)
-		}
+		cons.BindRunner(r)
 		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), cons.After())
 	default:
 		return nil, ErrUnknownAlgorithm

@@ -8,7 +8,7 @@
 // whose low 32 bits hold v. Node identifiers must fit in 28 bits
 // (n ≤ 2^28). That is the paper's limit, which packs two endpoints next
 // to an 8-bit lock byte; it is kept as public behaviour, although the
-// concurrent edge set stores the full 64-bit encoding.
+// edge set (internal/hashset) stores the full 64-bit encoding.
 package graph
 
 import "fmt"

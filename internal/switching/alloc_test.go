@@ -27,13 +27,13 @@ func globalStep(m, n int, src rng.Source) ([]switching.Switch, []uint32) {
 }
 
 // TestRunnerSuperstepAllocs is the allocation-regression gate of the
-// gang-scheduled kernel: after warm-up (scratch grown, compaction path
-// exercised), a superstep must perform (almost) no heap allocations —
-// the phase bodies, driver hooks, and pool dispatches are all
-// persistent. It covers both superstep shapes: Run, the set-backed
-// prefix path with its fused apply, and RunGlobal on a set-less
-// runner, the production ParGlobalES path with its write-back
-// dispatch. The bound of 1 tolerates rare runtime-internal
+// gang-scheduled kernel: after warm-up (scratch grown), a superstep
+// must perform (almost) no heap allocations — the phase bodies, driver
+// hooks, and pool dispatches are all persistent. It covers both
+// superstep shapes: Run, the set-backed prefix path, whose edge set
+// must keep its bucket array (a set that grew would allocate), and
+// RunGlobal on a set-less runner, the production ParGlobalES path. The
+// bound of 1 tolerates rare runtime-internal
 // allocations (e.g. a goroutine stack growth); the historical
 // spawn-per-phase kernel sat at ~15+ per superstep before counting
 // goroutine churn.
@@ -49,14 +49,18 @@ func TestRunnerSuperstepAllocs(t *testing.T) {
 			E := append([]graph.Edge(nil), g.Edges()...)
 			r := switching.NewRunner(E, m/2, workers)
 			defer r.Release()
-			// Warm up: grows the undecided list, the per-worker delay
-			// buffers, and the compaction scratch, and lets worker
-			// stacks reach steady state.
+			r.EnsureSet()
+			buckets := r.Set.Buckets()
+			// Warm up: grows the undecided list and the per-worker
+			// delay buffers, and lets worker stacks reach steady state.
 			for i := 0; i < 6; i++ {
 				r.Run(globalSwitchStep(m, src))
 			}
 			switches := globalSwitchStep(m, src)
 			assertSuperstepAllocs(t, func() { r.Run(switches) })
+			if got := r.Set.Buckets(); got != buckets {
+				t.Fatalf("edge set grew from %d to %d buckets", buckets, got)
+			}
 		})
 		t.Run(fmt.Sprintf("global/workers=%d", workers), func(t *testing.T) {
 			E := append([]graph.Edge(nil), g.Edges()...)

@@ -1,18 +1,21 @@
 package switching
 
-import "gesmc/internal/conc"
+import (
+	"gesmc/internal/conc"
+	"gesmc/internal/hashset"
+)
 
-// EdgeSetOf returns the concurrent edge set held by the runner behind
-// engine e; ok is false when e's stepper is not a GlobalStepper.
-func EdgeSetOf(e *Engine) (set *conc.EdgeSet, ok bool) {
-	s, ok := e.st.(interface{ edgeSet() *conc.EdgeSet })
+// EdgeSetOf returns the edge set held by the runner behind engine e; ok
+// is false when e's stepper is not a GlobalStepper.
+func EdgeSetOf(e *Engine) (set *hashset.Set, ok bool) {
+	s, ok := e.st.(interface{ edgeSet() *hashset.Set })
 	if !ok {
 		return nil, false
 	}
 	return s.edgeSet(), true
 }
 
-func (s *GlobalStepper[E]) edgeSet() *conc.EdgeSet { return s.runner.Set }
+func (s *GlobalStepper[E]) edgeSet() *hashset.Set { return s.runner.Set }
 
 // DisableFilter makes the dependency table of the runner behind engine
 // e link and probe every tuple, as a table without the tuple-count

@@ -12,8 +12,8 @@ import (
 	"gesmc/internal/switching"
 )
 
-// checkEdgeSet asserts whether the ParGlobalES engine e holds a
-// concurrent edge set, and that a held set indexes all m edges both
+// checkEdgeSet asserts whether the ParGlobalES engine e holds an edge
+// set, and that a held set indexes all m edges both
 // after compilation and after a few supersteps.
 func checkEdgeSet(t *testing.T, name string, e *switching.Engine, m int, want bool) {
 	t.Helper()
@@ -37,7 +37,7 @@ func checkEdgeSet(t *testing.T, name string, e *switching.Engine, m int, want bo
 
 // TestGlobalEdgeSetOwnership: a global superstep decides from the
 // dependency table alone, so an unconstrained or locally constrained
-// ParGlobalES, undirected and directed, holds no concurrent edge set.
+// ParGlobalES, undirected and directed, holds no edge set.
 // The connectivity constraint's rollbacks and escapes need edge
 // membership between supersteps and keep one.
 func TestGlobalEdgeSetOwnership(t *testing.T) {

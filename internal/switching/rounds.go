@@ -112,7 +112,7 @@ func (d *RoundDriver) Init(workers int) {
 func (d *RoundDriver) Workers() int { return d.workers }
 
 // Pool returns the persistent worker gang, so the embedding engine can
-// run its other phases (tuple registration, apply, compaction) on the
+// run its other phases (tuple registration, write-back) on the
 // same long-lived goroutines.
 func (d *RoundDriver) Pool() *conc.Pool { return d.pool }
 

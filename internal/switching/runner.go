@@ -3,6 +3,7 @@ package switching
 import (
 	"gesmc/internal/conc"
 	"gesmc/internal/graph"
+	"gesmc/internal/hashset"
 )
 
 // Runner executes supersteps of source-independent switches in parallel
@@ -21,9 +22,9 @@ import (
 //     every edge present at superstep start, and decide reads nothing
 //     else.
 //   - A prefix superstep (Run, Algorithm 2) sources only Θ(√m) edges,
-//     so the runner keeps the concurrent edge set Set for membership of
-//     the unsourced ones, applies accepted switches to it (phase 3),
-//     and compacts it.
+//     so decide looks the unsourced ones up in the edge set Set, the
+//     sequential §5.2 hash set, which no one writes while decide reads
+//     it.
 //
 // Phase 1 is three passes: registration of the tuples, then the
 // dependency table's filter merge and chain link (conc.DepTable), so
@@ -34,15 +35,15 @@ import (
 // in a prefix superstep, the set) and publishes statuses, and it
 // writes no edge. Phase 3 then writes every legal switch's targets,
 // which the table's arena already holds, into the edge list in one
-// pass (commit) — its own dispatch on a set-less runner, the set's
-// insertion pass on a set-backed one — before Run or RunGlobal
-// returns.
+// dispatch (commit) before Run or RunGlobal returns; a set-backed
+// runner then updates the set on the leader goroutine (applySet).
 //
 // The set exists only where a caller needs edge membership between
 // supersteps: Run builds it on first use for prefix supersteps, and
 // EnsureSet builds it up front for the connectivity constraint's
-// rollback and escape moves. A global superstep on a set-backed runner
-// still decides from the table alone and then keeps the set in step.
+// rollback and escape moves, which run on a single goroutine. A global
+// superstep on a set-backed runner still decides from the table alone
+// and then keeps the set in step.
 // All phases dispatch on the driver's persistent worker gang through
 // function values created once at construction, so a steady-state
 // superstep performs zero heap allocations (asserted by the
@@ -63,7 +64,7 @@ type Runner[E EdgeKind[E]] struct {
 	// Set indexes E between supersteps; nil until the first Run or an
 	// EnsureSet call, so a runner that only runs global supersteps
 	// never builds it.
-	Set *conc.EdgeSet
+	Set *hashset.Set
 
 	// Veto is the local-constraint hook of the constraint subsystem:
 	// when non-nil, a switch whose (sources, targets) it reports true
@@ -74,7 +75,6 @@ type Runner[E EdgeKind[E]] struct {
 	Veto func(e1, e2, t3, t4 E) bool
 
 	table    *conc.DepTable
-	scratch  []graph.Edge
 	switches []Switch
 	vetoTot  []paddedCounter
 
@@ -92,16 +92,6 @@ type Runner[E EdgeKind[E]] struct {
 	decideFn  Decide
 	publishFn Publish
 	commitFn  func(w, lo, hi int)
-
-	// Fused dispatch plans of set-backed runners, built once by
-	// EnsureSet; only the pass lengths mutate per superstep. applyPlan
-	// runs phase 3's erase and insert-and-write-back (commit) on a
-	// single gang wake (the erase-before-insert order is preserved by
-	// the plan's sub-barrier); compactPlan collapses the three
-	// compaction sweeps — snapshot, clear (with the serial counter
-	// reset as its barrier hook), rebuild — into one dispatch.
-	applyPlan   conc.FusedPlan
-	compactPlan conc.FusedPlan
 }
 
 // NewRunner prepares a runner for edge list E, supporting supersteps of
@@ -113,8 +103,8 @@ func NewRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
 	r.RoundDriver.Init(workers)
 	r.table = conc.NewDepTable(maxSwitches, r.Workers())
 	r.vetoTot = make([]paddedCounter, r.Workers())
-	// A 1-worker gang drives the table (and set) from a single
-	// goroutine: drop the CAS/XCHG write paths for plain stores.
+	// A 1-worker gang drives the table from a single goroutine: drop
+	// the CAS/XCHG write paths for plain stores.
 	r.table.SetSequential(r.Workers() == 1)
 	r.prologue[0].Fn = r.phase1
 	r.decideFn = r.decide
@@ -123,28 +113,17 @@ func NewRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
 	return r
 }
 
-// EnsureSet builds the concurrent edge set over the current edge list,
-// if the runner has none, and keeps it up to date from then on. Call
-// it at a superstep boundary.
+// setLoad is the runner's edge-set load factor: decide probes the set
+// for every target of a prefix superstep, so the runner buys shorter
+// probe chains with twice the sequential chains' buckets (DESIGN §6).
+const setLoad = 0.25
+
+// EnsureSet builds the edge set over the current edge list, if the
+// runner has none, and keeps it up to date from then on. Call it at a
+// superstep boundary.
 func (r *Runner[E]) EnsureSet() {
-	if r.Set != nil {
-		return
-	}
-	r.Set = conc.NewEdgeSet(len(r.E)*2, r.Workers())
-	r.Set.SetSequential(r.Workers() == 1)
-	r.pool.Blocks(len(r.E), func(w, lo, hi int) {
-		for _, e := range r.E[lo:hi] {
-			r.Set.InsertUnique(graph.Edge(e), w)
-		}
-	})
-	r.applyPlan.Passes = []conc.FusedPass{
-		{Fn: r.phase3Erase},
-		{Fn: r.commitFn},
-	}
-	r.compactPlan.Passes = []conc.FusedPass{
-		{Fn: r.compactSnapshot},
-		{Fn: r.compactClear, After: r.Set.ResetCounts},
-		{Fn: r.compactRebuild},
+	if r.Set == nil {
+		r.Set = hashset.FromEdges(r.E, setLoad)
 	}
 }
 
@@ -191,32 +170,29 @@ func (r *Runner[E]) run(switches []Switch, rest []uint32, global bool) {
 		r.Stats.Vetoed += r.vetoTot[i].v
 		r.vetoTot[i].v = 0
 	}
+	r.pool.Blocks(n, r.commitFn)
 	if r.Set != nil {
-		r.apply(n)
-	} else {
-		r.pool.Blocks(n, r.commitFn)
+		r.applySet(n)
 	}
 	r.switches, r.rest = nil, nil
 }
 
-// apply is phase 3 of a set-backed runner: the accepted switches update
-// the edge set, erasures before insertions (sub-barrier) so an edge
-// that is erased by one switch and re-inserted by another nets out
-// present, and the insertion pass is the edge list's write-back
-// (commit); the set is compacted, from the rewired list, when its
-// tombstones call for it.
-func (r *Runner[E]) apply(n int) {
-	r.applyPlan.Passes[0].N = n
-	r.applyPlan.Passes[1].N = n
-	r.pool.Fused(&r.applyPlan)
-	if r.Set.NeedsCompact() {
-		if cap(r.scratch) < len(r.E) {
-			r.scratch = make([]graph.Edge, len(r.E))
+// applySet keeps a set-backed runner's edge set in step with the
+// superstep, on the leader goroutine: each legal switch, in switch
+// order, erases its sources and then inserts its targets — the
+// sequential application the superstep is equivalent to — so the set
+// never holds more than m edges and never grows.
+func (r *Runner[E]) applySet(n int) {
+	t := r.table
+	for k := 0; k < n; k++ {
+		if t.StatusOf(k) != conc.StatusLegal {
+			continue
 		}
-		r.compactPlan.Passes[0].N = len(r.E)
-		r.compactPlan.Passes[1].N = r.Set.Buckets()
-		r.compactPlan.Passes[2].N = len(r.E)
-		r.pool.Fused(&r.compactPlan)
+		base := 4 * k
+		r.Set.Erase(graph.Edge(t.Key(base)))
+		r.Set.Erase(graph.Edge(t.Key(base + 1)))
+		r.Set.Insert(graph.Edge(t.Key(base + 2)))
+		r.Set.Insert(graph.Edge(t.Key(base + 3)))
 	}
 }
 
@@ -265,61 +241,21 @@ func (r *Runner[E]) publishItem(k int32, st uint32) {
 	r.table.SetStatus(int(k), st)
 }
 
-// phase3Erase applies the accepted erasures of switches [lo, hi).
-func (r *Runner[E]) phase3Erase(w, lo, hi int) {
-	t := r.table
-	for k := lo; k < hi; k++ {
-		if t.StatusOf(k) != conc.StatusLegal {
-			continue
-		}
-		base := 4 * k
-		r.Set.EraseUnique(graph.Edge(t.Key(base)), w)
-		r.Set.EraseUnique(graph.Edge(t.Key(base+1)), w)
-	}
-}
-
 // commit is the deferred write-back that ends every superstep: each
 // legal switch k writes its targets, the arena's Key(4k+2) and
-// Key(4k+3), over its sources E[sw.I] and E[sw.J], and on a set-backed
-// runner inserts them into the edge set (after the erase pass, see
-// apply). No decision reads E after phase 1, so one write after the
-// last round leaves E as rewiring at decision time would; the sources
-// of a superstep are distinct, so the order of the writes is free.
-func (r *Runner[E]) commit(w, lo, hi int) {
+// Key(4k+3), over its sources E[sw.I] and E[sw.J]. No decision reads E
+// after phase 1, so one write after the last round leaves E as
+// rewiring at decision time would; the sources of a superstep are
+// distinct, so the order of the writes is free.
+func (r *Runner[E]) commit(_, lo, hi int) {
 	t := r.table
 	for k := lo; k < hi; k++ {
 		if t.StatusOf(k) != conc.StatusLegal {
 			continue
 		}
 		base := 4 * k
-		t3, t4 := t.Key(base+2), t.Key(base+3)
 		sw := r.switches[k]
-		r.E[sw.I], r.E[sw.J] = E(t3), E(t4)
-		if r.Set != nil {
-			r.Set.InsertUnique(graph.Edge(t3), w)
-			r.Set.InsertUnique(graph.Edge(t4), w)
-		}
-	}
-}
-
-// compactSnapshot copies the authoritative edge list into the scratch
-// buffer (phase bodies cannot take parameters, so the buffer length is
-// re-derived from E).
-func (r *Runner[E]) compactSnapshot(_, lo, hi int) {
-	s := r.scratch[:len(r.E)]
-	for i := lo; i < hi; i++ {
-		s[i] = graph.Edge(r.E[i])
-	}
-}
-
-func (r *Runner[E]) compactClear(_, lo, hi int) {
-	r.Set.ClearRange(lo, hi)
-}
-
-func (r *Runner[E]) compactRebuild(w, lo, hi int) {
-	s := r.scratch[:len(r.E)]
-	for i := lo; i < hi; i++ {
-		r.Set.InsertUnique(s[i], w)
+		r.E[sw.I], r.E[sw.J] = E(t.Key(base+2)), E(t.Key(base+3))
 	}
 }
 
@@ -356,19 +292,14 @@ func (r *Runner[E]) decide(worker int, item int32) uint32 {
 		// it, and in a global superstep the missing survivor tuple
 		// shows it absent. Only shared targets walk a chain. Start the
 		// bucket loads the loop below depends on before walking any of
-		// them: the table chains (and, in a prefix superstep, the two
-		// set probes) then overlap their leading cache misses instead
-		// of serializing the memory round-trips.
+		// them: the table chains then overlap their leading cache
+		// misses instead of serializing the memory round-trips.
 		targets := [2]E{t3, t4}
 		unique := [2]bool{t.Unique(graph.Edge(t3)), t.Unique(graph.Edge(t4))}
 		for i, target := range targets {
 			if !unique[i] {
 				t.Touch(graph.Edge(target))
 			}
-		}
-		if !r.global {
-			r.Set.Touch(graph.Edge(t3))
-			r.Set.Touch(graph.Edge(t4))
 		}
 		delay := false
 		for i, target := range targets {
@@ -444,8 +375,7 @@ func (r *Runner[E]) Accepted(k int) bool {
 // for global constraints (constraint.Recertify) and must be applied in
 // reverse commit order — undoing the highest accepted k first — so
 // that each undo reverts exactly the last step of the equivalent
-// sequential application. Single-goroutine, between supersteps only;
-// the set updates count as worker 0.
+// sequential application. Single-goroutine, between supersteps only.
 func (r *Runner[E]) Rollback(k int, sw Switch) {
 	t := r.table
 	base := 4 * k
@@ -453,10 +383,10 @@ func (r *Runner[E]) Rollback(k int, sw Switch) {
 	e2 := E(t.Key(base + 1))
 	t3 := E(t.Key(base + 2))
 	t4 := E(t.Key(base + 3))
-	r.Set.EraseUnique(graph.Edge(t3), 0)
-	r.Set.EraseUnique(graph.Edge(t4), 0)
-	r.Set.InsertUnique(graph.Edge(e1), 0)
-	r.Set.InsertUnique(graph.Edge(e2), 0)
+	r.Set.Erase(graph.Edge(t3))
+	r.Set.Erase(graph.Edge(t4))
+	r.Set.Insert(graph.Edge(e1))
+	r.Set.Insert(graph.Edge(e2))
 	r.E[sw.I] = e1
 	r.E[sw.J] = e2
 	t.SetStatus(k, conc.StatusIllegal)

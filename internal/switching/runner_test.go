@@ -242,12 +242,10 @@ func TestExecuteSequentialMatchesMapReference(t *testing.T) {
 	t.Logf("own-target switches: %d undirected, %d directed", ownU, ownD)
 }
 
-// TestRunnerSetCountsAcrossCompactions runs 50 ParGlobalES supersteps
-// at several worker counts, long enough to cross the compaction
-// threshold repeatedly, and checks after each one that the edge set's
-// summed per-worker counters still say m live edges, that a full scan
-// agrees, and that every edge of the list is in the set.
-func TestRunnerSetCountsAcrossCompactions(t *testing.T) {
+// TestRunnerSetCountsAcrossSupersteps runs 50 ParGlobalES supersteps
+// at several worker counts and checks after each one that the edge set
+// still holds m edges and that every edge of the list is in it.
+func TestRunnerSetCountsAcrossSupersteps(t *testing.T) {
 	src := rng.NewMT19937(9004)
 	g, err := gen.SynPldGraph(1<<11, 2.2, src)
 	if err != nil {
@@ -262,13 +260,8 @@ func TestRunnerSetCountsAcrossCompactions(t *testing.T) {
 		E := append([]graph.Edge(nil), g.Edges()...)
 		r := switching.NewRunner(E, m/2, w)
 		r.EnsureSet()
-		compactions := 0
 		for i, sw := range steps {
-			before := r.Set.Tombstones()
 			r.Run(sw)
-			if r.Set.Tombstones() < before {
-				compactions++
-			}
 			if r.Set.Len() != m {
 				t.Fatalf("workers=%d superstep %d: Set.Len() = %d, want %d", w, i, r.Set.Len(), m)
 			}
@@ -279,10 +272,6 @@ func TestRunnerSetCountsAcrossCompactions(t *testing.T) {
 			}
 		}
 		r.Release()
-		t.Logf("workers=%d: %d compactions", w, compactions)
-		if compactions < 3 {
-			t.Fatalf("workers=%d: %d compactions in %d supersteps, want several", w, compactions, len(steps))
-		}
 	}
 }
 

@@ -20,8 +20,8 @@
 //     table's filter merge and chain link, round-based decisions that
 //     probe only targets the filter cannot clear and write no edge, one
 //     write-back of the accepted targets into the edge list after the
-//     last round and, on set-backed runners, erase/insert application
-//     to the concurrent edge set and its compaction),
+//     last round and, on set-backed runners, the leader's erase/insert
+//     update of the edge set),
 //     parameterized by the 64-bit edge encoding E.
 //     graph.Edge (canonical undirected edges) and digraph.Arc
 //     (orientation-preserving directed arcs) both instantiate it; the
