@@ -227,21 +227,23 @@ func bench(opt options) error {
 	fmt.Printf("%-22s %-8s %12s %14s %16s %10s\n",
 		"chain", "workers", "attempted", "ns/switch", "allocs/superstep", "speedup")
 	for _, c := range chains {
+		var base float64
 		counts := workerCounts
 		if c.seq {
 			counts = workerCounts[:1]
 		}
-		rows, err := benchChain(c.name, c.alg, c.target, counts, supersteps, opt.seed)
-		if err != nil {
-			return err
-		}
-		base := rows[0].NsPerSwitch
-		for _, r := range rows {
-			if r.Workers > report.GoMaxProcs {
+		for _, w := range counts {
+			r, err := benchOne(c.name, c.alg, c.target(), w, supersteps, opt.seed)
+			if err != nil {
+				return err
+			}
+			if w == 1 {
+				base = r.NsPerSwitch
+			} else if w > report.GoMaxProcs {
 				// Fewer cores than workers: the w-vs-1 ratio measures
 				// scheduler time-slicing, not parallel speedup.
 				r.CPUBound = true
-			} else if r.Workers > 1 && base > 0 {
+			} else if base > 0 {
 				sp := base / r.NsPerSwitch
 				r.SpeedupVsW1 = &sp
 			}
@@ -298,66 +300,46 @@ func bench(opt options) error {
 // steady state, so they come from the last window.
 const benchWindows = 3
 
-// benchChain times one chain at each worker count of counts (counts[0]
-// is 1) and returns one row per count. It first compiles a sampler per
-// count (setup excluded, as in §6's methodology) and runs one warm-up
-// superstep on each, which grows all reusable scratch to steady state.
-// It then interleaves the benchWindows windows of the measured
-// supersteps: window i visits the samplers in ascending worker order
-// when i is even and descending when it is odd, so host drift over the
-// run falls on every row of the chain alike instead of on the rows'
-// ratio (speedup_vs_w1). Heap allocations are counted via
-// runtime.MemStats, and each row keeps its fastest window's ns/switch.
-func benchChain(name string, alg gesmc.Algorithm, target func() gesmc.Target, counts []int, supersteps int, seed uint64) ([]benchResult, error) {
-	samplers := make([]*gesmc.Sampler, 0, len(counts))
-	defer func() {
-		for _, s := range samplers {
-			s.Close()
-		}
-	}()
-	for _, w := range counts {
-		s, err := gesmc.NewSampler(target(),
-			gesmc.WithAlgorithm(alg),
-			gesmc.WithWorkers(w),
-			gesmc.WithSeed(seed))
+// benchOne compiles the sampler once (setup excluded, as in §6's
+// methodology), runs one warm-up superstep (which also grows all
+// reusable scratch to steady state), then times benchWindows windows
+// of the measured supersteps, counting heap allocations via
+// runtime.MemStats and keeping the fastest window's ns/switch.
+func benchOne(name string, alg gesmc.Algorithm, target gesmc.Target, workers, supersteps int, seed uint64) (benchResult, error) {
+	s, err := gesmc.NewSampler(target,
+		gesmc.WithAlgorithm(alg),
+		gesmc.WithWorkers(workers),
+		gesmc.WithSeed(seed))
+	if err != nil {
+		return benchResult{}, err
+	}
+	defer s.Close()
+	if _, err := s.Step(1); err != nil {
+		return benchResult{}, err
+	}
+	var r benchResult
+	for w := 0; w < benchWindows; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stats, err := s.Step(supersteps)
 		if err != nil {
-			return nil, err
+			return benchResult{}, err
 		}
-		samplers = append(samplers, s)
-		if _, err := s.Step(1); err != nil {
-			return nil, err
+		runtime.ReadMemStats(&after)
+		ns := 0.0
+		if stats.Attempted > 0 {
+			ns = float64(stats.Duration.Nanoseconds()) / float64(stats.Attempted)
 		}
+		if w == 0 || ns < r.NsPerSwitch {
+			r.NsPerSwitch = ns
+		}
+		r.Name = name
+		r.Workers = workers
+		r.Supersteps = stats.Supersteps
+		r.Attempted = stats.Attempted
+		r.AllocsPerSuperstep = float64(after.Mallocs-before.Mallocs) / float64(supersteps)
 	}
-	rows := make([]benchResult, len(counts))
-	for win := 0; win < benchWindows; win++ {
-		for j := range counts {
-			i := j
-			if win%2 == 1 {
-				i = len(counts) - 1 - j
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			stats, err := samplers[i].Step(supersteps)
-			if err != nil {
-				return nil, err
-			}
-			runtime.ReadMemStats(&after)
-			ns := 0.0
-			if stats.Attempted > 0 {
-				ns = float64(stats.Duration.Nanoseconds()) / float64(stats.Attempted)
-			}
-			r := &rows[i]
-			if win == 0 || ns < r.NsPerSwitch {
-				r.NsPerSwitch = ns
-			}
-			r.Name = name
-			r.Workers = counts[i]
-			r.Supersteps = stats.Supersteps
-			r.Attempted = stats.Attempted
-			r.AllocsPerSuperstep = float64(after.Mallocs-before.Mallocs) / float64(supersteps)
-		}
-	}
-	return rows, nil
+	return r, nil
 }
 
 // benchDigraph samples a simple digraph with exactly m arcs by

@@ -181,7 +181,10 @@ func (r *Runner[E]) run(switches []Switch, rest []uint32, global bool) {
 // superstep, on the leader goroutine: each legal switch, in switch
 // order, erases its sources and then inserts its targets — the
 // sequential application the superstep is equivalent to — so the set
-// never holds more than m edges and never grows.
+// never holds more than m edges and never grows. The loop is serial,
+// four set operations per accepted switch: O(√m) per prefix
+// superstep, but O(m) per global superstep on a set-backed runner
+// (DESIGN §3).
 func (r *Runner[E]) applySet(n int) {
 	t := r.table
 	for k := 0; k < n; k++ {
@@ -189,10 +192,24 @@ func (r *Runner[E]) applySet(n int) {
 			continue
 		}
 		base := 4 * k
-		r.Set.Erase(graph.Edge(t.Key(base)))
-		r.Set.Erase(graph.Edge(t.Key(base + 1)))
-		r.Set.Insert(graph.Edge(t.Key(base + 2)))
-		r.Set.Insert(graph.Edge(t.Key(base + 3)))
+		r.swapSet(t.Key(base), t.Key(base+1), t.Key(base+2), t.Key(base+3))
+	}
+}
+
+// errSetOutOfStep is the panic of swapSet: the edge set and the edge
+// list disagree, which only a broken invariant can cause.
+const errSetOutOfStep = "switching: edge set out of step with the edge list"
+
+// swapSet erases edges a and b (arena keys) from the edge set and
+// inserts c and d. Each operation must change the set; one that does
+// not means the set no longer mirrors E, and since prefix decisions
+// trust the set for legality, it panics rather than let the two drift
+// apart silently.
+func (r *Runner[E]) swapSet(a, b, c, d uint64) {
+	S := r.Set
+	if !S.Erase(graph.Edge(a)) || !S.Erase(graph.Edge(b)) ||
+		!S.Insert(graph.Edge(c)) || !S.Insert(graph.Edge(d)) {
+		panic(errSetOutOfStep)
 	}
 }
 
@@ -376,19 +393,13 @@ func (r *Runner[E]) Accepted(k int) bool {
 // reverse commit order — undoing the highest accepted k first — so
 // that each undo reverts exactly the last step of the equivalent
 // sequential application. Single-goroutine, between supersteps only.
+// Like applySet it panics if the set no longer mirrors the list.
 func (r *Runner[E]) Rollback(k int, sw Switch) {
 	t := r.table
 	base := 4 * k
-	e1 := E(t.Key(base))
-	e2 := E(t.Key(base + 1))
-	t3 := E(t.Key(base + 2))
-	t4 := E(t.Key(base + 3))
-	r.Set.Erase(graph.Edge(t3))
-	r.Set.Erase(graph.Edge(t4))
-	r.Set.Insert(graph.Edge(e1))
-	r.Set.Insert(graph.Edge(e2))
-	r.E[sw.I] = e1
-	r.E[sw.J] = e2
+	e1, e2 := t.Key(base), t.Key(base+1)
+	r.swapSet(t.Key(base+2), t.Key(base+3), e1, e2)
+	r.E[sw.I], r.E[sw.J] = E(e1), E(e2)
 	t.SetStatus(k, conc.StatusIllegal)
 	r.Stats.Legal--
 	r.Stats.Vetoed++

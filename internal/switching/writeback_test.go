@@ -149,3 +149,74 @@ func TestRunnerRollbackRestoresSuperstepStart(t *testing.T) {
 		})
 	}
 }
+
+// mustPanic runs f and fails unless it panics with want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		if got := recover(); got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	f()
+}
+
+// TestRunnerSetOutOfStepPanics desynchronizes a set-backed runner's
+// edge set from its edge list in each direction the leader's set
+// updates can detect — an erase of an absent edge and an insert of a
+// present one, after a superstep and in a rollback — and expects the
+// runner to panic rather than carry on with a set that no longer
+// mirrors the list.
+func TestRunnerSetOutOfStepPanics(t *testing.T) {
+	const want = "switching: edge set out of step with the edge list"
+	src := rng.NewMT19937(9008)
+	g, err := gen.SynPldGraph(1<<8, 2.2, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := g.Edges()
+	m := len(edges)
+	switches, rest := globalStep(m, m/2, src)
+	// superstep runs the global superstep on a fresh set-backed runner
+	// after desync edits its set, and returns the runner (released by
+	// the test's cleanup) with its edge list.
+	superstep := func(t *testing.T, desync func(*hashset.Set)) (*switching.Runner[graph.Edge], []graph.Edge) {
+		got := append([]graph.Edge(nil), edges...)
+		r := switching.NewRunner(got, m/2, 2)
+		t.Cleanup(r.Release)
+		r.EnsureSet()
+		desync(r.Set)
+		r.RunGlobal(switches, rest)
+		return r, got
+	}
+	// The global decisions ignore the set, so a faithful run names the
+	// first accepted switch of every desynchronized one.
+	r, after := superstep(t, func(*hashset.Set) {})
+	k := 0
+	for !r.Accepted(k) {
+		k++
+	}
+	sw := switches[k]
+	source, target := edges[sw.I], after[sw.I]
+
+	t.Run("apply/erase-absent", func(t *testing.T) {
+		mustPanic(t, want, func() {
+			superstep(t, func(S *hashset.Set) { S.Erase(source) })
+		})
+	})
+	t.Run("apply/insert-present", func(t *testing.T) {
+		mustPanic(t, want, func() {
+			superstep(t, func(S *hashset.Set) { S.Insert(target) })
+		})
+	})
+	t.Run("rollback/erase-absent", func(t *testing.T) {
+		r, _ := superstep(t, func(*hashset.Set) {})
+		r.Set.Erase(target)
+		mustPanic(t, want, func() { r.Rollback(k, sw) })
+	})
+	t.Run("rollback/insert-present", func(t *testing.T) {
+		r, _ := superstep(t, func(*hashset.Set) {})
+		r.Set.Insert(source)
+		mustPanic(t, want, func() { r.Rollback(k, sw) })
+	})
+}
