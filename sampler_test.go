@@ -61,6 +61,38 @@ func TestSamplerUnsupportedDirectedAlgorithms(t *testing.T) {
 	}
 }
 
+// TestSamplerDirectedTooSmall: directed targets with fewer than two
+// arcs have no switch, so every directed chain refuses them.
+func TestSamplerDirectedTooSmall(t *testing.T) {
+	for _, arcs := range [][][2]uint32{nil, {{0, 1}}} {
+		for _, alg := range []Algorithm{SeqES, SeqGlobalES, ParGlobalES} {
+			g, err := NewDiGraph(3, arcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewSampler(g, WithAlgorithm(alg)); !errors.Is(err, ErrGraphTooSmall) {
+				t.Errorf("%v on %d arcs: err = %v, want ErrGraphTooSmall", alg, len(arcs), err)
+			}
+		}
+	}
+}
+
+// TestSamplerDirectedRefusalMessage pins the text a DiGraph returns for
+// the chains it does not run.
+func TestSamplerDirectedRefusalMessage(t *testing.T) {
+	g, err := FromInOutDegrees([]int{2, 1, 1, 0}, []int{0, 1, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{ParES, Curveball, GlobalCurveball, Exact} {
+		_, err := NewSampler(g, WithAlgorithm(alg))
+		want := "gesmc: algorithm not supported for this target: directed randomization supports SeqES, SeqGlobalES, ParGlobalES; got " + alg.String()
+		if err == nil || err.Error() != want {
+			t.Errorf("%v on digraph: err = %v, want %q", alg, err, want)
+		}
+	}
+}
+
 // TestSamplerDeterminism: equal (target, options) yield identical
 // ensembles for a fixed worker count, and the sequential chains are
 // additionally invariant under the worker count (it only gates

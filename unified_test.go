@@ -222,7 +222,9 @@ func edgeListHash(edges [][2]uint32) uint64 {
 // permutation draws must keep them. The sequential ES-MC cases and the
 // connectivity-constrained cases pin the sequential chains' switch
 // draws, executor and escape draws; the constrained targets are paths,
-// on which the pinned supersteps reach at least one escape move.
+// on which the pinned supersteps reach at least one escape move. The
+// ParGlobalES rows pin each edge kind's permutation salt, and the ParES
+// row its switch draws, which equal SeqES's.
 func TestSamplerGoldenStreams(t *testing.T) {
 	g, err := GeneratePowerLaw(700, 2.2, 17)
 	if err != nil {
@@ -250,6 +252,10 @@ func TestSamplerGoldenStreams(t *testing.T) {
 		{SeqGlobalES, func() Target { return dipath.Clone() }, []int{1}, connected, 0xcea55b194a591426},
 		{SeqES, func() Target { return path.Clone() }, []int{1},
 			[]Option{WithConstraint(Connected(), ForbiddenEdges(forbidden))}, 0xfebb0dfadbeeb206},
+		{ParGlobalES, func() Target { return g.Clone() }, []int{1, 2, 4}, nil, 0x737c9281e0cab3db},
+		{ParGlobalES, func() Target { return dg.Clone() }, []int{1, 2, 4}, nil, 0x4b828b10baf5a4c1},
+		{ParES, func() Target { return g.Clone() }, []int{1, 2}, nil, 0xc0f67ee6ec114f87},
+		{ParGlobalES, func() Target { return dipath.Clone() }, []int{1, 2, 4}, connected, 0x989a370f51c173c6},
 	}
 	for _, tc := range cases {
 		for _, w := range tc.workers {
