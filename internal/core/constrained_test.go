@@ -36,7 +36,7 @@ func TestConstraintDisconnectedTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []Algorithm{AlgSeqES, AlgSeqGlobalES, AlgParES, AlgParGlobalES} {
-		if _, err := NewEngine(g.Clone(), alg, Config{Constraint: connectedSpec()}); !errors.Is(err, ErrDisconnected) {
+		if _, err := NewEngine(g.Clone(), alg, Config{Constraint: connectedSpec()}); !errors.Is(err, constraint.ErrDisconnected) {
 			t.Fatalf("%v: err = %v, want ErrDisconnected", alg, err)
 		}
 	}
@@ -316,14 +316,14 @@ func TestParESEdgeSet(t *testing.T) {
 	for _, spec := range []*constraint.Spec{nil, connectedSpec()} {
 		for _, w := range []int{1, 2} {
 			gc := g.Clone()
-			var cons *constrainedRuntime
+			var cons *constraint.Runtime[graph.Edge]
 			if spec != nil {
 				var err error
-				if cons, err = newConstrainedRuntime(gc, spec); err != nil {
+				if cons, err = constraint.NewRuntime(spec, gc.N(), gc.Edges()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			s := newParESStepper(gc, Config{Seed: 5, Workers: w, Constraint: spec}, cons)
+			s := newParESStepper(gc.Edges(), Config{Seed: 5, Workers: w, Constraint: spec}, cons, true)
 			var st RunStats
 			for step := 0; step < 3; step++ {
 				if err := s.Step(&st); err != nil {

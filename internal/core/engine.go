@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"gesmc/internal/constraint"
 	"gesmc/internal/graph"
 	"gesmc/internal/switching"
 )
@@ -11,12 +12,12 @@ import (
 // no switch is defined.
 var ErrTooSmall = errors.New("core: graph has fewer than 2 edges")
 
-// ErrUnknownAlgorithm is returned by NewEngine for an Algorithm value
+// ErrUnknownAlgorithm is returned by Compile for an Algorithm value
 // outside the defined enum.
 var ErrUnknownAlgorithm = errors.New("core: unknown algorithm")
 
 // Engine is the resumable run every chain shares (switching.Engine):
-// NewEngine compiles the graph once into the algorithm's stepper
+// Compile builds the edge list once into the algorithm's stepper
 // (hash set, dependency table, RNG streams), after
 // which Steps advances the chain in arbitrarily many increments
 // without rebuilding anything. A single Steps(ctx, k) call is
@@ -29,19 +30,41 @@ type Engine = switching.Engine
 // RunStats is the counter type of a run (switching.Stats).
 type RunStats = switching.Stats
 
-// parGlobalSalt seeds ParGlobalES's permutation stream (seed XOR salt).
-const parGlobalSalt = 0xA5A5A5A5A5A5A5A5
+// The ParGlobalES permutation stream is seeded with seed XOR salt, one
+// salt per edge kind.
+const (
+	parGlobalSaltEdge = 0xA5A5A5A5A5A5A5A5
+	parGlobalSaltArc  = 0x5DEECE66D
+)
 
-// NewEngine compiles the graph into the working state of the selected
-// algorithm. The graph is retained and mutated in place by Steps.
+// NewEngine compiles an undirected graph into the working state of the
+// selected algorithm. The graph is retained and mutated in place by
+// Steps.
 func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
-	if g.M() < 2 {
+	return Compile(g.N(), g.Edges(), alg, cfg)
+}
+
+// Compile builds the selected chain over an edge list on n nodes, for
+// either edge kind: canonical undirected edges (graph.Edge) or directed
+// arcs (digraph.Arc, whose switch exchanges heads). The edge list is
+// retained and mutated in place by Steps. The edge kind fixes the two
+// streams that differ between kinds: undirected ES-MC switches draw a
+// direction bit (arcs have none), and each kind has its own ParGlobalES
+// salt.
+func Compile[E switching.EdgeKind[E]](n int, edges []E, alg Algorithm, cfg Config) (*Engine, error) {
+	if len(edges) < 2 {
 		return nil, ErrTooSmall
 	}
-	var cons *constrainedRuntime
+	var zero E
+	_, undirected := any(zero).(graph.Edge)
+	salt := uint64(parGlobalSaltArc)
+	if undirected {
+		salt = parGlobalSaltEdge
+	}
+	var cons *constraint.Runtime[E]
 	if cfg.Constraint.Active() {
 		var err error
-		cons, err = newConstrainedRuntime(g, cfg.Constraint)
+		cons, err = constraint.NewRuntime(cfg.Constraint, n, edges)
 		if err != nil {
 			return nil, err
 		}
@@ -49,14 +72,14 @@ func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
 	var st switching.Stepper
 	switch alg {
 	case AlgSeqES:
-		st = switching.NewSeqES(g.Edges(), cfg.Seed, true, cons.Sequential)
+		st = switching.NewSeqES(edges, cfg.Seed, undirected, cons.Sequential)
 	case AlgSeqGlobalES:
-		st = switching.NewSeqGlobal(g.Edges(), cfg.Seed, cfg.loopProb(), cons.Sequential)
+		st = switching.NewSeqGlobal(edges, cfg.Seed, cfg.loopProb(), cons.Sequential)
 	case AlgParES:
-		st = newParESStepper(g, cfg, cons)
+		st = newParESStepper(edges, cfg, cons, undirected)
 	case AlgParGlobalES:
-		r := newRunner(g.Edges(), g.M()/2, cfg, cons)
-		st = switching.NewGlobalStepper(r, cfg.Seed, parGlobalSalt, cfg.loopProb(), cons.After())
+		r := newRunner(edges, len(edges)/2, cfg, cons)
+		st = switching.NewGlobalStepper(r, cfg.Seed, salt, cfg.loopProb(), cons.After())
 	default:
 		return nil, ErrUnknownAlgorithm
 	}
@@ -65,8 +88,8 @@ func NewEngine(g *graph.Graph, alg Algorithm, cfg Config) (*Engine, error) {
 
 // newRunner builds the parallel kernel for a switching chain with the
 // config's scheduling knobs, bound to the constraint runtime if any.
-func newRunner(edges []graph.Edge, maxSwitches int, cfg Config, cons *constrainedRuntime) *SuperstepRunner {
-	r := NewSuperstepRunner(edges, maxSwitches, cfg.workers())
+func newRunner[E switching.EdgeKind[E]](edges []E, maxSwitches int, cfg Config, cons *constraint.Runtime[E]) *switching.Runner[E] {
+	r := switching.NewRunner(edges, maxSwitches, cfg.workers())
 	r.Pessimistic = cfg.PessimisticRounds
 	cons.BindRunner(r)
 	return r

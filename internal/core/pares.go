@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 
 	"gesmc/internal/conc"
-	"gesmc/internal/graph"
+	"gesmc/internal/constraint"
 	"gesmc/internal/rng"
 	"gesmc/internal/switching"
 )
@@ -131,18 +131,20 @@ func FindCollisionFreePrefix(switches []Switch, workers int, minIdx []int32) int
 // execution because every prefix realizes sequential semantics over the
 // same switch sequence. The prefix search shares the runner's worker
 // gang, so the whole chain runs on one set of long-lived goroutines.
-type parESStepper struct {
+// Its switch draws are SeqES's, so the two chains are bit-identical.
+type parESStepper[E switching.EdgeKind[E]] struct {
 	m       int
 	src     rng.Source
-	runner  *SuperstepRunner
+	runner  *switching.Runner[E]
 	finder  *prefixFinder
 	pending []Switch
 	window  int
-	after   switching.AfterFunc[graph.Edge]
+	dirBit  bool // draw a direction bit per switch (undirected edges)
+	after   switching.AfterFunc[E]
 }
 
-func newParESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) *parESStepper {
-	m := g.M()
+func newParESStepper[E switching.EdgeKind[E]](edges []E, cfg Config, cons *constraint.Runtime[E], dirBit bool) *parESStepper[E] {
+	m := len(edges)
 	// Window of pre-sampled switches; refilled as prefixes are consumed.
 	// Supersteps are bounded by the window, so the dependency table is
 	// sized to it (expected prefix length is Θ(√m), far below m/2).
@@ -153,25 +155,30 @@ func newParESStepper(g *graph.Graph, cfg Config, cons *constrainedRuntime) *parE
 	if window > m/2 {
 		window = m / 2
 	}
-	runner := newRunner(g.Edges(), window, cfg, cons)
-	return &parESStepper{
+	runner := newRunner(edges, window, cfg, cons)
+	return &parESStepper[E]{
 		m:       m,
 		src:     rng.NewMT19937(cfg.Seed),
 		runner:  runner,
 		finder:  newPrefixFinder(runner.Pool(), m),
 		pending: make([]Switch, 0, window),
 		window:  window,
+		dirBit:  dirBit,
 		after:   cons.After(),
 	}
 }
 
-func (s *parESStepper) Step(st *switching.Stats) error {
+func (s *parESStepper[E]) Step(st *switching.Stats) error {
 	toSample := s.m / 2
 	for toSample > 0 || len(s.pending) > 0 {
 		// Refill the window.
 		for len(s.pending) < s.window && toSample > 0 {
 			i, j := rng.TwoDistinct(s.src, s.m)
-			s.pending = append(s.pending, Switch{I: uint32(i), J: uint32(j), G: rng.Bool(s.src)})
+			sw := Switch{I: uint32(i), J: uint32(j)}
+			if s.dirBit {
+				sw.G = rng.Bool(s.src)
+			}
+			s.pending = append(s.pending, sw)
 			toSample--
 		}
 		t := s.finder.find(s.pending)
@@ -186,7 +193,7 @@ func (s *parESStepper) Step(st *switching.Stats) error {
 	return nil
 }
 
-func (s *parESStepper) Release() { s.runner.Release() }
+func (s *parESStepper[E]) Release() { s.runner.Release() }
 
 func isqrt(n int) int {
 	if n <= 0 {

@@ -1,5 +1,6 @@
-// Package core implements the undirected switching Markov chains of the
-// paper:
+// Package core compiles the switching Markov chains of the paper, for
+// undirected graphs (graph.Edge) and directed or bipartite graphs
+// (digraph.Arc) alike:
 //
 //   - SeqES: fast sequential ES-MC (Definition 1) on an edge array plus
 //     hash set (§5).
@@ -8,12 +9,17 @@
 //   - ParGlobalES: the exact parallelization of G-ES-MC (Algorithm 3).
 //   - ParallelSuperstep (Algorithm 1), shared by ParES and ParGlobalES.
 //
+// Compile is the one constructor for both edge kinds; NewEngine is its
+// undirected entry over a *graph.Graph. The edge kind fixes the only
+// two per-kind streams: undirected ES-MC switches draw a direction bit,
+// and each kind has its own ParGlobalES permutation salt.
+//
 // The evaluation-only baselines of Table 4 (the inexact parallel chain
 // of §5.1 and the adjacency-list stand-ins for NetworKit and Gengraph)
 // are switching.Stepper plug-ins in cmd/experiments.
 //
-// All implementations mutate the graph's edge list in place and preserve
-// both the degree sequence and simplicity. The parallel implementations
+// All implementations mutate the edge list in place and preserve the
+// degree sequence (in- and out-degrees for arcs) and simplicity. The parallel implementations
 // are exact: given the same switch sequence they produce bit-identical
 // edge lists to sequential Definition-1 execution (see superstep.go for
 // the one documented refinement over the paper's pseudocode).
@@ -88,8 +94,8 @@ type Config struct {
 	PessimisticRounds bool
 	// Constraint restricts the chain's state space (see the constraint
 	// package): local vetoes run inside the decide phase, connectivity
-	// via certificate + speculate-then-recertify. Every algorithm
-	// supports it. Nil or a spec with nothing active constrains
+	// via certificate + speculate-then-recertify (weak connectivity
+	// over arcs). Every algorithm supports it. Nil or a spec with nothing active constrains
 	// nothing.
 	Constraint *constraint.Spec
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"gesmc/internal/core"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
 	"gesmc/internal/switching"
@@ -24,7 +25,7 @@ func replayParGlobalSequentially(g *DiGraph, supersteps int, loopProb float64, s
 	m := c.M()
 	src := rng.NewMT19937(seed)
 	seedSrc := rng.NewSplitMix64(seed ^ 0x5DEECE66D)
-	var buf []Switch
+	var buf []switching.Switch
 	for step := 0; step < supersteps; step++ {
 		perm := rng.ParallelPerm(seedSrc.Uint64(), m)
 		l := int(rng.BinomialComplementSmall(src, int64(m/2), loopProb))
@@ -45,7 +46,7 @@ func TestDirectedParGlobalBitIdenticalAcrossWorkers(t *testing.T) {
 	want := replayParGlobalSequentially(g, supersteps, pl, seed)
 	for _, w := range []int{1, 2, 4, 8} {
 		got := g.Clone()
-		if _, err := ParGlobalES(got, supersteps, w, pl, seed); err != nil {
+		if _, err := runChain(got, core.AlgParGlobalES, supersteps, core.Config{Workers: w, LoopProb: pl, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.Arcs() {
@@ -61,10 +62,10 @@ func TestDirectedEngineResumedSplitsBitIdentical(t *testing.T) {
 	// change the trajectory.
 	src := rng.NewMT19937(8702)
 	g := randomDigraph(64, 0.12, src)
-	cfg := Config{Workers: 4, Seed: 9, LoopProb: 0.01}
+	cfg := core.Config{Workers: 4, Seed: 9, LoopProb: 0.01}
 
 	oneShot := g.Clone()
-	e1, err := NewEngine(oneShot, AlgParGlobalES, cfg)
+	e1, err := newEngine(oneShot, core.AlgParGlobalES, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestDirectedEngineResumedSplitsBitIdentical(t *testing.T) {
 	}
 
 	split := g.Clone()
-	e2, err := NewEngine(split, AlgParGlobalES, cfg)
+	e2, err := newEngine(split, core.AlgParGlobalES, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestDirectedParGlobalMatchesReplayAcrossLoopProbs(t *testing.T) {
 			want := replayParGlobalSequentially(base, supersteps, pl, seed)
 			for _, w := range []int{1, 2, 4, 8} {
 				got := base.Clone()
-				if _, err := ParGlobalES(got, supersteps, w, pl, seed); err != nil {
+				if _, err := runChain(got, core.AlgParGlobalES, supersteps, core.Config{Workers: w, LoopProb: pl, Seed: seed}); err != nil {
 					t.Fatal(err)
 				}
 				for i := range want.Arcs() {
@@ -118,6 +119,30 @@ func TestDirectedParGlobalMatchesReplayAcrossLoopProbs(t *testing.T) {
 							base.M(), pl, w, i)
 					}
 				}
+			}
+		}
+	}
+}
+
+func TestDirectedParESMatchesSeqES(t *testing.T) {
+	// ParES draws SeqES's switch sequence and executes it in
+	// collision-free prefixes, so over arcs as over edges the two chains
+	// end on the same arc list at every worker count.
+	src := rng.NewMT19937(8704)
+	g := randomDigraph(80, 0.1, src)
+	const supersteps = 6
+	want := g.Clone()
+	if _, err := runChain(want, core.AlgSeqES, supersteps, core.Config{Seed: 44}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 4} {
+		got := g.Clone()
+		if _, err := runChain(got, core.AlgParES, supersteps, core.Config{Workers: w, Seed: 44}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Arcs() {
+			if want.Arcs()[i] != got.Arcs()[i] {
+				t.Fatalf("workers=%d: arc %d diverges from SeqES", w, i)
 			}
 		}
 	}

@@ -1,12 +1,15 @@
-// Package digraph extends the switching machinery to simple directed
-// graphs, one of the further graph classes of Carstens' taxonomy that
-// the paper notes its findings adopt to directly (§1: "It is, however,
-// straight-forward to adopt our findings to the other cases"). A
-// directed edge switch takes two arcs (u→v), (x→y) and rewires them to
-// (u→y), (x→v), rejecting loops and parallel arcs; in- and out-degrees
-// of all nodes are preserved. Because bipartite graphs are exactly the
-// digraphs from left nodes to right nodes, this package also provides
-// degree-preserving randomization of bipartite graphs.
+// Package digraph provides simple directed graphs, one of the further
+// graph classes of Carstens' taxonomy that the paper notes its findings
+// adopt to directly (§1: "It is, however, straight-forward to adopt our
+// findings to the other cases"): the arc type, realizations of
+// prescribed degree sequences (Kleitman-Wang, bipartite) and their
+// graphicality tests. A directed edge switch takes two arcs (u→v),
+// (x→y) and rewires them to (u→y), (x→v), rejecting loops and parallel
+// arcs; in- and out-degrees of all nodes are preserved. Arc.Targets is
+// that switch; the chains themselves are compiled over arc lists by
+// core.Compile. Because bipartite graphs are exactly the digraphs from
+// left nodes to right nodes, the same chains randomize bipartite graphs
+// with fixed degrees.
 package digraph
 
 import (
@@ -19,7 +22,10 @@ import (
 
 // Arc is a directed edge (u → v), packed with the tail in the high and
 // the head in the low 32 bits. Unlike undirected edges there is no
-// canonicalization: (u,v) and (v,u) are distinct arcs.
+// canonicalization: (u,v) and (v,u) are distinct arcs. Arcs pack their
+// endpoints exactly as canonical edges do, and the switching kernel's
+// tables and hash set store those 64 bits as-is, so the generic kernel
+// runs over arcs unchanged.
 type Arc uint64
 
 // MakeArc returns the arc u → v.

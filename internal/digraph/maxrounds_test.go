@@ -3,6 +3,8 @@ package digraph
 import (
 	"context"
 	"testing"
+
+	"gesmc/internal/core"
 )
 
 // TestStepsMaxRoundsPerIncrement is the directed mirror of core's test:
@@ -23,7 +25,7 @@ func TestStepsMaxRoundsPerIncrement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(g, AlgParGlobalES, Config{Workers: 2, Seed: 3, PessimisticRounds: true})
+	eng, err := newEngine(g, core.AlgParGlobalES, core.Config{Workers: 2, Seed: 3, PessimisticRounds: true})
 	if err != nil {
 		t.Fatal(err)
 	}

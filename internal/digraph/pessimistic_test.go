@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"gesmc/internal/core"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
 	"gesmc/internal/switching"
@@ -27,7 +28,7 @@ func TestDirectedPessimisticSameResults(t *testing.T) {
 		seqLegal := switching.ExecuteSequential(seq.Arcs(), S, switches)
 
 		par := g.Clone()
-		r := NewSuperstepRunner(par.Arcs(), maxi(len(switches), 1), 4)
+		r := switching.NewRunner(par.Arcs(), maxi(len(switches), 1), 4)
 		r.Pessimistic = true
 		r.Run(switches)
 		if r.Legal != seqLegal {
@@ -46,10 +47,10 @@ func TestDirectedPessimisticRoundsAtLeastNatural(t *testing.T) {
 	g := randomDigraph(64, 0.15, src)
 	switches := globalBatch(g.M(), src)
 
-	nat := NewSuperstepRunner(g.Clone().Arcs(), maxi(len(switches), 1), 1)
+	nat := switching.NewRunner(g.Clone().Arcs(), maxi(len(switches), 1), 1)
 	nat.Run(switches)
 
-	pes := NewSuperstepRunner(g.Clone().Arcs(), maxi(len(switches), 1), 1)
+	pes := switching.NewRunner(g.Clone().Arcs(), maxi(len(switches), 1), 1)
 	pes.Pessimistic = true
 	pes.Run(switches)
 
@@ -66,9 +67,9 @@ func TestDirectedPessimisticRoundsBounded(t *testing.T) {
 	src := rng.NewMT19937(8803)
 	g := randomDigraph(128, 0.08, src)
 	m := g.M()
-	r := NewSuperstepRunner(g.Arcs(), m/2, 2)
+	r := switching.NewRunner(g.Arcs(), m/2, 2)
 	r.Pessimistic = true
-	var buf []Switch
+	var buf []switching.Switch
 	for step := 0; step < 8; step++ {
 		perm := rng.Perm(src, m)
 		buf = switching.GlobalSwitches(perm, m/2, buf)
@@ -85,14 +86,14 @@ func TestDirectedPessimisticViaConfig(t *testing.T) {
 	g := randomDigraph(48, 0.15, src)
 	a, b := g.Clone(), g.Clone()
 
-	ea, err := NewEngine(a, AlgParGlobalES, Config{Workers: 3, Seed: 4})
+	ea, err := newEngine(a, core.AlgParGlobalES, core.Config{Workers: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ea.Steps(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	eb, err := NewEngine(b, AlgParGlobalES, Config{Workers: 3, Seed: 4, PessimisticRounds: true})
+	eb, err := newEngine(b, core.AlgParGlobalES, core.Config{Workers: 3, Seed: 4, PessimisticRounds: true})
 	if err != nil {
 		t.Fatal(err)
 	}

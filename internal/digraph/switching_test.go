@@ -1,9 +1,11 @@
 package digraph
 
 import (
+	"context"
 	"sort"
 	"testing"
 
+	"gesmc/internal/core"
 	"gesmc/internal/graph"
 	"gesmc/internal/hashset"
 	"gesmc/internal/rng"
@@ -24,7 +26,23 @@ func randomDigraph(n int, p float64, src rng.Source) *DiGraph {
 	return NewUnchecked(n, arcs)
 }
 
-func globalBatch(m int, src rng.Source) []Switch {
+// newEngine compiles a chain over the digraph's arcs.
+func newEngine(g *DiGraph, alg core.Algorithm, cfg core.Config) (*switching.Engine, error) {
+	return core.Compile(g.N(), g.Arcs(), alg, cfg)
+}
+
+// runChain compiles a chain over the digraph's arcs and advances it
+// the given supersteps.
+func runChain(g *DiGraph, alg core.Algorithm, supersteps int, cfg core.Config) (switching.Stats, error) {
+	e, err := newEngine(g, alg, cfg)
+	if err != nil {
+		return switching.Stats{}, err
+	}
+	defer e.Close()
+	return e.Steps(context.Background(), supersteps)
+}
+
+func globalBatch(m int, src rng.Source) []switching.Switch {
 	perm := rng.Perm(src, m)
 	l := rng.IntN(src, m/2+1)
 	return switching.GlobalSwitches(perm, l, nil)
@@ -45,7 +63,7 @@ func TestDirectedSuperstepMatchesSequential(t *testing.T) {
 
 		for _, w := range []int{1, 2, 4} {
 			par := g.Clone()
-			r := NewSuperstepRunner(par.Arcs(), maxi(len(switches), 1), w)
+			r := switching.NewRunner(par.Arcs(), maxi(len(switches), 1), w)
 			r.Run(switches)
 			if r.Legal != seqLegal {
 				t.Fatalf("workers=%d: accepted %d, sequential %d", w, r.Legal, seqLegal)
@@ -85,19 +103,19 @@ func TestDirectedChainsPreserveInvariants(t *testing.T) {
 	}
 
 	seq := g.Clone()
-	if _, err := SeqES(seq, 5, 3); err != nil {
+	if _, err := runChain(seq, core.AlgSeqES, 5, core.Config{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	check("SeqES", seq)
 
 	sgl := g.Clone()
-	if _, err := SeqGlobalES(sgl, 5, 0.01, 3); err != nil {
+	if _, err := runChain(sgl, core.AlgSeqGlobalES, 5, core.Config{LoopProb: 0.01, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	check("SeqGlobalES", sgl)
 
 	par := g.Clone()
-	stats, err := ParGlobalES(par, 5, 4, 0.01, 3)
+	stats, err := runChain(par, core.AlgParGlobalES, 5, core.Config{Workers: 4, LoopProb: 0.01, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +142,7 @@ func TestDirectedUniformity(t *testing.T) {
 	const runs = 4000
 	for r := 0; r < runs; r++ {
 		g := base.Clone()
-		if _, err := SeqGlobalES(g, 100, 0.05, uint64(r)*2654435761+7); err != nil {
+		if _, err := runChain(g, core.AlgSeqGlobalES, 100, core.Config{LoopProb: 0.05, Seed: uint64(r)*2654435761 + 7}); err != nil {
 			t.Fatal(err)
 		}
 		arcs := append([]Arc(nil), g.Arcs()...)
@@ -159,10 +177,10 @@ func TestDirectedParallelMatchesSequentialEndToEnd(t *testing.T) {
 	m := g.M()
 
 	par := g.Clone()
-	r := NewSuperstepRunner(par.Arcs(), m/2, 2)
+	r := switching.NewRunner(par.Arcs(), m/2, 2)
 	seq := g.Clone()
 	S := hashset.FromEdges(seq.Arcs(), 0.5)
-	var buf []Switch
+	var buf []switching.Switch
 	for step := 0; step < 10; step++ {
 		perm := rng.Perm(src, m)
 		l := m / 2
@@ -202,7 +220,7 @@ func TestBipartiteFromDegreesAndRandomize(t *testing.T) {
 	}
 	// Randomizing preserves the bipartition (heads swap among right
 	// nodes only).
-	if _, err := ParGlobalES(g, 10, 2, 0.01, 9); err != nil {
+	if _, err := runChain(g, core.AlgParGlobalES, 10, core.Config{Workers: 2, LoopProb: 0.01, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckBipartite(g, len(leftDeg)); err != nil {

@@ -76,13 +76,13 @@ func TestFilterDirectedParGlobalMatchesUnfiltered(t *testing.T) {
 	}
 	for _, pl := range []float64{0, 0.5} {
 		for _, w := range []int{1, 2, 4, 8} {
-			cfg := digraph.Config{Seed: 12, Workers: w, LoopProb: pl}
+			cfg := core.Config{Seed: 12, Workers: w, LoopProb: pl}
 			def, forced := dg.Clone(), dg.Clone()
-			ed, err := digraph.NewEngine(def, digraph.AlgParGlobalES, cfg)
+			ed, err := core.Compile(def.N(), def.Arcs(), core.AlgParGlobalES, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ef, err := digraph.NewEngine(forced, digraph.AlgParGlobalES, cfg)
+			ef, err := core.Compile(forced.N(), forced.Arcs(), core.AlgParGlobalES, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

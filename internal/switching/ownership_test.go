@@ -81,7 +81,7 @@ func TestGlobalEdgeSetOwnership(t *testing.T) {
 			{"unconstrained", nil, false},
 			{"connected", connected, true},
 		} {
-			e, err := digraph.NewEngine(dg.Clone(), digraph.AlgParGlobalES, digraph.Config{Seed: 3, Workers: w, Constraint: c.spec})
+			e, err := core.Compile(dg.N(), dg.Clone().Arcs(), core.AlgParGlobalES, core.Config{Seed: 3, Workers: w, Constraint: c.spec})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"math"
 
-	"gesmc/internal/constraint"
 	"gesmc/internal/core"
 	"gesmc/internal/curveball"
-	"gesmc/internal/digraph"
 	"gesmc/internal/exact"
 	"gesmc/internal/switching"
 )
@@ -408,40 +406,31 @@ func (g *Graph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 		eng := curveball.NewEngine(g.g, cfg.workers, cfg.seed)
 		return switching.NewEngine(eng.Stepper(cfg.algorithm == GlobalCurveball, g.g.Edges())), nil
 	}
-	ca, ok := algNames[cfg.algorithm]
+	return compileChain(cfg, g.g.N(), g.g.Edges(), false, g.IsConnected)
+}
+
+// compileChain builds one of the four switching chains over either edge
+// kind, mapping core's too-small refusal to the public sentinel.
+func compileChain[E switching.EdgeKind[E]](cfg *samplerConfig, n int, edges []E,
+	directed bool, connected func() bool) (*switching.Engine, error) {
+	alg, ok := algNames[cfg.algorithm]
 	if !ok {
 		return nil, fmt.Errorf("%w: Algorithm(%d)", ErrUnknownAlgorithm, int(cfg.algorithm))
 	}
-	var spec *constraint.Spec
-	if len(cfg.constraints) > 0 {
-		var err error
-		spec, err = compileConstraints(cfg.constraints, g.g.N(), false, g.g.Edges(), g.IsConnected)
-		if err != nil {
-			return nil, err
-		}
+	spec, err := compileConstraints(cfg.constraints, n, directed, edges, connected)
+	if err != nil {
+		return nil, err
 	}
-	eng, err := core.NewEngine(g.g, ca, core.Config{
+	eng, err := core.Compile(n, edges, alg, core.Config{
 		Workers:    cfg.workers,
 		Seed:       cfg.seed,
 		LoopProb:   cfg.loopProb,
 		Constraint: spec,
 	})
-	if err != nil {
-		if errors.Is(err, core.ErrTooSmall) {
-			return nil, fmt.Errorf("%w: m=%d", ErrGraphTooSmall, g.g.M())
-		}
-		return nil, err
+	if errors.Is(err, core.ErrTooSmall) {
+		return nil, fmt.Errorf("%w: m=%d", ErrGraphTooSmall, len(edges))
 	}
-	return eng, nil
-}
-
-// dirAlgs maps the public enum to the directed implementations.
-// Directed switches need no direction bit, so ES-MC's data-structure
-// ablations add nothing in the directed setting.
-var dirAlgs = map[Algorithm]digraph.Algorithm{
-	SeqES:       digraph.AlgSeqES,
-	SeqGlobalES: digraph.AlgSeqGlobalES,
-	ParGlobalES: digraph.AlgParGlobalES,
+	return eng, err
 }
 
 func (g *DiGraph) snapshot() (*Graph, *DiGraph) { return nil, g.Clone() }
@@ -454,26 +443,13 @@ func (g *DiGraph) compile(cfg *samplerConfig) (*switching.Engine, error) {
 	if g == nil || g.g == nil {
 		return nil, ErrNilTarget
 	}
-	da, ok := dirAlgs[cfg.algorithm]
-	if !ok {
+	// Directed targets run the sequential chains and ParGlobalES; ParES,
+	// the trade chains and the exact tier are undirected only.
+	switch cfg.algorithm {
+	case SeqES, SeqGlobalES, ParGlobalES:
+	default:
 		return nil, fmt.Errorf("%w: directed randomization supports SeqES, SeqGlobalES, ParGlobalES; got %s",
 			ErrUnsupportedAlgorithm, cfg.algorithm)
 	}
-	spec, err := compileConstraints(cfg.constraints, g.g.N(), true, g.g.Arcs(), g.IsConnected)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := digraph.NewEngine(g.g, da, digraph.Config{
-		Workers:    cfg.workers,
-		Seed:       cfg.seed,
-		LoopProb:   cfg.loopProb,
-		Constraint: spec,
-	})
-	if err != nil {
-		if errors.Is(err, digraph.ErrTooSmall) {
-			return nil, fmt.Errorf("%w: m=%d", ErrGraphTooSmall, g.g.M())
-		}
-		return nil, err
-	}
-	return eng, nil
+	return compileChain(cfg, g.g.N(), g.g.Arcs(), true, g.IsConnected)
 }
