@@ -34,43 +34,81 @@ func KleitmanWang(out, in []int) (*DiGraph, error) {
 	a := append([]int(nil), out...) // residual out-degrees
 	b := append([]int(nil), in...)  // residual in-degrees
 	arcs := make([]Arc, 0, sumOut)
-	order := make([]int, n)
+	// before orders candidate sources: lexicographically largest
+	// (a_j, b_j) first, ties by node index.
+	before := func(x, y int) bool {
+		if a[x] != a[y] {
+			return a[x] > a[y]
+		}
+		if b[x] != b[y] {
+			return b[x] > b[y]
+		}
+		return x < y
+	}
+	// order holds the nodes with residual out-degree left, sorted by
+	// before. Each step changes the keys of node i and of its sources
+	// only, so those few nodes move and the rest stays in place.
+	var order []int
+	for v := 0; v < n; v++ {
+		if a[v] > 0 {
+			order = append(order, v)
+		}
+	}
+	sort.Slice(order, func(x, y int) bool { return before(order[x], order[y]) })
+	var moved []int
 
 	for i := 0; i < n; i++ {
 		k := b[i]
 		if k == 0 {
 			continue
 		}
-		b[i] = 0
-		// Candidate sources, lexicographically largest (a_j, b_j) first.
-		for j := range order {
-			order[j] = j
+		if a[i] > 0 {
+			// b_i drops to 0, so i moves later in order: close its old
+			// slot and put it in front of the first node it precedes.
+			pi := sort.Search(len(order), func(t int) bool { return !before(order[t], i) })
+			b[i] = 0
+			q := pi + 1 + sort.Search(len(order)-pi-1, func(t int) bool { return before(i, order[pi+1+t]) })
+			copy(order[pi:q-1], order[pi+1:q])
+			order[q-1] = i
 		}
-		sort.Slice(order, func(x, y int) bool {
-			jx, jy := order[x], order[y]
-			if a[jx] != a[jy] {
-				return a[jx] > a[jy]
-			}
-			if b[jx] != b[jy] {
-				return b[jx] > b[jy]
-			}
-			return jx < jy
-		})
-		filled := 0
-		for _, j := range order {
-			if filled == k {
-				break
-			}
-			if j == i || a[j] == 0 {
+		b[i] = 0
+		// The k first nodes of order other than i are the sources.
+		moved = moved[:0]
+		filled, p, sawI := 0, 0, false
+		for ; filled < k && p < len(order); p++ {
+			j := order[p]
+			if j == i {
+				sawI = true
 				continue
 			}
 			arcs = append(arcs, MakeArc(graph.Node(j), graph.Node(i)))
 			a[j]--
 			filled++
+			if a[j] > 0 {
+				moved = append(moved, j)
+			}
 		}
 		if filled < k {
 			return nil, fmt.Errorf("digraph: bi-sequence not digraphical (node %d short %d arcs)", i, k-filled)
 		}
+		// order[:h] are the sources; i, if met, precedes the rest.
+		h := p
+		if sawI {
+			h--
+			order[h] = i
+		}
+		// Every source's a_j fell by one, so the sources that still
+		// have out-degree left keep their relative order: merge them
+		// back into order[h:], dropping the exhausted ones.
+		w, r := h-len(moved), h
+		for _, m := range moved {
+			q := r + sort.Search(len(order)-r, func(t int) bool { return before(m, order[r+t]) })
+			w += copy(order[w:], order[r:q])
+			r = q
+			order[w] = m
+			w++
+		}
+		order = order[h-len(moved):]
 	}
 	g, err := New(n, arcs)
 	if err != nil {
