@@ -157,17 +157,9 @@ func TestParESMatchesSequentialReplay(t *testing.T) {
 
 	par := g.Clone()
 	runner := NewSuperstepRunner(par.Edges(), m/2+1, 4)
-	minIdx := make([]int32, m)
-	for i := range minIdx {
-		minIdx[i] = -1
-	}
 	pending := switches
 	for len(pending) > 0 {
-		tlen := FindCollisionFreePrefix(pending, 4, minIdx)
-		for _, s := range pending {
-			minIdx[s.I] = -1
-			minIdx[s.J] = -1
-		}
+		tlen := FindCollisionFreePrefix(pending, m)
 		runner.Run(pending[:tlen])
 		pending = pending[tlen:]
 	}

@@ -1,125 +1,53 @@
 package core
 
 import (
-	"sync/atomic"
-
-	"gesmc/internal/conc"
 	"gesmc/internal/constraint"
 	"gesmc/internal/rng"
 	"gesmc/internal/switching"
 )
 
 // prefixFinder locates the longest collision-free prefix of a switch
-// window (Algorithm 2, lines 8-15) on a persistent worker gang. The
-// scan parallelizes with a concurrent min-index table: every switch
-// publishes (index -> k) with CAS-min; the boundary is the smallest k
-// whose indices were first published by a smaller switch. The phase
-// bodies are created once, so steady-state searches allocate nothing.
+// window (Algorithm 2, lines 8-15) in one serial scan on the calling
+// goroutine: each switch stamps its two edge indices with the search's
+// epoch, and the prefix ends at the first switch that finds either
+// index already stamped. Stamps of earlier searches never equal the
+// current epoch, so the table needs no reset between searches. Only the
+// first t+1 switches are read, which is Θ(√m) in expectation.
 type prefixFinder struct {
-	pool     *conc.Pool
-	minIdx   []int32 // edge index -> smallest switch position, -1 if none
-	results  []int32 // per-worker boundary candidates
-	switches []Switch
-
-	publishFn func(worker, lo, hi int)
-	scanFn    func(worker, lo, hi int)
+	seen  []uint32 // edge index -> epoch of the last search that stamped it
+	epoch uint32
 }
 
-// newPrefixFinder prepares a finder over a graph with m edge indices,
-// dispatching on the given gang (typically the runner's, so one gang
-// serves the whole engine).
-func newPrefixFinder(pool *conc.Pool, m int) *prefixFinder {
-	minIdx := make([]int32, m)
-	for i := range minIdx {
-		minIdx[i] = -1
-	}
-	return newPrefixFinderWith(pool, minIdx)
-}
-
-// newPrefixFinderWith wires a finder over a caller-provided min-index
-// table, which must be -1-initialized (one slot per edge index).
-func newPrefixFinderWith(pool *conc.Pool, minIdx []int32) *prefixFinder {
-	f := &prefixFinder{
-		pool:    pool,
-		minIdx:  minIdx,
-		results: make([]int32, pool.Workers()),
-	}
-	f.publishFn = f.publish
-	f.scanFn = f.scan
-	return f
-}
-
-func casMin(slot *int32, k int32) {
-	for {
-		old := atomic.LoadInt32(slot)
-		if old != -1 && old <= k {
-			return
-		}
-		if atomic.CompareAndSwapInt32(slot, old, k) {
-			return
-		}
-	}
-}
-
-func (f *prefixFinder) publish(_, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		casMin(&f.minIdx[f.switches[k].I], int32(k))
-		casMin(&f.minIdx[f.switches[k].J], int32(k))
-	}
-}
-
-func (f *prefixFinder) scan(worker, lo, hi int) {
-	best := f.results[worker]
-	for k := lo; k < hi; k++ {
-		if int32(k) >= best {
-			break
-		}
-		if atomic.LoadInt32(&f.minIdx[f.switches[k].I]) < int32(k) ||
-			atomic.LoadInt32(&f.minIdx[f.switches[k].J]) < int32(k) {
-			best = int32(k)
-			break
-		}
-	}
-	f.results[worker] = best
+// newPrefixFinder prepares a finder over a graph with m edge indices.
+func newPrefixFinder(m int) *prefixFinder {
+	return &prefixFinder{seen: make([]uint32, m)}
 }
 
 // find returns the length t of the longest prefix of switches such
 // that no edge index occurs twice within switches[0:t]. The returned
 // prefix always contains at least one switch (a switch's own two
-// indices are distinct by construction). It resets the min-index slots
-// it used, so the table is clean for the next window.
+// indices are distinct by construction).
 func (f *prefixFinder) find(switches []Switch) int {
-	n := len(switches)
-	t := n
-	if n > 1 {
-		f.switches = switches
-		f.pool.Blocks(n, f.publishFn)
-		for i := range f.results {
-			f.results[i] = int32(n) // workers without a block contribute "no collision"
-		}
-		f.pool.Blocks(n, f.scanFn)
-		f.switches = nil
-		for _, b := range f.results {
-			if int(b) < t {
-				t = int(b)
-			}
-		}
+	f.epoch++
+	if f.epoch == 0 { // wrapped around: drop every stale stamp once
+		clear(f.seen)
+		f.epoch = 1
 	}
-	for _, sw := range switches {
-		f.minIdx[sw.I] = -1
-		f.minIdx[sw.J] = -1
+	e := f.epoch
+	for k, sw := range switches {
+		if f.seen[sw.I] == e || f.seen[sw.J] == e {
+			return k
+		}
+		f.seen[sw.I] = e
+		f.seen[sw.J] = e
 	}
-	return t
+	return len(switches)
 }
 
-// FindCollisionFreePrefix is the one-shot form of prefixFinder over a
-// transient gang, kept for tests and external callers. minIdx must
-// have one -1-initialized slot per edge index; it is restored to all
-// -1 before returning.
-func FindCollisionFreePrefix(switches []Switch, workers int, minIdx []int32) int {
-	pool := conc.NewPool(workers)
-	defer pool.Close()
-	return newPrefixFinderWith(pool, minIdx).find(switches)
+// FindCollisionFreePrefix is the one-shot form of prefixFinder over m
+// edge indices, kept for tests and external callers.
+func FindCollisionFreePrefix(switches []Switch, m int) int {
+	return newPrefixFinder(m).find(switches)
 }
 
 // parESStepper is the production ParES (Algorithm 2): pre-sample the
@@ -129,9 +57,9 @@ func FindCollisionFreePrefix(switches []Switch, workers int, minIdx []int32) int
 // boundary so the graph is always in the state after a whole number of
 // supersteps; the decided edge list is identical to continuous
 // execution because every prefix realizes sequential semantics over the
-// same switch sequence. The prefix search shares the runner's worker
-// gang, so the whole chain runs on one set of long-lived goroutines.
-// Its switch draws are SeqES's, so the two chains are bit-identical.
+// same switch sequence. The prefix search is a serial scan between
+// supersteps, so the whole chain runs on the runner's worker gang. Its
+// switch draws are SeqES's, so the two chains are bit-identical.
 type parESStepper[E switching.EdgeKind[E]] struct {
 	m       int
 	src     rng.Source
@@ -160,7 +88,7 @@ func newParESStepper[E switching.EdgeKind[E]](edges []E, cfg Config, cons *const
 		m:       m,
 		src:     rng.NewMT19937(cfg.Seed),
 		runner:  runner,
-		finder:  newPrefixFinder(runner.Pool(), m),
+		finder:  newPrefixFinder(m),
 		pending: make([]Switch, 0, window),
 		window:  window,
 		dirBit:  dirBit,

@@ -141,11 +141,7 @@ func TestQuickPrefixNeverSplitsCollisionFree(t *testing.T) {
 		m := int(mRaw%60) + 4
 		src := rng.NewSplitMix64(seed)
 		switches := SampleSwitches(m, int(rRaw%100)+1, src)
-		minIdx := make([]int32, m)
-		for i := range minIdx {
-			minIdx[i] = -1
-		}
-		tlen := FindCollisionFreePrefix(switches, 3, minIdx)
+		tlen := FindCollisionFreePrefix(switches, m)
 		used := map[uint32]bool{}
 		for k := 0; k < tlen; k++ {
 			if used[switches[k].I] || used[switches[k].J] {
@@ -191,16 +187,9 @@ func BenchmarkFindCollisionFreePrefix(b *testing.B) {
 	src := rng.NewMT19937(2)
 	const m = 1 << 16
 	switches := SampleSwitches(m, 4*256, src)
-	minIdx := make([]int32, m)
-	for i := range minIdx {
-		minIdx[i] = -1
-	}
+	f := newPrefixFinder(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FindCollisionFreePrefix(switches, 2, minIdx)
-		for _, s := range switches {
-			minIdx[s.I] = -1
-			minIdx[s.J] = -1
-		}
+		f.find(switches)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"gesmc/internal/gen"
@@ -243,6 +244,8 @@ func TestSuperstepManyConsecutive(t *testing.T) {
 func TestFindCollisionFreePrefixBruteForce(t *testing.T) {
 	src := rng.NewMT19937(5005)
 	const m = 20
+	f := newPrefixFinder(m)
+	f.epoch = math.MaxUint32 - 100
 	for trial := 0; trial < 200; trial++ {
 		r := 1 + rng.IntN(src, 40)
 		switches := SampleSwitches(m, r, src)
@@ -258,19 +261,13 @@ func TestFindCollisionFreePrefixBruteForce(t *testing.T) {
 			used[sw.I] = true
 			used[sw.J] = true
 		}
-		minIdx := make([]int32, m)
-		for i := range minIdx {
-			minIdx[i] = -1
+		if got := FindCollisionFreePrefix(switches, m); got != want {
+			t.Fatalf("prefix = %d, want %d (switches=%v)", got, want, switches)
 		}
-		for _, w := range []int{1, 2, 4} {
-			got := FindCollisionFreePrefix(switches, w, minIdx)
-			for _, s := range switches {
-				minIdx[s.I] = -1
-				minIdx[s.J] = -1
-			}
-			if got != want {
-				t.Fatalf("prefix = %d, want %d (workers=%d, switches=%v)", got, want, w, switches)
-			}
+		// One finder across all trials: stamps of earlier searches must
+		// not count, also after the epoch wraps around (trial 100).
+		if got := f.find(switches); got != want {
+			t.Fatalf("reused finder: prefix = %d, want %d (epoch %d, switches=%v)", got, want, f.epoch, switches)
 		}
 	}
 }
