@@ -19,10 +19,11 @@
 // are switching.Stepper plug-ins in cmd/experiments.
 //
 // All implementations mutate the edge list in place and preserve the
-// degree sequence (in- and out-degrees for arcs) and simplicity. The parallel implementations
-// are exact: given the same switch sequence they produce bit-identical
-// edge lists to sequential Definition-1 execution (see superstep.go for
-// the one documented refinement over the paper's pseudocode).
+// degree sequence (in- and out-degrees for arcs) and simplicity. The
+// parallel implementations are exact: given the same switch sequence
+// they produce bit-identical edge lists to sequential Definition-1
+// execution (see superstep.go for the one documented refinement over
+// the paper's pseudocode).
 package core
 
 import (
@@ -95,8 +96,8 @@ type Config struct {
 	// Constraint restricts the chain's state space (see the constraint
 	// package): local vetoes run inside the decide phase, connectivity
 	// via certificate + speculate-then-recertify (weak connectivity
-	// over arcs). Every algorithm supports it. Nil or a spec with nothing active constrains
-	// nothing.
+	// over arcs). Every algorithm supports it. Nil or a spec with
+	// nothing active constrains nothing.
 	Constraint *constraint.Spec
 }
 

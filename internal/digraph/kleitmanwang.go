@@ -62,16 +62,16 @@ func KleitmanWang(out, in []int) (*DiGraph, error) {
 		if k == 0 {
 			continue
 		}
+		// b_i drops to 0. If i has out-degree left, it moves later in
+		// order: close its old slot and put it in front of the first
+		// node it now precedes.
+		pi := sort.Search(len(order), func(t int) bool { return !before(order[t], i) })
+		b[i] = 0
 		if a[i] > 0 {
-			// b_i drops to 0, so i moves later in order: close its old
-			// slot and put it in front of the first node it precedes.
-			pi := sort.Search(len(order), func(t int) bool { return !before(order[t], i) })
-			b[i] = 0
 			q := pi + 1 + sort.Search(len(order)-pi-1, func(t int) bool { return before(i, order[pi+1+t]) })
 			copy(order[pi:q-1], order[pi+1:q])
 			order[q-1] = i
 		}
-		b[i] = 0
 		// The k first nodes of order other than i are the sources.
 		moved = moved[:0]
 		filled, p, sawI := 0, 0, false
