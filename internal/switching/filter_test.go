@@ -121,13 +121,9 @@ func TestFilterParESMatchesUnfiltered(t *testing.T) {
 		rd := switching.NewRunner(def, m/2, w)
 		rf := switching.NewRunner(forced, m/2, w)
 		switching.DisableRunnerFilter(rf)
-		minIdx := make([]int32, m)
-		for i := range minIdx {
-			minIdx[i] = -1
-		}
 		supersteps := 0
 		for pending := switches; len(pending) > 0; supersteps++ {
-			p := core.FindCollisionFreePrefix(pending[:min(len(pending), m/2)], w, minIdx)
+			p := core.FindCollisionFreePrefix(pending[:min(len(pending), m/2)], m)
 			rd.Run(pending[:p])
 			rf.Run(pending[:p])
 			if rd.Legal != rf.Legal || !slices.Equal(def, forced) {
