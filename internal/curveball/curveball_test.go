@@ -38,7 +38,7 @@ func edgeKey(es []graph.Edge) string {
 // checking that the two agree.
 func tradeOnce(t *testing.T, ref *Reference, eng *Engine, m int, u, v uint32, seed uint64) []graph.Edge {
 	t.Helper()
-	pairs := [][2]uint32{{u, v}}
+	pairs := []uint32{u, v}
 	ref.TradeBatch(pairs, seed)
 	eng.TradeBatch(pairs, seed)
 	want := ref.Edges()

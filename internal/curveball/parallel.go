@@ -55,7 +55,8 @@ import (
 const unranked = int32(math.MaxInt32)
 
 // tradeScratch is per-worker trade state, padded to keep the slice
-// headers of different workers off one cache line.
+// headers of different workers off one cache line. NewEngine sizes
+// every buffer for the largest possible trade, so none ever grows.
 type tradeScratch struct {
 	pool  []uint64 // packed slot values being redealt
 	tgt   []int32  // their slot indices (u's slots, then v's)
@@ -85,20 +86,21 @@ type Engine struct {
 	n    int
 	offs []int32  // CSR offsets, len n+1
 	slot []uint64 // neighbor<<32 | reverse-slot index; atomic access
+	node []uint32 // slot owner: node[i] = u for offs[u] <= i < offs[u+1]
 	rank []int32
+	seq  bool // one worker: no trade runs concurrently, stores are plain
 
 	drv     switching.RoundDriver
 	src     rng.Source      // pairing permutations and local pair draws
 	seedSrc *rng.SplitMix64 // per-batch trade-seed bases
 	sc      []tradeScratch
 
-	perm  []uint32    // global pairing permutation buffer
-	pairs [][2]uint32 // batch buffer
-	used  []bool
+	perm []uint32 // pairing buffer: trade k is (perm[2k], perm[2k+1])
+	used []bool
 
 	// Per-batch dispatch state and the persistent bodies reading it,
 	// created once so batches allocate nothing in steady state.
-	curPairs    [][2]uint32
+	curPairs    []uint32
 	curSeed     uint64
 	rankSet     [1]conc.FusedPass // the driver prologue; N set per batch
 	rankClearFn func(worker, lo, hi int)
@@ -115,6 +117,7 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 		offs[v+1] = offs[v] + int32(deg[v])
 	}
 	slot := make([]uint64, 2*m)
+	node := make([]uint32, 2*m)
 	cursor := make([]int32, n)
 	copy(cursor, offs[:n])
 	for _, e := range g.Edges() {
@@ -124,11 +127,13 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 		cursor[v]++
 		slot[su] = uint64(v)<<32 | uint64(uint32(sv))
 		slot[sv] = uint64(u)<<32 | uint64(uint32(su))
+		node[su], node[sv] = uint32(u), uint32(v)
 	}
 	e := &Engine{
 		n:       n,
 		offs:    offs,
 		slot:    slot,
+		node:    node,
 		rank:    make([]int32, n),
 		src:     rng.NewMT19937(seed),
 		seedSrc: rng.NewSplitMix64(seed ^ 0xC3B5507A6F7C8E21),
@@ -139,24 +144,34 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 		e.rank[i] = unranked
 	}
 	e.drv.Init(workers)
+	e.seq = e.drv.Workers() == 1
+	e.drv.Reserve(n/2, len(e.rankSet))
+	// A trade pools at most the degrees of its two nodes, so buffers
+	// sized from the maximum degree never grow: the first superstep
+	// allocates nothing, whichever worker claims the hub trades.
+	dmax := g.MaxDegree()
 	e.sc = make([]tradeScratch, e.drv.Workers())
 	for w := range e.sc {
-		e.sc[w].tab = make([]uint64, 1<<tableBits(g.MaxDegree()))
+		e.sc[w] = tradeScratch{
+			pool:  make([]uint64, 0, 2*dmax),
+			tgt:   make([]int32, 0, 2*dmax),
+			vpool: make([]uint64, 0, dmax),
+			vtgt:  make([]int32, 0, dmax),
+			tab:   make([]uint64, 1<<tableBits(dmax)),
+		}
 	}
 	e.rankSet[0].Fn = func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			e.rank[e.curPairs[k][0]] = int32(k)
-			e.rank[e.curPairs[k][1]] = int32(k)
+		for x := 2 * lo; x < 2*hi; x++ {
+			e.rank[e.curPairs[x]] = int32(x >> 1)
 		}
 	}
 	e.rankClearFn = func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			e.rank[e.curPairs[k][0]] = unranked
-			e.rank[e.curPairs[k][1]] = unranked
+		for _, u := range e.curPairs[2*lo : 2*hi] {
+			e.rank[u] = unranked
 		}
 	}
 	e.tradeFn = func(worker int, k int32) uint32 {
-		e.trade(worker, e.curPairs[k][0], e.curPairs[k][1], k, e.curSeed)
+		e.trade(worker, e.curPairs[2*k], e.curPairs[2*k+1], k, e.curSeed)
 		return conc.StatusLegal
 	}
 	return e
@@ -176,16 +191,12 @@ func (e *Engine) Stats() switching.Stats { return e.drv.Stats }
 
 // GlobalStep performs one global trade: a uniform permutation pairs
 // every node exactly once and the resulting ⌊n/2⌋ trades execute as one
-// batch. The pairing is drawn from the sequential stream, so the whole
-// step is invariant under the worker count.
+// batch, read in place from the permutation (an odd node out is
+// unpaired). The pairing is drawn from the sequential stream, so the
+// whole step is invariant under the worker count.
 func (e *Engine) GlobalStep() {
 	rng.PermInto(e.src, e.perm)
-	pairs := e.pairs[:0]
-	for k := 0; k+1 < e.n; k += 2 {
-		pairs = append(pairs, [2]uint32{e.perm[k], e.perm[k+1]})
-	}
-	e.pairs = pairs
-	e.TradeBatch(pairs, e.seedSrc.Uint64())
+	e.TradeBatch(e.perm, e.seedSrc.Uint64())
 }
 
 // LocalStep performs ⌊n/2⌋ uniformly random trades (the Curveball
@@ -194,25 +205,22 @@ func (e *Engine) GlobalStep() {
 // node-disjoint batches, so batching — and therefore the result — is
 // independent of the worker count.
 func (e *Engine) LocalStep() {
-	total := e.n / 2
-	pairs := e.pairs[:0]
-	for i := 0; i < total; i++ {
+	p := e.perm[:e.n&^1] // ⌊n/2⌋ pairs, flat
+	for i := 0; i < len(p); i += 2 {
 		u, v := rng.TwoDistinct(e.src, e.n)
-		pairs = append(pairs, [2]uint32{uint32(u), uint32(v)})
+		p[i], p[i+1] = uint32(u), uint32(v)
 	}
-	e.pairs = pairs
 	i := 0
-	for i < total {
+	for i < len(p) {
 		j := i
-		for j < total && !e.used[pairs[j][0]] && !e.used[pairs[j][1]] {
-			e.used[pairs[j][0]] = true
-			e.used[pairs[j][1]] = true
-			j++
+		for j < len(p) && !e.used[p[j]] && !e.used[p[j+1]] {
+			e.used[p[j]] = true
+			e.used[p[j+1]] = true
+			j += 2
 		}
-		e.TradeBatch(pairs[i:j], e.seedSrc.Uint64())
-		for _, p := range pairs[i:j] {
-			e.used[p[0]] = false
-			e.used[p[1]] = false
+		e.TradeBatch(p[i:j], e.seedSrc.Uint64())
+		for _, u := range p[i:j] {
+			e.used[u] = false
 		}
 		i = j
 	}
@@ -258,10 +266,11 @@ func tradeSeed(stepSeed uint64, k int32) uint64 {
 }
 
 // TradeBatch executes one batch of node-disjoint trades under the
-// ownership discipline. Exposed so differential tests can drive the
-// engine and the sequential Reference with identical inputs.
-func (e *Engine) TradeBatch(pairs [][2]uint32, stepSeed uint64) {
-	nt := len(pairs)
+// ownership discipline: trade k is (pairs[2k], pairs[2k+1]), and an
+// odd last node is left unpaired. Exposed so differential tests can
+// drive the engine and the sequential Reference with identical inputs.
+func (e *Engine) TradeBatch(pairs []uint32, stepSeed uint64) {
+	nt := len(pairs) / 2
 	if nt == 0 {
 		return
 	}
@@ -283,7 +292,9 @@ func (e *Engine) TradeBatch(pairs [][2]uint32, stepSeed uint64) {
 // duration of the trade. Slot reads and the reverse-slot writes are
 // atomic because neighboring trades concurrently scan the same
 // adjacency arrays (always slots of a different rank, so decisions are
-// unaffected; the atomics only order the memory accesses).
+// unaffected; the atomics only order the memory accesses). A 1-worker
+// engine runs its trades one after another, so its reverse-slot writes
+// are plain stores (an atomic store is a locked exchange on amd64).
 func (e *Engine) trade(worker int, u, v uint32, k int32, stepSeed uint64) {
 	sc := &e.sc[worker]
 	vpool, vtgt := sc.vpool[:0], sc.vtgt[:0]
@@ -339,7 +350,6 @@ func (e *Engine) trade(worker int, u, v uint32, k int32, stepSeed uint64) {
 			tgt = append(tgt, i)
 		}
 	}
-	sc.vpool, sc.vtgt, sc.pool, sc.tgt = vpool, vtgt, pool, tgt // keep grown capacity
 
 	if len(pool) < 2 {
 		return // nothing can move
@@ -356,26 +366,29 @@ func (e *Engine) trade(worker int, u, v uint32, k int32, stepSeed uint64) {
 		}
 		t := tgt[i]
 		e.slot[t] = s // owned by this trade: no other trade reads it
-		atomic.StoreUint64(&e.slot[uint32(s)], owner|uint64(uint32(t)))
+		if e.seq {
+			e.slot[uint32(s)] = owner | uint64(uint32(t))
+		} else {
+			atomic.StoreUint64(&e.slot[uint32(s)], owner|uint64(uint32(t)))
+		}
 	}
 }
 
 // WriteEdges writes the current edge list into dst, which must have
 // length m. The order (node-major, slot order) is deterministic and
-// independent of the worker count. Every slot's edge is written and the
-// cursor advances only for u < w, so a later slot overwrites the
-// reversed copies without a data-dependent branch.
+// independent of the worker count. One pass over the slots reads each
+// slot's owner from node; every slot's edge is written and the cursor
+// advances only for u < w, so a later slot overwrites the reversed
+// copies without a data-dependent branch.
 func (e *Engine) WriteEdges(dst []graph.Edge) {
 	i, m := 0, len(dst)
-	for u := 0; u < e.n; u++ {
-		hi := uint64(u) << 32
-		for _, s := range e.slot[e.offs[u]:e.offs[u+1]] {
-			w := s >> 32
-			if i < m {
-				dst[i] = graph.Edge(hi | w)
-			}
-			i += int((uint64(u) - w) >> 63) // 1 iff u < w
+	node := e.node[:len(e.slot)]
+	for x, s := range e.slot {
+		u, w := uint64(node[x]), s>>32
+		if i < m {
+			dst[i] = graph.Edge(u<<32 | w)
 		}
+		i += int((u - w) >> 63) // 1 iff u < w
 	}
 	if i != m {
 		panic("curveball: edge count drifted")
@@ -427,18 +440,18 @@ func NewReference(g *graph.Graph) *Reference {
 }
 
 // TradeBatch executes the batch sequentially in trade order with the
-// same ownership rule and per-trade seeds as the parallel engine.
-func (r *Reference) TradeBatch(pairs [][2]uint32, stepSeed uint64) {
-	for k := range pairs {
-		r.rank[pairs[k][0]] = int32(k)
-		r.rank[pairs[k][1]] = int32(k)
+// same pairing (trade k is (pairs[2k], pairs[2k+1])), ownership rule and
+// per-trade seeds as the parallel engine.
+func (r *Reference) TradeBatch(pairs []uint32, stepSeed uint64) {
+	pairs = pairs[:len(pairs)&^1]
+	for x, u := range pairs {
+		r.rank[u] = int32(x / 2)
 	}
-	for k, p := range pairs {
-		r.trade(p[0], p[1], int32(k), stepSeed)
+	for k := 0; k < len(pairs)/2; k++ {
+		r.trade(pairs[2*k], pairs[2*k+1], int32(k), stepSeed)
 	}
-	for k := range pairs {
-		r.rank[pairs[k][0]] = unranked
-		r.rank[pairs[k][1]] = unranked
+	for _, u := range pairs {
+		r.rank[u] = unranked
 	}
 }
 

@@ -2,6 +2,7 @@ package curveball
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -23,21 +24,17 @@ func engineEdges(e *Engine, m int) []graph.Edge {
 	return dst
 }
 
-// drawBatches replays the exact pairing and seed streams an engine with
-// the given seed draws for `steps` global trades, so the sequential
-// Reference can be driven with identical inputs.
-func drawGlobalBatches(n int, steps int, seed uint64) ([][][2]uint32, []uint64) {
+// drawGlobalBatches replays the exact pairing and seed streams an
+// engine with the given seed draws for `steps` global trades, so the
+// sequential Reference can be driven with identical inputs. Each batch
+// is the pairing permutation itself, as GlobalStep passes it.
+func drawGlobalBatches(n int, steps int, seed uint64) ([][]uint32, []uint64) {
 	src := rng.NewMT19937(seed)
 	seedSrc := rng.NewSplitMix64(seed ^ 0xC3B5507A6F7C8E21)
-	batches := make([][][2]uint32, steps)
+	batches := make([][]uint32, steps)
 	seeds := make([]uint64, steps)
 	for s := 0; s < steps; s++ {
-		perm := rng.Perm(src, n)
-		var pairs [][2]uint32
-		for k := 0; k+1 < n; k += 2 {
-			pairs = append(pairs, [2]uint32{perm[k], perm[k+1]})
-		}
-		batches[s] = pairs
+		batches[s] = rng.Perm(src, n)
 		seeds[s] = seedSrc.Uint64()
 	}
 	return batches, seeds
@@ -200,10 +197,10 @@ func TestParallelGlobalCurveballUniformOverMatchings(t *testing.T) {
 // drawLocalBatches replays the pair and seed streams of `steps` local
 // supersteps of an engine with the given seed, split into the same
 // maximal node-disjoint batches as LocalStep.
-func drawLocalBatches(n int, steps int, seed uint64) ([][][2]uint32, []uint64) {
+func drawLocalBatches(n int, steps int, seed uint64) ([][]uint32, []uint64) {
 	src := rng.NewMT19937(seed)
 	seedSrc := rng.NewSplitMix64(seed ^ 0xC3B5507A6F7C8E21)
-	var batches [][][2]uint32
+	var batches [][]uint32
 	var seeds []uint64
 	for s := 0; s < steps; s++ {
 		pairs := make([][2]uint32, n/2)
@@ -213,12 +210,14 @@ func drawLocalBatches(n int, steps int, seed uint64) ([][][2]uint32, []uint64) {
 		}
 		for i := 0; i < len(pairs); {
 			used := map[uint32]bool{}
+			var batch []uint32
 			j := i
 			for j < len(pairs) && !used[pairs[j][0]] && !used[pairs[j][1]] {
 				used[pairs[j][0]], used[pairs[j][1]] = true, true
+				batch = append(batch, pairs[j][0], pairs[j][1])
 				j++
 			}
-			batches = append(batches, pairs[i:j])
+			batches = append(batches, batch)
 			seeds = append(seeds, seedSrc.Uint64())
 			i = j
 		}
@@ -350,5 +349,36 @@ func TestEngineStepAllocFree(t *testing.T) {
 			}
 		}
 		e.Close()
+	}
+}
+
+// TestEngineFirstStepsAllocFree: a fresh engine's first supersteps
+// allocate nothing either. At w = 2 a hub trade lands on whichever
+// worker claims it, so per-worker trade buffers that grew on demand
+// would still grow after any fixed number of warm-up steps; they are
+// sized at construction instead. The count is taken as
+// testing.AllocsPerRun takes it, without its warm-up call: at
+// GOMAXPROCS 1 and rounded down per superstep, so that the runtime's
+// own rare allocation of a channel waiter, when the gang's barrier
+// parks a goroutine, does not count.
+func TestEngineFirstStepsAllocFree(t *testing.T) {
+	g := hubGraph(t, 400, 7107)
+	dst := make([]graph.Edge, g.M())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const steps = 8
+	for range 5 {
+		e := NewEngine(g, 2, 3)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range steps {
+			e.GlobalStep()
+			e.LocalStep()
+			e.WriteEdges(dst)
+		}
+		runtime.ReadMemStats(&after)
+		e.Close()
+		if a := (after.Mallocs - before.Mallocs) / steps; a != 0 {
+			t.Fatalf("a fresh workers=2 engine allocates %d times per superstep of each kind", a)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package switching
 
 import (
+	"slices"
 	"time"
 
 	"gesmc/internal/conc"
@@ -105,6 +106,14 @@ func (d *RoundDriver) Init(workers int) {
 	d.scratch = make([]driverScratch, workers)
 	d.roundFn = d.roundBody
 	d.round.Passes = []conc.FusedPass{{Chunk: -1, Fn: d.roundFn}}
+}
+
+// Reserve sizes the driver's buffers for supersteps of up to n items
+// after a prologue of up to passes passes, so that the first
+// supersteps allocate nothing either.
+func (d *RoundDriver) Reserve(n, passes int) {
+	d.undecided = slices.Grow(d.undecided[:0], n)
+	d.first.Passes = slices.Grow(d.first.Passes[:0], passes+1)
 }
 
 // Workers returns the parallelism degree the driver was initialized

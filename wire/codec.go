@@ -478,13 +478,12 @@ func parseInts(b []byte, i int) ([]int, int, bool) {
 // parseEdges parses a non-empty list of [u,v] pairs of uint32 values up
 // to and including the closing ']' at b[i:].
 func parseEdges(b []byte, i int) ([][2]uint32, int, bool) {
-	// A canonical list ends at its first "]]" and holds one '[' per
-	// edge before it, so this is exact on canonical input.
-	end := bytes.Index(b[i:], []byte("]]"))
-	if end < 0 {
-		return nil, i, false
-	}
-	edges := make([][2]uint32, 0, bytes.Count(b[i:i+end], []byte{'['}))
+	// A canonical list holds one '[' per edge, and nothing after it in
+	// a canonical line holds another outside a string (no Stats field
+	// is an array), so one count of the rest of b is exact on
+	// canonical lines. A '[' inside a later string, or a request's
+	// forbidden_edges, only over-sizes the capacity.
+	edges := make([][2]uint32, 0, bytes.Count(b[i:], []byte{'['}))
 	for {
 		if i >= len(b) || b[i] != '[' {
 			return nil, i, false

@@ -377,6 +377,35 @@ func TestDecodeLinesTruncated(t *testing.T) {
 	}
 }
 
+// TestDecodeLinesBracketsInStrings: the fast path sizes a line's edge
+// list by counting '[' over the rest of the line, so brackets inside
+// the tail strings (error, code, trace_id, a stats backend) over-size
+// only the capacity. Such lines still take the fast path and decode
+// exactly as json.Unmarshal decodes them, alone and as one stream.
+func TestDecodeLinesBracketsInStrings(t *testing.T) {
+	strs := []string{"[", "]]", "[[", "[[0,1]]", "x]][[y", "[[[[[[[["}
+	var stream []byte
+	for i, s := range strs {
+		for _, edges := range [][][2]uint32{nil, {{0, 1}}, {{0, 1}, {2, 3}, {1, 4}}} {
+			ln := &Line{Index: i, Cursor: i + 1, Nodes: 5, Edges: edges, Error: s, Code: s, TraceID: s,
+				Stats: &Stats{Algorithm: "GlobalCurveball", Supersteps: 1, Backend: s, TraceID: s}}
+			line := checkEncode(t, ln)
+			checkDecode(t, line)
+			var got Line
+			if !decodeFast(bytes.Clone(line[:len(line)-1]), &got) {
+				t.Fatalf("canonical line %q left the fast path", line)
+			}
+			if !reflect.DeepEqual(got.Edges, edges) {
+				t.Fatalf("fast path decoded edges %v, want %v, from %q", got.Edges, edges, line)
+			}
+			stream = append(stream, line...)
+		}
+	}
+	checkDecode(t, stream)
+	// A list closed only inside a later string is malformed.
+	checkDecode(t, []byte(`{"index":0,"edges":[[0,1],[2,3],"error":"]]"}`+"\n"))
+}
+
 // TestDecodeLinesOwnsEdges pins that every callback gets its own Edges
 // backing array: callers such as RemoteBackend keep lines past the
 // callback.
