@@ -177,9 +177,14 @@ func BenchmarkFig9Rounds(b *testing.B) {
 }
 
 // BenchmarkAblationPermutation compares the sequential Fisher-Yates
-// shuffle with the parallel scatter shuffle that feeds ParGlobalES.
+// shuffle with the parallel scatter shuffle that feeds ParGlobalES,
+// both building a fresh permutation of [0, n) per iteration.
 func BenchmarkAblationPermutation(b *testing.B) {
 	const n = 1 << 18
+	identity := make([]uint32, n)
+	for i := range identity {
+		identity[i] = uint32(i)
+	}
 	b.Run("sequential", func(b *testing.B) {
 		src := rng.NewMT19937(1)
 		for i := 0; i < b.N; i++ {
@@ -188,7 +193,8 @@ func BenchmarkAblationPermutation(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rng.ParallelPerm(uint64(i), n)
+			p := make([]uint32, n)
+			rng.NewPermGen[uint32](n).Permute(uint64(i), identity, p, nil)
 		}
 	})
 }

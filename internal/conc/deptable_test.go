@@ -9,34 +9,68 @@ import (
 
 func edge(u, v uint32) graph.Edge { return graph.MakeEdge(u, v) }
 
+// fillers returns n distinct keys of node range [base, base+n+1),
+// placeholders for tuples a test does not name.
+func fillers(base uint32, n int) []graph.Edge {
+	out := make([]graph.Edge, n)
+	for i := range out {
+		out[i] = edge(base+uint32(i), base+uint32(i)+1)
+	}
+	return out
+}
+
 // unfiltered returns a one-worker table whose filter marks every slot
 // shared, so Probe sees every registered tuple: the chain mechanics
 // under test do not depend on which keys the filter finds unique.
-func unfiltered(maxSwitches int) *DepTable {
-	dt := NewDepTable(maxSwitches, 1)
+func unfiltered(maxSwitches, maxSources int) *DepTable[graph.Edge] {
+	dt := NewDepTable[graph.Edge](maxSwitches, maxSources, 1)
 	dt.DisableFilter()
 	return dt
 }
 
 // index runs the table's merge and link passes on the caller.
-func index(dt *DepTable) {
+func index(dt *DepTable[graph.Edge]) {
 	for _, ps := range dt.IndexPasses() {
 		ps.Fn(0, 0, ps.N)
 	}
 }
 
-func TestDepTableStoreLookup(t *testing.T) {
-	dt := unfiltered(8)
-	dt.Reset(4, 0)
+// markSwitch registers switch k of the current superstep on worker w,
+// the way the kernel's phase 1 does: its targets t3 and t4 written to
+// the table's insert tuples, and all four keys — the two sources,
+// already in the source list, and the targets — marked.
+func markSwitch(dt *DepTable[graph.Edge], w, k int, t3, t4 graph.Edge) {
+	ins := dt.Inserts()
+	ins[2*k], ins[2*k+1] = t3, t4
+	dt.Mark(w, dt.src[2*k])
+	dt.Mark(w, dt.src[2*k+1])
+	dt.Mark(w, t3)
+	dt.Mark(w, t4)
+}
 
+// load indexes a superstep of n switches over src on one worker:
+// switch k sources src[2k..2k+1] and inserts ins[2k..2k+1], and
+// src[2n:] are survivors.
+func load(dt *DepTable[graph.Edge], src []graph.Edge, n int, ins []graph.Edge) {
+	dt.Reset(src, n)
+	for k := 0; k < n; k++ {
+		markSwitch(dt, 0, k, ins[2*k], ins[2*k+1])
+	}
+	for _, e := range src[2*n:] {
+		dt.Mark(0, e)
+	}
+	index(dt)
+}
+
+func TestDepTableStoreLookup(t *testing.T) {
+	dt := unfiltered(8, 16)
 	e := edge(1, 2)
 	f := edge(3, 4)
 	// Switch 0 erases e; switches 1 and 2 insert e; switch 3 inserts f.
-	dt.Store(0, 0, 0, e, KindErase)
-	dt.Store(0, 1, 2, e, KindInsert)
-	dt.Store(0, 2, 2, e, KindInsert)
-	dt.Store(0, 3, 2, f, KindInsert)
-	index(dt)
+	src, ins := fillers(100, 8), fillers(200, 8)
+	src[0] = e
+	ins[2], ins[4], ins[6] = e, e, f
+	load(dt, src, 4, ins)
 
 	if p, pok, q, st, qok := dt.Probe(e); !pok || p != 0 || !qok || q != 1 || st != StatusUndecided {
 		t.Fatalf("Probe(e) = %d, %v, %d, %d, %v", p, pok, q, st, qok)
@@ -50,13 +84,11 @@ func TestDepTableStoreLookup(t *testing.T) {
 }
 
 func TestDepTableProbeSkipsIllegal(t *testing.T) {
-	dt := unfiltered(8)
-	dt.Reset(4, 0)
+	dt := unfiltered(8, 16)
 	e := edge(5, 6)
-	dt.Store(0, 0, 2, e, KindInsert)
-	dt.Store(0, 1, 2, e, KindInsert)
-	dt.Store(0, 2, 2, e, KindInsert)
-	index(dt)
+	src, ins := fillers(100, 8), fillers(200, 8)
+	ins[0], ins[2], ins[4] = e, e, e
+	load(dt, src, 4, ins)
 
 	dt.SetStatus(0, StatusIllegal)
 	if _, _, q, st, ok := dt.Probe(e); !ok || q != 1 || st != StatusUndecided {
@@ -74,17 +106,19 @@ func TestDepTableProbeSkipsIllegal(t *testing.T) {
 }
 
 func TestDepTableResetClears(t *testing.T) {
-	dt := unfiltered(8)
-	dt.Reset(2, 0)
+	dt := unfiltered(8, 16)
 	e := edge(1, 2)
-	dt.Store(0, 0, 0, e, KindErase)
-	index(dt)
+	src, ins := fillers(100, 4), fillers(200, 4)
+	src[0] = e
+	load(dt, src, 2, ins)
 	dt.SetStatus(0, StatusLegal)
 	if _, ok, _, _, _ := dt.Probe(e); !ok {
 		t.Fatal("stored tuple not found")
 	}
 
-	dt.Reset(2, 0)
+	// The same source list again: only the epoch tells the stale
+	// chains and statuses apart.
+	dt.Reset(src, 2)
 	if _, ok, _, _, _ := dt.Probe(e); ok {
 		t.Fatal("tuple survived Reset")
 	}
@@ -96,20 +130,22 @@ func TestDepTableResetClears(t *testing.T) {
 func TestDepTableConcurrentStore(t *testing.T) {
 	const nSwitches = 4096
 	const workers = 8
-	dt := NewDepTable(nSwitches, workers)
+	dt := NewDepTable[graph.Edge](nSwitches, 2*nSwitches, workers)
 	dt.DisableFilter()
-	dt.Reset(nSwitches, 0)
+	src := make([]graph.Edge, 2*nSwitches)
+	for k := 0; k < nSwitches; k++ {
+		src[2*k] = edge(uint32(2*k), uint32(2*k+1))
+		src[2*k+1] = edge(uint32(2*k+1), uint32(2*k+2))
+	}
+	dt.Reset(src, nSwitches)
 	pool := NewPool(workers)
 	defer pool.Close()
-	// Every switch k stores four tuples; several switches share target
-	// edges to build long chains. Register, merge and link run as one
-	// fused plan, the way the kernel runs them.
+	// Every switch k registers four tuples; several switches share
+	// target edges to build long chains. Register, merge and link run
+	// as one fused plan, the way the kernel runs them.
 	plan := FusedPlan{Passes: append([]FusedPass{{N: nSwitches, Fn: func(w, lo, hi int) {
 		for k := lo; k < hi; k++ {
-			dt.Store(w, k, 0, edge(uint32(2*k), uint32(2*k+1)), KindErase)
-			dt.Store(w, k, 1, edge(uint32(2*k+1), uint32(2*k+2)), KindErase)
-			dt.Store(w, k, 2, edge(uint32(k%7), uint32(100+k%7)), KindInsert)
-			dt.Store(w, k, 3, edge(uint32(k%5), uint32(200+k%5)), KindInsert)
+			markSwitch(dt, w, k, edge(uint32(k%7), uint32(100+k%7)), edge(uint32(k%5), uint32(200+k%5)))
 		}
 	}}}, dt.IndexPasses()...)}
 	pool.Fused(&plan)
@@ -135,20 +171,20 @@ func TestDepTableCapacityPanic(t *testing.T) {
 			t.Fatal("Reset beyond capacity did not panic")
 		}
 	}()
-	dt := NewDepTable(2, 1)
-	dt.Reset(3, 0)
+	dt := NewDepTable[graph.Edge](2, 6, 1)
+	dt.Reset(fillers(0, 6), 3)
 }
 
 func TestDepTableSurvivorProbe(t *testing.T) {
-	dt := unfiltered(4)
-	dt.Reset(2, 3)
+	dt := unfiltered(4, 8)
 	s := edge(7, 8)
 	e := edge(1, 2)
-	dt.Store(0, 0, 0, e, KindErase)
-	dt.Store(0, 1, 2, s, KindInsert)
-	dt.StoreSurvivor(0, 0, edge(3, 4))
-	dt.StoreSurvivor(0, 2, s)
-	index(dt)
+	// Two switches, then three survivors: edge(3, 4) first, s last.
+	src, ins := fillers(100, 7), fillers(200, 4)
+	src[0] = e
+	src[4], src[6] = edge(3, 4), s
+	ins[2] = s // switch 1 inserts s
+	load(dt, src, 2, ins)
 	if p, pok, q, _, qok := dt.Probe(s); !pok || p != SurvivorIdx || !qok || q != 1 {
 		t.Fatalf("Probe(survivor) = eraser %d, %v, inserter %d, %v; want %d, true, 1, true",
 			p, pok, q, qok, SurvivorIdx)
@@ -159,32 +195,36 @@ func TestDepTableSurvivorProbe(t *testing.T) {
 	if p, pok, _, _, _ := dt.Probe(e); !pok || p != 0 {
 		t.Fatalf("Probe(sourced) = %d, %v; survivors disturbed the switch tuples", p, pok)
 	}
-	dt.Reset(2, 0)
+	dt.Reset(src[:4], 2)
 	if _, pok, _, _, _ := dt.Probe(s); pok {
 		t.Fatal("survivor tuple outlived Reset")
 	}
 }
 
-// fillGlobal stores a global superstep over m edges with l switches the
-// way the kernel does: 4l switch tuples, then m − 2l survivors.
-func fillGlobal(dt *DepTable, m, l int) {
-	dt.Reset(l, m-2*l)
+// fillGlobal indexes a global superstep over m edges with l switches
+// the way the kernel does: switch k sources the list's slots 2k and
+// 2k+1 and inserts two targets, and the m − 2l slots after them are
+// survivors.
+func fillGlobal(dt *DepTable[graph.Edge], m, l int) {
+	src := make([]graph.Edge, m)
+	ins := make([]graph.Edge, 2*l)
 	for k := 0; k < l; k++ {
-		dt.Store(0, k, 0, edge(uint32(2*k), uint32(2*k+1)), KindErase)
-		dt.Store(0, k, 1, edge(uint32(2*k+1), uint32(2*k+2)), KindErase)
-		dt.Store(0, k, 2, edge(uint32(k), uint32(m+k)), KindInsert)
-		dt.Store(0, k, 3, edge(uint32(k+1), uint32(m+k)), KindInsert)
+		src[2*k] = edge(uint32(2*k), uint32(2*k+1))
+		src[2*k+1] = edge(uint32(2*k+1), uint32(2*k+2))
+		ins[2*k] = edge(uint32(k), uint32(m+k))
+		ins[2*k+1] = edge(uint32(k+1), uint32(m+k))
 	}
 	for j := 0; j < m-2*l; j++ {
-		dt.StoreSurvivor(0, j, edge(uint32(3*m+j), uint32(4*m+j)))
+		src[2*l+j] = edge(uint32(3*m+j), uint32(4*m+j))
 	}
-	index(dt)
+	load(dt, src, l, ins)
 }
 
 func TestDepTableCapacityOddGlobal(t *testing.T) {
-	// Odd m with ℓ = ⌊m/2⌋ fills 4⌊m/2⌋ + 1 slots: the arena's last one.
+	// Odd m with ℓ = ⌊m/2⌋ fills m + 2⌊m/2⌋ = 2m − 1 tuple positions:
+	// the table's last one is the survivor's.
 	for _, m := range []int{3, 5, 101, 1001} {
-		dt := unfiltered(m / 2)
+		dt := unfiltered(m/2, m)
 		fillGlobal(dt, m, m/2)
 		if p, ok, _, _, _ := dt.Probe(edge(uint32(3*m), uint32(4*m))); !ok || p != SurvivorIdx {
 			t.Fatalf("m=%d: survivor in the last slot not found (%d, %v)", m, p, ok)
@@ -196,7 +236,7 @@ func TestDepTableCapacityFewSwitchesManySurvivors(t *testing.T) {
 	// A large loop probability leaves small ℓ and nearly m survivors.
 	for _, m := range []int{2, 3, 100, 1001} {
 		for _, l := range []int{0, 1, m / 4} {
-			dt := unfiltered(m / 2)
+			dt := unfiltered(m/2, m)
 			fillGlobal(dt, m, l)
 			for j := 0; j < m-2*l; j++ {
 				if p, ok, _, _, _ := dt.Probe(edge(uint32(3*m+j), uint32(4*m+j))); !ok || p != SurvivorIdx {
@@ -210,11 +250,11 @@ func TestDepTableCapacityFewSwitchesManySurvivors(t *testing.T) {
 func TestDepTableSurvivorCapacityPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Reset beyond the arena did not panic")
+			t.Fatal("Reset beyond the tuple capacity did not panic")
 		}
 	}()
-	dt := NewDepTable(2, 1)
-	dt.Reset(2, 2) // 4·2 + 2 = 10 > 9 slots
+	dt := NewDepTable[graph.Edge](2, 5, 1)
+	dt.Reset(fillers(0, 6), 2) // 6 + 2·2 = 10 > 5 + 2·2 = 9 tuples
 }
 
 // bruteKey is one key of the brute-force multiset: its tuple count,
@@ -229,9 +269,18 @@ type bruteKey struct {
 // link passes; and returns the brute-force multiset. Erase keys are
 // distinct (Observation 2); insert keys come from a small pool that
 // overlaps them. logF > 0 forces a filter of 2^logF slots.
-func fillRandom(dt *DepTable, workers, nSwitch, nSurv int, seed uint64, logF int) map[graph.Edge]*bruteKey {
+func fillRandom(dt *DepTable[graph.Edge], workers, nSwitch, nSurv int, seed uint64, logF int) map[graph.Edge]*bruteKey {
 	src := rng.NewSplitMix64(seed)
-	dt.Reset(nSwitch, nSurv)
+	pool := 2*nSwitch + nSurv
+	erase := make([]graph.Edge, pool)
+	for i := range erase {
+		erase[i] = edge(uint32(i), uint32(i+1))
+	}
+	for i := len(erase) - 1; i > 0; i-- { // Fisher–Yates
+		j := int(src.Uint64() % uint64(i+1))
+		erase[i], erase[j] = erase[j], erase[i]
+	}
+	dt.Reset(erase, nSwitch)
 	if logF > 0 {
 		// A forced-collision filter of 2^logF slots: nearly every slot
 		// holds several keys.
@@ -247,42 +296,32 @@ func fillRandom(dt *DepTable, workers, nSwitch, nSurv int, seed uint64, logF int
 		}
 		return b
 	}
-	pool := 2*nSwitch + nSurv
-	erase := make([]graph.Edge, pool)
-	for i := range erase {
-		erase[i] = edge(uint32(i), uint32(i+1))
-	}
-	for i := len(erase) - 1; i > 0; i-- { // Fisher–Yates
-		j := int(src.Uint64() % uint64(i+1))
-		erase[i], erase[j] = erase[j], erase[i]
-	}
 	insPool := nSwitch/4 + 1
 	for k := 0; k < nSwitch; k++ {
-		w := k % workers
 		for s := 0; s < 2; s++ {
-			e := erase[2*k+s]
-			dt.Store(w, k, s, e, KindErase)
-			b := get(e)
+			b := get(erase[2*k+s])
 			b.tuples++
 			b.eraser = k
 		}
-		for s := 2; s < 4; s++ {
+		var targets [2]graph.Edge
+		for s := range targets {
 			u := uint32(src.Uint64() % uint64(insPool))
 			e := edge(u, u+1) // overlaps the erase keys' low range
 			if src.Uint64()%2 == 0 {
 				e = edge(u, u+1<<20)
 			}
-			dt.Store(w, k, s, e, KindInsert)
+			targets[s] = e
 			b := get(e)
 			b.tuples++
 			if b.minIns == -1 {
 				b.minIns = k
 			}
 		}
+		markSwitch(dt, k%workers, k, targets[0], targets[1])
 	}
 	for j := 0; j < nSurv; j++ {
 		e := erase[2*nSwitch+j]
-		dt.StoreSurvivor(j%workers, j, e)
+		dt.Mark(j%workers, e)
 		b := get(e)
 		b.tuples++
 		b.eraser = SurvivorIdx
@@ -301,7 +340,7 @@ func TestDepTableFilterMatchesBruteForce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, logF := range []int{0, 2} {
 			for trial := uint64(0); trial < 4; trial++ {
-				dt := NewDepTable(600, workers)
+				dt := NewDepTable[graph.Edge](600, 1200+9, workers)
 				// Two supersteps on one table: the second must not see
 				// the first's bitmaps.
 				for step := uint64(0); step < 2; step++ {
@@ -345,17 +384,11 @@ func TestDepTableFilterMatchesBruteForce(t *testing.T) {
 // key registered once by each of two workers is in neither worker's
 // dup bitmap, and must still read as shared.
 func TestDepTableFilterCrossWorker(t *testing.T) {
-	dt := NewDepTable(2, 2)
-	dt.Reset(2, 0)
+	dt := NewDepTable[graph.Edge](2, 4, 2)
 	e := edge(5, 9)
-	dt.Store(0, 0, 0, edge(1, 2), KindErase)
-	dt.Store(0, 0, 1, edge(3, 4), KindErase)
-	dt.Store(0, 0, 2, e, KindInsert)
-	dt.Store(0, 0, 3, edge(6, 7), KindInsert)
-	dt.Store(1, 1, 0, e, KindErase)
-	dt.Store(1, 1, 1, edge(10, 11), KindErase)
-	dt.Store(1, 1, 2, edge(12, 13), KindInsert)
-	dt.Store(1, 1, 3, edge(14, 15), KindInsert)
+	dt.Reset([]graph.Edge{edge(1, 2), edge(3, 4), e, edge(10, 11)}, 2)
+	markSwitch(dt, 0, 0, e, edge(6, 7))
+	markSwitch(dt, 1, 1, edge(12, 13), edge(14, 15))
 	index(dt)
 	if dt.Unique(e) {
 		t.Fatal("key registered by two workers reads unique")
@@ -375,37 +408,37 @@ func TestDepTableFilterConcurrentLanes(t *testing.T) {
 	const n = 3000
 	ins := func(k int) graph.Edge { j := k * 7919 % n; return edge(uint32(2*j), uint32(2*j+1)) }
 	for _, workers := range []int{2, 8} {
-		dt := NewDepTable(n, workers)
+		dt := NewDepTable[graph.Edge](n, 2*n, workers)
 		pool := NewPool(workers)
 		want := map[graph.Edge]*bruteKey{}
-		add := func(e graph.Edge, k int, kind uint8) {
+		add := func(e graph.Edge, k int, erase bool) {
 			b := want[e]
 			if b == nil {
 				b = &bruteKey{eraser: -1, minIns: -1}
 				want[e] = b
 			}
 			b.tuples++
-			if kind == KindErase {
+			if erase {
 				b.eraser = k
 			} else if b.minIns == -1 || k < b.minIns {
 				b.minIns = k
 			}
 		}
+		src := make([]graph.Edge, 2*n)
 		for k := 0; k < n; k++ {
-			add(edge(uint32(2*k), uint32(2*k+1)), k, KindErase)
-			add(edge(uint32(2*k+1), uint32(2*k+2)), k, KindErase)
-			add(ins(k), k, KindInsert)
-			add(edge(uint32(k), uint32(1<<20+k)), k, KindInsert)
+			src[2*k] = edge(uint32(2*k), uint32(2*k+1))
+			src[2*k+1] = edge(uint32(2*k+1), uint32(2*k+2))
+			add(src[2*k], k, true)
+			add(src[2*k+1], k, true)
+			add(ins(k), k, false)
+			add(edge(uint32(k), uint32(1<<20+k)), k, false)
 		}
 		// Two supersteps: the second must not see the first's lanes.
 		for step := 0; step < 2; step++ {
-			dt.Reset(n, 0)
+			dt.Reset(src, n)
 			plan := FusedPlan{Passes: append([]FusedPass{{N: n, Fn: func(w, lo, hi int) {
 				for k := lo; k < hi; k++ {
-					dt.Store(w, k, 0, edge(uint32(2*k), uint32(2*k+1)), KindErase)
-					dt.Store(w, k, 1, edge(uint32(2*k+1), uint32(2*k+2)), KindErase)
-					dt.Store(w, k, 2, ins(k), KindInsert)
-					dt.Store(w, k, 3, edge(uint32(k), uint32(1<<20+k)), KindInsert)
+					markSwitch(dt, w, k, ins(k), edge(uint32(k), uint32(1<<20+k)))
 				}
 			}}}, dt.IndexPasses()...)}
 			pool.Fused(&plan)

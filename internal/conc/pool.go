@@ -94,7 +94,7 @@ type poolPanic struct{ v any }
 
 // chunkItemBytes is the assumed per-item cache footprint used to convert
 // a byte budget into a chunk length: the kernel's decide items touch a
-// handful of scattered lines (the switch's arena tuples, the filter
+// handful of scattered lines (the switch's tuple keys, the filter
 // words of its targets, the chains of shared targets and, in a prefix
 // superstep, edge-set buckets), of which roughly one line per item is
 // unique to the chunk.

@@ -26,16 +26,16 @@ import "gesmc/internal/switching"
 // repaired state), but it is deterministic per seed and — because the
 // accepted set and the rollback order are both worker-count
 // independent — identical for every worker count.
-func Recertify[E switching.EdgeKind[E]](r *switching.Runner[E], switches []switching.Switch, t *Tracker) int {
+func Recertify[E switching.EdgeKind[E]](r *switching.Runner[E], t *Tracker) int {
 	if Certify(t, r.E) {
 		return 0
 	}
 	rolled := 0
-	for k := len(switches) - 1; k >= 0; k-- {
+	for k := r.NumSwitches() - 1; k >= 0; k-- {
 		if !r.Accepted(k) {
 			continue
 		}
-		r.Rollback(k, switches[k])
+		r.Rollback(k)
 		rolled++
 		if Connected(t, r.E) {
 			break

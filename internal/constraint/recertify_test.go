@@ -58,7 +58,7 @@ func TestRecertifyRollsBackBridgeDeletingSuperstep(t *testing.T) {
 			t.Fatalf("workers=%d: switch did not disconnect (test setup broken)", workers)
 		}
 
-		rolled := Recertify(r, sw, tr)
+		rolled := Recertify(r, tr)
 		if rolled != 1 {
 			t.Fatalf("workers=%d: rolled back %d switches, want 1", workers, rolled)
 		}
@@ -104,7 +104,7 @@ func TestRecertifyKeepsConnectedSuperstep(t *testing.T) {
 	if !r.Accepted(0) {
 		t.Fatal("cross switch rejected")
 	}
-	if rolled := Recertify(r, sw, tr); rolled != 0 {
+	if rolled := Recertify(r, tr); rolled != 0 {
 		t.Fatalf("rolled back %d switches of a connected superstep", rolled)
 	}
 	if r.Stats.Legal != 1 || r.Stats.RolledBack != 0 {
@@ -173,7 +173,7 @@ func TestRecertifyPartialRollback(t *testing.T) {
 	if !r.Accepted(0) || !r.Accepted(1) {
 		t.Fatalf("kernel rejected switches: %v %v", r.Accepted(0), r.Accepted(1))
 	}
-	rolled := Recertify(r, sw, tr)
+	rolled := Recertify(r, tr)
 	if rolled != 1 {
 		t.Fatalf("rolled back %d, want exactly the disconnecting suffix (1)", rolled)
 	}

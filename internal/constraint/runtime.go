@@ -177,11 +177,11 @@ func (c *Runtime[E]) After() switching.AfterFunc[E] {
 // roll back in reverse commit order if the certificate broke, and run
 // escape moves when recertification has zeroed out ParStallSupersteps
 // whole supersteps in a row.
-func (c *Runtime[E]) AfterSuperstep(r *switching.Runner[E], switches []switching.Switch, src rng.Source, st *switching.Stats) {
+func (c *Runtime[E]) AfterSuperstep(r *switching.Runner[E], src rng.Source, st *switching.Stats) {
 	if c.Tracker == nil {
 		return
 	}
-	rolled := Recertify(r, switches, c.Tracker)
+	rolled := Recertify(r, c.Tracker)
 	if rolled > 0 && r.Stats.Legal == c.lastLegal {
 		// Everything the superstep accepted was rolled back.
 		c.stall++

@@ -82,13 +82,15 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 }
 
 func TestGlobalParallelMatchesGlobalSequential(t *testing.T) {
-	// Inject identical (π, ℓ) into both implementations: bit-exact
-	// equality required, across superstep boundaries. The parallel side
-	// runs the production survivor path twice: on a set-less global
-	// runner (what ParGlobalES compiles) and on a set-backed one (what
-	// the connectivity constraint compiles), whose edge set must track
-	// the edge list. One target has an odd edge count, so ℓ = ⌊m/2⌋
-	// leaves one survivor; the large loop probabilities leave many.
+	// Inject identical (π, ℓ) into both implementations: every list is
+	// shuffled by the same permutation, the sequential side executes
+	// the adjacent pairs in order, and bit-exact equality is required,
+	// across superstep boundaries. The parallel side runs the
+	// production survivor path twice: on a set-less global runner (what
+	// ParGlobalES compiles) and on a set-backed one (what the
+	// connectivity constraint compiles), whose edge set must track the
+	// edge list. One target has an odd edge count, so ℓ = ⌊m/2⌋ leaves
+	// one survivor; the large loop probabilities leave many.
 	src := rng.NewMT19937(17)
 	g, err := gen.SynPldGraph(200, 2.1, src)
 	if err != nil {
@@ -97,26 +99,28 @@ func TestGlobalParallelMatchesGlobalSequential(t *testing.T) {
 	trimmed := graph.NewUnchecked(g.N(), append([]graph.Edge(nil), g.Edges()[:g.M()-1]...))
 	for _, base := range []*graph.Graph{g, trimmed} {
 		m := base.M()
+		perm := rng.NewPermGen[graph.Edge](m)
+		scratch := make([]graph.Edge, m)
 		for _, pl := range []float64{0.01, 0.5, 0.9} {
 			for _, w := range []int{1, 2, 4, 8} {
 				seq := base.Clone()
 				seqSet := hashset.FromEdges(seq.Edges(), 0.5)
 				bare := base.Clone()
-				rBare := NewSuperstepRunner(bare.Edges(), m/2, w)
+				rBare := newSuperstepRunner(bare.Edges(), m/2, w)
 				backed := base.Clone()
-				rBacked := NewSuperstepRunner(backed.Edges(), m/2, w)
+				rBacked := newSuperstepRunner(backed.Edges(), m/2, w)
 				rBacked.EnsureSet()
 				stepSrc := rng.NewMT19937(uint64(m) ^ uint64(w))
 				var legal int64
-				var buf []Switch
-				perm := make([]uint32, m)
 				for step := 0; step < 12; step++ {
-					rng.PermInto(stepSrc, perm)
+					seed := stepSrc.Uint64()
 					l := int(rng.BinomialComplementSmall(stepSrc, int64(m/2), pl))
-					buf = switching.GlobalSwitches(perm, l, buf)
-					legal += switching.ExecuteSequential(seq.Edges(), seqSet, buf)
-					buf = ExecuteGlobalParallel(rBare, perm, l, buf)
-					buf = ExecuteGlobalParallel(rBacked, perm, l, buf)
+					for _, c := range []*graph.Graph{seq, bare, backed} {
+						shuffleEdges(perm, seed, c.Edges(), scratch)
+					}
+					legal += switching.ExecuteSequential(seq.Edges(), seqSet, pairSwitches(seq.Edges(), l))
+					rBare.RunGlobal(l)
+					rBacked.RunGlobal(l)
 					for i := range seq.Edges() {
 						if seq.Edges()[i] != bare.Edges()[i] || seq.Edges()[i] != backed.Edges()[i] {
 							t.Fatalf("m=%d P_L=%v workers=%d step %d: divergence at edge %d", m, pl, w, step, i)
@@ -156,7 +160,7 @@ func TestParESMatchesSequentialReplay(t *testing.T) {
 	seqE, _ := runSequentialReference(g, switches)
 
 	par := g.Clone()
-	runner := NewSuperstepRunner(par.Edges(), m/2+1, 4)
+	runner := newSuperstepRunner(par.Edges(), m/2+1, 4)
 	pending := switches
 	for len(pending) > 0 {
 		tlen := FindCollisionFreePrefix(pending, m)

@@ -113,7 +113,7 @@ func (s *parESStepper[E]) Step(st *switching.Stats) error {
 		s.runner.Run(s.pending[:t])
 		st.Attempted += int64(t)
 		if s.after != nil {
-			s.after(s.runner, s.pending[:t], s.src, st)
+			s.after(s.runner, s.src, st)
 		}
 		s.pending = s.pending[:copy(s.pending, s.pending[t:])]
 	}

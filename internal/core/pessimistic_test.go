@@ -23,7 +23,7 @@ func TestPessimisticSchedulerSameResults(t *testing.T) {
 		seqE, seqLegal := runSequentialReference(g, switches)
 
 		c := g.Clone()
-		r := NewSuperstepRunner(c.Edges(), max(len(switches), 1), 4)
+		r := newSuperstepRunner(c.Edges(), max(len(switches), 1), 4)
 		r.Pessimistic = true
 		r.Run(switches)
 		if r.Legal != seqLegal {
@@ -45,10 +45,10 @@ func TestPessimisticRoundsAtLeastNatural(t *testing.T) {
 	}
 	switches := globalSwitchBatch(g.M(), src)
 
-	nat := NewSuperstepRunner(g.Clone().Edges(), max(len(switches), 1), 1)
+	nat := newSuperstepRunner(g.Clone().Edges(), max(len(switches), 1), 1)
 	nat.Run(switches)
 
-	pes := NewSuperstepRunner(g.Clone().Edges(), max(len(switches), 1), 1)
+	pes := newSuperstepRunner(g.Clone().Edges(), max(len(switches), 1), 1)
 	pes.Pessimistic = true
 	pes.Run(switches)
 
@@ -62,7 +62,7 @@ func TestPessimisticRoundsAtLeastNatural(t *testing.T) {
 func measurePessimisticRounds(g *graph.Graph, src *rng.MT19937) float64 {
 	c := g.Clone()
 	m := c.M()
-	r := NewSuperstepRunner(c.Edges(), m/2, 2)
+	r := newSuperstepRunner(c.Edges(), m/2, 2)
 	r.Pessimistic = true
 	for step := 0; step < 8; step++ {
 		perm := rng.Perm(src, m)

@@ -172,7 +172,7 @@ func BenchmarkSuperstepDecide(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := g.M()
-	r := NewSuperstepRunner(g.Edges(), m/2, 1)
+	r := newSuperstepRunner(g.Edges(), m/2, 1)
 	perm := rng.Perm(src, m)
 	switches := switching.GlobalSwitches(perm, m/2, nil)
 	b.ResetTimer()

@@ -11,6 +11,36 @@ import (
 	"gesmc/internal/switching"
 )
 
+// superstepRunner is the undirected instantiation of the kernel's
+// runner (switching.Runner), which owns the dependency-table phases,
+// the round loop and the pessimistic worst-case scheduler.
+type superstepRunner = switching.Runner[graph.Edge]
+
+// newSuperstepRunner prepares a runner for edge list E, supporting
+// supersteps of up to maxSwitches switches.
+func newSuperstepRunner(E []graph.Edge, maxSwitches, workers int) *superstepRunner {
+	return switching.NewRunner(E, maxSwitches, workers)
+}
+
+// shuffleEdges shuffles edges physically by the permutation p draws for
+// seed, through scratch, as ParGlobalES does at every superstep.
+func shuffleEdges(p *rng.PermGen[graph.Edge], seed uint64, edges, scratch []graph.Edge) {
+	p.Permute(seed, edges, scratch, nil)
+	copy(edges, scratch)
+}
+
+// pairSwitches returns the l switches of a global superstep on a
+// shuffled edge list: switch k pairs slots 2k and 2k+1, with the
+// direction bit 1_{E[2k] < E[2k+1]}.
+func pairSwitches(edges []graph.Edge, l int) []Switch {
+	out := make([]Switch, l)
+	for k := range out {
+		i, j := uint32(2*k), uint32(2*k+1)
+		out[k] = Switch{I: i, J: j, G: edges[i] < edges[j]}
+	}
+	return out
+}
+
 // runSequentialReference executes switches on a clone of g per
 // Definition 1 and returns the resulting edge list and accepted count.
 func runSequentialReference(g *graph.Graph, switches []Switch) ([]graph.Edge, int64) {
@@ -21,11 +51,11 @@ func runSequentialReference(g *graph.Graph, switches []Switch) ([]graph.Edge, in
 }
 
 // runParallelSuperstep executes switches on a clone of g via the
-// SuperstepRunner and returns edge list, accepted count, and the runner
+// kernel runner and returns edge list, accepted count, and the runner
 // (for edge-set inspection).
-func runParallelSuperstep(g *graph.Graph, switches []Switch, workers int) ([]graph.Edge, int64, *SuperstepRunner) {
+func runParallelSuperstep(g *graph.Graph, switches []Switch, workers int) ([]graph.Edge, int64, *superstepRunner) {
 	c := g.Clone()
-	r := NewSuperstepRunner(c.Edges(), max(len(switches), 1), workers)
+	r := newSuperstepRunner(c.Edges(), max(len(switches), 1), workers)
 	r.Run(switches)
 	return c.Edges(), r.Legal, r
 }
@@ -222,7 +252,7 @@ func TestSuperstepManyConsecutive(t *testing.T) {
 	seq := g.Clone()
 	S := hashset.FromEdges(seq.Edges(), 0.5)
 	par := g.Clone()
-	r := NewSuperstepRunner(par.Edges(), m/2, 4)
+	r := newSuperstepRunner(par.Edges(), m/2, 4)
 
 	for step := 0; step < 30; step++ {
 		perm := rng.Perm(src, m)
@@ -281,7 +311,7 @@ func TestRegularGraphRoundsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rng.NewMT19937(6006)
-	r := NewSuperstepRunner(g.Edges(), g.M()/2, 4)
+	r := newSuperstepRunner(g.Edges(), g.M()/2, 4)
 	for step := 0; step < 10; step++ {
 		perm := rng.Perm(src, g.M())
 		r.Run(switching.GlobalSwitches(perm, g.M()/2, nil))

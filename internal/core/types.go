@@ -22,7 +22,7 @@
 // degree sequence (in- and out-degrees for arcs) and simplicity. The
 // parallel implementations are exact: given the same switch sequence
 // they produce bit-identical edge lists to sequential Definition-1
-// execution (see superstep.go for the one documented refinement over
+// execution (see switching.Runner for the one documented refinement over
 // the paper's pseudocode).
 package core
 

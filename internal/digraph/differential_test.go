@@ -10,14 +10,16 @@ import (
 	"gesmc/internal/switching"
 )
 
-// replayParGlobalSequentially reproduces the exact switch sequence the
+// replayParGlobalSequentially reproduces the exact superstep stream the
 // parallel directed G-ES-MC engine draws for a given seed at every
-// worker count — ParallelPerm seeds from the SplitMix64 stream, ℓ from the
-// MT19937 stream — and executes it with the sequential executor every
-// edge kind shares (switching.ExecuteSequential over the hash set,
-// itself checked against an independent map-backed reference in the
-// switching package). This is the ground truth the parallel engine must
-// hit bit-identically.
+// worker count — the arc list shuffled physically by the permutation
+// whose seed comes from the SplitMix64 stream, ℓ from the MT19937
+// stream, switch k pairing slots 2k and 2k+1 — and executes it with
+// the sequential executor every edge kind shares
+// (switching.ExecuteSequential over the hash set, itself checked
+// against an independent map-backed reference in the switching
+// package). Directed switches ignore the direction bit. This is the
+// ground truth the parallel engine must hit bit-identically.
 func replayParGlobalSequentially(g *DiGraph, supersteps int, loopProb float64, seed uint64) *DiGraph {
 	c := g.Clone()
 	A := c.Arcs()
@@ -25,12 +27,17 @@ func replayParGlobalSequentially(g *DiGraph, supersteps int, loopProb float64, s
 	m := c.M()
 	src := rng.NewMT19937(seed)
 	seedSrc := rng.NewSplitMix64(seed ^ 0x5DEECE66D)
-	var buf []switching.Switch
+	perm := rng.NewPermGen[Arc](m)
+	scratch := make([]Arc, m)
 	for step := 0; step < supersteps; step++ {
-		perm := rng.ParallelPerm(seedSrc.Uint64(), m)
+		perm.Permute(seedSrc.Uint64(), A, scratch, nil)
+		copy(A, scratch)
 		l := int(rng.BinomialComplementSmall(src, int64(m/2), loopProb))
-		buf = switching.GlobalSwitches(perm, l, buf)
-		switching.ExecuteSequential(A, S, buf)
+		pairs := make([]switching.Switch, l)
+		for k := range pairs {
+			pairs[k] = switching.Switch{I: uint32(2 * k), J: uint32(2*k + 1)}
+		}
+		switching.ExecuteSequential(A, S, pairs)
 	}
 	return c
 }
@@ -99,11 +106,12 @@ func TestDirectedParGlobalMatchesReplayAcrossLoopProbs(t *testing.T) {
 	// The production engine's survivor path against the sequential
 	// replay: one odd-m and one even-m target, loop probabilities that
 	// leave from a handful to most edges unpaired as survivors, and
-	// every worker count.
+	// every worker count. An odd superstep count ends the run on the
+	// stepper's spare list, so Finish must copy the arcs back.
 	src := rng.NewMT19937(8703)
 	g := randomDigraph(60, 0.1, src)
 	trimmed := NewUnchecked(g.N(), append([]Arc(nil), g.Arcs()[:g.M()-1]...))
-	const supersteps = 6
+	const supersteps = 7
 	const seed = 43
 	for _, base := range []*DiGraph{g, trimmed} {
 		for _, pl := range []float64{0.01, 0.5, 0.9} {

@@ -1,11 +1,14 @@
 package rng
 
-// PermGen generates uniform random permutations of a fixed size into
-// persistent buffers, so the per-superstep permutation of the global
-// edge-switching kernels costs zero steady-state heap allocations (the
-// original per-call scatter-shuffle allocated its bucket grid, its
-// goroutines, and the output slice on every superstep — the measured
-// w>1 allocation regression).
+// PermGen permutes lists of a fixed length by uniform random
+// permutations, out of place and with persistent scratch, so the
+// per-superstep shuffle of the global edge-switching kernel costs zero
+// steady-state heap allocations (the original per-call scatter-shuffle
+// allocated its bucket grid, its goroutines, and the output slice on
+// every superstep — the measured w>1 allocation regression). It moves
+// the values themselves: Permute writes dst[j] = src[π(j)], so the
+// kernel shuffles its edge list physically and pairs adjacent slots,
+// and a caller that needs π itself permutes the identity list.
 //
 // The scheme is a counting variant of the Rao-Sandelius scatter
 // shuffle: every element draws an independent uniform bucket, a
@@ -18,11 +21,11 @@ package rng
 // Determinism: the element space is cut into permRanges fixed ranges —
 // a partition of [0, n) that does NOT depend on the worker count — and
 // every range (and every bucket shuffle) uses its own seed-derived
-// SplitMix64 stream. The output is therefore a pure function of
-// (seed, n): the same permutation for every parallelism degree and
-// every dispatch interleaving. This is what lets the kernels stay
-// bit-identical across worker counts at all graph sizes.
-type PermGen struct {
+// SplitMix64 stream. π is therefore a pure function of (seed, n): the
+// same permutation for every parallelism degree, every dispatch
+// interleaving, and every element type T. This is what lets the
+// kernels stay bit-identical across worker counts at all graph sizes.
+type PermGen[T any] struct {
 	n        int
 	nBuckets int
 	seed     uint64
@@ -30,7 +33,7 @@ type PermGen struct {
 	bucketOf []uint16 // per-element bucket draw (classify -> scatter)
 	counts   []uint32 // permRanges x nBuckets occupancy matrix
 	cursor   []uint32 // write cursors, prefix-summed from counts
-	out      []uint32
+	src, dst []T      // the lists of the running Permute call
 
 	classifyFn func(worker, lo, hi int)
 	scatterFn  func(worker, lo, hi int)
@@ -46,7 +49,7 @@ type PermGen struct {
 type Dispatch func(n int, fn func(worker, lo, hi int))
 
 // permRanges is the fixed number of classification/scatter ranges.
-// It bounds the usable parallelism of a Generate call and is chosen
+// It bounds the usable parallelism of a Permute call and is chosen
 // comfortably above any sane worker count while keeping the counting
 // matrix small (permRanges x maxPermBuckets x 4 bytes = 1 MiB).
 const permRanges = 64
@@ -76,13 +79,13 @@ func permBuckets(n int) int {
 	return b
 }
 
-// NewPermGen returns a generator of permutations of [0, n). All
-// buffers are sized once here; Generate allocates nothing.
-func NewPermGen(n int) *PermGen {
+// NewPermGen returns a permuter of lists of length n. All scratch is
+// sized once here; Permute allocates nothing.
+func NewPermGen[T any](n int) *PermGen[T] {
 	if n < 0 || int64(n) > int64(^uint32(0)) {
 		panic("rng: PermGen size out of range")
 	}
-	g := &PermGen{n: n, out: make([]uint32, n)}
+	g := &PermGen[T]{n: n}
 	if n >= permGenCutoff {
 		g.nBuckets = permBuckets(n)
 		g.bucketOf = make([]uint16, n)
@@ -96,28 +99,28 @@ func NewPermGen(n int) *PermGen {
 }
 
 // N returns the permutation size the generator was built for.
-func (g *PermGen) N() int { return g.n }
+func (g *PermGen[T]) N() int { return g.n }
 
 // rangeBounds returns element range r of the fixed partition.
-func (g *PermGen) rangeBounds(r int) (int, int) {
+func (g *PermGen[T]) rangeBounds(r int) (int, int) {
 	return g.n * r / permRanges, g.n * (r + 1) / permRanges
 }
 
 // rangeSeed derives the classification stream of range r; bucketSeed
 // the shuffle stream of bucket b. The two domains are separated so no
 // stream is reused across phases.
-func (g *PermGen) rangeSeed(r int) uint64 {
+func (g *PermGen[T]) rangeSeed(r int) uint64 {
 	return Mix64(g.seed + uint64(r)*0x9E3779B97F4A7C15)
 }
 
-func (g *PermGen) bucketSeed(b int) uint64 {
+func (g *PermGen[T]) bucketSeed(b int) uint64 {
 	return Mix64((g.seed ^ 0xA3EC647659359ACD) + uint64(b)*0x9E3779B97F4A7C15)
 }
 
 // classify draws the bucket of every element in ranges [lo, hi) and
 // counts per-(range, bucket) occupancy. Ranges are independent: no
 // synchronization, no worker-dependent state.
-func (g *PermGen) classify(_, lo, hi int) {
+func (g *PermGen[T]) classify(_, lo, hi int) {
 	mask := uint64(g.nBuckets - 1)
 	for r := lo; r < hi; r++ {
 		src := SplitMix64{state: g.rangeSeed(r)}
@@ -131,19 +134,19 @@ func (g *PermGen) classify(_, lo, hi int) {
 	}
 }
 
-// scatter writes every element of ranges [lo, hi) to its final slot
-// using the prefix-summed cursors. Each (range, bucket) cell owns a
+// scatter copies every element of ranges [lo, hi) to its final slot
+// of dst using the prefix-summed cursors. Each (range, bucket) cell owns a
 // disjoint slot interval, so writes are race-free and positions are
 // exactly those of a sequential scatter (bucket-major, range-minor,
 // in-range order preserved).
-func (g *PermGen) scatter(_, lo, hi int) {
+func (g *PermGen[T]) scatter(_, lo, hi int) {
 	nb := g.nBuckets
 	for r := lo; r < hi; r++ {
 		cursor := g.cursor[r*nb : (r+1)*nb : (r+1)*nb]
 		elo, ehi := g.rangeBounds(r)
 		for i := elo; i < ehi; i++ {
 			b := g.bucketOf[i]
-			g.out[cursor[b]] = uint32(i)
+			g.dst[cursor[b]] = g.src[i]
 			cursor[b]++
 		}
 	}
@@ -151,7 +154,7 @@ func (g *PermGen) scatter(_, lo, hi int) {
 
 // shuffle Fisher-Yates-shuffles buckets [lo, hi) in place. After the
 // scatter, cursor[lastRange*nb + b] is bucket b's end offset.
-func (g *PermGen) shuffle(_, lo, hi int) {
+func (g *PermGen[T]) shuffle(_, lo, hi int) {
 	base := (permRanges - 1) * g.nBuckets
 	for b := lo; b < hi; b++ {
 		end := int(g.cursor[base+b])
@@ -160,7 +163,7 @@ func (g *PermGen) shuffle(_, lo, hi int) {
 			start = int(g.cursor[base+b-1])
 		}
 		src := SplitMix64{state: g.bucketSeed(b)}
-		p := g.out[start:end]
+		p := g.dst[start:end]
 		for i := len(p) - 1; i > 0; i-- {
 			j := src.IntN(i + 1)
 			p[i], p[j] = p[j], p[i]
@@ -168,30 +171,32 @@ func (g *PermGen) shuffle(_, lo, hi int) {
 	}
 }
 
-// Generate fills and returns the persistent output buffer with a
-// uniform permutation of [0, n) determined by seed alone. dispatch
-// distributes the three internal passes (classify, scatter, shuffle)
-// over a worker gang; nil runs them serially. The returned slice is
-// owned by the generator and overwritten by the next call.
-func (g *PermGen) Generate(seed uint64, dispatch Dispatch) []uint32 {
+// Permute writes dst[j] = src[π(j)] for the uniform permutation π of
+// [0, n) that seed alone determines. src and dst must both have length
+// n and must not overlap. dispatch distributes the three internal
+// passes (classify, scatter, shuffle) over a worker gang; nil runs
+// them serially.
+func (g *PermGen[T]) Permute(seed uint64, src, dst []T, dispatch Dispatch) {
 	n := g.n
+	if len(src) != n || len(dst) != n {
+		panic("rng: PermGen list length mismatch")
+	}
 	if n < permGenCutoff {
-		// Inside-out Fisher-Yates into the persistent buffer, matching
-		// Perm(NewSplitMix64(seed), n) exactly. The reused buffer must
-		// restore the implicit p[0] = 0 the algorithm starts from.
-		src := SplitMix64{state: seed}
-		p := g.out
+		// Inside-out Fisher-Yates: the draws of Perm(NewSplitMix64(seed),
+		// n), placing src[i] where Perm places the label i.
+		rs := SplitMix64{state: seed}
 		if n > 0 {
-			p[0] = 0
+			dst[0] = src[0]
 		}
 		for i := 1; i < n; i++ {
-			j := src.IntN(i + 1)
-			p[i] = p[j]
-			p[j] = uint32(i)
+			j := rs.IntN(i + 1)
+			dst[i] = dst[j]
+			dst[j] = src[i]
 		}
-		return p
+		return
 	}
 	g.seed = seed
+	g.src, g.dst = src, dst
 	clear(g.counts)
 	if dispatch == nil {
 		g.classify(0, 0, permRanges)
@@ -217,5 +222,5 @@ func (g *PermGen) Generate(seed uint64, dispatch Dispatch) []uint32 {
 		dispatch(permRanges, g.scatterFn)
 		dispatch(nb, g.shuffleFn)
 	}
-	return g.out
+	g.src, g.dst = nil, nil
 }

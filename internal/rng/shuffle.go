@@ -38,12 +38,3 @@ func Shuffle(src Source, p []uint32) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
-
-// ParallelPerm returns a uniform random permutation of [0, n)
-// determined by (seed, n) alone, identical at every worker count. It
-// is a convenience wrapper over PermGen; per-superstep callers hold a
-// PermGen and pass their gang's Blocks method to Generate instead, so
-// steady-state supersteps allocate nothing.
-func ParallelPerm(seed uint64, n int) []uint32 {
-	return NewPermGen(n).Generate(seed, nil)
-}

@@ -94,18 +94,18 @@ func TestShufflePreservesElements(t *testing.T) {
 
 func TestParallelPermIsPermutation(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 1 << 12, 1<<14 + 13} {
-		if p := ParallelPerm(12345, n); !isPermutation(p) {
-			t.Fatalf("ParallelPerm(n=%d) not a permutation", n)
+		if p := parallelPerm(12345, n); !isPermutation(p) {
+			t.Fatalf("parallelPerm(n=%d) not a permutation", n)
 		}
 	}
 }
 
 func TestParallelPermDeterministic(t *testing.T) {
-	a := ParallelPerm(777, 1<<14)
-	b := ParallelPerm(777, 1<<14)
+	a := parallelPerm(777, 1<<14)
+	b := parallelPerm(777, 1<<14)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("ParallelPerm not deterministic at index %d", i)
+			t.Fatalf("parallelPerm not deterministic at index %d", i)
 		}
 	}
 }
@@ -118,7 +118,7 @@ func TestParallelPermUniformPositions(t *testing.T) {
 	const samples = 2000
 	counts := make([]int, 4)
 	for s := 0; s < samples; s++ {
-		p := ParallelPerm(uint64(s)*2654435761+1, n)
+		p := parallelPerm(uint64(s)*2654435761+1, n)
 		for pos, v := range p {
 			if v == 0 {
 				counts[pos*4/n]++
@@ -209,6 +209,6 @@ func BenchmarkPermSequential(b *testing.B) {
 
 func BenchmarkPermParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = ParallelPerm(uint64(i), 1<<16)
+		_ = parallelPerm(uint64(i), 1<<16)
 	}
 }

@@ -12,18 +12,36 @@ import (
 )
 
 // globalSwitchStep builds one full global-switch superstep (⌊m/2⌋
-// source-independent switches from a fresh permutation).
+// source-independent switches from a fresh permutation), run as a
+// prefix superstep.
 func globalSwitchStep(m int, src rng.Source) []switching.Switch {
-	switches, _ := globalStep(m, m/2, src)
-	return switches
+	return globalStep(m, m/2, src)
 }
 
-// globalStep draws a global superstep of n switches over the m edges
-// of a list: a uniform permutation, its first 2n entries paired as in
-// Algorithm 3 and the rest left as survivors.
-func globalStep(m, n int, src rng.Source) ([]switching.Switch, []uint32) {
-	perm := rng.Perm(src, m)
-	return switching.GlobalSwitches(perm, n, nil), perm[2*n:]
+// globalStep draws n source-independent switches over the m edges of
+// a list: a uniform permutation's first 2n entries, paired as in
+// Definition 3.
+func globalStep(m, n int, src rng.Source) []switching.Switch {
+	return switching.GlobalSwitches(rng.Perm(src, m), n, nil)
+}
+
+// shuffledGlobal returns a copy of edges shuffled by a uniform
+// permutation and the n switches a global superstep runs on it (as
+// RunGlobal(n) does): switch k pairs slots 2k and 2k+1, with the
+// direction bit 1_{E[2k] < E[2k+1]}; the slots from 2n on are
+// survivors.
+func shuffledGlobal[E switching.EdgeKind[E]](edges []E, n int, src rng.Source) ([]E, []switching.Switch) {
+	perm := rng.Perm(src, len(edges))
+	out := make([]E, len(edges))
+	for j, i := range perm {
+		out[j] = edges[i]
+	}
+	switches := make([]switching.Switch, n)
+	for k := range switches {
+		i, j := uint32(2*k), uint32(2*k+1)
+		switches[k] = switching.Switch{I: i, J: j, G: out[i] < out[j]}
+	}
+	return out, switches
 }
 
 // TestRunnerSuperstepAllocs is the allocation-regression gate of the
@@ -66,14 +84,24 @@ func TestRunnerSuperstepAllocs(t *testing.T) {
 			E := append([]graph.Edge(nil), g.Edges()...)
 			r := switching.NewRunner(E, m/2, workers)
 			defer r.Release()
+			// Each superstep shuffles the list first, as GlobalStepper
+			// does; the shuffle allocates nothing either.
+			perm := rng.NewPermGen[graph.Edge](m)
+			scratch := make([]graph.Edge, m)
+			seed := uint64(0)
+			superstep := func() {
+				perm.Permute(seed, E, scratch, nil)
+				copy(E, scratch)
+				seed++
+				r.RunGlobal(m / 2)
+			}
 			for i := 0; i < 6; i++ {
-				r.RunGlobal(globalStep(m, m/2, src))
+				superstep()
 			}
 			if r.Set != nil {
 				t.Fatal("RunGlobal built an edge set")
 			}
-			switches, rest := globalStep(m, m/2, src)
-			assertSuperstepAllocs(t, func() { r.RunGlobal(switches, rest) })
+			assertSuperstepAllocs(t, superstep)
 		})
 	}
 }

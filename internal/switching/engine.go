@@ -189,26 +189,32 @@ func (e *Engine) Close() {
 }
 
 // GlobalStepper is the parallel G-ES-MC chain (Algorithm 3) for any
-// edge kind: per superstep, a parallel random permutation of the edge
-// indices and ℓ ~ Binom(⌊m/2⌋, 1−P_L) become one global superstep of
-// the runner (RunGlobal), the unpaired tail of the permutation its
-// survivors. The permutation seeds are drawn lazily from a SplitMix64
-// stream salted per edge kind, so a resumed engine replays the
-// identical chain.
+// edge kind. Per superstep it shuffles the edge list physically by a
+// parallel uniform permutation and draws ℓ ~ Binom(⌊m/2⌋, 1−P_L); the
+// runner's global superstep (RunGlobal) then pairs adjacent slots,
+// switch k taking E[2k] and E[2k+1], and E[2ℓ:] are its survivors.
+// Pairing the slots of a shuffled list has the law of pairing
+// E[π(2k)] with E[π(2k+1)] (Definition 3). The shuffle writes into a
+// second list of the same length, and the two alternate as the
+// runner's edge list; Finish moves the state back into the target's
+// own list when Steps returns. The permutation seeds are drawn lazily
+// from a SplitMix64 stream salted per edge kind, so a resumed engine
+// replays the identical chain.
 type GlobalStepper[E EdgeKind[E]] struct {
 	runner   *Runner[E]
 	src      rng.Source      // ℓ draws (and the after-hook's escape draws)
 	seedSrc  *rng.SplitMix64 // per-superstep permutation seeds
-	perm     *rng.PermGen
+	perm     *rng.PermGen[E]
 	dispatch rng.Dispatch // the runner's gang, stored once (alloc-free steps)
-	buf      []Switch
+	edges    []E          // the target's edge list
+	spare    []E          // the shuffle's other list
 	loopProb float64
 	after    AfterFunc[E]
 }
 
 // AfterFunc runs after each superstep's kernel pass — the constraint
 // layer's speculate-then-recertify hook — adding its counters to st.
-type AfterFunc[E EdgeKind[E]] func(r *Runner[E], switches []Switch, src rng.Source, st *Stats)
+type AfterFunc[E EdgeKind[E]] func(r *Runner[E], src rng.Source, st *Stats)
 
 // NewGlobalStepper wires a G-ES-MC stepper over runner r (sized for
 // ⌊m/2⌋ switches). The seed feeds the ℓ stream directly and the
@@ -220,9 +226,10 @@ func NewGlobalStepper[E EdgeKind[E]](r *Runner[E], seed, salt uint64, loopProb f
 		runner:   r,
 		src:      rng.NewMT19937(seed),
 		seedSrc:  rng.NewSplitMix64(seed ^ salt),
-		perm:     rng.NewPermGen(m),
+		perm:     rng.NewPermGen[E](m),
 		dispatch: r.Pool().Blocks,
-		buf:      make([]Switch, 0, m/2),
+		edges:    r.E,
+		spare:    make([]E, m),
 		loopProb: loopProb,
 		after:    after,
 	}
@@ -230,16 +237,29 @@ func NewGlobalStepper[E EdgeKind[E]](r *Runner[E], seed, salt uint64, loopProb f
 
 // Step performs one global switch.
 func (s *GlobalStepper[E]) Step(st *Stats) error {
-	perm := s.perm.Generate(s.seedSrc.Uint64(), s.dispatch)
-	l := int(rng.BinomialComplementSmall(s.src, int64(len(s.runner.E)/2), s.loopProb))
-	s.buf = GlobalSwitches(perm, l, s.buf)
-	s.runner.RunGlobal(s.buf, perm[2*l:])
+	r := s.runner
+	s.perm.Permute(s.seedSrc.Uint64(), r.E, s.spare, s.dispatch)
+	r.E, s.spare = s.spare, r.E
+	l := int(rng.BinomialComplementSmall(s.src, int64(len(r.E)/2), s.loopProb))
+	r.RunGlobal(l)
 	st.Attempted += int64(l)
 	if s.after != nil {
-		s.after(s.runner, s.buf, s.src, st)
+		s.after(r, s.src, st)
 	}
-	s.runner.Flush(st)
+	r.Flush(st)
 	return nil
+}
+
+// Finish copies the state into the target's edge list when the last
+// shuffle left it in the spare list, which the runner then keeps
+// using as the spare.
+func (s *GlobalStepper[E]) Finish() {
+	r := s.runner
+	if &r.E[0] == &s.edges[0] {
+		return
+	}
+	copy(s.edges, r.E)
+	r.E, s.spare = s.edges, r.E
 }
 
 // Release parks the runner's worker gang.

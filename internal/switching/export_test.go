@@ -1,9 +1,6 @@
 package switching
 
-import (
-	"gesmc/internal/conc"
-	"gesmc/internal/hashset"
-)
+import "gesmc/internal/hashset"
 
 // EdgeSetOf returns the edge set held by the runner behind engine e; ok
 // is false when e's stepper is not a GlobalStepper.
@@ -21,14 +18,14 @@ func (s *GlobalStepper[E]) edgeSet() *hashset.Set { return s.runner.Set }
 // e link and probe every tuple, as a table without the tuple-count
 // filter does; ok is false when e's stepper is not a GlobalStepper.
 func DisableFilter(e *Engine) (ok bool) {
-	s, ok := e.st.(interface{ depTable() *conc.DepTable })
+	s, ok := e.st.(interface{ disableFilter() })
 	if ok {
-		s.depTable().DisableFilter()
+		s.disableFilter()
 	}
 	return ok
 }
 
-func (s *GlobalStepper[E]) depTable() *conc.DepTable { return s.runner.table }
+func (s *GlobalStepper[E]) disableFilter() { s.runner.table.DisableFilter() }
 
 // DisableRunnerFilter is DisableFilter for a bare runner.
 func DisableRunnerFilter[E EdgeKind[E]](r *Runner[E]) { r.table.DisableFilter() }

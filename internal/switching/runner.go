@@ -14,29 +14,37 @@ import (
 // counters come from the embedded RoundDriver, so every instantiation
 // gets identical scheduling and observability.
 //
-// Two superstep shapes share one decide step:
+// Two superstep shapes share one decide step and one dependency table
+// layout: switch k of a superstep sources src[2k] and src[2k+1] of a
+// source list src, which the table keys in place, and inserts the
+// targets the table stores, ins[2k] and ins[2k+1] (conc.DepTable).
 //
-//   - A global superstep (RunGlobal, Algorithm 3) sources every edge
-//     but the few its permutation leaves unpaired, which phase 1
-//     registers as survivor tuples. The dependency table then indexes
-//     every edge present at superstep start, and decide reads nothing
-//     else.
-//   - A prefix superstep (Run, Algorithm 2) sources only Θ(√m) edges,
-//     so decide looks the unsourced ones up in the edge set Set, the
-//     sequential §5.2 hash set, which no one writes while decide reads
-//     it.
+//   - A global superstep (RunGlobal, Algorithm 3) runs on an edge list
+//     that the caller has physically shuffled: src is E itself, switch
+//     k pairs E[2k] with E[2k+1], and E[2ℓ:] are survivor tuples. The
+//     dependency table then indexes every edge present at superstep
+//     start, and decide reads nothing else.
+//   - A prefix superstep (Run, Algorithm 2) sources only Θ(√m) edges
+//     at the indices its switches name: phase 1 gathers them into a
+//     contiguous buffer, which is src. Decide looks the unsourced
+//     edges up in the edge set Set, the sequential §5.2 hash set,
+//     which no one writes while decide reads it.
 //
-// Phase 1 is three passes: registration of the tuples, then the
-// dependency table's filter merge and chain link (conc.DepTable), so
-// that decide walks a chain only for a target some other tuple may
-// name. They run on the same gang wake as the first decide round.
+// Phase 1 is three passes: registration of the tuples (computing and
+// storing the targets, marking every key in the table's filter), then
+// the dependency table's filter merge and chain link. They run on the
+// same gang wake as the first decide round.
 //
 // Phase 2, the decide rounds, only decides: it reads the table (and,
 // in a prefix superstep, the set) and publishes statuses, and it
-// writes no edge. Phase 3 then writes every legal switch's targets,
-// which the table's arena already holds, into the edge list in one
-// dispatch (commit) before Run or RunGlobal returns; a set-backed
-// runner then updates the set on the leader goroutine (applySet).
+// writes no edge. Phase 3 (commit) then exchanges every legal switch's
+// sources src[2k..2k+1] with its targets ins[2k..2k+1] in one dispatch
+// before Run or RunGlobal returns. In a global superstep that is a
+// sequential sweep over E and the table, and it leaves the sources in
+// the table, so that the set update (applySet, on the leader
+// goroutine of a set-backed runner), Rollback and Recertify still
+// address them; a prefix superstep also writes the targets to E at
+// its switches' indices.
 //
 // The set exists only where a caller needs edge membership between
 // supersteps: Run builds it on first use for prefix supersteps, and
@@ -59,7 +67,9 @@ import (
 type Runner[E EdgeKind[E]] struct {
 	RoundDriver
 
-	// E is the authoritative edge (or arc) list, rewired in place.
+	// E is the authoritative edge (or arc) list, rewired in place. A
+	// global superstep pairs its adjacent slots, so its caller may
+	// replace E by a shuffled copy between supersteps.
 	E []E
 	// Set indexes E between supersteps; nil until the first Run or an
 	// EnsureSet call, so a runner that only runs global supersteps
@@ -74,15 +84,20 @@ type Runner[E EdgeKind[E]] struct {
 	// and constrained runs stay bit-identical for every worker count.
 	Veto func(e1, e2, t3, t4 E) bool
 
-	table    *conc.DepTable
-	switches []Switch
-	vetoTot  []paddedCounter
+	table   *conc.DepTable[E]
+	vetoTot []paddedCounter
 
-	// global marks a RunGlobal superstep: rest holds the edge indices
-	// its switches leave unsourced (registered as survivors), and
-	// decide consults the dependency table only.
-	global bool
-	rest   []uint32
+	// The latest superstep, kept until the next one for Accepted,
+	// Rollback and NumSwitches: n switches, switch k sourcing
+	// src[2k..2k+1] and targeting ins[2k..2k+1]. A global superstep's
+	// src is E; a prefix superstep's is gather, filled from E at its
+	// switches' indices.
+	n           int
+	src, ins    []E
+	global      bool
+	switches    []Switch
+	gather      []E // prefix sources, allocated by the first Run
+	maxSwitches int
 
 	// Phase bodies and driver hooks, created once so supersteps
 	// allocate nothing. prologue is phase 1: the registration pass
@@ -95,13 +110,15 @@ type Runner[E EdgeKind[E]] struct {
 }
 
 // NewRunner prepares a runner for edge list E, supporting supersteps of
-// up to maxSwitches switches; a global superstep over m edges has
-// ⌊m/2⌋. It builds no edge set (see EnsureSet). Call Release when done
-// with the runner to park the gang.
+// up to maxSwitches switches; a global superstep over m edges has up
+// to ⌊m/2⌋. It builds no edge set (see EnsureSet). Call Release when
+// done with the runner to park the gang.
 func NewRunner[E EdgeKind[E]](edges []E, maxSwitches, workers int) *Runner[E] {
-	r := &Runner[E]{E: edges}
+	r := &Runner[E]{E: edges, maxSwitches: maxSwitches}
 	r.RoundDriver.Init(workers)
-	r.table = conc.NewDepTable(maxSwitches, r.Workers())
+	// A superstep's sources are distinct edges, at most 2·maxSwitches
+	// of a prefix superstep, or all m of a global one (m ≤ 2⌊m/2⌋ + 1).
+	r.table = conc.NewDepTable[E](maxSwitches, min(len(edges), 2*maxSwitches+1), r.Workers())
 	r.vetoTot = make([]paddedCounter, r.Workers())
 	// A 1-worker gang drives the table from a single goroutine: drop
 	// the CAS/XCHG write paths for plain stores.
@@ -131,39 +148,44 @@ func (r *Runner[E]) EnsureSet() {
 // source dependencies (each edge index appears at most once), and the
 // edges they leave unsourced are looked up in the edge set, built here
 // on first use. The edge list and edge set are updated to the
-// post-superstep state.
+// post-superstep state. The runner keeps switches until the next
+// superstep, for Rollback.
 func (r *Runner[E]) Run(switches []Switch) {
 	r.EnsureSet()
-	r.run(switches, nil, false)
+	if r.gather == nil {
+		r.gather = make([]E, min(len(r.E), 2*r.maxSwitches))
+	}
+	r.switches = switches
+	r.run(r.gather[:2*len(switches)], len(switches), false)
 }
 
-// RunGlobal performs one global superstep Γ = (π, ℓ): switches pair up
-// π's first 2ℓ entries and rest = π[2ℓ:] holds the indices of the
-// edges no switch sources, so every edge index appears exactly once in
-// switches or rest. The decisions read the dependency table only; the
-// edge list, and the edge set if the runner has one, are updated
-// afterwards.
-func (r *Runner[E]) RunGlobal(switches []Switch, rest []uint32) {
-	r.run(switches, rest, true)
+// RunGlobal performs one global superstep of l switches on the current
+// edge list, which the caller has shuffled uniformly: switch k pairs
+// E[2k] with E[2k+1] and has the direction bit 1_{E[2k] < E[2k+1]}, and
+// E[2l:] are survivors. The decisions read the dependency table only;
+// the edge list, and the edge set if the runner has one, are updated
+// afterwards, each legal switch's targets taking its sources' slots.
+func (r *Runner[E]) RunGlobal(l int) {
+	r.switches = nil
+	r.run(r.E, l, true)
 }
 
-func (r *Runner[E]) run(switches []Switch, rest []uint32, global bool) {
-	n := len(switches)
+func (r *Runner[E]) run(src []E, n int, global bool) {
+	r.n = n
 	if n == 0 {
 		return
 	}
-	r.switches, r.rest, r.global = switches, rest, global
-	r.table.Reset(n, len(rest))
+	r.src, r.global = src, global
+	r.table.Reset(src, n)
+	r.ins = r.table.Inserts()
 
 	// Phases 1+2 on one gang wake (Algorithm 1, lines 1-35): the fused
-	// dispatch runs the tuple registration sweep (keys[4k]=e1, +1=e2,
-	// +2=e3, +3=e4, deterministic slots which decide() reads back,
-	// followed by the survivors), the table's filter merge and chain
-	// link, each after a sub-barrier, then starts the first decide
-	// round; later rounds dispatch individually. Statuses publish into
-	// the dependency table, the linearization point observed by
-	// dependent switches.
-	r.prologue[0].N = n + len(rest)
+	// dispatch runs the registration sweep over the switches, then the
+	// survivors, the table's filter merge and chain link, each after a
+	// sub-barrier, then starts the first decide round; later rounds
+	// dispatch individually. Statuses publish into the dependency
+	// table, the linearization point observed by dependent switches.
+	r.prologue[0].N = len(src) - n
 	copy(r.prologue[1:], r.table.IndexPasses())
 	r.RoundDriver.Run(r.prologue[:], n, r.decideFn, r.publishFn)
 	for i := range r.vetoTot {
@@ -172,9 +194,8 @@ func (r *Runner[E]) run(switches []Switch, rest []uint32, global bool) {
 	}
 	r.pool.Blocks(n, r.commitFn)
 	if r.Set != nil {
-		r.applySet(n)
+		r.applySet()
 	}
-	r.switches, r.rest = nil, nil
 }
 
 // applySet keeps a set-backed runner's edge set in step with the
@@ -184,15 +205,15 @@ func (r *Runner[E]) run(switches []Switch, rest []uint32, global bool) {
 // never holds more than m edges and never grows. The loop is serial,
 // four set operations per accepted switch: O(√m) per prefix
 // superstep, but O(m) per global superstep on a set-backed runner
-// (DESIGN §3).
-func (r *Runner[E]) applySet(n int) {
-	t := r.table
-	for k := 0; k < n; k++ {
-		if t.StatusOf(k) != conc.StatusLegal {
+// (DESIGN §3). It runs after commit, which moved the sources of a
+// legal switch to ins and its targets to src.
+func (r *Runner[E]) applySet() {
+	for k := 0; k < r.n; k++ {
+		if r.table.StatusOf(k) != conc.StatusLegal {
 			continue
 		}
-		base := 4 * k
-		r.swapSet(t.Key(base), t.Key(base+1), t.Key(base+2), t.Key(base+3))
+		i := 2 * k
+		r.swapSet(r.ins[i], r.ins[i+1], r.src[i], r.src[i+1])
 	}
 }
 
@@ -200,12 +221,11 @@ func (r *Runner[E]) applySet(n int) {
 // list disagree, which only a broken invariant can cause.
 const errSetOutOfStep = "switching: edge set out of step with the edge list"
 
-// swapSet erases edges a and b (arena keys) from the edge set and
-// inserts c and d. Each operation must change the set; one that does
-// not means the set no longer mirrors E, and since prefix decisions
-// trust the set for legality, it panics rather than let the two drift
-// apart silently.
-func (r *Runner[E]) swapSet(a, b, c, d uint64) {
+// swapSet erases edges a and b from the edge set and inserts c and d.
+// Each operation must change the set; one that does not means the set
+// no longer mirrors E, and since prefix decisions trust the set for
+// legality, it panics rather than let the two drift apart silently.
+func (r *Runner[E]) swapSet(a, b, c, d E) {
 	S := r.Set
 	if !S.Erase(graph.Edge(a)) || !S.Erase(graph.Edge(b)) ||
 		!S.Insert(graph.Edge(c)) || !S.Insert(graph.Edge(d)) {
@@ -213,42 +233,47 @@ func (r *Runner[E]) swapSet(a, b, c, d uint64) {
 	}
 }
 
-// gatherBatch is phase 1's gather width: the edges of this many
-// switches (or survivors) are loaded before any of them is registered,
-// so their independent cache misses on the edge list overlap instead
-// of each waiting behind the table stores of the previous switch.
+// gatherBatch is phase 1's gather width in a prefix superstep: the
+// sources of this many switches are loaded from E before any of them
+// is registered, so their independent cache misses on the edge list
+// overlap instead of each waiting behind the table stores of the
+// previous switch.
 const gatherBatch = 32
 
-// phase1 registers items [lo, hi) of the superstep: the dependency
-// tuples of switch k for k < n, survivor k − n after them. Each batch
-// gathers its edges first and registers them in item order, so the
-// arena and its registration order do not depend on the batch width.
+// phase1 registers items [lo, hi) of the superstep: switch k for
+// k < n — its targets computed into ins and its four keys marked —
+// and survivor src[n+k] for k ≥ n. A prefix superstep first gathers
+// each batch's sources into src. The direction bit of a global switch
+// is the order of its two edges: the shuffle makes the order inside a
+// pair a fair coin independent of the pair (DESIGN §2).
 func (r *Runner[E]) phase1(w, lo, hi int) {
 	t := r.table
-	n := len(r.switches)
-	var a, b [gatherBatch]E
+	src, ins, n := r.src, r.ins, r.n
 	for k0 := lo; k0 < min(hi, n); k0 += gatherBatch {
-		batch := r.switches[k0:min(k0+gatherBatch, hi, n)]
-		for i, sw := range batch {
-			a[i], b[i] = r.E[sw.I], r.E[sw.J]
+		k1 := min(k0+gatherBatch, hi, n)
+		if !r.global {
+			for k, sw := range r.switches[k0:k1] {
+				i := 2 * (k0 + k)
+				src[i], src[i+1] = r.E[sw.I], r.E[sw.J]
+			}
 		}
-		for i, sw := range batch {
-			k := k0 + i
-			e1, e2 := a[i], b[i]
-			t3, t4 := e1.Targets(e2, sw.G)
-			t.Store(w, k, 0, graph.Edge(e1), conc.KindErase)
-			t.Store(w, k, 1, graph.Edge(e2), conc.KindErase)
-			t.Store(w, k, 2, graph.Edge(t3), conc.KindInsert)
-			t.Store(w, k, 3, graph.Edge(t4), conc.KindInsert)
+		for k := k0; k < k1; k++ {
+			e1, e2 := src[2*k], src[2*k+1]
+			g := e1 < e2
+			if !r.global {
+				g = r.switches[k].G
+			}
+			t3, t4 := e1.Targets(e2, g)
+			ins[2*k], ins[2*k+1] = t3, t4
+			t.Mark(w, e1)
+			t.Mark(w, e2)
+			t.Mark(w, t3)
+			t.Mark(w, t4)
 		}
 	}
-	for j0 := max(lo, n) - n; j0 < hi-n; j0 += gatherBatch {
-		batch := r.rest[j0:min(j0+gatherBatch, hi-n)]
-		for i, idx := range batch {
-			a[i] = r.E[idx]
-		}
-		for i := range batch {
-			t.StoreSurvivor(w, j0+i, graph.Edge(a[i]))
+	if hi > n {
+		for _, e := range src[n+max(lo, n) : n+hi] {
+			t.Mark(w, e)
 		}
 	}
 }
@@ -259,20 +284,30 @@ func (r *Runner[E]) publishItem(k int32, st uint32) {
 }
 
 // commit is the deferred write-back that ends every superstep: each
-// legal switch k writes its targets, the arena's Key(4k+2) and
-// Key(4k+3), over its sources E[sw.I] and E[sw.J]. No decision reads E
-// after phase 1, so one write after the last round leaves E as
-// rewiring at decision time would; the sources of a superstep are
-// distinct, so the order of the writes is free.
+// legal switch k exchanges its sources src[2k..2k+1] with its targets
+// ins[2k..2k+1]. No decision reads the lists after the last round, so
+// one write after it leaves E as rewiring at decision time would; the
+// sources of a superstep are distinct, so the order of the writes is
+// free.
 func (r *Runner[E]) commit(_, lo, hi int) {
 	t := r.table
 	for k := lo; k < hi; k++ {
-		if t.StatusOf(k) != conc.StatusLegal {
-			continue
+		if t.StatusOf(k) == conc.StatusLegal {
+			r.exchange(k)
 		}
-		base := 4 * k
+	}
+}
+
+// exchange swaps switch k's pair in src with its pair in ins — sources
+// for targets, or back — and, in a prefix superstep, writes the pair
+// now in src to E at the switch's indices.
+func (r *Runner[E]) exchange(k int) {
+	i := 2 * k
+	s, d := r.src[i:i+2:i+2], r.ins[i:i+2:i+2]
+	s[0], s[1], d[0], d[1] = d[0], d[1], s[0], s[1]
+	if !r.global {
 		sw := r.switches[k]
-		r.E[sw.I], r.E[sw.J] = E(t.Key(base+2)), E(t.Key(base+3))
+		r.E[sw.I], r.E[sw.J] = s[0], s[1]
 	}
 }
 
@@ -285,11 +320,8 @@ func (r *Runner[E]) commit(_, lo, hi int) {
 func (r *Runner[E]) decide(worker int, item int32) uint32 {
 	t := r.table
 	k := int(item)
-	base := 4 * k
-	e1 := E(t.Key(base))
-	e2 := E(t.Key(base + 1))
-	t3 := E(t.Key(base + 2))
-	t4 := E(t.Key(base + 3))
+	e1, e2 := r.src[2*k], r.src[2*k+1]
+	t3, t4 := r.ins[2*k], r.ins[2*k+1]
 
 	st := conc.StatusLegal
 	if isLoop(t3) || isLoop(t4) || e1 == e2 ||
@@ -312,15 +344,14 @@ func (r *Runner[E]) decide(worker int, item int32) uint32 {
 		// them: the table chains then overlap their leading cache
 		// misses instead of serializing the memory round-trips.
 		targets := [2]E{t3, t4}
-		unique := [2]bool{t.Unique(graph.Edge(t3)), t.Unique(graph.Edge(t4))}
+		unique := [2]bool{t.Unique(t3), t.Unique(t4)}
 		for i, target := range targets {
 			if !unique[i] {
-				t.Touch(graph.Edge(target))
+				t.Touch(target)
 			}
 		}
 		delay := false
 		for i, target := range targets {
-			key := graph.Edge(target)
 			// One chain walk answers both dependency queries: the
 			// switch erasing the target and its minimum inserter. A
 			// unique target has neither.
@@ -328,7 +359,7 @@ func (r *Runner[E]) decide(worker int, item int32) uint32 {
 			var sq uint32
 			var pOK, qOK bool
 			if !unique[i] {
-				p, pOK, q, sq, qOK = t.Probe(key)
+				p, pOK, q, sq, qOK = t.Probe(target)
 			}
 			if pOK {
 				if p == k {
@@ -353,7 +384,7 @@ func (r *Runner[E]) decide(worker int, item int32) uint32 {
 				if st == conc.StatusIllegal {
 					break
 				}
-			} else if !r.global && r.Set.Contains(key) {
+			} else if !r.global && r.Set.Contains(graph.Edge(target)) {
 				// In the graph and not sourced by this prefix
 				// superstep: the implicit (e, ∞, erase, illegal)
 				// tuple. A global superstep stored it as a survivor.
@@ -385,6 +416,10 @@ func (r *Runner[E]) Accepted(k int) bool {
 	return r.table.StatusOf(k) == conc.StatusLegal
 }
 
+// NumSwitches returns the switch count of the superstep most recently
+// executed by Run or RunGlobal.
+func (r *Runner[E]) NumSwitches() int { return r.n }
+
 // Rollback undoes accepted switch k of the superstep most recently
 // executed by Run or RunGlobal on a set-backed runner: the source edges
 // return to the edge list and the edge set, the targets are erased, and
@@ -392,15 +427,14 @@ func (r *Runner[E]) Accepted(k int) bool {
 // for global constraints (constraint.Recertify) and must be applied in
 // reverse commit order — undoing the highest accepted k first — so
 // that each undo reverts exactly the last step of the equivalent
-// sequential application. Single-goroutine, between supersteps only.
-// Like applySet it panics if the set no longer mirrors the list.
-func (r *Runner[E]) Rollback(k int, sw Switch) {
-	t := r.table
-	base := 4 * k
-	e1, e2 := t.Key(base), t.Key(base+1)
-	r.swapSet(t.Key(base+2), t.Key(base+3), e1, e2)
-	r.E[sw.I], r.E[sw.J] = E(e1), E(e2)
-	t.SetStatus(k, conc.StatusIllegal)
+// sequential application. Single-goroutine, between supersteps only,
+// before the edge list changes otherwise. Like applySet it panics if
+// the set no longer mirrors the list.
+func (r *Runner[E]) Rollback(k int) {
+	i := 2 * k
+	r.swapSet(r.src[i], r.src[i+1], r.ins[i], r.ins[i+1])
+	r.exchange(k)
+	r.table.SetStatus(k, conc.StatusIllegal)
 	r.Stats.Legal--
 	r.Stats.Vetoed++
 	r.Stats.RolledBack++

@@ -40,6 +40,9 @@ func ExecuteSequential[E EdgeKind[E]](edges []E, S *hashset.Set, switches []Swit
 // of a global switch Γ = (π, ℓ): σ_k = (π(2k−1), π(2k), 1_{π(2k−1)<π(2k)})
 // (Definition 3, 1-based; here 0-based pairs), reusing buf. Directed
 // arcs ignore the direction bit, so one pairing serves every edge kind.
+// Only SeqGlobalES draws its global switches this way; the parallel
+// chain shuffles the edge list itself and pairs adjacent slots
+// (GlobalStepper).
 func GlobalSwitches(perm []uint32, l int, buf []Switch) []Switch {
 	buf = buf[:0]
 	for k := 0; k < l; k++ {

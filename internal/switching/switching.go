@@ -16,12 +16,13 @@
 //     earlier items' decisions can run through it.
 //
 //   - Runner[E] (runner.go): the edge-switch instantiation — the
-//     dependency-table phases (tuple and survivor registration, the
-//     table's filter merge and chain link, round-based decisions that
-//     probe only targets the filter cannot clear and write no edge, one
-//     write-back of the accepted targets into the edge list after the
-//     last round and, on set-backed runners, the leader's erase/insert
-//     update of the edge set),
+//     dependency-table phases (tuple and survivor registration on a
+//     table that keys the sources in place and stores only the
+//     targets, the table's filter merge and chain link, round-based
+//     decisions that probe only targets the filter cannot clear and
+//     write no edge, one exchange of the accepted switches' sources
+//     and targets after the last round and, on set-backed runners, the
+//     leader's erase/insert update of the edge set),
 //     parameterized by the 64-bit edge encoding E.
 //     graph.Edge (canonical undirected edges) and digraph.Arc
 //     (orientation-preserving directed arcs) both instantiate it; the
@@ -36,7 +37,8 @@
 // Above the kernel, Engine (engine.go) is the one resumable superstep
 // loop every chain runs through: each chain is a Stepper plug-in, and
 // Stats is the one counter type from the round driver to the public
-// Sampler. GlobalStepper is the parallel G-ES-MC stepper and SeqStepper
+// Sampler. GlobalStepper is the parallel G-ES-MC stepper, which
+// shuffles the edge list physically and pairs adjacent slots, and SeqStepper
 // (seq.go) the sequential ES-MC/G-ES-MC stepper, each shared by the
 // undirected and directed chains; ExecuteSequential is the one
 // Definition-1 executor every differential test compares against.

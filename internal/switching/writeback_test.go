@@ -13,13 +13,14 @@ import (
 )
 
 // checkAgainstSequential runs switches on a runner of w workers over a
-// copy of edges, as a global superstep when global is set (every edge
-// index not in switches is a survivor) and as a prefix superstep
-// otherwise, and compares the accepted count and the edge list with
+// copy of edges, as a global superstep when global is set (switches
+// are then the adjacent pairs of shuffledGlobal, and every slot after
+// them is a survivor) and as a prefix superstep otherwise, and
+// compares the accepted count and the edge list with
 // ExecuteSequential's; a prefix runner's edge set must hold exactly
 // the resulting list.
 func checkAgainstSequential[E switching.EdgeKind[E]](t *testing.T, edges []E,
-	switches []switching.Switch, rest []uint32, global bool, w int) {
+	switches []switching.Switch, global bool, w int) {
 	t.Helper()
 	want := append([]E(nil), edges...)
 	wantLegal := switching.ExecuteSequential(want, hashset.FromEdges(want, 0.5), switches)
@@ -27,7 +28,7 @@ func checkAgainstSequential[E switching.EdgeKind[E]](t *testing.T, edges []E,
 	r := switching.NewRunner(got, len(got)/2, w)
 	defer r.Release()
 	if global {
-		r.RunGlobal(switches, rest)
+		r.RunGlobal(len(switches))
 	} else {
 		r.Run(switches)
 	}
@@ -71,22 +72,21 @@ func TestRunnerBatchBoundariesMatchSequential(t *testing.T) {
 				t.Fatalf("graph too small for %d edges", m)
 			}
 			// The first m edges of a simple graph are a simple graph.
-			edges, as := g.Edges()[:m], arcs[:m]
-			swU, restU := globalStep(m, n, src)
-			swD, restD := globalStep(m, n, src)
+			edges, swU := shuffledGlobal(g.Edges()[:m], n, src)
+			as, swD := shuffledGlobal(arcs[:m], n, src)
 			for _, w := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("global/n=%d/survivors=%d/w=%d", n, s, w), func(t *testing.T) {
-					checkAgainstSequential(t, edges, swU, restU, true, w)
-					checkAgainstSequential(t, as, swD, restD, true, w)
+					checkAgainstSequential(t, edges, swU, true, w)
+					checkAgainstSequential(t, as, swD, true, w)
 				})
 			}
 		}
-		swU, _ := globalStep(g.M(), n, src)
-		swD, _ := globalStep(len(arcs), n, src)
+		swU := globalStep(g.M(), n, src)
+		swD := globalStep(len(arcs), n, src)
 		for _, w := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("prefix/n=%d/w=%d", n, w), func(t *testing.T) {
-				checkAgainstSequential(t, g.Edges(), swU, nil, false, w)
-				checkAgainstSequential(t, arcs, swD, nil, false, w)
+				checkAgainstSequential(t, g.Edges(), swU, false, w)
+				checkAgainstSequential(t, arcs, swD, false, w)
 			})
 		}
 	}
@@ -99,20 +99,19 @@ func TestRunnerBatchBoundariesMatchSequential(t *testing.T) {
 // connectivity constraint's after hook expects.
 func checkRollbackRestores[E switching.EdgeKind[E]](t *testing.T, edges []E, w int, src rng.Source) {
 	t.Helper()
-	start := append([]E(nil), edges...)
-	got := append([]E(nil), edges...)
-	m := len(got)
-	switches, rest := globalStep(m, m/2, src)
+	m := len(edges)
+	got, _ := shuffledGlobal(edges, m/2, src)
+	start := append([]E(nil), got...)
 	r := switching.NewRunner(got, m/2, w)
 	defer r.Release()
 	r.EnsureSet()
-	r.RunGlobal(switches, rest)
+	r.RunGlobal(m / 2)
 	if r.Legal == 0 {
 		t.Fatal("no switch accepted; the rollback is not exercised")
 	}
-	for k := len(switches) - 1; k >= 0; k-- {
+	for k := r.NumSwitches() - 1; k >= 0; k-- {
 		if r.Accepted(k) {
-			r.Rollback(k, switches[k])
+			r.Rollback(k)
 		}
 	}
 	if r.Legal != 0 || r.RolledBack == 0 {
@@ -174,9 +173,8 @@ func TestRunnerSetOutOfStepPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := g.Edges()
-	m := len(edges)
-	switches, rest := globalStep(m, m/2, src)
+	m := g.M()
+	edges, _ := shuffledGlobal(g.Edges(), m/2, src)
 	// superstep runs the global superstep on a fresh set-backed runner
 	// after desync edits its set, and returns the runner (released by
 	// the test's cleanup) with its edge list.
@@ -186,7 +184,7 @@ func TestRunnerSetOutOfStepPanics(t *testing.T) {
 		t.Cleanup(r.Release)
 		r.EnsureSet()
 		desync(r.Set)
-		r.RunGlobal(switches, rest)
+		r.RunGlobal(m / 2)
 		return r, got
 	}
 	// The global decisions ignore the set, so a faithful run names the
@@ -196,8 +194,7 @@ func TestRunnerSetOutOfStepPanics(t *testing.T) {
 	for !r.Accepted(k) {
 		k++
 	}
-	sw := switches[k]
-	source, target := edges[sw.I], after[sw.I]
+	source, target := edges[2*k], after[2*k]
 
 	t.Run("apply/erase-absent", func(t *testing.T) {
 		mustPanic(t, want, func() {
@@ -212,11 +209,11 @@ func TestRunnerSetOutOfStepPanics(t *testing.T) {
 	t.Run("rollback/erase-absent", func(t *testing.T) {
 		r, _ := superstep(t, func(*hashset.Set) {})
 		r.Set.Erase(target)
-		mustPanic(t, want, func() { r.Rollback(k, sw) })
+		mustPanic(t, want, func() { r.Rollback(k) })
 	})
 	t.Run("rollback/insert-present", func(t *testing.T) {
 		r, _ := superstep(t, func(*hashset.Set) {})
 		r.Set.Insert(source)
-		mustPanic(t, want, func() { r.Rollback(k, sw) })
+		mustPanic(t, want, func() { r.Rollback(k) })
 	})
 }

@@ -215,16 +215,19 @@ func edgeListHash(edges [][2]uint32) uint64 {
 }
 
 // TestSamplerGoldenStreams pins the edge lists the chains emit after 8
-// supersteps at a fixed seed. The target is power-law, so Curveball
-// trades meet hubs and shared neighbours on almost every superstep. The
-// values were recorded from the edge-set Curveball kernel and the
-// allocating rng.Perm; any change to the trade kernel or the
-// permutation draws must keep them. The sequential ES-MC cases and the
-// connectivity-constrained cases pin the sequential chains' switch
-// draws, executor and escape draws; the constrained targets are paths,
-// on which the pinned supersteps reach at least one escape move. The
-// ParGlobalES rows pin each edge kind's permutation salt, and the ParES
-// row its switch draws, which equal SeqES's.
+// supersteps at a fixed seed (16 for the connected ParGlobalES row, see
+// below). The target is power-law, so Curveball trades meet hubs and
+// shared neighbours on almost every superstep. The values were recorded
+// from the edge-set Curveball kernel and the allocating rng.Perm; any
+// change to the trade kernel or the permutation draws must keep them.
+// The sequential ES-MC cases and the connectivity-constrained cases pin
+// the sequential chains' switch draws, executor and escape draws; the
+// constrained targets are paths, on which the pinned supersteps reach
+// at least one escape move. The ParGlobalES rows pin each edge kind's
+// permutation salt and the physically shuffled superstep stream, and
+// the ParES row its switch draws, which equal SeqES's. The connected
+// ParGlobalES stream first escapes in its 14th superstep at this seed,
+// so that row runs 16.
 func TestSamplerGoldenStreams(t *testing.T) {
 	g, err := GeneratePowerLaw(700, 2.2, 17)
 	if err != nil {
@@ -242,20 +245,21 @@ func TestSamplerGoldenStreams(t *testing.T) {
 		workers []int
 		opts    []Option
 		want    uint64
+		steps   int
 	}{
-		{Curveball, func() Target { return g.Clone() }, []int{1, 2, 4}, nil, 0xa3a0074bccca7733},
-		{GlobalCurveball, func() Target { return g.Clone() }, []int{1, 2, 4}, nil, 0x54348606fb38a22f},
-		{SeqGlobalES, func() Target { return g.Clone() }, []int{1}, nil, 0x5a30533fef5ba847},
-		{SeqGlobalES, func() Target { return dg.Clone() }, []int{1}, nil, 0x422bafd6dc7ce92d},
-		{SeqES, func() Target { return g.Clone() }, []int{1}, nil, 0xc0f67ee6ec114f87},
-		{SeqES, func() Target { return dg.Clone() }, []int{1}, nil, 0x851ecfec31cb4965},
-		{SeqGlobalES, func() Target { return dipath.Clone() }, []int{1}, connected, 0xcea55b194a591426},
+		{Curveball, func() Target { return g.Clone() }, []int{1, 2, 4}, nil, 0xa3a0074bccca7733, 8},
+		{GlobalCurveball, func() Target { return g.Clone() }, []int{1, 2, 4}, nil, 0x54348606fb38a22f, 8},
+		{SeqGlobalES, func() Target { return g.Clone() }, []int{1}, nil, 0x5a30533fef5ba847, 8},
+		{SeqGlobalES, func() Target { return dg.Clone() }, []int{1}, nil, 0x422bafd6dc7ce92d, 8},
+		{SeqES, func() Target { return g.Clone() }, []int{1}, nil, 0xc0f67ee6ec114f87, 8},
+		{SeqES, func() Target { return dg.Clone() }, []int{1}, nil, 0x851ecfec31cb4965, 8},
+		{SeqGlobalES, func() Target { return dipath.Clone() }, []int{1}, connected, 0xcea55b194a591426, 8},
 		{SeqES, func() Target { return path.Clone() }, []int{1},
-			[]Option{WithConstraint(Connected(), ForbiddenEdges(forbidden))}, 0xfebb0dfadbeeb206},
-		{ParGlobalES, func() Target { return g.Clone() }, []int{1, 2, 4}, nil, 0x737c9281e0cab3db},
-		{ParGlobalES, func() Target { return dg.Clone() }, []int{1, 2, 4}, nil, 0x4b828b10baf5a4c1},
-		{ParES, func() Target { return g.Clone() }, []int{1, 2}, nil, 0xc0f67ee6ec114f87},
-		{ParGlobalES, func() Target { return dipath.Clone() }, []int{1, 2, 4}, connected, 0x989a370f51c173c6},
+			[]Option{WithConstraint(Connected(), ForbiddenEdges(forbidden))}, 0xfebb0dfadbeeb206, 8},
+		{ParGlobalES, func() Target { return g.Clone() }, []int{1, 2, 4}, nil, 0x4c618aee8b192e17, 8},
+		{ParGlobalES, func() Target { return dg.Clone() }, []int{1, 2, 4}, nil, 0xb93c8f0565b3df39, 8},
+		{ParES, func() Target { return g.Clone() }, []int{1, 2}, nil, 0xc0f67ee6ec114f87, 8},
+		{ParGlobalES, func() Target { return dipath.Clone() }, []int{1, 2, 4}, connected, 0xad7a68a082cde186, 16},
 	}
 	for _, tc := range cases {
 		for _, w := range tc.workers {
@@ -265,7 +269,7 @@ func TestSamplerGoldenStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := s.Step(8)
+			st, err := s.Step(tc.steps)
 			if err != nil {
 				t.Fatal(err)
 			}
