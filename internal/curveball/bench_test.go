@@ -41,6 +41,25 @@ func BenchmarkGlobalStep(b *testing.B) {
 	}
 }
 
+// BenchmarkLocalStep times one Curveball superstep (⌊n/2⌋ uniform
+// trades, run as maximal node-disjoint batches) on the same target and
+// reports ns per trade; it runs the same trade kernel as GlobalStep.
+func BenchmarkLocalStep(b *testing.B) {
+	g := benchGraph(b)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			e := NewEngine(g, w, 1)
+			defer e.Close()
+			e.LocalStep()
+			b.ReportAllocs()
+			for b.Loop() {
+				e.LocalStep()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(g.N()/2)), "ns/trade")
+		})
+	}
+}
+
 // BenchmarkWriteEdges times the write-back of all m edges into the
 // target's edge list and reports ns per edge.
 func BenchmarkWriteEdges(b *testing.B) {

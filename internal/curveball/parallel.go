@@ -62,10 +62,12 @@ type tradeScratch struct {
 	tgt   []int32  // their slot indices (u's slots, then v's)
 	vpool []uint64 // v's owned neighbours (rank > k) in slot order
 	vtgt  []int32  // their slot indices; -1 once found shared with u
-	// tab is the shared-neighbour table: open addressing over vpool,
-	// each entry stamp<<32 | index into vpool. An entry is live only
-	// while its stamp equals the trade's, so nothing is cleared between
-	// trades; the table is cleared when the stamp wraps.
+	// tab is the shared-neighbour table of trades whose v owns more
+	// than scanMax neighbours: open addressing over vpool, each entry
+	// stamp<<32 | index into vpool. Each such trade advances the stamp,
+	// and an entry is live only while its stamp is the current one, so
+	// nothing is cleared between trades; the table is cleared when the
+	// stamp wraps.
 	tab   []uint64
 	stamp uint32
 	_     [4]uint64
@@ -76,8 +78,8 @@ type tradeScratch struct {
 // update both endpoints by direct indexing without scans — and the
 // shared round driver for scheduling and stats. A trade reads both
 // endpoints' owned neighbourhoods anyway, so it tests shared neighbours
-// against a per-worker table of v's (DESIGN.md §4) instead of a global
-// edge set: a redeal writes only the slots it moves, and no second copy
+// against v's, by a scan or a per-worker table (DESIGN.md §4), instead
+// of a global edge set: a redeal writes only the slots it moves, and no second copy
 // of the adjacency needs keeping in sync. One GlobalStep is one global
 // trade; one LocalStep is ⌊n/2⌋ uniform trades executed as
 // node-disjoint batches. All randomness derives from the construction
@@ -153,10 +155,10 @@ func NewEngine(g *graph.Graph, workers int, seed uint64) *Engine {
 	e.sc = make([]tradeScratch, e.drv.Workers())
 	for w := range e.sc {
 		e.sc[w] = tradeScratch{
-			pool:  make([]uint64, 0, 2*dmax),
-			tgt:   make([]int32, 0, 2*dmax),
-			vpool: make([]uint64, 0, dmax),
-			vtgt:  make([]int32, 0, dmax),
+			pool:  make([]uint64, 2*dmax),
+			tgt:   make([]int32, 2*dmax),
+			vpool: make([]uint64, dmax),
+			vtgt:  make([]int32, dmax),
 			tab:   make([]uint64, 1<<tableBits(dmax)),
 		}
 	}
@@ -284,78 +286,101 @@ func (e *Engine) TradeBatch(pairs []uint32, stepSeed uint64) {
 	e.curPairs = nil
 }
 
+// scanMax is the largest count of v's owned neighbours that trade
+// tests by a linear scan; longer lists (hubs) use the worker's
+// shared-neighbour table (DESIGN.md §4).
+const scanMax = 32
+
+// owned is 1 iff rank r is later than trade k: k - r cannot overflow
+// (k ≥ 0, 0 ≤ r ≤ MaxInt32) and is negative exactly when r > k.
+func owned(r, k int32) int { return int(uint32(k-r) >> 31) }
+
 // trade decides and applies trade k = (u, v): pool the neighbors
 // exclusive to one side and owned by this trade (rank > k), shuffle
 // them with the trade's private stream, and redeal — the first nu into
 // u's slots, the rest into v's. A neighbor w of u is shared iff it is
-// among v's owned neighbors, which the worker's table holds for the
-// duration of the trade. Slot reads and the reverse-slot writes are
-// atomic because neighboring trades concurrently scan the same
-// adjacency arrays (always slots of a different rank, so decisions are
-// unaffected; the atomics only order the memory accesses). A 1-worker
-// engine runs its trades one after another, so its reverse-slot writes
-// are plain stores (an atomic store is a locked exchange on amd64).
+// among v's owned neighbors: a short list is scanned, a long one is
+// held in the worker's table for the duration of the trade. The
+// collection passes write every slot they read and advance their
+// cursors by the ownership bit, so no data-dependent branch decides
+// an append. Slot reads and the reverse-slot writes are atomic because
+// neighboring trades concurrently scan the same adjacency arrays
+// (always slots of a different rank, so decisions are unaffected; the
+// atomics only order the memory accesses). A 1-worker engine runs its
+// trades one after another, so its reverse-slot writes are plain
+// stores (an atomic store is a locked exchange on amd64).
 func (e *Engine) trade(worker int, u, v uint32, k int32, stepSeed uint64) {
 	sc := &e.sc[worker]
-	vpool, vtgt := sc.vpool[:0], sc.vtgt[:0]
+	rank := e.rank
+	vpool, vtgt := sc.vpool, sc.vtgt
+	nv := 0
 	for i := e.offs[v]; i < e.offs[v+1]; i++ {
 		s := atomic.LoadUint64(&e.slot[i])
-		if e.rank[uint32(s>>32)] <= k {
-			continue // earlier-ranked partner (fixed) or u itself
-		}
-		vpool = append(vpool, s)
-		vtgt = append(vtgt, i)
+		vpool[nv], vtgt[nv] = s, i
+		nv += owned(rank[uint32(s>>32)], k)
 	}
-	sc.stamp++
-	if sc.stamp == 0 {
-		clear(sc.tab)
-		sc.stamp = 1
-	}
-	stamp := uint64(sc.stamp) << 32
-	b := tableBits(len(vpool))
-	shift, mask := 32-b, uint32(1)<<b-1
-	tab := sc.tab
-	for x, s := range vpool {
-		h := uint32(s>>32) * 0x9E3779B1 >> shift
-		for tab[h]&^0xFFFFFFFF == stamp {
-			h = (h + 1) & mask
-		}
-		tab[h] = stamp | uint64(x)
-	}
+	vpool, vtgt = vpool[:nv], vtgt[:nv]
 
-	pool, tgt := sc.pool[:0], sc.tgt[:0]
-	for i := e.offs[u]; i < e.offs[u+1]; i++ {
-		s := atomic.LoadUint64(&e.slot[i])
-		w := uint32(s >> 32)
-		if e.rank[w] <= k {
-			continue
-		}
-		shared := false
-		for h := w * 0x9E3779B1 >> shift; tab[h]&^0xFFFFFFFF == stamp; h = (h + 1) & mask {
-			if x := uint32(tab[h]); uint32(vpool[x]>>32) == w {
-				vtgt[x] = -1 // fixed on both sides
-				shared = true
-				break
+	pool, tgt := sc.pool, sc.tgt
+	nu := 0
+	if nv <= scanMax {
+		for i := e.offs[u]; i < e.offs[u+1]; i++ {
+			s := atomic.LoadUint64(&e.slot[i])
+			w := uint32(s >> 32)
+			keep := owned(rank[w], k)
+			for x, t := range vpool {
+				if uint32(t>>32) == w {
+					vtgt[x] = -1 // fixed on both sides
+					keep = 0
+				}
 			}
+			pool[nu], tgt[nu] = s, i
+			nu += keep
 		}
-		if !shared {
-			pool = append(pool, s)
-			tgt = append(tgt, i)
+	} else {
+		sc.stamp++
+		if sc.stamp == 0 {
+			clear(sc.tab)
+			sc.stamp = 1
+		}
+		stamp := uint64(sc.stamp) << 32
+		b := tableBits(nv)
+		shift, mask := 32-b, uint32(1)<<b-1
+		tab := sc.tab
+		for x, s := range vpool {
+			h := uint32(s>>32) * 0x9E3779B1 >> shift
+			for tab[h]&^0xFFFFFFFF == stamp {
+				h = (h + 1) & mask
+			}
+			tab[h] = stamp | uint64(x)
+		}
+		for i := e.offs[u]; i < e.offs[u+1]; i++ {
+			s := atomic.LoadUint64(&e.slot[i])
+			w := uint32(s >> 32)
+			keep := owned(rank[w], k)
+			for h := w * 0x9E3779B1 >> shift; tab[h]&^0xFFFFFFFF == stamp; h = (h + 1) & mask {
+				if x := uint32(tab[h]); uint32(vpool[x]>>32) == w {
+					vtgt[x] = -1
+					keep = 0
+					break
+				}
+			}
+			pool[nu], tgt[nu] = s, i
+			nu += keep
 		}
 	}
-	nu := len(pool)
+	np := nu
 	for x, i := range vtgt {
-		if i >= 0 {
-			pool = append(pool, vpool[x])
-			tgt = append(tgt, i)
-		}
+		pool[np], tgt[np] = vpool[x], i
+		np += int(uint32(^i) >> 31) // 1 iff i ≥ 0: not shared
 	}
 
-	if len(pool) < 2 {
+	if np < 2 {
 		return // nothing can move
 	}
+	pool, tgt = pool[:np], tgt[:np]
 	src := rng.NewSplitMix64(tradeSeed(stepSeed, k))
-	for i := len(pool) - 1; i > 0; i-- {
+	for i := np - 1; i > 0; i-- {
 		j := src.IntN(i + 1) // concrete call: src stays on this stack
 		pool[i], pool[j] = pool[j], pool[i]
 	}

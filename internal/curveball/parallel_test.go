@@ -294,10 +294,13 @@ func TestHubTradesMatchReferenceAcrossWorkers(t *testing.T) {
 // wrap and poisons every other table entry with the first stamp used
 // after it: unless the wrap clears the table, the first lookup that
 // lands on a poisoned entry indexes out of range. The result must
-// still match Reference.
+// still match Reference. Only a hub v with more than scanMax owned
+// neighbours takes the table, a few trades per global step here, so
+// the run is long enough for those trades to wrap the stamp and
+// keep using the table after it.
 func TestTradeStampWrap(t *testing.T) {
 	g := hubGraph(t, 120, 7106)
-	const steps, seed = 4, 99
+	const steps, seed = 24, 99
 	batches, seeds := drawGlobalBatches(g.N(), steps, seed)
 	ref := NewReference(g)
 	for s := range batches {
@@ -381,4 +384,146 @@ func TestEngineFirstStepsAllocFree(t *testing.T) {
 			t.Fatalf("a fresh workers=2 engine allocates %d times per superstep of each kind", a)
 		}
 	}
+}
+
+// TestTradeSharedNeighbourPaths hand-builds one batch whose last three
+// trades (u, v) give v scanMax−1, scanMax and scanMax+1 owned
+// neighbours, so the first two test shared neighbours by the scan and
+// the third by the table. Each v also has earlier-ranked neighbours
+// (paired in earlier trades of the batch, so their edges are fixed),
+// and u shares a third of v's owned neighbours, has owned neighbours of
+// its own and the same earlier-ranked ones. Degrees and the rank
+// profile of every neighbourhood are invariant under the batch, so
+// every repeat of it meets the same three owned counts; each repeat
+// must match Reference at w = 1 and w = 2.
+func TestTradeSharedNeighbourPaths(t *testing.T) {
+	var pairs [][2]graph.Node
+	var early, trades []uint32
+	n := 0
+	node := func() graph.Node { n++; return graph.Node(n - 1) }
+	for _, c := range []int{scanMax - 1, scanMax, scanMax + 1} {
+		u, v := node(), node()
+		for x := 0; x < c; x++ {
+			w := node()
+			pairs = append(pairs, [2]graph.Node{v, w})
+			if x%3 == 0 {
+				pairs = append(pairs, [2]graph.Node{u, w})
+			}
+		}
+		for x := 0; x < c/2; x++ {
+			pairs = append(pairs, [2]graph.Node{u, node()})
+		}
+		for x := 0; x < 4; x++ {
+			w := node()
+			early = append(early, uint32(w))
+			pairs = append(pairs, [2]graph.Node{v, w}, [2]graph.Node{u, w})
+		}
+		pairs = append(pairs, [2]graph.Node{u, v})
+		trades = append(trades, uint32(u), uint32(v))
+	}
+	g, err := graph.FromPairs(n, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := append(early, trades...)
+	ref := NewReference(g)
+	engines := []*Engine{NewEngine(g, 1, 1), NewEngine(g, 2, 1)}
+	for rep := range 12 {
+		for x, c := range []int{scanMax - 1, scanMax, scanMax + 1} {
+			k := len(early)/2 + x
+			v := batch[2*k+1]
+			owned := 0
+			for _, w := range ref.adj[v] {
+				if w != batch[2*k] && !slices.Contains(early, w) {
+					owned++
+				}
+			}
+			if owned != c {
+				t.Fatalf("repeat %d: v of trade %d has %d owned neighbours, want %d", rep, k, owned, c)
+			}
+		}
+		seed := uint64(7108 + rep)
+		ref.TradeBatch(batch, seed)
+		want := ref.Edges()
+		for _, e := range engines {
+			e.TradeBatch(batch, seed)
+			if got := engineEdges(e, g.M()); !slices.Equal(got, want) {
+				t.Fatalf("repeat %d, workers=%d: edge list diverges from sequential reference", rep, e.drv.Workers())
+			}
+		}
+	}
+	checkInvariants(t, g, graph.NewUnchecked(n, ref.Edges()))
+	if graph.SameEdgeSet(g, graph.NewUnchecked(n, ref.Edges())) {
+		t.Fatal("the batch moved no edge")
+	}
+	for _, e := range engines {
+		e.Close()
+	}
+}
+
+// FuzzTradeBatch drives Engine.TradeBatch at w = 1 and w = 2 and the
+// sequential Reference with the same batches on a small simple graph.
+// The fuzz input gives the node count (2 to 64), the edges (byte
+// pairs, loops and repeats dropped), the batch (empty: a seeded
+// uniform pairing of every node; otherwise a node-disjoint list read
+// from the bytes, an odd last node left unpaired) and the seed. Two
+// batches run, so the second starts from a redealt state; the engines
+// must match the reference edge for edge and keep every degree.
+func FuzzTradeBatch(f *testing.F) {
+	dense := make([]byte, 0, 40*39)
+	for a := range 40 {
+		for b := a + 1; b < 40; b++ {
+			dense = append(dense, byte(a), byte(b))
+		}
+	}
+	f.Add(uint8(8), []byte{0, 1, 1, 2, 2, 3, 3, 0, 4, 5, 5, 6, 6, 7, 0, 4}, []byte(nil), uint64(1))
+	f.Add(uint8(8), []byte{0, 1, 1, 2, 2, 3, 3, 0, 4, 5, 5, 6, 6, 7, 0, 4}, []byte{3, 0, 5, 1, 2}, uint64(2))
+	f.Add(uint8(62), dense, []byte(nil), uint64(3))
+	f.Add(uint8(62), dense, []byte{0, 1, 39, 38, 2, 3}, uint64(4))
+	f.Fuzz(func(t *testing.T, nb uint8, edgeBytes, batchBytes []byte, seed uint64) {
+		n := 2 + int(nb)%63
+		seen := map[graph.Edge]bool{}
+		var edges []graph.Edge
+		for i := 0; i+1 < len(edgeBytes); i += 2 {
+			a, b := graph.Node(int(edgeBytes[i])%n), graph.Node(int(edgeBytes[i+1])%n)
+			if e := graph.MakeEdge(a, b); a != b && !seen[e] {
+				seen[e] = true
+				edges = append(edges, e)
+			}
+		}
+		g, err := graph.New(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batch []uint32
+		if len(batchBytes) == 0 {
+			batch = rng.Perm(rng.NewMT19937(seed), n)
+		} else {
+			used := make([]bool, n)
+			for _, x := range batchBytes {
+				if u := int(x) % n; !used[u] {
+					used[u] = true
+					batch = append(batch, uint32(u))
+				}
+			}
+		}
+		ref := NewReference(g)
+		engines := []*Engine{NewEngine(g, 1, seed), NewEngine(g, 2, seed)}
+		defer func() {
+			for _, e := range engines {
+				e.Close()
+			}
+		}()
+		for _, s := range []uint64{seed, seed ^ 0x9E3779B97F4A7C15} {
+			ref.TradeBatch(batch, s)
+			want := ref.Edges()
+			for _, e := range engines {
+				e.TradeBatch(batch, s)
+				if got := engineEdges(e, g.M()); !slices.Equal(got, want) {
+					t.Fatalf("workers=%d: edge list diverges from sequential reference", e.drv.Workers())
+				}
+			}
+		}
+		checkInvariants(t, g, graph.NewUnchecked(n, ref.Edges()))
+	})
 }

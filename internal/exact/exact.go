@@ -141,16 +141,6 @@ func (s *Sampler) draw() ([]graph.Edge, error) {
 		maxAttemptsPerDraw, lambdaScore(s.degrees))
 }
 
-// DrawGraph is Draw returning a *graph.Graph (the edge list is
-// sorted, so graph.NewUnchecked's invariants hold).
-func (s *Sampler) DrawGraph() (*graph.Graph, error) {
-	edges, err := s.Draw()
-	if err != nil {
-		return nil, err
-	}
-	return graph.NewUnchecked(s.n, edges), nil
-}
-
 // Stepper returns the sampler as a switching.Engine plug-in: one
 // superstep is one fresh draw written over dst, the target's edge list
 // (length M()), in place like the chains write their switched state.

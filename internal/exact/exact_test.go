@@ -286,3 +286,13 @@ func TestConcurrentSamplers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// DrawGraph is Draw returning a *graph.Graph (the edge list is
+// sorted, so graph.NewUnchecked's invariants hold).
+func (s *Sampler) DrawGraph() (*graph.Graph, error) {
+	edges, err := s.Draw()
+	if err != nil {
+		return nil, err
+	}
+	return graph.NewUnchecked(s.n, edges), nil
+}

@@ -111,30 +111,3 @@ func quickSortNodes(s []Node) {
 	}
 	insertionSortNodes(s)
 }
-
-// HasEdgeSorted reports whether the sorted neighborhood of u contains v.
-func (a *Adjacency) HasEdgeSorted(u, v Node) bool {
-	nb := a.Neighbors(u)
-	lo, hi := 0, len(nb)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nb[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(nb) && nb[lo] == v
-}
-
-// HasEdgeScan reports whether the (unsorted) neighborhood of u contains
-// v by linear scan, the O(deg) existence check of adjacency-list ES-MC
-// implementations.
-func (a *Adjacency) HasEdgeScan(u, v Node) bool {
-	for _, w := range a.Neighbors(u) {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}

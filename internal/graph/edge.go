@@ -66,11 +66,6 @@ func (e Edge) Directed() DirectedEdge {
 	return DirectedEdge{Tail: e.U(), Head: e.V()}
 }
 
-// Reversed returns the opposite orientation.
-func (d DirectedEdge) Reversed() DirectedEdge {
-	return DirectedEdge{Tail: d.Head, Head: d.Tail}
-}
-
 // Canonical returns the undirected canonical encoding.
 func (d DirectedEdge) Canonical() Edge {
 	return MakeEdge(d.Tail, d.Head)

@@ -143,19 +143,3 @@ func LargestOfLabels(comp int, labels []int32) (size, components int) {
 	}
 	return size, comp
 }
-
-// DegreeHistogram returns counts[d] = number of nodes of degree d.
-func DegreeHistogram(g *Graph) []int {
-	deg := g.Degrees()
-	max := 0
-	for _, d := range deg {
-		if d > max {
-			max = d
-		}
-	}
-	counts := make([]int, max+1)
-	for _, d := range deg {
-		counts[d]++
-	}
-	return counts
-}

@@ -168,3 +168,46 @@ func TestQuickSortNodesLarge(t *testing.T) {
 		}
 	}
 }
+
+// HasEdgeSorted reports whether the sorted neighborhood of u contains v.
+func (a *Adjacency) HasEdgeSorted(u, v Node) bool {
+	nb := a.Neighbors(u)
+	lo, hi := 0, len(nb)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if nb[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(nb) && nb[lo] == v
+}
+
+// HasEdgeScan reports whether the (unsorted) neighborhood of u contains
+// v by linear scan, the O(deg) existence check of adjacency-list ES-MC
+// implementations.
+func (a *Adjacency) HasEdgeScan(u, v Node) bool {
+	for _, w := range a.Neighbors(u) {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
+
+// DegreeHistogram returns counts[d] = number of nodes of degree d.
+func DegreeHistogram(g *Graph) []int {
+	deg := g.Degrees()
+	max := 0
+	for _, d := range deg {
+		if d > max {
+			max = d
+		}
+	}
+	counts := make([]int, max+1)
+	for _, d := range deg {
+		counts[d]++
+	}
+	return counts
+}

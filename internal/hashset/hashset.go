@@ -40,9 +40,6 @@ func New(capacity int, maxLoad float64) *Set {
 	return s
 }
 
-// NewDefault returns a set with the paper's default load factor 1/2.
-func NewDefault(capacity int) *Set { return New(capacity, 0.5) }
-
 func (s *Set) init(capacity int) {
 	want := int(float64(capacity)/s.maxLoad) + 1
 	nb := 1 << uint(bits.Len(uint(want)))

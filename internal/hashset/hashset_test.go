@@ -235,3 +235,6 @@ func BenchmarkContains(b *testing.B) {
 	}
 	_ = hits
 }
+
+// NewDefault returns a set with the paper's default load factor 1/2.
+func NewDefault(capacity int) *Set { return New(capacity, 0.5) }

@@ -90,3 +90,36 @@ func TestPerWorkerSeedsDeterministic(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// SeedBySlice resets the state from a seed array using the reference
+// init_by_array64 routine.
+func (mt *MT19937) SeedBySlice(key []uint64) {
+	mt.Seed(19650218)
+	i, j := 1, 0
+	k := len(key)
+	if mtN > k {
+		k = mtN
+	}
+	for ; k > 0; k-- {
+		mt.state[i] = (mt.state[i] ^ ((mt.state[i-1] ^ (mt.state[i-1] >> 62)) * 3935559000370003845)) + key[j] + uint64(j)
+		i++
+		j++
+		if i >= mtN {
+			mt.state[0] = mt.state[mtN-1]
+			i = 1
+		}
+		if j >= len(key) {
+			j = 0
+		}
+	}
+	for k = mtN - 1; k > 0; k-- {
+		mt.state[i] = (mt.state[i] ^ ((mt.state[i-1] ^ (mt.state[i-1] >> 62)) * 2862933555777941757)) - uint64(i)
+		i++
+		if i >= mtN {
+			mt.state[0] = mt.state[mtN-1]
+			i = 1
+		}
+	}
+	mt.state[0] = 1 << 63
+	mt.index = mtN
+}
