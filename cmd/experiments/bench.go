@@ -232,12 +232,12 @@ func bench(opt options) error {
 		if c.seq {
 			counts = workerCounts[:1]
 		}
-		for _, w := range counts {
-			r, err := benchOne(c.name, c.alg, c.target(), w, supersteps, opt.seed)
-			if err != nil {
-				return err
-			}
-			if w == 1 {
+		rows, err := benchChain(c.name, c.alg, c.target, counts, supersteps, opt.seed)
+		if err != nil {
+			return err
+		}
+		for _, r := range rows {
+			if w := r.Workers; w == 1 {
 				base = r.NsPerSwitch
 			} else if w > report.GoMaxProcs {
 				// Fewer cores than workers: the w-vs-1 ratio measures
@@ -300,46 +300,62 @@ func bench(opt options) error {
 // steady state, so they come from the last window.
 const benchWindows = 3
 
-// benchOne compiles the sampler once (setup excluded, as in §6's
-// methodology), runs one warm-up superstep (which also grows all
-// reusable scratch to steady state), then times benchWindows windows
-// of the measured supersteps, counting heap allocations via
-// runtime.MemStats and keeping the fastest window's ns/switch.
-func benchOne(name string, alg gesmc.Algorithm, target gesmc.Target, workers, supersteps int, seed uint64) (benchResult, error) {
-	s, err := gesmc.NewSampler(target,
-		gesmc.WithAlgorithm(alg),
-		gesmc.WithWorkers(workers),
-		gesmc.WithSeed(seed))
-	if err != nil {
-		return benchResult{}, err
-	}
-	defer s.Close()
-	if _, err := s.Step(1); err != nil {
-		return benchResult{}, err
-	}
-	var r benchResult
-	for w := 0; w < benchWindows; w++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		stats, err := s.Step(supersteps)
+// benchChain compiles one sampler per worker count (setup excluded,
+// as in §6's methodology) and runs one warm-up superstep on each
+// (which also grows all reusable scratch to steady state). It then
+// times benchWindows rounds, in which every sampler in turn runs one
+// window of the measured supersteps, so host drift during the chain's
+// measurement reaches each worker count's row alike instead of
+// entering speedup_vs_w1. Each row counts heap allocations via
+// runtime.MemStats and keeps its fastest window's ns/switch.
+func benchChain(name string, alg gesmc.Algorithm, target func() gesmc.Target, counts []int, supersteps int, seed uint64) ([]benchResult, error) {
+	samplers := make([]*gesmc.Sampler, len(counts))
+	defer func() {
+		for _, s := range samplers {
+			if s != nil {
+				s.Close()
+			}
+		}
+	}()
+	for i, workers := range counts {
+		s, err := gesmc.NewSampler(target(),
+			gesmc.WithAlgorithm(alg),
+			gesmc.WithWorkers(workers),
+			gesmc.WithSeed(seed))
 		if err != nil {
-			return benchResult{}, err
+			return nil, err
 		}
-		runtime.ReadMemStats(&after)
-		ns := 0.0
-		if stats.Attempted > 0 {
-			ns = float64(stats.Duration.Nanoseconds()) / float64(stats.Attempted)
+		samplers[i] = s
+		if _, err := s.Step(1); err != nil {
+			return nil, err
 		}
-		if w == 0 || ns < r.NsPerSwitch {
-			r.NsPerSwitch = ns
-		}
-		r.Name = name
-		r.Workers = workers
-		r.Supersteps = stats.Supersteps
-		r.Attempted = stats.Attempted
-		r.AllocsPerSuperstep = float64(after.Mallocs-before.Mallocs) / float64(supersteps)
 	}
-	return r, nil
+	rows := make([]benchResult, len(counts))
+	for w := 0; w < benchWindows; w++ {
+		for i, s := range samplers {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			stats, err := s.Step(supersteps)
+			if err != nil {
+				return nil, err
+			}
+			runtime.ReadMemStats(&after)
+			ns := 0.0
+			if stats.Attempted > 0 {
+				ns = float64(stats.Duration.Nanoseconds()) / float64(stats.Attempted)
+			}
+			r := &rows[i]
+			if w == 0 || ns < r.NsPerSwitch {
+				r.NsPerSwitch = ns
+			}
+			r.Name = name
+			r.Workers = counts[i]
+			r.Supersteps = stats.Supersteps
+			r.Attempted = stats.Attempted
+			r.AllocsPerSuperstep = float64(after.Mallocs-before.Mallocs) / float64(supersteps)
+		}
+	}
+	return rows, nil
 }
 
 // benchDigraph samples a simple digraph with exactly m arcs by

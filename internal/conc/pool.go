@@ -9,16 +9,20 @@ package conc
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
-// Pool is a persistent gang of worker goroutines parked on a
-// channel-based barrier. A kernel superstep issues several parallel-for
-// phases and a chain issues thousands of supersteps, so goroutine
-// creation and WaitGroup churn per phase would dominate the barrier
-// cost the paper's analysis assumes to be cheap. The pool's workers
-// 1..P-1 live as long as the pool; the caller participates as worker 0,
-// so a dispatch costs one channel send per parked worker plus one
-// receive for the completion barrier, and nothing at all at P=1.
+// Pool is a persistent gang of worker goroutines. A kernel superstep
+// issues several parallel-for phases and a chain issues thousands of
+// supersteps, so goroutine creation and WaitGroup churn per phase would
+// dominate the barrier cost the paper's analysis assumes to be cheap.
+// The pool's workers 1..P-1 live as long as the pool; the caller
+// participates as worker 0. Waiting is spin-then-park: an idle worker
+// polls a dispatch generation counter, and the caller polls the
+// completion count, for parkAfter before blocking on a channel, so a
+// dispatch that follows the last one within that budget costs an
+// atomic increment and wakes no goroutine, and a dispatch costs
+// nothing at all at P=1.
 //
 // Every dispatch runs a FusedPlan: a sequence of passes, each a
 // parallel-for over [0, N) partitioned into static blocks or
@@ -29,9 +33,9 @@ import (
 // total at most serialCutoff items: waking the gang costs ~µs, which
 // dwarfs a handful of items.
 //
-// Dispatch state is published via plain fields before the wake-up
-// sends; the channel operations order them. Bodies and plans should be
-// long-lived values (fields on the owning engine) — then a
+// Dispatch state is published via plain fields before the generation
+// increment, whose atomic order publishes them to every worker. Bodies
+// and plans should be long-lived values (fields on the owning engine) — then a
 // steady-state dispatch performs zero heap allocations, which the
 // kernel's allocation-regression test asserts.
 //
@@ -47,8 +51,26 @@ import (
 // Blocks or Fused from inside a body (nested use), or from two
 // goroutines at once, panics. Close releases the workers; it is
 // idempotent, and a finalizer releases them when a pool owner leaks
-// without closing, so parked goroutines never outlive the pool's
+// without closing, so worker goroutines never outlive the pool's
 // reachability.
+//
+// Wake-up handshake. A worker that has polled for parkAfter announces
+// in its parked word the generation it awaits, re-reads the
+// generation, and blocks on its start channel unless the generation
+// moved and it can clear its own announcement again. The caller bumps
+// the generation to g, then sends to each worker whose announcement of
+// g it clears. Both sides write one atomic and then read the other's,
+// so (the atomics being sequentially consistent) at least one side
+// sees the other; whichever CAS clears the announcement decides
+// whether a send happens, so a wake-up is neither lost nor doubled,
+// and the one-slot channels never block the sender. The announcement
+// names the generation, not just "parked", because a worker whose
+// share is short can finish dispatch g and park again for g+1 while
+// the caller is still inside g's wake loop; a flag would let that
+// late CAS wake the worker for a dispatch it has already run. The
+// completion wait is the mirror image: the caller announces in
+// waiting the generation it parks on and re-reads pending; the last
+// worker sends on done only if it clears that same generation.
 type Pool struct {
 	sh *poolShared
 }
@@ -56,7 +78,7 @@ type Pool struct {
 const cacheLine = 64
 
 // poolShared is the worker-visible state. It is split from Pool so the
-// parked goroutines keep only poolShared alive: the outer Pool stays
+// worker goroutines keep only poolShared alive: the outer Pool stays
 // collectable, letting its finalizer release the gang when the owner
 // forgets to Close. The contended atomics (chunk cursor, completion
 // count, sub-barrier state) are padded onto private cache lines so the
@@ -64,22 +86,27 @@ const cacheLine = 64
 // dispatch fields every worker re-reads.
 type poolShared struct {
 	workers int
-	grain   int // default chunk size in items, topology-derived
+	grain   int  // default chunk size in items, topology-derived
+	spin    bool // waiters poll before parking: the gang fits GOMAXPROCS
 
 	// plan is the current dispatch, written by the coordinator before
-	// the wake-up sends and read-only during a dispatch. blocks is the
-	// one-pass plan Blocks fills.
+	// the generation increment and read-only during a dispatch. blocks
+	// is the one-pass plan Blocks fills.
 	plan   *FusedPlan
 	blocks FusedPlan
 
-	start []chan struct{}
-	done  chan struct{}
+	slots []workerSlot
+	done  chan struct{} // capacity 1: the last worker wakes a parked caller
 
 	panicV  atomic.Pointer[poolPanic]
 	running atomic.Bool
 	closed  atomic.Bool
 
 	_       [cacheLine]byte
+	gen     atomic.Uint64 // dispatch generation, bumped by each gang dispatch and by release
+	_       [cacheLine - 8]byte
+	waiting atomic.Uint64 // generation the caller parked on awaiting completion, else 0
+	_       [cacheLine - 8]byte
 	cursor  atomic.Int64 // chunked passes: next unclaimed index
 	_       [cacheLine - 8]byte
 	pending atomic.Int32
@@ -90,7 +117,57 @@ type poolShared struct {
 	_       [cacheLine - 4]byte
 }
 
+// workerSlot is one worker's wake-up state, on its own cache line.
+type workerSlot struct {
+	parked atomic.Uint64 // generation the parked worker awaits, else 0
+	start  chan struct{} // capacity 1
+	_      [cacheLine - 16]byte
+}
+
 type poolPanic struct{ v any }
+
+// parkAfter is how long an idle worker, or a caller awaiting its gang,
+// polls before it blocks on a channel. Between two gang dispatches of
+// one ParGlobalES superstep the caller works alone for 0.3–130 µs
+// (w = 2 on the burn-in target: Permute's prefix sum, the ℓ draw, the
+// undecided-list fill, the delayed-list collection; DESIGN §5), so the
+// gang stays awake through a chain's supersteps, while an idle gang —
+// between Sample calls, or a pooled engine between requests — parks
+// about a millisecond after its last dispatch.
+//
+// A gang of more workers than GOMAXPROCS (at NewPool) parks at once: a
+// yielding poller goes to the global run queue, from which its
+// processor takes it straight back, so that processor stops stealing
+// the gang's runnable workers from the other processors' local queues.
+const parkAfter = time.Millisecond
+
+// spinPolls is how many polls a waiter makes before each further poll
+// yields its processor (runtime.Gosched), so oversubscribed gangs
+// (P > cores) still run their working goroutines.
+const spinPolls = 256
+
+// spinner is the poll schedule of a waiter that parks: spinPolls busy
+// polls, then yielding polls until parkAfter has passed since the
+// first yield.
+type spinner struct {
+	polls int
+	since time.Time
+}
+
+// next reports whether the waiter should poll again, yielding first
+// once past the busy polls; false means the budget is spent.
+func (s *spinner) next() bool {
+	if s.polls++; s.polls <= spinPolls {
+		return true
+	}
+	if now := time.Now(); s.since.IsZero() {
+		s.since = now
+	} else if now.Sub(s.since) >= parkAfter {
+		return false
+	}
+	runtime.Gosched()
+	return true
+}
 
 // chunkItemBytes is the assumed per-item cache footprint used to convert
 // a byte budget into a chunk length: the kernel's decide items touch a
@@ -126,13 +203,14 @@ func NewPool(workers int) *Pool {
 	sh := &poolShared{
 		workers: workers,
 		grain:   defaultGrain(workers),
+		spin:    workers <= runtime.GOMAXPROCS(0),
 		blocks:  FusedPlan{Passes: make([]FusedPass, 1)},
-		done:    make(chan struct{}),
+		done:    make(chan struct{}, 1),
 	}
-	sh.start = make([]chan struct{}, workers-1)
-	for i := range sh.start {
-		sh.start[i] = make(chan struct{}, 1)
-		go sh.parked(i + 1)
+	sh.slots = make([]workerSlot, workers-1)
+	for i := range sh.slots {
+		sh.slots[i].start = make(chan struct{}, 1)
+		go sh.work(i + 1)
 	}
 	p := &Pool{sh: sh}
 	if workers > 1 {
@@ -156,21 +234,73 @@ func (p *Pool) Close() {
 	runtime.SetFinalizer(p, nil)
 }
 
+// release ends the workers: a generation bump they see with closed
+// set, and a wake-up for those already parked.
 func (sh *poolShared) release() {
 	if sh.closed.CompareAndSwap(false, true) {
-		for _, c := range sh.start {
-			close(c)
+		sh.wake(sh.gen.Add(1))
+	}
+}
+
+// wake sends a wake-up to every worker parked awaiting generation g,
+// which the caller has just published (handshake in Pool).
+func (sh *poolShared) wake(g uint64) {
+	for i := range sh.slots {
+		s := &sh.slots[i]
+		if s.parked.Load() == g && s.parked.CompareAndSwap(g, 0) {
+			s.start <- struct{}{}
 		}
 	}
 }
 
-// parked is the worker loop: wait for a wake-up, run the current
-// dispatch, signal the barrier if last, park again.
-func (sh *poolShared) parked(w int) {
-	for range sh.start[w-1] {
+// work is the worker loop: await the next generation, run its
+// dispatch, and as the last worker to finish wake the caller if it
+// parked on that generation.
+func (sh *poolShared) work(w int) {
+	slot := &sh.slots[w-1]
+	for g := uint64(0); ; {
+		g = sh.awaitDispatch(slot, g)
+		if sh.closed.Load() {
+			return
+		}
 		sh.fusedRun(w, false)
-		if sh.pending.Add(-1) == 0 {
+		if sh.pending.Add(-1) == 0 && sh.waiting.CompareAndSwap(g, 0) {
 			sh.done <- struct{}{}
+		}
+	}
+}
+
+// awaitDispatch returns the first generation after seen: it polls
+// gen, then parks on the worker's start channel (handshake in Pool).
+// The caller cannot bump gen again before this worker finishes the
+// dispatch, so the value read after a wake-up is that dispatch's.
+func (sh *poolShared) awaitDispatch(slot *workerSlot, seen uint64) uint64 {
+	for sp := (spinner{}); sh.spin; {
+		if g := sh.gen.Load(); g != seen {
+			return g
+		}
+		if !sp.next() {
+			break
+		}
+	}
+	slot.parked.Store(seen + 1)
+	if g := sh.gen.Load(); g != seen && slot.parked.CompareAndSwap(seen+1, 0) {
+		return g
+	}
+	<-slot.start
+	return sh.gen.Load()
+}
+
+// awaitGang waits until every worker has finished dispatch g: it
+// polls pending, then parks on done (handshake in Pool).
+func (sh *poolShared) awaitGang(g uint64) {
+	for sp := (spinner{}); sh.pending.Load() != 0; {
+		if !sh.spin || !sp.next() {
+			sh.waiting.Store(g)
+			if sh.pending.Load() != 0 || !sh.waiting.CompareAndSwap(g, 0) {
+				<-sh.done
+			}
+			return
 		}
 	}
 }
@@ -216,7 +346,7 @@ func (sh *poolShared) autoChunk(n int) int {
 
 // acquire takes the dispatch lock before any dispatch state is
 // written: nested or concurrent dispatches must be rejected without
-// touching fields the parked workers may be reading.
+// touching fields the idle workers may be reading.
 func (sh *poolShared) acquire() {
 	if !sh.running.CompareAndSwap(false, true) {
 		panic("conc: nested or concurrent Pool dispatch")
@@ -257,13 +387,12 @@ func (sh *poolShared) dispatch(plan *FusedPlan) {
 	} else {
 		sh.cursor.Store(0)
 		sh.pending.Store(int32(sh.workers - 1))
-		for _, c := range sh.start {
-			c <- struct{}{}
-		}
+		g := sh.gen.Add(1)
+		sh.wake(g)
 		sh.fusedRun(0, false)
-		<-sh.done
+		sh.awaitGang(g)
 	}
-	// The parked workers keep sh alive; a retained body would keep the
+	// The workers keep sh alive; a retained body would keep the
 	// pool's owner, and so the pool, reachable and its finalizer idle.
 	sh.plan = nil
 	sh.blocks.Passes[0].Fn = nil
@@ -413,7 +542,7 @@ func (sh *poolShared) fusedBarrier(after func()) {
 		sh.barGen.Add(1)
 	} else {
 		for spins := 0; sh.barGen.Load() == gen; spins++ {
-			if spins > 256 {
+			if spins > spinPolls {
 				runtime.Gosched()
 			}
 		}

@@ -2,7 +2,9 @@ package conc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 )
 
 // Dispatch-latency micro-benchmarks: empty or near-empty bodies isolate
@@ -96,6 +98,41 @@ func BenchmarkPoolDispatchFused3(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.Fused(plan)
 			}
+		})
+	}
+}
+
+// BenchmarkPoolWake measures how late the gang starts a dispatch whose
+// bodies are long enough that the leader cannot run them itself: every
+// worker spins for wakeBody in its block. wake-ns is the median, over
+// dispatches, of the last worker's start latency from just before the
+// dispatch; wake-p90-ns is its 90th percentile. The empty-body
+// BenchmarkPoolDispatch* rows do not show this cost: their leader
+// finishes its share at once, so a woken worker can run on the
+// leader's own processor.
+func BenchmarkPoolWake(b *testing.B) {
+	const wakeBody = 100 * time.Microsecond
+	for _, w := range []int{2, 4} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			p := NewPool(w)
+			defer p.Close()
+			var t0 time.Time
+			starts := make([]time.Duration, w)
+			fn := func(worker, _, _ int) {
+				t := time.Now()
+				starts[worker] = t.Sub(t0)
+				for time.Since(t) < wakeBody {
+				}
+			}
+			var wake []float64
+			for b.Loop() {
+				t0 = time.Now()
+				p.Blocks(1<<10, fn)
+				wake = append(wake, float64(slices.Max(starts[1:])))
+			}
+			slices.Sort(wake)
+			b.ReportMetric(wake[len(wake)/2], "wake-ns")
+			b.ReportMetric(wake[len(wake)*9/10], "wake-p90-ns")
 		})
 	}
 }

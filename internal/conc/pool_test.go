@@ -2,6 +2,7 @@ package conc
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync"
@@ -222,4 +223,133 @@ func TestPoolLeakedOwnerReleased(t *testing.T) {
 	}
 	t.Fatalf("leaked pool's workers still parked: %d goroutines before, %d after",
 		before, runtime.NumGoroutine())
+}
+
+// parkedWorkers counts the workers blocked, or about to block, on
+// their start channel.
+func (p *Pool) parkedWorkers() int {
+	n := 0
+	for i := range p.sh.slots {
+		if p.sh.slots[i].parked.Load() != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPoolIdleGangParks: an idle gang parks every worker within
+// parkAfter of its last dispatch (plus a scheduling margin), so an
+// idle engine holds no processor.
+func TestPoolIdleGangParks(t *testing.T) {
+	const margin = 200 * time.Millisecond
+	for _, w := range []int{2, 3, 8} {
+		pool := NewPool(w)
+		for range 3 {
+			pool.Blocks(1<<10, func(int, int, int) {})
+			start := time.Now()
+			for pool.parkedWorkers() != w-1 {
+				if time.Since(start) > parkAfter+margin {
+					t.Fatalf("w=%d: %d of %d workers parked %v after the last dispatch",
+						w, pool.parkedWorkers(), w-1, time.Since(start))
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		pool.Close()
+	}
+}
+
+// TestPoolSpinParkStress drives both wake-up handshakes through every
+// waiting state. Dispatches of random shape (inline, Blocks, Fused
+// plans of one to three static or chunked passes, some with After
+// hooks) are separated by busy gaps drawn from {0, parkAfter/2,
+// parkAfter, 2·parkAfter}, so a dispatch meets its workers polling,
+// announcing a park or parked, and the caller's completion wait meets
+// the same boundary through long worker shares. Every index must run
+// exactly once per dispatch; each pool is closed after a random
+// number of dispatches and a random gap, and no worker may outlive
+// its pool. -short runs a quarter of the dispatches.
+func TestPoolSpinParkStress(t *testing.T) {
+	dispatches := 10_000
+	if testing.Short() {
+		dispatches /= 4
+	}
+	before := runtime.NumGoroutine()
+	rnd := rand.New(rand.NewPCG(1, 2))
+	gap := func() time.Duration {
+		if rnd.IntN(32) != 0 {
+			return 0
+		}
+		return [...]time.Duration{0, parkAfter / 2, parkAfter, 2 * parkAfter}[rnd.IntN(4)]
+	}
+	busy := func(d time.Duration) {
+		for start := time.Now(); time.Since(start) < d; {
+		}
+	}
+	const maxN = 128
+	var counts [3][maxN]atomic.Int32
+	var totals [3]atomic.Int64
+	var bad atomic.Int64
+	body := func(pass int, slow bool) func(w, lo, hi int) {
+		return func(w, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				counts[pass][i].Add(1)
+			}
+			totals[pass].Add(int64(hi - lo))
+			if slow && w == 1 {
+				busy(parkAfter + parkAfter/4) // outlasts the caller's poll budget
+			}
+		}
+	}
+	for _, w := range []int{2, 3, 8} {
+		for done := 0; done < dispatches; {
+			pool := NewPool(w)
+			for k := 1 + rnd.IntN(2000); k > 0 && done < dispatches; k-- {
+				busy(gap())
+				passes := 1 + rnd.IntN(3)
+				plan := &FusedPlan{Passes: make([]FusedPass, passes)}
+				for pi := range plan.Passes {
+					n := 1 + rnd.IntN(maxN)
+					if rnd.IntN(4) == 0 {
+						n = 1 + rnd.IntN(serialCutoff/passes) // the plan may run inline
+					}
+					ps := FusedPass{N: n, Chunk: [...]int{0, 7, -1}[rnd.IntN(3)], Fn: body(pi, rnd.IntN(128) == 0)}
+					if rnd.IntN(2) == 0 {
+						ps.After = func() {
+							if totals[pi].Load() != int64(n) {
+								bad.Add(1)
+							}
+						}
+					}
+					plan.Passes[pi] = ps
+				}
+				if passes == 1 && plan.Passes[0].Chunk == 0 && plan.Passes[0].After == nil {
+					pool.Blocks(plan.Passes[0].N, plan.Passes[0].Fn)
+				} else {
+					pool.Fused(plan)
+				}
+				done++
+				for pi, ps := range plan.Passes {
+					for i := range ps.N {
+						if c := counts[pi][i].Swap(0); c != 1 {
+							t.Fatalf("w=%d dispatch %d pass %d: index %d ran %d times", w, done, pi, i, c)
+						}
+					}
+					totals[pi].Store(0)
+				}
+				if bad.Load() != 0 {
+					t.Fatalf("w=%d dispatch %d: an After hook ran before its pass finished", w, done)
+				}
+			}
+			busy(gap())
+			pool.Close()
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers outlived their pools: %d goroutines before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -155,7 +155,7 @@ func TestParESMatchesSequentialReplay(t *testing.T) {
 	src := rng.NewMT19937(18)
 	g := gen.GNP(50, 0.2, src)
 	m := g.M()
-	switches := SampleSwitches(m, 8*m, src)
+	switches := sampleSwitches(m, 8*m, src)
 
 	seqE, _ := runSequentialReference(g, switches)
 

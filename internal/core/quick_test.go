@@ -115,13 +115,27 @@ func TestQuickGlobalSwitchesWellFormed(t *testing.T) {
 	}
 }
 
+// sampleSwitches draws r uniform ES-MC switches for a graph with m
+// edges: i != j uniform indices plus an unbiased direction bit.
+func sampleSwitches(m int, r int, src rng.Source) []Switch {
+	if m < 2 {
+		return nil
+	}
+	out := make([]Switch, r)
+	for k := range out {
+		i, j := rng.TwoDistinct(src, m)
+		out[k] = Switch{I: uint32(i), J: uint32(j), G: rng.Bool(src)}
+	}
+	return out
+}
+
 // TestQuickSampleSwitchesWellFormed: sampled ES-MC switches use distinct
 // in-range indices.
 func TestQuickSampleSwitchesWellFormed(t *testing.T) {
 	property := func(seed uint64, mRaw uint16, rRaw uint8) bool {
 		m := int(mRaw%5000) + 2
 		src := rng.NewSplitMix64(seed)
-		switches := SampleSwitches(m, int(rRaw), src)
+		switches := sampleSwitches(m, int(rRaw), src)
 		for _, sw := range switches {
 			if sw.I == sw.J || int(sw.I) >= m || int(sw.J) >= m {
 				return false
@@ -140,7 +154,7 @@ func TestQuickPrefixNeverSplitsCollisionFree(t *testing.T) {
 	property := func(seed uint64, mRaw uint8, rRaw uint8) bool {
 		m := int(mRaw%60) + 4
 		src := rng.NewSplitMix64(seed)
-		switches := SampleSwitches(m, int(rRaw%100)+1, src)
+		switches := sampleSwitches(m, int(rRaw%100)+1, src)
 		tlen := FindCollisionFreePrefix(switches, m)
 		used := map[uint32]bool{}
 		for k := 0; k < tlen; k++ {
@@ -186,7 +200,7 @@ func BenchmarkSuperstepDecide(b *testing.B) {
 func BenchmarkFindCollisionFreePrefix(b *testing.B) {
 	src := rng.NewMT19937(2)
 	const m = 1 << 16
-	switches := SampleSwitches(m, 4*256, src)
+	switches := sampleSwitches(m, 4*256, src)
 	f := newPrefixFinder(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

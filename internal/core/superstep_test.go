@@ -278,7 +278,7 @@ func TestFindCollisionFreePrefixBruteForce(t *testing.T) {
 	f.epoch = math.MaxUint32 - 100
 	for trial := 0; trial < 200; trial++ {
 		r := 1 + rng.IntN(src, 40)
-		switches := SampleSwitches(m, r, src)
+		switches := sampleSwitches(m, r, src)
 		// Brute force: first k whose indices intersect any earlier switch.
 		want := len(switches)
 		used := map[uint32]bool{}

@@ -32,7 +32,6 @@ import (
 
 	"gesmc/internal/constraint"
 	"gesmc/internal/graph"
-	"gesmc/internal/rng"
 	"gesmc/internal/switching"
 )
 
@@ -113,20 +112,6 @@ func (c Config) loopProb() float64 {
 		return DefaultLoopProb
 	}
 	return c.LoopProb
-}
-
-// SampleSwitches draws r uniform ES-MC switches for a graph with m
-// edges: i != j uniform indices plus an unbiased direction bit.
-func SampleSwitches(m int, r int, src rng.Source) []Switch {
-	if m < 2 {
-		return nil
-	}
-	out := make([]Switch, r)
-	for k := range out {
-		i, j := rng.TwoDistinct(src, m)
-		out[k] = Switch{I: uint32(i), J: uint32(j), G: rng.Bool(src)}
-	}
-	return out
 }
 
 // Run executes the selected algorithm for the given number of supersteps

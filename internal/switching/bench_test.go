@@ -32,7 +32,7 @@ func burninGraph(b *testing.B) *graph.Graph {
 func BenchmarkGlobalSuperstep(b *testing.B) {
 	g := burninGraph(b)
 	m := g.M()
-	for _, w := range []int{1, 2} {
+	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			edges := append([]graph.Edge(nil), g.Edges()...)
 			r := switching.NewRunner(edges, m/2, w)
